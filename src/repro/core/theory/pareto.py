@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.dominance import dominates, pareto_front
+from repro.analysis.dominance import is_on_front, pareto_front
 from repro.core.theory.theorems import theorem2_friendliness_bound
 
 
@@ -107,4 +107,4 @@ def surface_is_mutually_non_dominated(points: list[Figure1Point],
 def dominated_by_surface(point: tuple[float, float, float],
                          points: list[Figure1Point], tol: float = 0.0) -> bool:
     """Whether any surface sample dominates the given triple."""
-    return any(dominates(p.as_tuple(), point, tol) for p in points)
+    return not is_on_front(point, [p.as_tuple() for p in points], tol)

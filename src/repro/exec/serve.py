@@ -6,9 +6,9 @@ exposing simulation-as-a-service on top of :class:`~repro.exec.Executor`:
 - ``POST /run`` with ``{"specs": [<wire spec>, ...], "backend": "fluid",
   "batch": false, "use_cache": true}`` runs the batch and streams back
   one NDJSON line per spec **in submission order** —
-  ``{"index", "ok", "source", "trace"}`` on success (trace base64-npz,
-  bit-identical to a local run), ``{"index", "ok": false, "error"}`` on a
-  per-spec failure — followed by a terminal
+  ``{"index", "ok", "source", "trace"}`` on success (trace a base64
+  array bundle, bit-identical to a local run), ``{"index", "ok": false,
+  "error"}`` on a per-spec failure — followed by a terminal
   ``{"done": true, "stats": {...}}`` line. The response is
   ``Connection: close`` and EOF-delimited, so any HTTP/1.1 client can
   read it line by line.

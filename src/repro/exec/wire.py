@@ -3,20 +3,21 @@
 Specs travel as plain JSON objects (protocols as the spec strings
 :func:`repro.protocols.make_protocol` parses, links in the paper's
 real-world units), so any HTTP client can submit work without pickling
-Python objects. Traces travel back base64-encoded in exactly the array
-layout the content-addressed store archives
-(:func:`repro.perf.store.trace_to_arrays`), so a decoded trace is
-bit-identical to the one the server computed — the same guarantee a
-local ``run_spec`` gives.
+Python objects. Traces travel back as base64-encoded array bundles
+(:mod:`repro.perf.codec`) in exactly the array layout and byte format the
+content-addressed store archives (:func:`repro.perf.store.trace_to_arrays`),
+so a decoded trace is bit-identical to the one the server computed — the
+same guarantee a local ``run_spec`` gives. A payload that is not valid
+base64, fails the bundle's checksum or lacks a trace field raises
+:class:`ValueError`.
 """
 
 from __future__ import annotations
 
 import base64
-import io
 from typing import Any
 
-import numpy as np
+from repro.perf.codec import pack_arrays, unpack_arrays
 
 __all__ = [
     "decode_trace",
@@ -98,21 +99,20 @@ def spec_to_wire(
 
 
 def encode_trace(trace: Any) -> str:
-    """A UnifiedTrace as base64-encoded npz (exact array round-trip)."""
+    """A UnifiedTrace as a base64-encoded array bundle (exact round-trip)."""
     from repro.perf.store import trace_to_arrays
 
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **trace_to_arrays(trace))
-    return base64.b64encode(buffer.getvalue()).decode("ascii")
+    return base64.b64encode(pack_arrays(trace_to_arrays(trace))).decode("ascii")
 
 
 def decode_trace(blob: str) -> Any:
     """Rebuild the UnifiedTrace :func:`encode_trace` serialized."""
     from repro.perf.store import trace_from_arrays
 
-    with np.load(io.BytesIO(base64.b64decode(blob)), allow_pickle=False) as data:
-        arrays = {name: data[name] for name in data.files}
-    trace = trace_from_arrays(arrays)
+    try:
+        trace = trace_from_arrays(unpack_arrays(base64.b64decode(blob, validate=True)))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed wire trace: {exc!r}") from exc
     if trace is None:
         raise ValueError("wire trace has an unknown format version")
     return trace

@@ -208,6 +208,9 @@ def _run_merged_scenarios(
                 events=events,
             )
         )
+    scheduler.discard_pending()
+    for flows, _ in replications:
+        flows.clear()
     return results
 
 
@@ -403,4 +406,7 @@ def run_workloads_batched(
                 from repro.perf import packet_cache
 
                 packet_cache.store_workload_result(cache, key, result)
+        scheduler.discard_pending()
+        for flows in wired:
+            flows.clear()
     return [result for result in results if result is not None]

@@ -161,6 +161,19 @@ class EventScheduler:
         self._rails.append(rail._events)
         return rail
 
+    def discard_pending(self) -> None:
+        """Drop every event still pending after the last ``run_until``.
+
+        Pending events reference flows and queues, which reference this
+        scheduler back. A finished run calls this (and empties its
+        ``flows`` list, which its delivery closures capture) so the
+        simulation is freed by reference counting as soon as its result is
+        extracted, instead of waiting for the cycle collector.
+        """
+        self._heap.clear()
+        for events in self._rails:
+            events.clear()
+
     # ------------------------------------------------------------------
     def schedule_event(self, delay: float, kind: int, target,
                        payload=None) -> None:

@@ -25,6 +25,7 @@ holds O(window) live objects regardless of how many packets it sends.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,7 +72,13 @@ class _RoundRecord:
 
 @dataclass
 class FlowStats:
-    """Per-flow outcome of a packet-level run."""
+    """Per-flow outcome of a packet-level run.
+
+    ``ack_times`` and ``loss_times`` are appended at the scheduler's clock,
+    which never runs backwards, so both lists are nondecreasing;
+    ``rtt_samples[i]`` belongs to the ACK at ``ack_times[i]``. The window
+    reducers rely on that order: they find a window's ends by bisection.
+    """
 
     packets_sent: int = 0
     packets_acked: int = 0
@@ -98,7 +105,7 @@ class FlowStats:
         if stop < start:
             raise ValueError(f"stop {stop} before start {start}")
         acked = self.delivered_between(start, stop)
-        lost = sum(1 for t in self.loss_times if start <= t < stop)
+        lost = _count_between(self.loss_times, start, stop)
         total = acked + lost
         return lost / total if total else 0.0
 
@@ -106,7 +113,7 @@ class FlowStats:
         """ACKed packets whose ACK arrived in ``[start, stop)``."""
         if stop < start:
             raise ValueError(f"stop {stop} before start {start}")
-        return sum(1 for t in self.ack_times if start <= t < stop)
+        return _count_between(self.ack_times, start, stop)
 
     def throughput_mss_per_s(self, start: float, stop: float) -> float:
         """Goodput in MSS/s over a window (by ACK arrival time)."""
@@ -116,12 +123,15 @@ class FlowStats:
 
     def mean_rtt_between(self, start: float, stop: float) -> float:
         """Mean measured RTT of ACKs in a window (NaN when empty)."""
-        pairs = [
-            rtt
-            for t, rtt in zip(self.ack_times, self.rtt_samples)
-            if start <= t < stop
-        ]
-        return sum(pairs) / len(pairs) if pairs else math.nan
+        lo = bisect_left(self.ack_times, start)
+        hi = bisect_left(self.ack_times, stop)
+        samples = self.rtt_samples[lo:hi]
+        return sum(samples) / len(samples) if samples else math.nan
+
+
+def _count_between(times: list[float], start: float, stop: float) -> int:
+    """How many of the sorted ``times`` lie in ``[start, stop)``."""
+    return max(0, bisect_left(times, stop) - bisect_left(times, start))
 
 
 class Flow:

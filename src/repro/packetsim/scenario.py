@@ -225,10 +225,13 @@ def _run_scenario(scenario: PacketScenario) -> ScenarioResult:
         flow.start()
 
     scheduler.run_until(scenario.duration)
-    return ScenarioResult(
+    result = ScenarioResult(
         scenario=scenario,
         flows=[flow.stats for flow in flows],
         queue=queue.stats,
         duration=scenario.duration,
         events=scheduler.processed_events,
     )
+    scheduler.discard_pending()
+    flows.clear()
+    return result

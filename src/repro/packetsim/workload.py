@@ -251,8 +251,11 @@ def _run_workload(
     for flow in flows:
         flow.start()
     scheduler.run_until(duration)
-    return WorkloadResult(
+    result = WorkloadResult(
         specs=list(specs),
         flows=[flow.stats for flow in flows[: len(specs)]],
         duration=duration,
     )
+    scheduler.discard_pending()
+    flows.clear()
+    return result

@@ -6,8 +6,10 @@ them fast without changing a single result:
 
 - :mod:`repro.perf.cache` — a content-addressed on-disk cache of
   simulation traces, keyed by a stable hash of (link, protocols, config,
-  steps), so repeated estimator calls reload ``.npz`` archives instead of
+  steps), so repeated estimator calls reload archived arrays instead of
   re-simulating;
+- :mod:`repro.perf.codec` — the array-bundle format of every store entry
+  and every ``repro serve`` trace;
 - :mod:`repro.perf.packet_cache` — the same idea for packet-level runs:
   ``PacketScenario``/workload inputs hash to archived
   ``FlowStats``/``QueueStats`` arrays, so warm Emulab/FCT/Table-2 packet

@@ -4,10 +4,13 @@ A fluid simulation is a deterministic function of (link, protocols,
 config, steps) — the paper's own framing: a protocol-plus-initial-windows
 choice *deterministically* induces the dynamics. That makes traces
 content-addressable: we canonicalize the inputs into a stable structure,
-hash it, and archive the resulting trace as ``.npz`` (via
-:mod:`repro.storage`) under the hash. Repeated estimator calls across
+hash it, and archive the resulting trace's arrays as one array bundle
+(:mod:`repro.perf.codec`) under the hash. Repeated estimator calls across
 Table 1, Figure 1 and the claims checks then reload bit-identical arrays
-instead of re-simulating.
+instead of re-simulating. Every entry kind (fluid traces here, packet
+statistics in :mod:`repro.perf.packet_cache`, unified traces in
+:mod:`repro.perf.store`) goes through the same codec, read and written by
+one private reader and one private writer on :class:`TraceCache`.
 
 Keying rules:
 
@@ -38,26 +41,30 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.model.link import Link
 from repro.model.random_loss import LossProcess
 from repro.perf import timing
+from repro.perf.codec import pack_arrays, unpack_arrays
 from repro.protocols.base import Protocol
-from repro.storage import load_trace, save_trace
+from repro.storage import trace_from_arrays, trace_to_arrays
 
 #: Environment variable naming the cache directory; setting it activates
 #: the cache in this process and every child (parallel sweep workers).
 CACHE_ENV = "REPRO_SIM_CACHE"
 
 #: The per-store index file: one NDJSON record per stored entry, written
-#: at put time, so ``repro cache stats`` never opens the npz payloads.
+#: at put time, so ``repro cache stats`` never opens the entry payloads.
 INDEX_NAME = "index.ndjson"
 
 #: Bump when the canonicalization or the trace format changes.
 _KEY_VERSION = 1
+
+#: Turns an entry's arrays into the caller's object; ``None`` rejects it.
+_Decoder = Callable[[dict[str, np.ndarray]], Any]
 
 
 class CacheKeyError(TypeError):
@@ -169,7 +176,7 @@ def simulation_key(
 def kind_from_members(
     names: Sequence[str] | set[str], unified_backend: str | None = None
 ) -> str:
-    """The entry kind an npz member-name set encodes.
+    """The entry kind an entry's member-name set encodes.
 
     Kinds: ``fluid`` (native fluid traces), ``packet`` (native packet
     statistics), ``unified:<backend>`` (unified-store traces, when the
@@ -200,12 +207,15 @@ def default_cache_dir() -> Path:
 class TraceCache:
     """Trace archive addressed by :func:`simulation_key` hashes.
 
-    Entries are ``.npz`` files written through :mod:`repro.storage`,
-    sharded as ``<dir>/<key[:2]>/<key>.npz`` so thousands of concurrent
-    clients never contend on one directory. Writes are atomic (temp file
-    + rename), so concurrent sweep workers may race on the same key
-    without corrupting entries. Every put also appends one NDJSON record
-    (key, kind, bytes) to ``index.ndjson``, which is what lets
+    Entries are array bundles (:mod:`repro.perf.codec`), sharded as
+    ``<dir>/<key[:2]>/<key>.npz`` so thousands of concurrent clients
+    never contend on one directory. The ``.npz`` suffix is historical:
+    entries were npz archives before the codec existed, and an entry
+    still in that form fails the codec's magic check, is dropped as
+    corrupt on first touch and is rewritten by the next put. Writes are
+    atomic (temp file + rename), so concurrent sweep workers may race on
+    the same key without corrupting entries. Every put also appends one
+    NDJSON record (key, kind, bytes) to ``index.ndjson``, which is what lets
     ``repro cache stats`` break the store down per kind without opening
     a single payload. Entries written by the pre-shard flat layout
     (``<dir>/<key>.npz``) migrate transparently: lookups relocate the
@@ -330,36 +340,44 @@ class TraceCache:
             except OSError:
                 pass
 
-    def get(self, key: str):
-        """The cached trace for ``key``, or ``None`` (counts hit/miss)."""
+    def _read(self, key: str, decode: _Decoder | None) -> Any:
+        """``key``'s arrays (through ``decode``), or ``None`` (counts hit/miss).
+
+        An entry that cannot be read, fails the codec's checks, or that
+        ``decode`` rejects (returns ``None`` or raises — a stale format
+        tag, say) is dropped and counted as a miss, so the next put
+        rewrites it.
+        """
         path = self._path(key)
         with timing.measure("cache.get"):
             if path.exists() or self._migrate_flat(key):
                 try:
-                    trace = load_trace(path)
-                except Exception:
-                    # Corrupt or truncated entry: drop it and treat as a miss.
-                    path.unlink(missing_ok=True)
-                else:
+                    value = unpack_arrays(path.read_bytes())
+                    if decode is not None:
+                        value = decode(value)
+                except (OSError, ValueError, KeyError, TypeError):
+                    value = None
+                if value is not None:
                     self.hits += 1
-                    return trace
+                    return value
+                path.unlink(missing_ok=True)
             self.misses += 1
             return None
 
-    def put(self, key: str, trace) -> Path | None:
-        """Archive ``trace`` under ``key`` (no-op if already present).
+    def _write(self, key: str, arrays: dict[str, np.ndarray], kind: str) -> Path | None:
+        """Archive ``arrays`` under ``key`` unless present (best-effort, atomic).
 
-        Caching is best-effort: an unwritable or bogus cache directory
-        returns ``None`` instead of killing the simulation that just
-        produced the trace.
+        An unwritable or bogus cache directory returns ``None`` instead of
+        killing the simulation that just produced the arrays.
         """
         path = self._path(key)
         with timing.measure("cache.put"):
             if not path.exists():
                 tmp = path.with_name(f".tmp-{os.getpid()}-{key[:16]}.npz")
                 try:
-                    save_trace(trace, tmp)
-                    nbytes = tmp.stat().st_size
+                    blob = pack_arrays(arrays)
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    tmp.write_bytes(blob)
                     os.replace(tmp, path)
                 except OSError:
                     try:
@@ -367,55 +385,33 @@ class TraceCache:
                     except OSError:
                         pass
                     return None
-                self.index_append(key, "fluid", nbytes)
+                self.index_append(key, kind, len(blob))
         return path
 
-    def get_arrays(self, key: str) -> dict[str, np.ndarray] | None:
+    def get(self, key: str):
+        """The cached fluid trace for ``key``, or ``None`` (counts hit/miss)."""
+        return self._read(key, trace_from_arrays)
+
+    def put(self, key: str, trace) -> Path | None:
+        """Archive a fluid ``trace`` under ``key`` (no-op if already present)."""
+        return self._write(key, trace_to_arrays(trace), "fluid")
+
+    def get_arrays(self, key: str, decode: _Decoder | None = None) -> Any:
         """The raw array dict archived under ``key``, or ``None``.
 
-        Packet-level entries (see :mod:`repro.perf.packet_cache`) are
-        free-form array dicts rather than fluid traces; they share the
-        directory, the addressing scheme and the hit/miss counters.
+        Packet-level entries (see :mod:`repro.perf.packet_cache`) and
+        unified traces (:mod:`repro.perf.store`) are free-form array dicts
+        rather than fluid traces; they share the directory, the addressing
+        scheme and the hit/miss counters. With ``decode``, the result is
+        ``decode(arrays)`` instead, and an entry it rejects is a miss.
         """
-        path = self._path(key)
-        with timing.measure("cache.get"):
-            if path.exists() or self._migrate_flat(key):
-                try:
-                    with np.load(path, allow_pickle=False) as data:
-                        arrays = {name: data[name] for name in data.files}
-                except Exception:
-                    # Corrupt or truncated entry: drop it and treat as a miss.
-                    path.unlink(missing_ok=True)
-                else:
-                    self.hits += 1
-                    return arrays
-            self.misses += 1
-            return None
+        return self._read(key, decode)
 
     def put_arrays(self, key: str, arrays: dict[str, np.ndarray]) -> Path | None:
         """Archive a raw array dict under ``key`` (best-effort, atomic)."""
-        path = self._path(key)
-        with timing.measure("cache.put"):
-            if not path.exists():
-                tmp = path.with_name(f".tmp-{os.getpid()}-{key[:16]}.npz")
-                try:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    with open(tmp, "wb") as handle:
-                        np.savez_compressed(handle, **arrays)
-                    nbytes = tmp.stat().st_size
-                    os.replace(tmp, path)
-                except OSError:
-                    try:
-                        tmp.unlink(missing_ok=True)
-                    except OSError:
-                        pass
-                    return None
-                backend = arrays.get("unified_backend")
-                kind = kind_from_members(
-                    set(arrays), None if backend is None else str(backend)
-                )
-                self.index_append(key, kind, nbytes)
-        return path
+        backend = arrays.get("unified_backend")
+        kind = kind_from_members(set(arrays), None if backend is None else str(backend))
+        return self._write(key, arrays, kind)
 
     def entries(self) -> list[Path]:
         """All archived entry files, sorted for determinism.

@@ -7,13 +7,15 @@ the RNG is seeded and the event order is fixed by the ``(time, seq)``
 tie-break. That makes packet runs content-addressable exactly like the
 fluid traces in :mod:`repro.perf.cache`: canonicalize the inputs (floats
 by bit pattern, protocols by their reset attribute dict), hash, and
-archive the resulting ``FlowStats``/``QueueStats`` as ``.npz`` arrays
-under the hash.
+archive the resulting ``FlowStats``/``QueueStats`` as arrays under the
+hash, in the store's array-bundle format (:mod:`repro.perf.codec`).
 
 The stored payload is the *statistics*, not the event stream, so entries
 are small (a few KB per run) while a warm hit skips the entire
 simulation. Reloaded stats round-trip bit-exactly: every float travels as
-float64 through ``.npz`` and back into the same Python lists.
+float64 through the bundle and back into the same Python lists. An entry
+whose format tag does not match this module's is a miss and is dropped,
+so the next store rewrites it.
 
 Entries live in the same :class:`~repro.perf.cache.TraceCache` directory
 as fluid traces and obey the same activation rules (``REPRO_SIM_CACHE``
@@ -142,9 +144,7 @@ def _unpack_flow(index: int, arrays: dict) -> FlowStats:
         ack_times=arrays[prefix + "ack_times"].tolist(),
         loss_times=arrays[prefix + "loss_times"].tolist(),
         rtt_samples=arrays[prefix + "rtt_samples"].tolist(),
-        window_samples=[
-            (float(t), float(w)) for t, w in arrays[prefix + "window_samples"]
-        ],
+        window_samples=list(map(tuple, arrays[prefix + "window_samples"].tolist())),
         rounds_completed=rounds,
         completed_at=None if math.isnan(completed) else completed,
         retransmissions=retrans,
@@ -208,19 +208,19 @@ def load_scenario_result(cache: TraceCache, key: str, scenario):
     """The cached ScenarioResult for ``key``, or ``None`` on a miss."""
     from repro.packetsim.scenario import ScenarioResult
 
-    arrays = cache.get_arrays(key)
-    if arrays is None:
-        return None
-    if int(arrays.get("format", -1)) != _FORMAT_VERSION:
-        return None
-    n_flows, events = (int(v) for v in arrays["meta"])
-    return ScenarioResult(
-        scenario=scenario,
-        flows=[_unpack_flow(i, arrays) for i in range(n_flows)],
-        queue=_unpack_queue(arrays),
-        duration=float(arrays["duration"]),
-        events=events,
-    )
+    def decode(arrays: dict):
+        if int(arrays.get("format", -1)) != _FORMAT_VERSION:
+            return None
+        n_flows, events = (int(v) for v in arrays["meta"])
+        return ScenarioResult(
+            scenario=scenario,
+            flows=[_unpack_flow(i, arrays) for i in range(n_flows)],
+            queue=_unpack_queue(arrays),
+            duration=float(arrays["duration"]),
+            events=events,
+        )
+
+    return cache.get_arrays(key, decode=decode)
 
 
 # ----------------------------------------------------------------------
@@ -242,16 +242,16 @@ def load_workload_result(cache: TraceCache, key: str, specs, duration: float):
     """The cached WorkloadResult for ``key``, or ``None`` on a miss."""
     from repro.packetsim.workload import WorkloadResult
 
-    arrays = cache.get_arrays(key)
-    if arrays is None:
-        return None
-    if int(arrays.get("format", -1)) != _FORMAT_VERSION:
-        return None
-    (n_flows,) = (int(v) for v in arrays["meta"])
-    if n_flows != len(specs):
-        return None
-    return WorkloadResult(
-        specs=list(specs),
-        flows=[_unpack_flow(i, arrays) for i in range(n_flows)],
-        duration=float(arrays["duration"]),
-    )
+    def decode(arrays: dict):
+        if int(arrays.get("format", -1)) != _FORMAT_VERSION:
+            return None
+        (n_flows,) = (int(v) for v in arrays["meta"])
+        if n_flows != len(specs):
+            return None
+        return WorkloadResult(
+            specs=list(specs),
+            flows=[_unpack_flow(i, arrays) for i in range(n_flows)],
+            duration=float(arrays["duration"]),
+        )
+
+    return cache.get_arrays(key, decode=decode)

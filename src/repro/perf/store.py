@@ -45,6 +45,7 @@ from repro.perf.cache import (
     _canonical,
     kind_from_members,
 )
+from repro.perf.codec import unpack_arrays
 
 __all__ = [
     "unified_key",
@@ -126,8 +127,8 @@ def trace_to_arrays(trace: Any) -> dict[str, np.ndarray]:
 def trace_from_arrays(arrays: dict[str, np.ndarray]) -> Any | None:
     """Rebuild a UnifiedTrace from :func:`trace_to_arrays` output.
 
-    Returns ``None`` on a format-version mismatch (an entry written by a
-    different layout revision is a miss, not an error).
+    Returns ``None`` on a format-version mismatch: an entry written by a
+    different layout revision is a miss (and is dropped), not an error.
     """
     from repro.backends.trace import UnifiedTrace
 
@@ -148,10 +149,7 @@ def store_unified_trace(cache: TraceCache, key: str, trace: Any) -> None:
 
 def load_unified_trace(cache: TraceCache, key: str) -> Any | None:
     """The cached UnifiedTrace for ``key``, or ``None`` on a miss."""
-    arrays = cache.get_arrays(key)
-    if arrays is None:
-        return None
-    return trace_from_arrays(arrays)
+    return cache.get_arrays(key, decode=trace_from_arrays)
 
 
 # ----------------------------------------------------------------------
@@ -290,22 +288,17 @@ def classify_entry(path: Path) -> str:
 
     Kinds: ``fluid`` (native fluid traces), ``packet`` (native packet
     statistics), ``unified:<backend>`` (unified-store traces), and
-    ``unknown`` for anything unreadable or unrecognized. Only member
-    names — and, for unified entries, the one-string backend member —
-    are read, never the payload arrays.
+    ``unknown`` for anything unreadable or unrecognized. The kind follows
+    from the member names plus, for unified entries, the one-string
+    backend member; decoding the entry also verifies its checksum, so a
+    corrupt entry is ``unknown``.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
-            names = set(data.files)
-            backend = (
-                str(data["unified_backend"])
-                if "unified_backend" in names
-                else None
-            )
-            return kind_from_members(names, backend)
-    except Exception:
-        pass
-    return "unknown"
+        arrays = unpack_arrays(path.read_bytes())
+    except (OSError, ValueError):
+        return "unknown"
+    backend = arrays.get("unified_backend")
+    return kind_from_members(set(arrays), None if backend is None else str(backend))
 
 
 def stats_by_kind(cache: TraceCache) -> dict[str, dict[str, Any]]:

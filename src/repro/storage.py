@@ -1,9 +1,12 @@
 """Trace persistence: save and reload simulation traces.
 
-Long sweeps are expensive; these helpers archive
+Long sweeps are expensive; these helpers export
 :class:`~repro.model.trace.SimulationTrace` objects losslessly as ``.npz``
-(numpy's compressed container) and export human-readable CSV for external
-tooling. Experiment *results* (scalar tables) go through
+(numpy's compressed container) for external tooling, plus human-readable
+CSV. :func:`trace_to_arrays` / :func:`trace_from_arrays` define the
+trace's array layout, shared with the content-addressed store
+(:mod:`repro.perf.cache`), which archives the same arrays in its own
+format. Experiment *results* (scalar tables) go through
 :mod:`repro.experiments.results` instead.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -29,15 +33,36 @@ _TRACE_FIELDS = (
 _FORMAT_VERSION = 1
 
 
+def trace_to_arrays(trace: SimulationTrace) -> dict[str, np.ndarray]:
+    """A trace's archived array form: its fields plus a format tag."""
+    arrays = {name: getattr(trace, name) for name in _TRACE_FIELDS}
+    arrays["format_version"] = np.array(_FORMAT_VERSION)
+    return arrays
+
+
+def trace_from_arrays(arrays: Mapping[str, np.ndarray],
+                      source: object = "arrays") -> SimulationTrace:
+    """Rebuild a trace from :func:`trace_to_arrays` output.
+
+    Raises :class:`ValueError` naming ``source`` on a format-version
+    mismatch or a missing field.
+    """
+    version = int(arrays["format_version"]) if "format_version" in arrays else 0
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported trace format version {version} in {source}")
+    missing = [name for name in _TRACE_FIELDS if name not in arrays]
+    if missing:
+        raise ValueError(f"{source} is missing trace fields {missing}")
+    return SimulationTrace(**{name: arrays[name] for name in _TRACE_FIELDS})
+
+
 def save_trace(trace: SimulationTrace, path: str | Path) -> Path:
     """Write a trace to ``path`` (``.npz`` appended if missing)."""
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
-    arrays = {name: getattr(trace, name) for name in _TRACE_FIELDS}
-    arrays["format_version"] = np.array(_FORMAT_VERSION)
-    np.savez_compressed(path, **arrays)
+    np.savez_compressed(path, **trace_to_arrays(trace))
     return path
 
 
@@ -45,15 +70,7 @@ def load_trace(path: str | Path) -> SimulationTrace:
     """Reload a trace written by :func:`save_trace`."""
     path = Path(path)
     with np.load(path) as data:
-        version = int(data["format_version"]) if "format_version" in data else 0
-        if version != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported trace format version {version} in {path}"
-            )
-        missing = [name for name in _TRACE_FIELDS if name not in data]
-        if missing:
-            raise ValueError(f"{path} is missing trace fields {missing}")
-        return SimulationTrace(**{name: data[name] for name in _TRACE_FIELDS})
+        return trace_from_arrays(data, path)
 
 
 def trace_to_csv(trace: SimulationTrace, path: str | Path) -> Path:

@@ -1,12 +1,15 @@
 """Property-based tests for statistics and Pareto machinery."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.analysis.dominance import dominates, pareto_front
+from repro.analysis import dominance
+from repro.analysis.dominance import dominates, is_on_front, pareto_front
 from repro.analysis.stats import convergence_alpha, jain_index, min_over_max
 
 # Zero is a legitimate throughput, but subnormal values are excluded:
@@ -99,3 +102,71 @@ def test_dominance_asymmetric(pair):
     p, q = pair
     if dominates(p, q):
         assert not dominates(q, p)
+
+
+# ----------------------------------------------------------------------
+# The vectorized front against the pairwise definition
+# ----------------------------------------------------------------------
+def pairwise_front(points, tol):
+    """The front exactly as the definition reads: one dominates() per pair."""
+    return [
+        i for i in range(len(points))
+        if not any(
+            dominates(points[j], points[i], tol)
+            for j in range(len(points)) if j != i
+        )
+    ]
+
+
+# A coarse grid makes ties and exact ``tol`` distances common; NaN, ±inf
+# and -0.0 cover the comparisons IEEE makes surprising.
+coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan, np.inf, -np.inf]),
+    st.floats(min_value=-2, max_value=2),
+)
+point_sets = st.integers(min_value=1, max_value=4).flatmap(
+    lambda dims: st.lists(
+        st.lists(coordinate, min_size=dims, max_size=dims),
+        min_size=1, max_size=30,
+    )
+)
+tolerances = st.sampled_from([0.0, 1e-12, 0.25, 0.5])
+
+
+# inf - inf is NaN, and NumPy warns about it in both renderings.
+ignore_inf_minus_inf = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+
+
+@ignore_inf_minus_inf
+@settings(deadline=None, max_examples=200)
+@given(points=point_sets, tol=tolerances, block=st.integers(1, 40))
+def test_vectorized_front_equals_pairwise_definition(points, tol, block):
+    # A small block budget splits even short lists into several blocks.
+    with mock.patch.object(dominance, "_BLOCK_PAIRS", block):
+        assert pareto_front(points, tol) == pairwise_front(points, tol)
+
+
+@ignore_inf_minus_inf
+@settings(deadline=None, max_examples=100)
+@given(points=point_sets, tol=tolerances, data=st.data())
+def test_is_on_front_equals_pairwise_definition(points, tol, data):
+    dims = len(points[0])
+    point = data.draw(st.lists(coordinate, min_size=dims, max_size=dims))
+    expected = not any(dominates(other, point, tol) for other in points)
+    assert is_on_front(point, points, tol) == expected
+
+
+def test_front_above_the_default_block_size():
+    rng = np.random.default_rng(7)
+    points = rng.integers(0, 6, size=(260, 3)).astype(float)  # many ties
+    points[::17, 1] = np.nan
+    assert dominance._BLOCK_PAIRS // len(points) < len(points)
+    for tol in (0.0, 1.0):
+        assert pareto_front(points, tol) == pairwise_front(points.tolist(), tol)
+
+
+def test_negative_tolerance_is_rejected_like_dominates():
+    with pytest.raises(ValueError):
+        pareto_front([[1.0, 2.0]], tol=-1.0)
+    with pytest.raises(ValueError):
+        is_on_front([1.0, 2.0], [[0.0, 0.0]], tol=-1.0)

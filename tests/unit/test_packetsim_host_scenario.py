@@ -1,13 +1,16 @@
 """ACK-clocked flows and scenarios (repro.packetsim.host / .scenario)."""
 
+import gc
 import math
 
 import pytest
 
 from repro.model.link import Link
+from repro.packetsim.batch import run_scenarios_batched, run_workloads_batched
 from repro.packetsim.host import Flow, FlowStats
 from repro.packetsim.engine import EventScheduler
 from repro.packetsim.scenario import PacketScenario, run_scenario
+from repro.packetsim.workload import poisson_workload, run_workload
 from repro.protocols import presets
 from repro.protocols.aimd import AIMD
 from repro.protocols.slow_start import SlowStartWrapper
@@ -172,3 +175,67 @@ class TestScenario:
         flow = result.flows[0]
         in_flight = flow.packets_sent - flow.packets_acked - flow.packets_lost
         assert 0 <= in_flight <= 200
+
+
+class TestFinishedRunsAreFreed:
+    """A finished run leaves nothing for the cycle collector.
+
+    Flows, queues and pending events reference each other; every runner
+    breaks those cycles once its result is built, so a run — background
+    flows whose statistics are not returned included — is freed by
+    reference counting. Checked by collecting with ``DEBUG_SAVEALL``: no
+    packet-simulator object may turn up as cyclic garbage.
+    """
+
+    @staticmethod
+    def _cyclic_garbage(run) -> list[str]:
+        gc.collect()
+        gc.disable()
+        try:
+            results = run()
+            assert results
+            del results
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            return sorted({
+                type(obj).__qualname__ for obj in gc.garbage
+                if type(obj).__module__.startswith("repro.packetsim")
+            })
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    def _scenarios(self):
+        return [
+            PacketScenario.from_mbps(20, 42, 10, [presets.reno(), presets.cubic()],
+                                     duration=2.0, seed=seed, random_loss_rate=0.01)
+            for seed in (1, 2)
+        ]
+
+    def _workload(self):
+        return poisson_workload(2.0, 20, 1.5, presets.reno(), seed=3)
+
+    def test_serial_scenario(self):
+        assert not self._cyclic_garbage(
+            lambda: [run_scenario(s, use_cache=False) for s in self._scenarios()]
+        )
+
+    def test_batched_scenarios(self):
+        assert not self._cyclic_garbage(
+            lambda: run_scenarios_batched(self._scenarios(), use_cache=False)
+        )
+
+    def test_serial_workload(self):
+        link = Link.from_mbps(20, 42, 10)
+        assert not self._cyclic_garbage(lambda: [run_workload(
+            link, self._workload(), duration=3.0, background=[presets.reno()],
+            use_cache=False,
+        )])
+
+    def test_batched_workloads(self):
+        link = Link.from_mbps(20, 42, 10)
+        jobs = [(self._workload(), [presets.reno()]), (self._workload(), None)]
+        assert not self._cyclic_garbage(lambda: run_workloads_batched(
+            link, jobs, duration=3.0, use_cache=False,
+        ))

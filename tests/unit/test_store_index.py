@@ -68,7 +68,7 @@ class TestIndex:
         def _boom(*args, **kwargs):
             raise AssertionError("stats_by_kind opened a payload")
 
-        monkeypatch.setattr("repro.perf.store.np.load", _boom)
+        monkeypatch.setattr("repro.perf.store.unpack_arrays", _boom)
         breakdown = stats_by_kind(cache)
         assert breakdown["unified:fluid"]["entries"] == 1
         assert breakdown["fluid"]["entries"] == 1
@@ -81,7 +81,7 @@ class TestIndex:
         first = stats_by_kind(cache)  # classifies payloads, re-appends
         assert sum(info["entries"] for info in first.values()) == 3
         monkeypatch.setattr(
-            "repro.perf.store.np.load",
+            "repro.perf.store.unpack_arrays",
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("reopened")),
         )
         assert stats_by_kind(cache) == first
