@@ -91,23 +91,12 @@ def run_benchmark(path: Path, skip_slow: bool = False,
 
 
 def _environment() -> dict:
-    """Kernel attribution for the recorded numbers.
-
-    Whether numba was importable, its version, and whether the JIT
-    switch was on — so a summary.json number is traceable to the
-    compiled or interpreted kernel path that produced it.
-    """
+    """The interpreter and NumPy versions the recorded numbers ran on."""
     import numpy
-
-    sys.path.insert(0, str(BENCH_DIR.parent / "src"))
-    from repro.model import kernels
 
     return {
         "python": sys.version.split()[0],
         "numpy_version": numpy.__version__,
-        "numba_available": kernels.numba_version() is not None,
-        "numba_version": kernels.numba_version(),
-        "jit_enabled": kernels.jit_enabled(),
     }
 
 

@@ -10,9 +10,9 @@ times the acceptance cases the batch-matrix completion exists for:
   ``(batch, cells)`` density kernel, must beat the serial mean-field
   loop by >= 5x with bit-identical traces.
 
-Both record their numbers (plus kernel attribution) through
-``_support.record_summary`` so ``benchmarks/results/summary.json`` holds
-the measured speedups the docs' batch matrix cites.
+Both record their numbers through ``_support.record_summary`` so
+``benchmarks/results/summary.json`` holds the measured speedups the
+docs' batch matrix cites.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from _support import record_summary
 from repro.backends import ScenarioSpec, run_spec, run_specs
 from repro.backends.batch import plan_meanfield_batches, plan_network_batches
-from repro.model import kernels
 from repro.model.link import Link
 from repro.netmodel.topology import dumbbell
 from repro.protocols.aimd import AIMD
@@ -37,14 +36,6 @@ def _bit_identical(a, b) -> bool:
         np.ascontiguousarray(a.windows).view(np.uint64),
         np.ascontiguousarray(b.windows).view(np.uint64),
     )
-
-
-def _attribution() -> dict:
-    return {
-        "numba_available": kernels.numba_version() is not None,
-        "numba_version": kernels.numba_version(),
-        "jit_enabled": kernels.jit_enabled(),
-    }
 
 
 def _network_grid(steps: int = 2000) -> list[ScenarioSpec]:
@@ -123,7 +114,6 @@ def test_network_grid_batched_speedup(monkeypatch):
         serial_s=round(t_serial, 4),
         batched_s=round(t_batched, 4),
         speedup=round(speedup, 2),
-        **_attribution(),
     )
     print(f"\nnetwork dumbbell grid: serial {t_serial:.2f}s, "
           f"batched {t_batched:.2f}s ({speedup:.1f}x)")
@@ -153,7 +143,6 @@ def test_meanfield_sweep_batched_speedup(monkeypatch):
         serial_s=round(t_serial, 4),
         batched_s=round(t_batched, 4),
         speedup=round(speedup, 2),
-        **_attribution(),
     )
     print(f"\nmean-field sweep: serial {t_serial:.2f}s, "
           f"batched {t_batched:.2f}s ({speedup:.1f}x)")

@@ -36,7 +36,7 @@ from repro.backends import fluid as _fluid  # noqa: E402,F401
 from repro.backends import meanfield as _meanfield  # noqa: E402,F401
 from repro.backends import network as _network  # noqa: E402,F401
 from repro.backends import packet as _packet  # noqa: E402,F401
-from repro.backends.batch import plan_batches, run_specs_batched
+from repro.backends.batch import plan_batches, run_batched
 from repro.backends.jobs import run_specs, spec_job
 
 __all__ = [
@@ -52,8 +52,8 @@ __all__ = [
     "get_backend",
     "plan_batches",
     "register_backend",
+    "run_batched",
     "run_spec",
     "run_specs",
-    "run_specs_batched",
     "spec_job",
 ]

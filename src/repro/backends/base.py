@@ -12,12 +12,14 @@ backends — :meth:`Backend.run` itself stays pure lowering + simulation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Any
 
 from repro.backends.spec import ScenarioSpec
 
 __all__ = [
     "Backend",
     "backend_names",
+    "compute_spec",
     "get_backend",
     "register_backend",
     "run_spec",
@@ -100,7 +102,27 @@ def run_spec(
                 cached = store.load_unified_trace(cache, key)
                 if cached is not None:
                     return cached
-                trace = backend.run(spec)
-                store.store_unified_trace(cache, key, trace)
-                return trace
+                return compute_spec(spec, backend, cache, key)
     return backend.run(spec)
+
+
+def compute_spec(
+    spec: ScenarioSpec,
+    backend: str | Backend = "fluid",
+    cache: Any = None,
+    key: str | None = None,
+) -> Any:
+    """Run ``spec`` on ``backend`` without reading the store.
+
+    The write half of :func:`run_spec`, for callers that probed the store
+    themselves (the executor and its batch lanes): with a ``cache`` and a
+    ``key``, the trace is archived under ``key`` before it is returned.
+    """
+    if isinstance(backend, str):
+        backend = get_backend(backend)
+    trace = backend.run(spec)
+    if cache is not None and key is not None:
+        from repro.perf import store
+
+        store.store_unified_trace(cache, key, trace)
+    return trace

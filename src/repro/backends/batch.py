@@ -1,78 +1,74 @@
-"""Batch planning and scheduling for the batched spec backends.
+"""One batch pipeline for the batched spec backends.
 
-This module is the bridge between :func:`repro.backends.jobs.run_specs`
-and the batched kernels — the fluid kernel in :mod:`repro.model.batch`,
-the multi-link network kernel in :mod:`repro.netmodel.batch` and the
-stacked mean-field kernel in :mod:`repro.meanfield.batch`:
+This module is the bridge between the executor (:mod:`repro.exec`) and
+the stacked kernels — the fluid kernel in :mod:`repro.model.batch`, the
+multi-link network kernel in :mod:`repro.netmodel.batch` and the
+mean-field kernel in :mod:`repro.meanfield.batch`. Each of those
+backends is described by one private *lane* record (:class:`_Lane`): how
+a spec lowers to a batch row of named kernel inputs (or ``None`` to fall
+back), the inputs built per group, the kernel and its cell counter, how
+one row's trace is extracted, and the widths of the kernel's
+shared-memory outputs. One pipeline drives every lane:
 
-- :func:`plan_batches` sorts a list of ScenarioSpecs into *batch groups*
-  — specs sharing (flow count, horizon, loss-based enforcement) whose
-  dynamics the kernel can advance together; protocol *classes* may vary
-  freely across scenarios and flows, because the kernel dispatches
-  per cell through a protocol-id table (see
-  :mod:`repro.model.batch`) — and a *fallback* list for everything else
-  (stateful protocols, schedules, ECN, lowering failures, ...), which
-  runs per-spec through the ordinary serial path;
-- :func:`run_specs_batched` executes a plan: cached specs are served from
-  the unified store without touching a kernel, each group runs through
-  one kernel call (or, for large groups with ``workers > 1``, through the
-  shared-memory chunk scheduler), per-spec traces are extracted via
-  :func:`repro.perf.store.extract_batch_trace` and cached individually so
-  warm reruns stay content-addressed, and fallback specs run serially.
+- the planners (:func:`plan_batches`, :func:`plan_network_batches`,
+  :func:`plan_meanfield_batches`) lower each spec, group the rows that
+  stack — equal shared inputs, equal column shapes — in first-appearance
+  order (submission order within a group), and list everything else —
+  stateful protocols, schedules, ECN, lowering failures, ... — as
+  per-spec fallbacks;
+- :func:`run_batched` runs a plan: one kernel call per group (or, for
+  large groups with ``workers > 1``, the shared-memory chunk scheduler),
+  then extracts each row's trace, archives it under the caller's key,
+  and runs the fallbacks through the serial engine.
+
+The runner never *reads* the unified store: the executor probes it
+before planning and passes each spec's key along, so no lane loads a
+stored trace a second time.
 
 The shared-memory scheduler replaces per-job pickling for batch results:
-the parent allocates ``multiprocessing.shared_memory`` buffers for the
-group's stacked output arrays, workers advance disjoint row chunks of the
-batch and write directly into the buffers, and only tiny failure maps
-travel back over the pool. Chunk size is autotuned from the measured
-kernel throughput in :data:`repro.perf.timing.REGISTRY` (section
-``batch.kernel``). Batched, chunked and serial execution all produce
-bit-identical traces; a spec that fails mid-batch is rerun serially so
-callers see the exact serial exception (or ``None`` with
-``skip_errors=True``), and never poisons the other rows.
+the parent allocates one ``multiprocessing.shared_memory`` buffer per
+kernel output, workers advance disjoint row chunks of the batch and
+write directly into the buffers, and only tiny failure maps travel back
+over the pool. Chunk size is autotuned from the lane's measured kernel
+throughput in :data:`repro.perf.timing.REGISTRY`. A lane that declares
+no shared-memory outputs runs in-process: the mean-field kernel already
+advances a whole sweep in one vectorized loop, so chunking buys nothing.
 
-The network backend follows the same blueprint with a structural twist:
-:func:`plan_network_batches` groups specs sharing a topology *structure*
-(flow count, horizon, per-flow link columns) while link parameters and
-protocol constants vary per row, and :func:`run_network_specs_batched`
-drives :func:`repro.netmodel.batch.run_network_batch_kernel` through the
-same shared-memory chunk scheduler generalized to the network kernel's
-five per-flow/per-link output buffers. The mean-field backend batches
-single-group scenarios sharing (cell count, horizon, feedback mode,
-trigger comparator) and runs in-process — its kernel already advances a
-whole sweep in one vectorized loop, so chunking buys nothing.
+Batched, chunked and serial execution all produce bit-identical traces;
+a spec that fails mid-batch is rerun serially so callers see the exact
+serial exception (or ``None`` with ``skip_errors=True``), and never
+poisons the other rows. The packet backend has no stacked kernel: its
+lane merges replications into shared event loops instead.
+
+Lane records name their kernel module's inputs class, kernel, result
+class and cell counter by attribute and resolve them at call time, and
+reach the planners through this module's globals, so code that rebinds
+those attributes (the benchmark tracer in ``perfbench/``) sees every
+batched call.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.backends.base import run_spec
+from repro.backends.base import compute_spec
 from repro.backends.spec import ScenarioSpec
-from repro.model.batch import BatchInputs, BatchResult, kernel_cells, run_batch_kernel
 from repro.model.random_loss import BernoulliLoss, NoLoss
-from repro.perf import timing
+from repro.perf import store, timing
 
 __all__ = [
     "BatchGroup",
     "BatchPlan",
-    "MeanFieldBatchGroup",
-    "MeanFieldBatchPlan",
-    "NetworkBatchGroup",
-    "NetworkBatchPlan",
     "autotune_chunk_rows",
-    "autotune_network_chunk_rows",
     "plan_batches",
     "plan_meanfield_batches",
     "plan_network_batches",
-    "run_meanfield_specs_batched",
-    "run_network_specs_batched",
-    "run_packet_specs_batched",
-    "run_specs_batched",
+    "run_batched",
 ]
 
 #: Chunk size used before any kernel throughput has been measured.
@@ -82,30 +78,18 @@ _DEFAULT_CHUNK_ROWS = 64
 _TARGET_CHUNK_SECONDS = 0.25
 
 
-# ----------------------------------------------------------------------
-# Planning
-# ----------------------------------------------------------------------
-@dataclass
-class _Lowered:
-    """One spec's batch-eligible lowered form."""
-
-    index: int
-    link: object
-    protocols: list
-    steps: int
-    initial: list[float]
-    random_rate: float
-    min_window: float
-    max_window: float
-    enforce_loss_based: bool
-
-
 @dataclass
 class BatchGroup:
-    """Specs the kernel advances together: original indices plus inputs."""
+    """Specs one kernel call advances together.
 
-    indices: list[int]
-    inputs: BatchInputs
+    ``indices`` are the specs' positions in the planned list, ``rows``
+    their lowered forms and ``inputs`` the stacked kernel inputs built
+    from those rows.
+    """
+
+    indices: list[int] = field(default_factory=list)
+    rows: list[_Row] = field(default_factory=list)
+    inputs: Any = None
 
 
 @dataclass
@@ -116,36 +100,76 @@ class BatchPlan:
     fallback: list[int]
 
 
-def _lower_for_batch(index: int, spec: ScenarioSpec) -> _Lowered | None:
-    """``spec``'s batch-eligible form, or ``None`` to fall back per-spec.
+@dataclass
+class _Row:
+    """One spec's batch-eligible lowered form.
 
-    The conditions mirror the serial engine's vectorized-fast-path
-    eligibility, extended batch-wise: synchronized feedback (no
-    unsynchronized loss, no ECN), real-valued windows, no scheduled
-    events, a constant non-congestion loss rate, and every flow's
-    protocol opting into :meth:`~repro.protocols.base.Protocol.batched_next`
-    with its instance state fully captured by ``batch_param_names``.
-    Anything the kernel cannot express — including a spec that fails to
-    lower at all — runs serially instead, where it reproduces the exact
-    serial behaviour (or the exact serial error).
+    Entries are named after the fields of the lane's kernel inputs:
+    ``shared`` ones must agree across a group (see :func:`_stack_key`),
+    each ``columns`` entry stacks along the batch axis as float64.
+    ``protocols`` feed the cell table of the fluid and network kernels;
+    ``extra`` is whatever else the lane's extraction needs.
     """
-    try:
-        link, protocols, config, steps = spec.lower_fluid()
-    except Exception:
-        return None
-    if not config.allow_vectorized:
-        return None
-    if config.unsynchronized_loss or config.integer_windows:
-        return None
-    if config.schedule.sender_starts or config.schedule.link_changes:
-        return None
-    if link.marking_enabled:
-        return None
-    lp = config.loss_process
-    if isinstance(lp, NoLoss):
+
+    shared: dict[str, Any]
+    columns: dict[str, Any]
+    protocols: list = field(default_factory=list)
+    extra: Any = None
+
+
+@dataclass(frozen=True)
+class _Lane:
+    """How one spec backend rides the batch pipeline.
+
+    ``engine`` is the kernel module; ``inputs``, ``kernel``, ``result``
+    and ``cells`` name its inputs class, its ``kernel(inputs, out=None)``
+    function, the result class the shared-memory scheduler rebuilds from
+    its buffers, and the scenario-steps counter the autotuner divides the
+    ``section`` timing total by. ``tables`` adds the inputs built from a
+    group as a whole. ``outputs`` names every kernel output with the
+    inputs property giving its width (``None``: one value per row); the
+    shared-memory buffers are ``(steps, rows[, width])``. A lane without
+    ``outputs`` runs in-process.
+    """
+
+    backend: str
+    plan: Callable[[list[ScenarioSpec]], BatchPlan]
+    lower: Callable[[ScenarioSpec], _Row | None]
+    tables: Callable[[list[_Row]], dict[str, Any]]
+    extract: Callable[[Any, int, BatchGroup, ScenarioSpec], Any]
+    engine: str
+    inputs: str
+    kernel: str
+    result: str
+    cells: str
+    section: str
+    outputs: dict[str, str | None] | None = None
+
+    def engine_attr(self, name: str) -> Any:
+        """Attribute ``name`` of the kernel module, looked up now."""
+        return getattr(importlib.import_module(self.engine), name)
+
+
+# ----------------------------------------------------------------------
+# Lowering: spec -> batch row, or None to fall back per-spec
+# ----------------------------------------------------------------------
+def _stateless_feedback(
+    protocols: Sequence, loss_process: Any, initial_windows: Sequence[float] | None
+) -> dict[str, Any] | None:
+    """The initial windows and random-loss rate the fluid and network
+    kernels stack for a run, or ``None`` when they cannot express it.
+
+    Both kernels need every protocol to opt into
+    :meth:`~repro.protocols.base.Protocol.batched_next` with its instance
+    state fully captured by ``batch_param_names``, a constant
+    deterministic non-congestion loss (a missing process is the serial
+    engines' ``NoLoss``), and one finite non-negative initial window per
+    flow.
+    """
+    if loss_process is None or isinstance(loss_process, NoLoss):
         random_rate = 0.0
-    elif isinstance(lp, BernoulliLoss) and lp.deterministic:
-        random_rate = lp.p
+    elif isinstance(loss_process, BernoulliLoss) and loss_process.deterministic:
+        random_rate = loss_process.p
     else:
         return None
     for protocol in protocols:
@@ -158,858 +182,114 @@ def _lower_for_batch(index: int, spec: ScenarioSpec) -> _Lowered | None:
         except TypeError:
             return None
     initial = (
-        list(config.initial_windows)
-        if config.initial_windows is not None
-        else [1.0] * len(protocols)
+        list(initial_windows) if initial_windows is not None else [1.0] * len(protocols)
     )
     if len(initial) != len(protocols):
         return None
     if not all(math.isfinite(w) and w >= 0 for w in initial):
         return None
-    return _Lowered(
-        index=index,
-        link=link,
-        protocols=list(protocols),
-        steps=steps,
-        initial=[float(w) for w in initial],
-        random_rate=float(random_rate),
-        min_window=config.min_window,
-        max_window=config.max_window,
-        enforce_loss_based=config.enforce_loss_based,
-    )
+    return {"initial": [float(w) for w in initial], "random_rate": float(random_rate)}
 
 
-def _class_cells(
-    protocol_rows: list[list],
-) -> tuple[tuple[type, ...], np.ndarray, dict[str, np.ndarray]]:
-    """The cell-table protocol encoding shared by the batched kernels.
+#: The link parameters the fluid and mean-field kernels take per row.
+_LINK_COLUMNS = ("capacity", "bandwidth", "base_rtt", "pipe_limit", "timeout_rtt")
 
-    The class table collects the distinct protocol classes in
-    first-appearance order (scanning scenarios in submission order, flows
-    left to right — deterministic, so identical grids always produce
-    identical tables). The merged parameter table unions every class's
-    ``batch_param_names``; a cell's entry for a name its class does not
-    define stays NaN and is never gathered by the kernel's dispatch.
+
+def _lower_fluid(spec: ScenarioSpec) -> _Row | None:
+    """``spec``'s fluid-batch-eligible form, or ``None`` to fall back.
+
+    On top of :func:`_stateless_feedback`, the fluid kernel needs the
+    serial engine's vectorized-fast-path conditions: synchronized
+    feedback (no unsynchronized loss, no ECN), real-valued windows and
+    no scheduled events. Anything it cannot express — including a spec
+    that fails to lower at all — runs serially instead, where it
+    reproduces the exact serial behaviour (or the exact serial error).
     """
-    b, n = len(protocol_rows), len(protocol_rows[0])
-    class_table: list[type] = []
-    table_index: dict[type, int] = {}
-    cell_classes = np.empty((b, n), dtype=np.int64)
-    for i, protocols in enumerate(protocol_rows):
-        for j, protocol in enumerate(protocols):
-            cls = type(protocol)
-            if cls not in table_index:
-                table_index[cls] = len(class_table)
-                class_table.append(cls)
-            cell_classes[i, j] = table_index[cls]
-    names = sorted({name for cls in class_table for name in cls.batch_param_names})
-    cell_params = {name: np.full((b, n), np.nan) for name in names}
-    for i, protocols in enumerate(protocol_rows):
-        for j, protocol in enumerate(protocols):
-            for name in type(protocol).batch_param_names:
-                cell_params[name][i, j] = getattr(protocol, name)
-    return tuple(class_table), cell_classes, cell_params
-
-
-def _build_inputs(rows: list[_Lowered]) -> BatchInputs:
-    """Stack one group's lowered specs into cell-table kernel inputs."""
-    first = rows[0]
-    class_table, cell_classes, cell_params = _class_cells(
-        [row.protocols for row in rows]
-    )
-    return BatchInputs(
-        steps=first.steps,
-        class_table=class_table,
-        cell_classes=cell_classes,
-        cell_params=cell_params,
-        initial=np.array([row.initial for row in rows], dtype=float),
-        capacity=np.array([row.link.capacity for row in rows], dtype=float),
-        bandwidth=np.array([row.link.bandwidth for row in rows], dtype=float),
-        base_rtt=np.array([row.link.base_rtt for row in rows], dtype=float),
-        pipe_limit=np.array([row.link.pipe_limit for row in rows], dtype=float),
-        timeout_rtt=np.array(
-            [row.link.timeout_rtt for row in rows], dtype=float
-        ),
-        random_rate=np.array([row.random_rate for row in rows], dtype=float),
-        min_window=np.array([row.min_window for row in rows], dtype=float),
-        max_window=np.array([row.max_window for row in rows], dtype=float),
-        enforce_loss_based=first.enforce_loss_based,
-    )
-
-
-def plan_batches(
-    specs: Sequence[ScenarioSpec],
-    indices: Sequence[int] | None = None,
-) -> BatchPlan:
-    """Group ``specs`` (or the subset named by ``indices``) for the kernel.
-
-    Specs batch together when they share the flow count, the horizon,
-    and loss-based enforcement; everything per-scenario beyond that —
-    link parameters, protocol *classes* (via the kernel's per-cell
-    dispatch table), protocol parameters, initial windows, clamps,
-    random loss rate — varies along the batch axis. Grouping preserves
-    submission order within each group, and a singleton group is simply
-    a batch of one.
-    """
-    if indices is None:
-        indices = range(len(specs))
-    grouped: dict[tuple, list[_Lowered]] = {}
-    fallback: list[int] = []
-    with timing.measure("batch.plan"):
-        for index in indices:
-            lowered = _lower_for_batch(index, specs[index])
-            if lowered is None:
-                fallback.append(index)
-                continue
-            key = (
-                len(lowered.protocols),
-                lowered.steps,
-                lowered.enforce_loss_based,
-            )
-            grouped.setdefault(key, []).append(lowered)
-        groups = [
-            BatchGroup(
-                indices=[row.index for row in rows],
-                inputs=_build_inputs(rows),
-            )
-            for rows in grouped.values()
-        ]
-    return BatchPlan(groups=groups, fallback=fallback)
-
-
-# ----------------------------------------------------------------------
-# Execution: serial kernel or shared-memory chunk scheduler
-# ----------------------------------------------------------------------
-def autotune_chunk_rows(steps: int) -> int:
-    """Rows per chunk targeting ~``_TARGET_CHUNK_SECONDS`` of kernel time.
-
-    Uses the measured throughput of previous kernel calls (the
-    ``batch.kernel`` section of :data:`repro.perf.timing.REGISTRY` over
-    :func:`repro.model.batch.kernel_cells`); before any measurement
-    exists, a fixed default applies.
-    """
-    cells = kernel_cells()
-    spent = timing.REGISTRY.total("batch.kernel")
-    if cells <= 0 or spent <= 0.0:
-        return _DEFAULT_CHUNK_ROWS
-    seconds_per_cell = spent / cells
-    rows = int(_TARGET_CHUNK_SECONDS / max(seconds_per_cell * steps, 1e-12))
-    return max(1, min(rows, 4096))
-
-
-def _kernel_chunk(
-    shm_names: dict[str, str],
-    steps: int,
-    total_rows: int,
-    n_senders: int,
-    chunk: BatchInputs,
-    lo: int,
-    hi: int,
-) -> dict[int, int]:
-    """Worker: advance rows ``lo:hi`` writing into the shared buffers.
-
-    Only the (typically empty) failure map is returned through the pool;
-    all array output lands in shared memory, which is the point.
-
-    Write-safety contract (statically enforced by lint rules REP701/702):
-    nothing synchronizes sibling workers, so every access to an array
-    built over a shared segment must go through a ``[lo:hi]`` slice on
-    the row axis whose bounds are the pristine ``lo``/``hi`` parameters
-    the planner assigned — never the whole array, never arithmetic on
-    the bounds, and never rows another worker owns.
-    """
-    from multiprocessing import shared_memory
-
-    segments = []
     try:
-        out: dict[str, np.ndarray] = {}
-        for name, shm_name in shm_names.items():
-            shm = shared_memory.SharedMemory(name=shm_name)
-            segments.append(shm)
-            if name == "windows":
-                full = np.ndarray(
-                    (steps, total_rows, n_senders), dtype=np.float64, buffer=shm.buf
-                )
-                out[name] = full[:, lo:hi, :]
-            else:
-                full = np.ndarray(
-                    (steps, total_rows), dtype=np.float64, buffer=shm.buf
-                )
-                out[name] = full[:, lo:hi]
-        result = run_batch_kernel(chunk, out=out)
-        failed = {lo + row: step for row, step in result.failed.items()}
-        # Drop every view into the buffers before closing the segments.
-        del result, out, full
-        return failed
-    finally:
-        for shm in segments:
-            try:
-                shm.close()
-            except BufferError:
-                pass  # released at worker exit
-
-
-def _run_group_shm(
-    inputs: BatchInputs, workers: int, chunk_rows: int
-) -> BatchResult | None:
-    """Chunk the batch across a process pool via shared-memory buffers.
-
-    Returns ``None`` when shared memory or a pool is unavailable on this
-    platform, in which case the caller runs the kernel in-process. The
-    result is bit-identical either way: chunks are disjoint row ranges of
-    the same elementwise recurrence. The parent may touch the buffers
-    freely — the REP7xx chunk discipline binds only workers (functions
-    that *attach* segments); this function *creates* them and only reads
-    the arrays back after every future has resolved.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import shared_memory
-
-    steps, b, n = inputs.steps, inputs.batch_size, inputs.n_senders
-    shapes = {
-        "windows": (steps, b, n),
-        "observed_loss": (steps, b),
-        "congestion_loss": (steps, b),
-        "rtts": (steps, b),
-    }
-    segments: dict[str, object] = {}
-    try:
-        try:
-            for name, shape in shapes.items():
-                nbytes = int(np.prod(shape)) * 8
-                segments[name] = shared_memory.SharedMemory(
-                    create=True, size=max(nbytes, 1)
-                )
-        except OSError:
-            return None
-        chunks = [(lo, min(lo + chunk_rows, b)) for lo in range(0, b, chunk_rows)]
-        shm_names = {name: seg.name for name, seg in segments.items()}
-        failed: dict[int, int] = {}
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
-        except (OSError, ValueError, RuntimeError):
-            return None
-        with timing.measure("batch.scheduler"), pool:
-            futures = [
-                pool.submit(
-                    _kernel_chunk,
-                    shm_names,
-                    steps,
-                    b,
-                    n,
-                    inputs.rows(lo, hi),
-                    lo,
-                    hi,
-                )
-                for lo, hi in chunks
-            ]
-            for future in futures:
-                failed.update(future.result())
-        arrays = {}
-        for name, seg in segments.items():
-            view = np.ndarray(shapes[name], dtype=np.float64, buffer=seg.buf)
-            arrays[name] = view.copy()
-            del view
-        return BatchResult(failed=failed, **arrays)
-    finally:
-        for seg in segments.values():
-            try:
-                seg.close()
-                seg.unlink()
-            except (BufferError, FileNotFoundError, OSError):
-                pass
-
-
-def _run_group(
-    inputs: BatchInputs,
-    workers: int | None = None,
-    chunk_rows: int | None = None,
-) -> BatchResult:
-    """Run one group: chunked over shared memory when it pays, else inline."""
-    if workers is not None and workers > 1 and inputs.batch_size > 1:
-        rows = chunk_rows if chunk_rows is not None else autotune_chunk_rows(inputs.steps)
-        if inputs.batch_size > rows:
-            result = _run_group_shm(inputs, workers, rows)
-            if result is not None:
-                return result
-    return run_batch_kernel(inputs)
-
-
-# ----------------------------------------------------------------------
-# The batched run_specs path
-# ----------------------------------------------------------------------
-def run_specs_batched(
-    specs: Sequence[ScenarioSpec],
-    use_cache: bool = True,
-    skip_errors: bool = False,
-    workers: int | None = None,
-    chunk_rows: int | None = None,
-) -> list:
-    """Run every spec on the fluid backend, batching compatible ones.
-
-    Results are :class:`~repro.backends.trace.UnifiedTrace` objects in
-    spec order, bit-identical to ``run_spec(spec, "fluid")`` for every
-    spec regardless of which path — cache hit, batch kernel, chunked
-    kernel, or serial fallback — produced it. With ``skip_errors`` a
-    failing spec yields ``None`` instead of raising; other specs are
-    unaffected either way.
-    """
-    from repro.perf import store
-    from repro.perf.cache import active_cache
-
-    specs = list(specs)
-    results: list = [None] * len(specs)
-    cache = active_cache() if use_cache else None
-    keys: list[str | None] = [None] * len(specs)
-    pending: list[int] = []
-    for i, spec in enumerate(specs):
-        if cache is not None:
-            keys[i] = store.unified_key("fluid", spec)
-            if keys[i] is not None:
-                hit = store.load_unified_trace(cache, keys[i])
-                if hit is not None:
-                    results[i] = hit
-                    continue
-        pending.append(i)
-
-    plan = plan_batches(specs, pending)
-    serial = list(plan.fallback)
-    for group in plan.groups:
-        result = _run_group(group.inputs, workers=workers, chunk_rows=chunk_rows)
-        for pos, index in enumerate(group.indices):
-            if pos in result.failed:
-                # Recompute serially to raise the exact serial error.
-                serial.append(index)
-                continue
-            trace = store.extract_batch_trace(
-                result,
-                pos,
-                capacity=float(group.inputs.capacity[pos]),
-                pipe_limit=float(group.inputs.pipe_limit[pos]),
-                base_rtt=float(group.inputs.base_rtt[pos]),
-            )
-            results[index] = trace
-            if cache is not None and keys[index] is not None:
-                store.store_unified_trace(cache, keys[index], trace)
-
-    for index in sorted(serial):
-        try:
-            results[index] = run_spec(specs[index], "fluid", use_cache=use_cache)
-        except Exception:
-            if not skip_errors:
-                raise
-            results[index] = None
-    return results
-
-
-def run_packet_specs_batched(
-    specs: Sequence[ScenarioSpec],
-    use_cache: bool = True,
-    skip_errors: bool = False,
-) -> list:
-    """Run every spec on the packet backend, merging compatible ones.
-
-    The packet analogue of :func:`run_specs_batched`: specs are lowered
-    to :class:`~repro.packetsim.scenario.PacketScenario` objects and
-    routed through :func:`repro.packetsim.batch.run_scenarios_batched`,
-    which merges replications sharing a link and duration into one event
-    loop. Results are :class:`~repro.backends.trace.UnifiedTrace`
-    objects in spec order, bit-identical to ``run_spec(spec, "packet")``
-    — and they read and write the same unified-store and native packet
-    cache entries. A spec the packet backend cannot express raises its
-    exact serial lowering error (or yields ``None`` with
-    ``skip_errors=True``) without disturbing the rest of the batch.
-    """
-    from repro.backends.trace import from_packet_result
-    from repro.packetsim.batch import run_scenarios_batched
-    from repro.perf import store
-    from repro.perf.cache import active_cache
-
-    specs = list(specs)
-    results: list = [None] * len(specs)
-    cache = active_cache() if use_cache else None
-    keys: list[str | None] = [None] * len(specs)
-    pending: list[int] = []
-    scenarios: list = []
-    for i, spec in enumerate(specs):
-        if cache is not None:
-            keys[i] = store.unified_key("packet", spec)
-            if keys[i] is not None:
-                hit = store.load_unified_trace(cache, keys[i])
-                if hit is not None:
-                    results[i] = hit
-                    continue
-        try:
-            scenarios.append(spec.lower_packet())
-        except Exception:
-            if not skip_errors:
-                raise
-            continue
-        pending.append(i)
-
-    for i, packet_result in zip(
-        pending, run_scenarios_batched(scenarios, use_cache=use_cache)
+        link, protocols, config, steps = spec.lower_fluid()
+    except Exception:
+        return None
+    if (
+        not config.allow_vectorized
+        or config.unsynchronized_loss
+        or config.integer_windows
+        or config.schedule.sender_starts
+        or config.schedule.link_changes
+        or link.marking_enabled
     ):
-        trace = from_packet_result(packet_result, backend="packet")
-        results[i] = trace
-        if cache is not None and keys[i] is not None:
-            store.store_unified_trace(cache, keys[i], trace)
-    return results
+        return None
+    feedback = _stateless_feedback(
+        protocols, config.loss_process, config.initial_windows
+    )
+    if feedback is None:
+        return None
+    return _Row(
+        shared={"steps": steps, "enforce_loss_based": config.enforce_loss_based},
+        columns={
+            **feedback,
+            **{name: getattr(link, name) for name in _LINK_COLUMNS},
+            "min_window": config.min_window,
+            "max_window": config.max_window,
+        },
+        protocols=list(protocols),
+    )
 
 
-# ----------------------------------------------------------------------
-# The network backend's batch lane
-# ----------------------------------------------------------------------
-@dataclass
-class _NetLowered:
-    """One spec's network-batch-eligible lowered form."""
-
-    index: int
-    links: list  # per-column Link objects, in link_names order
-    link_names: list[str]
-    paths: tuple[tuple[int, ...], ...]  # flow -> link columns
-    protocols: list
-    steps: int
-    initial: list[float]
-    random_rate: float
-    min_window: float
-    max_window: float
-    enforce_loss_based: bool
-    base_rtts: list[float]
-    timeout_caps: list[float]
-
-
-@dataclass
-class NetworkBatchGroup:
-    """Network specs the kernel advances together, plus per-row names.
-
-    Rows in a group share topology *structure* (the paths-as-columns
-    tuple), not link *names* — each row keeps its own name list so the
-    extracted :class:`~repro.netmodel.trace.NetworkTrace` matches the
-    serial one field for field.
-    """
-
-    indices: list[int]
-    inputs: "object"  # NetBatchInputs
-    link_names: list[list[str]]
-
-
-@dataclass
-class NetworkBatchPlan:
-    """The outcome of network planning: kernel groups plus fallbacks."""
-
-    groups: list[NetworkBatchGroup]
-    fallback: list[int]
-
-
-def _lower_for_network_batch(index: int, spec: ScenarioSpec) -> _NetLowered | None:
+def _lower_network(spec: ScenarioSpec) -> _Row | None:
     """``spec``'s network-batch-eligible form, or ``None`` to fall back.
 
-    Mirrors the fluid planner's protocol and loss eligibility on top of
-    the network lowering: a valid topology, one batchable stateless
-    protocol per flow, constant deterministic non-congestion loss, finite
-    non-negative initial windows, a sane clamp. ``base_rtts`` and
-    ``timeout_caps`` are precomputed here with the serial engine's own
-    Python float sums (column order, left to right), so the kernels never
-    re-derive them.
+    On top of :func:`_stateless_feedback`: a valid topology with one
+    protocol per flow and a sane clamp. Link parameters become per-column
+    lists in link-name order, and ``base_rtts`` and ``timeout_caps`` are
+    precomputed with the serial engine's own Python float sums (column
+    order, left to right), so the kernel never re-derives them. Rows
+    share topology *structure*, not link *names*: each keeps its own
+    names (``extra``) so its trace matches the serial one field for
+    field.
     """
     try:
         topology, protocols, kwargs, steps = spec.lower_network()
         topology.validate()
     except Exception:
         return None
-    if len(protocols) != topology.n_flows:
+    min_window, max_window = kwargs["min_window"], kwargs["max_window"]
+    if len(protocols) != topology.n_flows or min_window < 0 or max_window < min_window:
         return None
-    min_window = kwargs["min_window"]
-    max_window = kwargs["max_window"]
-    if min_window < 0 or max_window < min_window:
-        return None
-    lp = kwargs["loss_process"]
-    if lp is None or isinstance(lp, NoLoss):
-        # The serial engine substitutes NoLoss for a missing process.
-        random_rate = 0.0
-    elif isinstance(lp, BernoulliLoss) and lp.deterministic:
-        random_rate = lp.p
-    else:
-        return None
-    for protocol in protocols:
-        cls = type(protocol)
-        if not getattr(cls, "supports_batched", False):
-            return None
-        try:
-            if set(vars(protocol)) != set(cls.batch_param_names):
-                return None
-        except TypeError:
-            return None
-    initial = (
-        list(kwargs["initial_windows"])
-        if kwargs["initial_windows"] is not None
-        else [1.0] * len(protocols)
+    feedback = _stateless_feedback(
+        protocols, kwargs["loss_process"], kwargs["initial_windows"]
     )
-    if len(initial) != len(protocols):
-        return None
-    if not all(math.isfinite(w) and w >= 0 for w in initial):
+    if feedback is None:
         return None
     link_names = list(topology.links)
-    link_index = {name: i for i, name in enumerate(link_names)}
+    column = {name: i for i, name in enumerate(link_names)}
     links = [topology.links[name] for name in link_names]
-    paths = tuple(
-        tuple(link_index[name] for name in path) for path in topology.paths
-    )
-    base_rtts = [topology.base_rtt_of(j) for j in range(topology.n_flows)]
-    timeout_caps = [
-        2 * sum(links[col].full_buffer_rtt() for col in cols) for cols in paths
-    ]
-    return _NetLowered(
-        index=index,
-        links=links,
-        link_names=link_names,
-        paths=paths,
+    paths = tuple(tuple(column[name] for name in path) for path in topology.paths)
+    per_link = ("capacity", "bandwidth", "buffer_size", "pipe_limit")
+    return _Row(
+        shared={
+            "steps": steps,
+            "paths": paths,
+            "enforce_loss_based": kwargs["enforce_loss_based"],
+        },
+        columns={
+            **feedback,
+            **{name: [getattr(link, name) for link in links] for name in per_link},
+            "base_rtts": [
+                float(topology.base_rtt_of(j)) for j in range(topology.n_flows)
+            ],
+            "timeout_caps": [
+                float(2 * sum(links[col].full_buffer_rtt() for col in cols))
+                for cols in paths
+            ],
+            "min_window": min_window,
+            "max_window": max_window,
+        },
         protocols=list(protocols),
-        steps=steps,
-        initial=[float(w) for w in initial],
-        random_rate=float(random_rate),
-        min_window=min_window,
-        max_window=max_window,
-        enforce_loss_based=kwargs["enforce_loss_based"],
-        base_rtts=[float(r) for r in base_rtts],
-        timeout_caps=[float(r) for r in timeout_caps],
+        extra=link_names,
     )
 
 
-def _build_network_inputs(rows: list[_NetLowered]):
-    """Stack one group's lowered network specs into kernel inputs."""
-    from repro.netmodel.batch import NetBatchInputs
-
-    first = rows[0]
-    class_table, cell_classes, cell_params = _class_cells(
-        [row.protocols for row in rows]
-    )
-    return NetBatchInputs(
-        steps=first.steps,
-        class_table=class_table,
-        cell_classes=cell_classes,
-        cell_params=cell_params,
-        initial=np.array([row.initial for row in rows], dtype=float),
-        capacity=np.array(
-            [[link.capacity for link in row.links] for row in rows], dtype=float
-        ),
-        bandwidth=np.array(
-            [[link.bandwidth for link in row.links] for row in rows], dtype=float
-        ),
-        buffer_size=np.array(
-            [[link.buffer_size for link in row.links] for row in rows], dtype=float
-        ),
-        pipe_limit=np.array(
-            [[link.pipe_limit for link in row.links] for row in rows], dtype=float
-        ),
-        base_rtts=np.array([row.base_rtts for row in rows], dtype=float),
-        timeout_caps=np.array([row.timeout_caps for row in rows], dtype=float),
-        random_rate=np.array([row.random_rate for row in rows], dtype=float),
-        min_window=np.array([row.min_window for row in rows], dtype=float),
-        max_window=np.array([row.max_window for row in rows], dtype=float),
-        paths=first.paths,
-        enforce_loss_based=first.enforce_loss_based,
-    )
-
-
-def plan_network_batches(
-    specs: Sequence[ScenarioSpec],
-    indices: Sequence[int] | None = None,
-) -> NetworkBatchPlan:
-    """Group ``specs`` (or the subset ``indices``) for the network kernel.
-
-    Specs batch together when they share the topology *structure* — flow
-    count, link count, the flow-to-column path map — plus the horizon
-    and loss-based enforcement. Link names and parameters, protocol
-    classes and constants, initial windows, clamps and random loss rates
-    all vary along the batch axis.
-    """
-    if indices is None:
-        indices = range(len(specs))
-    grouped: dict[tuple, list[_NetLowered]] = {}
-    fallback: list[int] = []
-    with timing.measure("batch.plan"):
-        for index in indices:
-            lowered = _lower_for_network_batch(index, specs[index])
-            if lowered is None:
-                fallback.append(index)
-                continue
-            key = (
-                len(lowered.protocols),
-                len(lowered.link_names),
-                lowered.paths,
-                lowered.steps,
-                lowered.enforce_loss_based,
-            )
-            grouped.setdefault(key, []).append(lowered)
-        groups = [
-            NetworkBatchGroup(
-                indices=[row.index for row in rows],
-                inputs=_build_network_inputs(rows),
-                link_names=[row.link_names for row in rows],
-            )
-            for rows in grouped.values()
-        ]
-    return NetworkBatchPlan(groups=groups, fallback=fallback)
-
-
-def autotune_network_chunk_rows(steps: int) -> int:
-    """Rows per network-kernel chunk targeting the usual chunk seconds.
-
-    The network analogue of :func:`autotune_chunk_rows`, fed by the
-    ``batch.net_kernel`` timing section over
-    :func:`repro.netmodel.batch.net_kernel_cells`.
-    """
-    from repro.netmodel.batch import net_kernel_cells
-
-    cells = net_kernel_cells()
-    spent = timing.REGISTRY.total("batch.net_kernel")
-    if cells <= 0 or spent <= 0.0:
-        return _DEFAULT_CHUNK_ROWS
-    seconds_per_cell = spent / cells
-    rows = int(_TARGET_CHUNK_SECONDS / max(seconds_per_cell * steps, 1e-12))
-    return max(1, min(rows, 4096))
-
-
-def _net_kernel_chunk(
-    shm_names: dict[str, str],
-    steps: int,
-    total_rows: int,
-    widths: dict[str, int],
-    chunk,
-    lo: int,
-    hi: int,
-) -> dict[int, int]:
-    """Worker: advance network rows ``lo:hi`` into the shared buffers.
-
-    The network twin of :func:`_kernel_chunk`; every output buffer is
-    3-D here (per-flow or per-link wide). The same write-safety contract
-    applies (REP701/702): every array built over a shared segment is
-    accessed only through a ``[lo:hi]`` row slice with the pristine
-    planner-assigned bounds.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.netmodel.batch import run_network_batch_kernel
-
-    segments = []
-    try:
-        out: dict[str, np.ndarray] = {}
-        for name, shm_name in shm_names.items():
-            shm = shared_memory.SharedMemory(name=shm_name)
-            segments.append(shm)
-            full = np.ndarray(
-                (steps, total_rows, widths[name]), dtype=np.float64, buffer=shm.buf
-            )
-            out[name] = full[:, lo:hi, :]
-        result = run_network_batch_kernel(chunk, out=out)
-        failed = {lo + row: step for row, step in result.failed.items()}
-        # Drop every view into the buffers before closing the segments.
-        del result, out, full
-        return failed
-    finally:
-        for shm in segments:
-            try:
-                shm.close()
-            except BufferError:
-                pass  # released at worker exit
-
-
-def _run_network_group_shm(inputs, workers: int, chunk_rows: int):
-    """Chunk a network batch across a pool via shared-memory buffers.
-
-    Same contract as :func:`_run_group_shm`: ``None`` when shared memory
-    or a pool is unavailable, bit-identical output either way, and the
-    REP7xx chunk discipline binds only the attaching workers.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import shared_memory
-
-    from repro.netmodel.batch import NetBatchResult
-
-    steps, b = inputs.steps, inputs.batch_size
-    widths = {
-        "windows": inputs.n_senders,
-        "flow_loss": inputs.n_senders,
-        "flow_rtts": inputs.n_senders,
-        "link_load": inputs.n_links,
-        "link_loss": inputs.n_links,
-    }
-    segments: dict[str, object] = {}
-    try:
-        try:
-            for name, width in widths.items():
-                nbytes = steps * b * width * 8
-                segments[name] = shared_memory.SharedMemory(
-                    create=True, size=max(nbytes, 1)
-                )
-        except OSError:
-            return None
-        chunks = [(lo, min(lo + chunk_rows, b)) for lo in range(0, b, chunk_rows)]
-        shm_names = {name: seg.name for name, seg in segments.items()}
-        failed: dict[int, int] = {}
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
-        except (OSError, ValueError, RuntimeError):
-            return None
-        with timing.measure("batch.scheduler"), pool:
-            futures = [
-                pool.submit(
-                    _net_kernel_chunk,
-                    shm_names,
-                    steps,
-                    b,
-                    widths,
-                    inputs.rows(lo, hi),
-                    lo,
-                    hi,
-                )
-                for lo, hi in chunks
-            ]
-            for future in futures:
-                failed.update(future.result())
-        arrays = {}
-        for name, seg in segments.items():
-            view = np.ndarray(
-                (steps, b, widths[name]), dtype=np.float64, buffer=seg.buf
-            )
-            arrays[name] = view.copy()
-            del view
-        return NetBatchResult(failed=failed, **arrays)
-    finally:
-        for seg in segments.values():
-            try:
-                seg.close()
-                seg.unlink()
-            except (BufferError, FileNotFoundError, OSError):
-                pass
-
-
-def _run_network_group(
-    inputs,
-    workers: int | None = None,
-    chunk_rows: int | None = None,
-):
-    """Run one network group: chunked when it pays, else in-process."""
-    from repro.netmodel.batch import run_network_batch_kernel
-
-    if workers is not None and workers > 1 and inputs.batch_size > 1:
-        rows = (
-            chunk_rows
-            if chunk_rows is not None
-            else autotune_network_chunk_rows(inputs.steps)
-        )
-        if inputs.batch_size > rows:
-            result = _run_network_group_shm(inputs, workers, rows)
-            if result is not None:
-                return result
-    return run_network_batch_kernel(inputs)
-
-
-def run_network_specs_batched(
-    specs: Sequence[ScenarioSpec],
-    use_cache: bool = True,
-    skip_errors: bool = False,
-    workers: int | None = None,
-    chunk_rows: int | None = None,
-) -> list:
-    """Run every spec on the network backend, batching compatible ones.
-
-    The multi-link analogue of :func:`run_specs_batched`: results are
-    :class:`~repro.backends.trace.UnifiedTrace` objects in spec order,
-    bit-identical to ``run_spec(spec, "network")`` on every path — cache
-    hit, batch kernel (NumPy or JIT), chunked kernel, or serial fallback
-    — and they warm the same unified-store entries serial runs read.
-    """
-    from repro.backends.trace import from_network_trace
-    from repro.netmodel.trace import NetworkTrace
-    from repro.perf import store
-    from repro.perf.cache import active_cache
-
-    specs = list(specs)
-    results: list = [None] * len(specs)
-    cache = active_cache() if use_cache else None
-    keys: list[str | None] = [None] * len(specs)
-    pending: list[int] = []
-    for i, spec in enumerate(specs):
-        if cache is not None:
-            keys[i] = store.unified_key("network", spec)
-            if keys[i] is not None:
-                hit = store.load_unified_trace(cache, keys[i])
-                if hit is not None:
-                    results[i] = hit
-                    continue
-        pending.append(i)
-
-    plan = plan_network_batches(specs, pending)
-    serial = list(plan.fallback)
-    for group in plan.groups:
-        result = _run_network_group(
-            group.inputs, workers=workers, chunk_rows=chunk_rows
-        )
-        for pos, index in enumerate(group.indices):
-            if pos in result.failed:
-                # Recompute serially to raise the exact serial error.
-                serial.append(index)
-                continue
-            net = NetworkTrace(
-                windows=result.windows[:, pos].copy(),
-                flow_loss=result.flow_loss[:, pos].copy(),
-                flow_rtts=result.flow_rtts[:, pos].copy(),
-                link_load=result.link_load[:, pos].copy(),
-                link_loss=result.link_loss[:, pos].copy(),
-                link_names=list(group.link_names[pos]),
-                base_rtts=group.inputs.base_rtts[pos].copy(),
-            )
-            trace = from_network_trace(net, specs[index].link, backend="network")
-            results[index] = trace
-            if cache is not None and keys[index] is not None:
-                store.store_unified_trace(cache, keys[index], trace)
-
-    for index in sorted(serial):
-        try:
-            results[index] = run_spec(specs[index], "network", use_cache=use_cache)
-        except Exception:
-            if not skip_errors:
-                raise
-            results[index] = None
-    return results
-
-
-# ----------------------------------------------------------------------
-# The mean-field backend's batch lane
-# ----------------------------------------------------------------------
-@dataclass
-class _MeanFieldLowered:
-    """One spec's mean-field-batch-eligible lowered form."""
-
-    index: int
-    scenario: object  # MeanFieldScenario
-    grid: object  # WindowGrid
-    state: object  # _GroupState: plans, trigger, initial mass
-
-
-@dataclass
-class MeanFieldBatchGroup:
-    """Mean-field specs the stacked kernel advances together."""
-
-    indices: list[int]
-    inputs: "object"  # MeanFieldBatchInputs
-    rows: list[_MeanFieldLowered]
-
-
-@dataclass
-class MeanFieldBatchPlan:
-    """The outcome of mean-field planning: groups plus fallbacks."""
-
-    groups: list[MeanFieldBatchGroup]
-    fallback: list[int]
-
-
-def _lower_for_meanfield_batch(
-    index: int, spec: ScenarioSpec
-) -> _MeanFieldLowered | None:
+def _lower_meanfield(spec: ScenarioSpec) -> _Row | None:
     """``spec``'s mean-field-batch-eligible form, or ``None``.
 
     The stacked kernel advances one density per scenario, so only
@@ -1024,71 +304,220 @@ def _lower_for_meanfield_batch(
 
     try:
         scenario = spec.lower_meanfield()
-    except Exception:
-        return None
-    if len(scenario.groups) != 1:
-        return None
-    if scenario.link.marking_enabled:
-        return None
-    try:
+        if len(scenario.groups) != 1 or scenario.link.marking_enabled:
+            return None
         grid = scenario.resolved_grid()
         state = _GroupState(
             scenario.groups[0], grid, scenario.min_window, scenario.max_window
         )
     except Exception:
         return None
-    return _MeanFieldLowered(index=index, scenario=scenario, grid=grid, state=state)
-
-
-def _build_meanfield_inputs(rows: list[_MeanFieldLowered]):
-    """Stack one group's lowered mean-field specs into kernel inputs."""
-    from repro.meanfield.batch import (
-        MeanFieldBatchInputs,
-        mass_support,
-        stack_plans,
+    return _Row(
+        shared={
+            "steps": scenario.steps,
+            "synchronized": scenario.synchronized,
+            "op": state.trigger_op,
+        },
+        columns={
+            **{name: getattr(scenario.link, name) for name in _LINK_COLUMNS},
+            "thresholds": state.trigger_threshold,
+            "points": grid.points(),
+            "mass": state.mass,
+            "populations": state.population,
+            "random_rate": scenario.random_loss_rate,
+        },
+        extra=(grid, scenario.link, state),
     )
 
+
+# ----------------------------------------------------------------------
+# Building kernel inputs from a group's rows
+# ----------------------------------------------------------------------
+def _build(lane: _Lane, rows: list[_Row]) -> Any:
+    """Stack a group's rows into the lane's kernel inputs.
+
+    Shared entries come from the first row (the group key makes them
+    agree), every column stacks into one float64 array along the batch
+    axis, and the lane's ``tables`` add what is built per group.
+    """
     first = rows[0]
+    columns = {
+        name: np.array([row.columns[name] for row in rows], dtype=float)
+        for name in first.columns
+    }
+    inputs_cls = lane.engine_attr(lane.inputs)
+    return inputs_cls(**first.shared, **columns, **lane.tables(rows))
+
+
+def _cell_table(rows: list[_Row]) -> dict[str, Any]:
+    """The cell-table protocol encoding of the fluid and network kernels.
+
+    The class table collects the distinct protocol classes in
+    first-appearance order (scanning scenarios in submission order, flows
+    left to right — deterministic, so identical grids always produce
+    identical tables). The merged parameter table unions every class's
+    ``batch_param_names``; a cell's entry for a name its class does not
+    define stays NaN and is never gathered by the kernel's dispatch.
+    """
+    b, n = len(rows), len(rows[0].protocols)
+    class_table: list[type] = []
+    table_index: dict[type, int] = {}
+    cell_classes = np.empty((b, n), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, protocol in enumerate(row.protocols):
+            cls = type(protocol)
+            if cls not in table_index:
+                table_index[cls] = len(class_table)
+                class_table.append(cls)
+            cell_classes[i, j] = table_index[cls]
+    names = sorted({name for cls in class_table for name in cls.batch_param_names})
+    cell_params = {name: np.full((b, n), np.nan) for name in names}
+    for i, row in enumerate(rows):
+        for j, protocol in enumerate(row.protocols):
+            for name in type(protocol).batch_param_names:
+                cell_params[name][i, j] = getattr(protocol, name)
+    return {
+        "class_table": tuple(class_table),
+        "cell_classes": cell_classes,
+        "cell_params": cell_params,
+    }
+
+
+def _density_tables(rows: list[_Row]) -> dict[str, Any]:
+    """The mean-field kernel's stacked branch plans and mass supports."""
+    from repro.meanfield.batch import mass_support, stack_plans
+
+    states = [row.extra[2] for row in rows]
     plans_lo, plans_hi = stack_plans(
-        [row.state.growth_plan for row in rows],
-        [row.state.decrease_plan for row in rows],
+        [state.growth_plan for state in states],
+        [state.decrease_plan for state in states],
     )
-    supports = [mass_support(row.state.mass) for row in rows]
-    return MeanFieldBatchInputs(
-        steps=first.scenario.steps,
-        synchronized=first.scenario.synchronized,
-        op=first.state.trigger_op,
-        thresholds=np.array(
-            [row.state.trigger_threshold for row in rows], dtype=float
-        ),
-        points=np.stack([row.grid.points() for row in rows]),
-        plans_lo=plans_lo,
-        plans_hi=plans_hi,
-        mass=np.stack([row.state.mass for row in rows]),
-        supp_start=np.array([s[0] for s in supports], dtype=np.int64),
-        supp_len=np.array([s[1] for s in supports], dtype=np.int64),
-        populations=np.array([row.state.population for row in rows], dtype=float),
-        capacity=np.array([row.scenario.link.capacity for row in rows], dtype=float),
-        bandwidth=np.array(
-            [row.scenario.link.bandwidth for row in rows], dtype=float
-        ),
-        base_rtt=np.array([row.scenario.link.base_rtt for row in rows], dtype=float),
-        pipe_limit=np.array(
-            [row.scenario.link.pipe_limit for row in rows], dtype=float
-        ),
-        timeout_rtt=np.array(
-            [row.scenario.link.timeout_rtt for row in rows], dtype=float
-        ),
-        random_rate=np.array(
-            [row.scenario.random_loss_rate for row in rows], dtype=float
-        ),
+    supports = [mass_support(state.mass) for state in states]
+    return {
+        "plans_lo": plans_lo,
+        "plans_hi": plans_hi,
+        "supp_start": np.array([s[0] for s in supports], dtype=np.int64),
+        "supp_len": np.array([s[1] for s in supports], dtype=np.int64),
+    }
+
+
+# ----------------------------------------------------------------------
+# Extracting one row's trace from a kernel result
+# ----------------------------------------------------------------------
+def _extract_fluid(result, pos: int, group: BatchGroup, spec: ScenarioSpec):
+    inputs = group.inputs
+    return store.extract_batch_trace(
+        result,
+        pos,
+        capacity=float(inputs.capacity[pos]),
+        pipe_limit=float(inputs.pipe_limit[pos]),
+        base_rtt=float(inputs.base_rtt[pos]),
     )
+
+
+def _extract_network(result, pos: int, group: BatchGroup, spec: ScenarioSpec):
+    """Row ``pos`` as the serial engine's NetworkTrace, then unified."""
+    from repro.backends.trace import from_network_trace
+    from repro.netmodel.trace import NetworkTrace
+
+    net = NetworkTrace(
+        windows=result.windows[:, pos].copy(),
+        flow_loss=result.flow_loss[:, pos].copy(),
+        flow_rtts=result.flow_rtts[:, pos].copy(),
+        link_load=result.link_load[:, pos].copy(),
+        link_loss=result.link_loss[:, pos].copy(),
+        link_names=list(group.rows[pos].extra),
+        base_rtts=group.inputs.base_rtts[pos].copy(),
+    )
+    return from_network_trace(net, spec.link, backend="network")
+
+
+def _extract_meanfield(result, pos: int, group: BatchGroup, spec: ScenarioSpec):
+    """Row ``pos`` as the serial engine's single-group MeanFieldResult."""
+    from repro.backends.trace import from_meanfield_result
+    from repro.meanfield.dynamics import MeanFieldResult
+
+    grid, link, state = group.rows[pos].extra
+    mf = MeanFieldResult(
+        grid=grid,
+        link=link,
+        populations=np.array([state.population], dtype=float),
+        group_names=[state.protocol.name],
+        mean_windows=result.mean_windows[:, pos : pos + 1].copy(),
+        observed_loss=result.observed_loss[:, pos : pos + 1].copy(),
+        congestion_loss=result.congestion_loss[:, pos].copy(),
+        rtts=result.rtts[:, pos].copy(),
+        masses=[result.masses[pos].copy()],
+    )
+    return from_meanfield_result(mf, backend="meanfield")
+
+
+# ----------------------------------------------------------------------
+# Planning
+# ----------------------------------------------------------------------
+def _stack_key(row: _Row) -> tuple:
+    """Rows stack when their shared inputs agree and every column has
+    the same shape — flow, link or cell count among them."""
+    return (*row.shared.values(), *(np.shape(v) for v in row.columns.values()))
+
+
+def _plan(
+    lane: _Lane, specs: Sequence[ScenarioSpec], indices: Sequence[int] | None
+) -> BatchPlan:
+    """Lower ``specs[indices]`` and group the rows that stack together."""
+    if indices is None:
+        indices = range(len(specs))
+    grouped: dict[tuple, BatchGroup] = {}
+    fallback: list[int] = []
+    with timing.measure("batch.plan"):
+        for index in indices:
+            row = lane.lower(specs[index])
+            if row is None:
+                fallback.append(index)
+                continue
+            group = grouped.setdefault(_stack_key(row), BatchGroup())
+            group.indices.append(index)
+            group.rows.append(row)
+        for group in grouped.values():
+            group.inputs = _build(lane, group.rows)
+    return BatchPlan(groups=list(grouped.values()), fallback=fallback)
+
+
+def plan_batches(
+    specs: Sequence[ScenarioSpec],
+    indices: Sequence[int] | None = None,
+) -> BatchPlan:
+    """Group ``specs`` (or the subset named by ``indices``) for the fluid kernel.
+
+    Specs batch together when they share the flow count, the horizon,
+    and loss-based enforcement; everything per-scenario beyond that —
+    link parameters, protocol *classes* (via the kernel's per-cell
+    dispatch table), protocol parameters, initial windows, clamps,
+    random loss rate — varies along the batch axis. A singleton group is
+    simply a batch of one.
+    """
+    return _plan(_LANES["fluid"], specs, indices)
+
+
+def plan_network_batches(
+    specs: Sequence[ScenarioSpec],
+    indices: Sequence[int] | None = None,
+) -> BatchPlan:
+    """Group ``specs`` (or the subset ``indices``) for the network kernel.
+
+    Specs batch together when they share the topology *structure* — flow
+    count, link count, the flow-to-column path map — plus the horizon
+    and loss-based enforcement. Link names and parameters, protocol
+    classes and constants, initial windows, clamps and random loss rates
+    all vary along the batch axis.
+    """
+    return _plan(_LANES["network"], specs, indices)
 
 
 def plan_meanfield_batches(
     specs: Sequence[ScenarioSpec],
     indices: Sequence[int] | None = None,
-) -> MeanFieldBatchPlan:
+) -> BatchPlan:
     """Group ``specs`` (or the subset ``indices``) for the stacked kernel.
 
     Specs batch together when they share the cell count, the horizon,
@@ -1096,100 +525,314 @@ def plan_meanfield_batches(
     grid (resolution and span), branch plans, link parameters, trigger
     threshold, population and random loss rate.
     """
-    if indices is None:
-        indices = range(len(specs))
-    grouped: dict[tuple, list[_MeanFieldLowered]] = {}
-    fallback: list[int] = []
-    with timing.measure("batch.plan"):
-        for index in indices:
-            lowered = _lower_for_meanfield_batch(index, specs[index])
-            if lowered is None:
-                fallback.append(index)
-                continue
-            key = (
-                lowered.grid.cells,
-                lowered.scenario.steps,
-                lowered.scenario.synchronized,
-                lowered.state.trigger_op,
-            )
-            grouped.setdefault(key, []).append(lowered)
-        groups = [
-            MeanFieldBatchGroup(
-                indices=[row.index for row in rows],
-                inputs=_build_meanfield_inputs(rows),
-                rows=rows,
-            )
-            for rows in grouped.values()
-        ]
-    return MeanFieldBatchPlan(groups=groups, fallback=fallback)
+    return _plan(_LANES["meanfield"], specs, indices)
 
 
-def run_meanfield_specs_batched(
-    specs: Sequence[ScenarioSpec],
-    use_cache: bool = True,
-    skip_errors: bool = False,
-) -> list:
-    """Run every spec on the mean-field backend, batching compatible ones.
+_LANES: dict[str, _Lane] = {
+    lane.backend: lane
+    for lane in (
+        _Lane(
+            backend="fluid",
+            plan=lambda specs: plan_batches(specs),
+            lower=_lower_fluid,
+            tables=_cell_table,
+            extract=_extract_fluid,
+            engine="repro.model.batch",
+            inputs="BatchInputs",
+            kernel="run_batch_kernel",
+            result="BatchResult",
+            cells="kernel_cells",
+            section="batch.kernel",
+            outputs={
+                "windows": "n_senders",
+                "observed_loss": None,
+                "congestion_loss": None,
+                "rtts": None,
+            },
+        ),
+        _Lane(
+            backend="network",
+            plan=lambda specs: plan_network_batches(specs),
+            lower=_lower_network,
+            tables=_cell_table,
+            extract=_extract_network,
+            engine="repro.netmodel.batch",
+            inputs="NetBatchInputs",
+            kernel="run_network_batch_kernel",
+            result="NetBatchResult",
+            cells="net_kernel_cells",
+            section="batch.net_kernel",
+            outputs={
+                "windows": "n_senders",
+                "flow_loss": "n_senders",
+                "flow_rtts": "n_senders",
+                "link_load": "n_links",
+                "link_loss": "n_links",
+            },
+        ),
+        _Lane(
+            backend="meanfield",
+            plan=lambda specs: plan_meanfield_batches(specs),
+            lower=_lower_meanfield,
+            tables=_density_tables,
+            extract=_extract_meanfield,
+            engine="repro.meanfield.batch",
+            inputs="MeanFieldBatchInputs",
+            kernel="run_meanfield_batch_kernel",
+            result="MeanFieldBatchResult",
+            cells="meanfield_kernel_cells",
+            section="batch.meanfield_kernel",
+        ),
+    )
+}
 
-    The density analogue of :func:`run_specs_batched`: results are
-    :class:`~repro.backends.trace.UnifiedTrace` objects in spec order,
-    bit-identical to ``run_spec(spec, "meanfield")`` on every path, and
-    they warm the same unified-store entries serial runs read. The
-    stacked kernel runs in-process — one vectorized loop already covers
-    the whole group, so there is nothing for a pool to parallelize.
+# ----------------------------------------------------------------------
+# Execution: in-process kernel or shared-memory chunk scheduler
+# ----------------------------------------------------------------------
+def autotune_chunk_rows(steps: int, backend: str = "fluid") -> int:
+    """Rows per chunk targeting ~``_TARGET_CHUNK_SECONDS`` of kernel time.
+
+    Uses the measured throughput of ``backend``'s previous kernel calls
+    (its lane's timing section in :data:`repro.perf.timing.REGISTRY`
+    over its kernel's cell counter); before any measurement exists, a
+    fixed default applies.
     """
-    from repro.backends.trace import from_meanfield_result
-    from repro.meanfield.batch import run_meanfield_batch_kernel
-    from repro.meanfield.dynamics import MeanFieldResult
-    from repro.perf import store
-    from repro.perf.cache import active_cache
+    lane = _LANES[backend]
+    cells = lane.engine_attr(lane.cells)()
+    spent = timing.REGISTRY.total(lane.section)
+    if cells <= 0 or spent <= 0.0:
+        return _DEFAULT_CHUNK_ROWS
+    seconds_per_cell = spent / cells
+    rows = int(_TARGET_CHUNK_SECONDS / max(seconds_per_cell * steps, 1e-12))
+    return max(1, min(rows, 4096))
 
+
+def _kernel_chunk(
+    backend: str,
+    shm_names: dict[str, str],
+    shapes: dict[str, tuple[int, ...]],
+    chunk: Any,
+    lo: int,
+    hi: int,
+) -> dict[int, int]:
+    """Worker: advance rows ``lo:hi`` of a lane's batch into the shared buffers.
+
+    The worker receives the lane's name and looks the lane up itself
+    (its callables do not pickle). Only the (typically empty) failure map
+    is returned through the pool; all array output lands in shared
+    memory, which is the point.
+
+    Write-safety contract (statically enforced by lint rules REP701/702):
+    nothing synchronizes sibling workers, so every access to an array
+    built over a shared segment must go through a ``[lo:hi]`` slice on
+    the row axis whose bounds are the pristine ``lo``/``hi`` parameters
+    the planner assigned — never the whole array, never arithmetic on
+    the bounds, and never rows another worker owns.
+    """
+    from multiprocessing import shared_memory
+
+    lane = _LANES[backend]
+    segments = []
+    try:
+        out: dict[str, np.ndarray] = {}
+        for name, shm_name in shm_names.items():
+            shm = shared_memory.SharedMemory(name=shm_name)
+            segments.append(shm)
+            full = np.ndarray(shapes[name], dtype=np.float64, buffer=shm.buf)
+            out[name] = full[:, lo:hi]
+        result = lane.engine_attr(lane.kernel)(chunk, out=out)
+        failed = {lo + row: step for row, step in result.failed.items()}
+        # Drop every view into the buffers before closing the segments.
+        del result, out, full
+        return failed
+    finally:
+        for shm in segments:
+            try:
+                shm.close()
+            except BufferError:
+                pass  # released at worker exit
+
+
+def _run_group(
+    lane: _Lane,
+    inputs: Any,
+    workers: int | None,
+    chunk_rows: int | None,
+    positions: list[int],
+) -> Any:
+    """Run one group: chunked over shared memory when it pays, else inline.
+
+    With ``workers > 1`` and more rows than one chunk, row chunks go to a
+    process pool that writes into shared-memory buffers; when shared
+    memory or a pool is unavailable on this platform the kernel runs
+    in-process instead. The result is bit-identical either way: chunks
+    are disjoint row ranges of the same elementwise recurrence.
+    ``positions`` are the group rows' submission positions, which a dead
+    worker's error names. The parent may touch the buffers freely — the
+    REP7xx chunk discipline binds only workers (functions that *attach*
+    segments); this function *creates* them and only reads the arrays
+    back after every future has resolved.
+    """
+    kernel = lane.engine_attr(lane.kernel)
+    b = inputs.batch_size
+    if lane.outputs is None or workers is None or workers <= 1 or b <= 1:
+        return kernel(inputs)
+    if chunk_rows is None:
+        chunk_rows = autotune_chunk_rows(inputs.steps, lane.backend)
+    if b <= chunk_rows:
+        return kernel(inputs)
+
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import shared_memory
+
+    shapes = {
+        name: (inputs.steps, b) + (() if width is None else (getattr(inputs, width),))
+        for name, width in lane.outputs.items()
+    }
+    segments: dict[str, Any] = {}
+    try:
+        try:
+            for name, shape in shapes.items():
+                segments[name] = shared_memory.SharedMemory(
+                    create=True, size=max(int(np.prod(shape)) * 8, 1)
+                )
+            chunks = [(lo, min(lo + chunk_rows, b)) for lo in range(0, b, chunk_rows)]
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
+        except (OSError, ValueError, RuntimeError):
+            return kernel(inputs)
+        shm_names = {name: seg.name for name, seg in segments.items()}
+        failed: dict[int, int] = {}
+        with timing.measure("batch.scheduler"), pool:
+            futures = [
+                pool.submit(
+                    _kernel_chunk,
+                    lane.backend,
+                    shm_names,
+                    shapes,
+                    inputs.rows(lo, hi),
+                    lo,
+                    hi,
+                )
+                for lo, hi in chunks
+            ]
+            for (lo, hi), future in zip(chunks, futures):
+                try:
+                    failed.update(future.result())
+                except BrokenProcessPool as exc:
+                    specs = ", ".join(str(p) for p in positions[lo:hi])
+                    raise BrokenProcessPool(
+                        f"{lane.backend} lane: the chunk worker for batch rows "
+                        f"{lo}:{hi} died (specs at submission positions {specs})"
+                    ) from exc
+        arrays = {
+            name: np.ndarray(shapes[name], dtype=np.float64, buffer=seg.buf).copy()
+            for name, seg in segments.items()
+        }
+        return lane.engine_attr(lane.result)(failed=failed, **arrays)
+    finally:
+        for seg in segments.values():
+            try:
+                seg.close()
+                seg.unlink()
+            except (BufferError, FileNotFoundError, OSError):
+                pass
+
+
+# ----------------------------------------------------------------------
+# The runner
+# ----------------------------------------------------------------------
+def run_batched(
+    specs: Sequence[ScenarioSpec],
+    backend: str = "fluid",
+    *,
+    keys: Sequence[str | None] | None = None,
+    cache: Any = None,
+    positions: Sequence[int] | None = None,
+    skip_errors: bool = False,
+    workers: int | None = None,
+    chunk_rows: int | None = None,
+) -> list:
+    """Run every spec on ``backend``'s batched lane, in spec order.
+
+    Results are :class:`~repro.backends.trace.UnifiedTrace` objects,
+    bit-identical to ``run_spec(spec, backend)`` for every spec whichever
+    path — batch kernel, chunked kernel, or serial fallback — produced
+    it. The store is never read; with a ``cache``, each computed trace is
+    archived under ``keys[i]`` (a ``None`` key is not archived).
+    ``positions`` are the specs' places in the caller's submission, which
+    errors name (default: their indices in ``specs``). With
+    ``skip_errors`` a failing spec yields ``None`` instead of raising;
+    other specs are unaffected either way. ``workers`` and
+    ``chunk_rows`` drive the shared-memory chunk scheduler
+    (:func:`autotune_chunk_rows` picks the rows when ``None``).
+    """
     specs = list(specs)
-    results: list = [None] * len(specs)
-    cache = active_cache() if use_cache else None
-    keys: list[str | None] = [None] * len(specs)
-    pending: list[int] = []
-    for i, spec in enumerate(specs):
-        if cache is not None:
-            keys[i] = store.unified_key("meanfield", spec)
-            if keys[i] is not None:
-                hit = store.load_unified_trace(cache, keys[i])
-                if hit is not None:
-                    results[i] = hit
-                    continue
-        pending.append(i)
-
-    plan = plan_meanfield_batches(specs, pending)
-    serial = list(plan.fallback)
-    for group in plan.groups:
-        result = run_meanfield_batch_kernel(group.inputs)
-        for pos, index in enumerate(group.indices):
-            if pos in result.failed:
-                # Recompute serially to raise the exact serial error.
-                serial.append(index)
-                continue
-            row = group.rows[pos]
-            mf = MeanFieldResult(
-                grid=row.grid,
-                link=row.scenario.link,
-                populations=np.array([row.state.population], dtype=float),
-                group_names=[row.state.protocol.name],
-                mean_windows=result.mean_windows[:, pos : pos + 1].copy(),
-                observed_loss=result.observed_loss[:, pos : pos + 1].copy(),
-                congestion_loss=result.congestion_loss[:, pos].copy(),
-                rtts=result.rtts[:, pos].copy(),
-                masses=[result.masses[pos].copy()],
+    if cache is None or keys is None:
+        keys = [None] * len(specs)
+    if backend == "packet":
+        results, serial = _run_packet(specs, use_cache=cache is not None)
+    else:
+        lane = _LANES[backend]
+        if positions is None:
+            positions = range(len(specs))
+        results = [None] * len(specs)
+        plan = lane.plan(specs)
+        serial = list(plan.fallback)
+        for group in plan.groups:
+            result = _run_group(
+                lane,
+                group.inputs,
+                workers,
+                chunk_rows,
+                [positions[index] for index in group.indices],
             )
-            trace = from_meanfield_result(mf, backend="meanfield")
-            results[index] = trace
-            if cache is not None and keys[index] is not None:
-                store.store_unified_trace(cache, keys[index], trace)
-
+            for pos, index in enumerate(group.indices):
+                if pos in result.failed:
+                    # Recompute serially to raise the exact serial error.
+                    serial.append(index)
+                else:
+                    results[index] = lane.extract(result, pos, group, specs[index])
+    for trace, key in zip(results, keys):
+        if trace is not None and key is not None:
+            store.store_unified_trace(cache, key, trace)
     for index in sorted(serial):
         try:
-            results[index] = run_spec(specs[index], "meanfield", use_cache=use_cache)
+            results[index] = compute_spec(specs[index], backend, cache, keys[index])
         except Exception:
             if not skip_errors:
                 raise
-            results[index] = None
     return results
+
+
+def _run_packet(
+    specs: list[ScenarioSpec], use_cache: bool
+) -> tuple[list, list[int]]:
+    """The packet backend's lane: merged event loops, not a stacked kernel.
+
+    Specs lower to :class:`~repro.packetsim.scenario.PacketScenario`
+    objects and run through
+    :func:`repro.packetsim.batch.run_scenarios_batched`, which merges
+    replications sharing a link and duration into one event loop and
+    keeps its native packet-cache entries; traces are bit-identical to
+    ``run_spec(spec, "packet")``. A spec the packet backend cannot
+    express is left to the serial engine, which raises its exact
+    lowering error.
+    """
+    from repro.backends.trace import from_packet_result
+    from repro.packetsim.batch import run_scenarios_batched
+
+    results: list = [None] * len(specs)
+    pending: list[int] = []
+    serial: list[int] = []
+    scenarios: list = []
+    for i, spec in enumerate(specs):
+        try:
+            scenarios.append(spec.lower_packet())
+        except Exception:
+            serial.append(i)
+            continue
+        pending.append(i)
+    for i, result in zip(pending, run_scenarios_batched(scenarios, use_cache=use_cache)):
+        results[i] = from_packet_result(result, backend="packet")
+    return results, serial

@@ -5,12 +5,15 @@
 :mod:`~repro.exec.jobs` jobs and get results back in submission order,
 while the executor decides how little work that actually requires:
 
-1. **Plan** — every job is content-keyed where its kind allows.
+1. **Plan** — every job is content-keyed, once, where its kind allows;
+   the key travels on to whichever engine runs the job.
 2. **Dedup** — duplicate keys inside one submission collapse to a single
    computation; keys already being computed by a concurrent submission
    attach as *waiters* (one computation, many waiters — the property the
    serve layer's concurrent clients rely on); keyed jobs whose result is
-   already in the content-addressed store are served from it.
+   already in the content-addressed store are served from it. The
+   executor is the only layer that reads the store for a spec job: the
+   engines it routes to archive their results but never probe.
 3. **Route** — the jobs that remain are grouped per kind and sent to the
    cheapest engine that preserves bit-identity: with ``batch=True`` the
    stacked fluid, network or mean-field kernel or the merged packet
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 from repro.exec.jobs import (
@@ -110,15 +113,25 @@ class ExecutorStats:
     errors: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "submissions": self.submissions,
-            "jobs": self.jobs,
-            "computed": self.computed,
-            "cache_hits": self.cache_hits,
-            "deduped": self.deduped,
-            "inflight_waits": self.inflight_waits,
-            "errors": self.errors,
-        }
+        return asdict(self)
+
+
+@dataclass
+class _Run:
+    """One submission as the engines see it.
+
+    Its jobs, the keys the executor computed for them, the store to
+    archive into, its options, and the outcomes the engines fill in by
+    submission index.
+    """
+
+    jobs: list
+    keys: list[str | None]
+    cache: Any
+    workers: int | None
+    use_cache: bool
+    skip_errors: bool
+    outcomes: dict[int, JobOutcome] = field(default_factory=dict)
 
 
 @dataclass
@@ -143,31 +156,16 @@ class Executor:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def run(
-        self,
-        jobs: Sequence[Any],
-        *,
-        batch: bool = False,
-        workers: int | None = None,
-        use_cache: bool = True,
-        skip_errors: bool = False,
-    ) -> list[Any]:
+    def run(self, jobs: Sequence[Any], **options: Any) -> list[Any]:
         """Results in submission order; raises on the first failing job.
 
-        The value-only face of :meth:`submit`, with the exact semantics
-        the hand-dispatched ``run_specs`` had: with ``skip_errors`` a
-        failing job yields ``None`` without disturbing the rest, without
-        it the original exception of the earliest-submitted failing job
-        propagates.
+        The value-only face of :meth:`submit` (same keyword options), with
+        the exact semantics the hand-dispatched ``run_specs`` had: with
+        ``skip_errors`` a failing job yields ``None`` without disturbing
+        the rest, without it the original exception of the
+        earliest-submitted failing job propagates.
         """
-        outcomes = self.submit(
-            jobs,
-            batch=batch,
-            workers=workers,
-            use_cache=use_cache,
-            skip_errors=skip_errors,
-        )
-        return [outcome.value for outcome in outcomes]
+        return [outcome.value for outcome in self.submit(jobs, **options)]
 
     def submit(
         self,
@@ -191,14 +189,14 @@ class Executor:
         outcomes: list[JobOutcome | None] = [None] * len(jobs)
         if not jobs:
             return []
+        from repro.perf.cache import active_cache
+
         keys = [job.key() for job in jobs]
-        cache = self._active_cache() if use_cache else None
+        cache = active_cache() if use_cache else None
         plan = self._plan(jobs, keys, cache)
+        run = _Run(jobs, keys, cache, workers, use_cache, skip_errors)
         try:
-            computed = self._compute(
-                jobs, plan.compute, batch=batch, workers=workers,
-                use_cache=use_cache, skip_errors=skip_errors,
-            )
+            self._compute(run, plan.compute, batch)
         except BaseException as exc:
             # Engines raised before per-job outcomes existed: fail every
             # claim so concurrent waiters see the error instead of hanging.
@@ -209,8 +207,8 @@ class Executor:
                                  failure, exc)
             raise
         for index in plan.compute:
-            outcomes[index] = computed[index]
-        self._resolve_claims(plan.claimed, computed)
+            outcomes[index] = run.outcomes[index]
+        self._resolve_claims(plan.claimed, run.outcomes)
         for index, value in plan.cached.items():
             outcomes[index] = JobOutcome(value=value, source="cache")
         for index, leader in plan.followers.items():
@@ -247,12 +245,6 @@ class Executor:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    @staticmethod
-    def _active_cache():
-        from repro.perf.cache import active_cache
-
-        return active_cache()
-
     def _plan(self, jobs: list, keys: list[str | None], cache) -> _Plan:
         """Partition a submission; claims in-flight slots under the lock.
 
@@ -263,13 +255,15 @@ class Executor:
         and the claim (computations store *before* releasing their
         claim, so a post-claim miss proves this submission is the
         genuine leader). That second probe is what makes "each unique
-        key computes exactly once" exact rather than merely likely.
+        key computes exactly once" exact rather than merely likely. These
+        two probes are the only store reads a job gets: the engines
+        downstream receive its key and never read the store themselves.
         """
         probed: dict[int, Any] = {}
         if cache is not None:
             for index, (job, key) in enumerate(zip(jobs, keys)):
                 if key is not None:
-                    hit = job.probe(cache)
+                    hit = job.probe(cache, key)
                     if hit is not None:
                         probed[index] = hit
         plan = _Plan()
@@ -302,7 +296,7 @@ class Executor:
             self.stats.computed += len(plan.compute)
         if cache is not None:
             for index, full_key in list(plan.claimed.items()):
-                hit = jobs[index].probe(cache)
+                hit = jobs[index].probe(cache, keys[index])
                 if hit is None:
                     continue
                 with self._lock:
@@ -312,8 +306,8 @@ class Executor:
                 if record is not None:
                     record.resolve(JobOutcome(value=hit, source="cache"))
                 del plan.claimed[index]
-                plan.compute.remove(index)
                 plan.cached[index] = hit
+            plan.compute = [i for i in plan.compute if i not in plan.cached]
         return plan
 
     def _resolve_claims(
@@ -337,186 +331,102 @@ class Executor:
     # ------------------------------------------------------------------
     # Routing and engines
     # ------------------------------------------------------------------
-    def _compute(
-        self,
-        jobs: list,
-        indices: list[int],
-        *,
-        batch: bool,
-        workers: int | None,
-        use_cache: bool,
-        skip_errors: bool,
-    ) -> dict[int, JobOutcome]:
+    def _compute(self, run: _Run, indices: list[int], batch: bool) -> None:
         """Run the planned jobs, grouped per batched engine.
 
         Batched lanes exist for every spec backend — fluid, packet,
-        network and mean-field — plus packet scenarios and workloads;
-        every other (kind, flags) combination falls back to the per-job
-        lane, which preserves the pooled / serial semantics of the
-        pre-executor drivers exactly. A spec job on a backend without a
-        batch lane warns once, naming the backend, before falling back.
+        network and mean-field, all behind
+        :func:`repro.backends.batch.run_batched` — plus packet scenarios
+        and workloads; every other (kind, flags) combination falls back
+        to the per-job lane, which preserves the pooled / serial
+        semantics of the pre-executor drivers exactly. A spec job on a
+        backend without a batch lane warns once, naming the backend,
+        before falling back.
         """
-        outcomes: dict[int, JobOutcome] = {}
-        if not indices:
-            return outcomes
+        lanes: dict[str, list[int]] = {}
         leftover: list[int] = []
-        if batch:
-            lanes: dict[str, list[int]] = {}
-            for index in indices:
-                job = jobs[index]
-                if isinstance(job, SpecJob) and job.backend in _BATCHED_SPEC_BACKENDS:
-                    lanes.setdefault(f"spec-{job.backend}", []).append(index)
-                elif isinstance(job, SpecJob):
-                    if job.backend not in _warned_laneless:
-                        _warned_laneless.add(job.backend)
-                        warnings.warn(
-                            f"backend {job.backend!r} has no batched engine; "
-                            "its specs run per-job",
-                            RuntimeWarning,
-                            stacklevel=4,
-                        )
-                    leftover.append(index)
-                elif isinstance(job, PacketScenarioJob):
-                    lanes.setdefault("scenario", []).append(index)
-                elif isinstance(job, WorkloadJob):
-                    lanes.setdefault("workload", []).append(index)
-                else:
-                    leftover.append(index)
-            for lane, members in sorted(lanes.items()):
-                if lane == "spec-fluid":
-                    self._run_spec_batch_fluid(
-                        jobs, members, outcomes, workers, use_cache, skip_errors
-                    )
-                elif lane == "spec-packet":
-                    self._run_spec_batch_packet(
-                        jobs, members, outcomes, use_cache, skip_errors
-                    )
-                elif lane == "spec-network":
-                    self._run_spec_batch_network(
-                        jobs, members, outcomes, workers, use_cache, skip_errors
-                    )
-                elif lane == "spec-meanfield":
-                    self._run_spec_batch_meanfield(
-                        jobs, members, outcomes, use_cache, skip_errors
-                    )
-                elif lane == "scenario":
-                    self._run_scenario_batch(
-                        jobs, members, outcomes, use_cache, skip_errors
-                    )
-                else:
-                    self._run_workload_batch(
-                        jobs, members, outcomes, use_cache, skip_errors
-                    )
-        else:
-            leftover = list(indices)
+        for index in indices:
+            lane = _batch_lane(run.jobs[index]) if batch else None
+            if lane is None:
+                leftover.append(index)
+            else:
+                lanes.setdefault(lane, []).append(index)
+        engines = {"scenario": self._run_scenarios, "workload": self._run_workloads}
+        for lane, members in sorted(lanes.items()):
+            engines.get(lane, self._run_specs)(run, members)
         if leftover:
-            self._run_per_job(
-                jobs, leftover, outcomes, workers, use_cache, skip_errors
-            )
-        return outcomes
+            self._run_per_job(run, leftover)
 
-    def _run_spec_batch_fluid(
-        self, jobs, members, outcomes, workers, use_cache, skip_errors
-    ) -> None:
-        from repro.backends.batch import run_specs_batched
+    def _run_specs(self, run: _Run, members: list[int]) -> None:
+        """One spec backend's batch lane; the lane archives, never reads."""
+        from repro.backends.batch import run_batched
 
-        traces = run_specs_batched(
-            [jobs[i].spec for i in members],
-            use_cache=use_cache,
-            skip_errors=skip_errors,
-            workers=workers,
+        traces = run_batched(
+            [run.jobs[i].spec for i in members],
+            run.jobs[members[0]].backend,
+            keys=[run.keys[i] for i in members],
+            cache=run.cache,
+            positions=members,
+            skip_errors=run.skip_errors,
+            workers=run.workers,
         )
-        self._fill(members, traces, outcomes)
+        self._fill(run, members, traces)
 
-    def _run_spec_batch_packet(
-        self, jobs, members, outcomes, use_cache, skip_errors
-    ) -> None:
-        from repro.backends.batch import run_packet_specs_batched
-
-        traces = run_packet_specs_batched(
-            [jobs[i].spec for i in members],
-            use_cache=use_cache,
-            skip_errors=skip_errors,
-        )
-        self._fill(members, traces, outcomes)
-
-    def _run_spec_batch_network(
-        self, jobs, members, outcomes, workers, use_cache, skip_errors
-    ) -> None:
-        from repro.backends.batch import run_network_specs_batched
-
-        traces = run_network_specs_batched(
-            [jobs[i].spec for i in members],
-            use_cache=use_cache,
-            skip_errors=skip_errors,
-            workers=workers,
-        )
-        self._fill(members, traces, outcomes)
-
-    def _run_spec_batch_meanfield(
-        self, jobs, members, outcomes, use_cache, skip_errors
-    ) -> None:
-        from repro.backends.batch import run_meanfield_specs_batched
-
-        traces = run_meanfield_specs_batched(
-            [jobs[i].spec for i in members],
-            use_cache=use_cache,
-            skip_errors=skip_errors,
-        )
-        self._fill(members, traces, outcomes)
-
-    def _run_scenario_batch(
-        self, jobs, members, outcomes, use_cache, skip_errors
-    ) -> None:
+    def _run_scenarios(self, run: _Run, members: list[int]) -> None:
         from repro.packetsim.batch import run_scenarios_batched
 
-        try:
-            results = run_scenarios_batched(
-                [jobs[i].scenario for i in members], use_cache=use_cache
-            )
-        except Exception as exc:
-            if not skip_errors:
-                raise
-            failure = JobOutcome(ok=False, error=f"{type(exc).__name__}: {exc}")
-            for index in members:
-                outcomes[index] = failure
-            return
-        self._fill(members, results, outcomes)
+        self._run_merged(
+            run, members, run_scenarios_batched,
+            [run.jobs[i].scenario for i in members], use_cache=run.use_cache,
+        )
 
-    def _run_workload_batch(
-        self, jobs, members, outcomes, use_cache, skip_errors
-    ) -> None:
+    def _run_workloads(self, run: _Run, members: list[int]) -> None:
         from repro.packetsim.batch import run_workloads_batched
 
         groups: dict[tuple, list[int]] = {}
         for index in members:
-            groups.setdefault(jobs[index].merge_key(), []).append(index)
+            groups.setdefault(run.jobs[index].merge_key(), []).append(index)
         for group in groups.values():
-            first = jobs[group[0]]
-            try:
-                results = run_workloads_batched(
-                    first.link,
-                    [(list(jobs[i].specs), list(jobs[i].background))
-                     for i in group],
-                    first.duration,
-                    slow_start=first.slow_start,
-                    initial_window=first.initial_window,
-                    use_cache=use_cache,
-                )
-            except Exception as exc:
-                if not skip_errors:
-                    raise
-                failure = JobOutcome(
-                    ok=False, error=f"{type(exc).__name__}: {exc}"
-                )
-                for index in group:
-                    outcomes[index] = failure
-                continue
-            self._fill(group, results, outcomes)
+            first = run.jobs[group[0]]
+            self._run_merged(
+                run, group, run_workloads_batched,
+                first.link,
+                [(list(run.jobs[i].specs), list(run.jobs[i].background))
+                 for i in group],
+                first.duration,
+                slow_start=first.slow_start,
+                initial_window=first.initial_window,
+                use_cache=run.use_cache,
+            )
 
-    def _run_per_job(
-        self, jobs, members, outcomes, workers, use_cache, skip_errors
-    ) -> None:
+    def _run_merged(self, run: _Run, members: list[int], engine, *args, **kwargs) -> None:
+        """Fill ``members`` from one merged-engine call.
+
+        With ``skip_errors`` an engine that raises fails every member;
+        without it the exception propagates.
+        """
+        try:
+            results = engine(*args, **kwargs)
+        except Exception as exc:
+            if not run.skip_errors:
+                raise
+            failure = JobOutcome(ok=False, error=f"{type(exc).__name__}: {exc}")
+            for index in members:
+                run.outcomes[index] = failure
+            return
+        self._fill(run, members, results)
+
+    @staticmethod
+    def _fill(run: _Run, members: list[int], values: Sequence[Any]) -> None:
+        """Map an engine's ordered results back onto submission indices."""
+        for index, value in zip(members, values):
+            if value is None:
+                run.outcomes[index] = JobOutcome(ok=False, error="job failed")
+            else:
+                run.outcomes[index] = JobOutcome(value=value)
+
+    @staticmethod
+    def _run_per_job(run: _Run, members: list[int]) -> None:
         """The per-job fallback lane: a Sweep pool, or a serial loop.
 
         Mirrors the pre-executor ``run_specs`` exactly — the same sweep
@@ -530,28 +440,40 @@ class Executor:
         sweep = Sweep(
             axes={"index": list(members)},
             measure=functools.partial(
-                job_runner, jobs=list(jobs), use_cache=use_cache
+                job_runner, jobs=run.jobs, keys=run.keys, use_cache=run.use_cache
             ),
-            skip_errors=skip_errors,
+            skip_errors=run.skip_errors,
         )
-        rows = sweep.run(**workers_sweep_options(workers))
+        rows = sweep.run(**workers_sweep_options(run.workers))
         failures = {
             cell["index"]: message for cell, message in sweep.errors
         }
         for index, row in zip(members, rows):
             if index in failures:
-                outcomes[index] = JobOutcome(ok=False, error=failures[index])
+                run.outcomes[index] = JobOutcome(ok=False, error=failures[index])
             else:
-                outcomes[index] = JobOutcome(value=row.value)
+                run.outcomes[index] = JobOutcome(value=row.value)
 
-    @staticmethod
-    def _fill(members, values, outcomes) -> None:
-        """Map an engine's ordered results back onto submission indices."""
-        for index, value in zip(members, values):
-            if value is None:
-                outcomes[index] = JobOutcome(ok=False, error="job failed")
-            else:
-                outcomes[index] = JobOutcome(value=value)
+
+def _batch_lane(job: Any) -> str | None:
+    """The batched engine ``job`` routes to under ``batch=True``, if any."""
+    if isinstance(job, SpecJob):
+        if job.backend in _BATCHED_SPEC_BACKENDS:
+            return f"spec-{job.backend}"
+        if job.backend not in _warned_laneless:
+            _warned_laneless.add(job.backend)
+            warnings.warn(
+                f"backend {job.backend!r} has no batched engine; "
+                "its specs run per-job",
+                RuntimeWarning,
+                stacklevel=5,
+            )
+        return None
+    if isinstance(job, PacketScenarioJob):
+        return "scenario"
+    if isinstance(job, WorkloadJob):
+        return "workload"
+    return None
 
 
 # ----------------------------------------------------------------------

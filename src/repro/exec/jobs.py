@@ -28,6 +28,11 @@ job classes here say what kinds exist and how each one behaves:
 Every job kind computes exactly what the hand-written path it replaced
 computed — the executor only decides *where* and *whether* to run it, so
 results are bit-identical to the pre-executor drivers by construction.
+
+The executor calls :meth:`key` once per job and passes the key to
+``probe(cache, key)`` and ``run(use_cache, key)``. A SpecJob's ``run``
+archives its trace under that key without reading the store; the packet
+jobs' engines keep their own native cache entries and ignore it.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ __all__ = [
     "SpecJob",
     "WorkloadJob",
     "job_runner",
-    "run_job",
 ]
 
 
@@ -62,19 +66,22 @@ class SpecJob:
 
         return store.unified_key(self.backend, self.spec)
 
-    def probe(self, cache) -> Any | None:
-        """The stored result for this job, or ``None`` on a miss."""
+    def probe(self, cache, key: str) -> Any | None:
+        """The result stored under ``key``, or ``None`` on a miss."""
         from repro.perf import store
 
-        key = self.key()
-        if key is None:
-            return None
         return store.load_unified_trace(cache, key)
 
-    def run(self, use_cache: bool = True) -> Any:
-        from repro.backends.base import run_spec
+    def run(self, use_cache: bool = True, key: str | None = None) -> Any:
+        """Compute the trace and, with ``use_cache``, archive it under ``key``.
 
-        return run_spec(self.spec, self.backend, use_cache=use_cache)
+        Never reads the store: the executor already probed it.
+        """
+        from repro.backends.base import compute_spec
+        from repro.perf.cache import active_cache
+
+        cache = active_cache() if use_cache else None
+        return compute_spec(self.spec, self.backend, cache, key)
 
 
 @dataclass
@@ -90,15 +97,12 @@ class PacketScenarioJob:
 
         return packet_cache.scenario_key(self.scenario)
 
-    def probe(self, cache) -> Any | None:
+    def probe(self, cache, key: str) -> Any | None:
         from repro.perf import packet_cache
 
-        key = self.key()
-        if key is None:
-            return None
         return packet_cache.load_scenario_result(cache, key, self.scenario)
 
-    def run(self, use_cache: bool = True) -> Any:
+    def run(self, use_cache: bool = True, key: str | None = None) -> Any:
         from repro.packetsim.scenario import run_scenario
 
         return run_scenario(self.scenario, use_cache=use_cache)
@@ -146,17 +150,14 @@ class WorkloadJob:
             self.initial_window,
         )
 
-    def probe(self, cache) -> Any | None:
+    def probe(self, cache, key: str) -> Any | None:
         from repro.perf import packet_cache
 
-        key = self.key()
-        if key is None:
-            return None
         return packet_cache.load_workload_result(
             cache, key, list(self.specs), self.duration
         )
 
-    def run(self, use_cache: bool = True) -> Any:
+    def run(self, use_cache: bool = True, key: str | None = None) -> Any:
         from repro.packetsim.workload import run_workload
 
         return run_workload(
@@ -182,10 +183,10 @@ class CallJob:
     def key(self) -> None:
         return None
 
-    def probe(self, cache) -> None:
+    def probe(self, cache, key: str) -> None:
         return None
 
-    def run(self, use_cache: bool = True) -> Any:
+    def run(self, use_cache: bool = True, key: str | None = None) -> Any:
         return self.fn(**self.kwargs)
 
 
@@ -193,11 +194,15 @@ class CallJob:
 Job = (SpecJob, PacketScenarioJob, WorkloadJob, CallJob)
 
 
-def run_job(job, use_cache: bool = True) -> Any:
-    """Execute one job on its per-job (non-batched) engine."""
-    return job.run(use_cache=use_cache)
+def job_runner(
+    index: int,
+    jobs: Sequence[Any],
+    keys: Sequence[str | None],
+    use_cache: bool = True,
+) -> Any:
+    """Run one indexed job on its per-job (non-batched) engine.
 
-
-def job_runner(index: int, jobs: Sequence[Any], use_cache: bool = True) -> Any:
-    """Run one indexed job (top-level, so process pools can pickle it)."""
-    return run_job(jobs[index], use_cache=use_cache)
+    Top-level, so process pools can pickle it; ``keys`` are the keys the
+    executor computed, passed on so no job recomputes its own.
+    """
+    return jobs[index].run(use_cache=use_cache, key=keys[index])

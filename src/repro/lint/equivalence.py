@@ -1,10 +1,9 @@
 """Cross-implementation drift detection (the ``REP6xx`` rule family).
 
-Every protocol update rule in this repo exists in up to five parallel
+Every protocol update rule in this repo exists in up to four parallel
 renderings: the scalar :meth:`next_window`, the homogeneous
-:meth:`vectorized_next`, the heterogeneous :meth:`batched_next`, the
-numba transliteration in :mod:`repro.model.kernels` and the mean-field
-branch images derived from ``batched_next`` plus
+:meth:`vectorized_next`, the heterogeneous :meth:`batched_next` and the
+mean-field branch images derived from ``batched_next`` plus
 :attr:`~repro.protocols.base.Protocol.meanfield_trigger`. The runtime
 property suites hold them bit-identical, but they only run on sampled
 inputs and cannot say *where* two renderings diverge. This module proves
@@ -24,9 +23,9 @@ Rules registered here (all ``--profile full``):
 
 - **REP601** — two renderings of the same protocol disagree; the finding
   message carries a minimal subexpression diff.
-- **REP602** — a protocol advertises batched/JIT/mean-field coverage the
+- **REP602** — a protocol advertises batched/mean-field coverage the
   extractor cannot verify (missing method, inextractable body, malformed
-  trigger, unmodelable kernel module).
+  trigger).
 - **REP603** — ``batch_param_names`` columns that ``batched_next`` never
   reads, or parameter reads that were never declared.
 """
@@ -34,7 +33,7 @@ Rules registered here (all ``--profile full``):
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from repro.lint.dataflow import FunctionSummary, summaries
@@ -612,405 +611,6 @@ def _flag_owner(chain: list[_ClassInfo], attr: str) -> _ClassInfo:
 
 
 # ----------------------------------------------------------------------
-# The compiled-kernel model (repro/model/kernels.py)
-# ----------------------------------------------------------------------
-@dataclass
-class _KernelModel:
-    """Statically recovered structure of the JIT kernel module."""
-
-    ctx: FileContext | None = None
-    error: str | None = None
-    #: Protocol class name -> compiled kernel id (from ``_class_ids``).
-    coverage: dict[str, int] = field(default_factory=dict)
-    #: Kernel id -> normalized update expression of its dispatch branch.
-    branches: dict[int, Sym] = field(default_factory=dict)
-    #: Kernel id -> why its branch could not be extracted.
-    errors: dict[int, str] = field(default_factory=dict)
-    #: Kernel id -> the dispatch statement findings anchor to.
-    anchors: dict[int, ast.stmt] = field(default_factory=dict)
-    node: ast.FunctionDef | None = None
-    #: The same three maps for the network kernel's dispatch chain
-    #: (``_advance_net_cells``), when that transliteration exists.
-    net_branches: dict[int, Sym] = field(default_factory=dict)
-    net_errors: dict[int, str] = field(default_factory=dict)
-    net_anchors: dict[int, ast.stmt] = field(default_factory=dict)
-    net_node: ast.FunctionDef | None = None
-
-
-_KERNELS_MODULE = "repro/model/kernels.py"
-_MEANFIELD_KERNEL_MODULE = "repro/meanfield/kernel.py"
-
-
-def _parse_layout(
-    value: ast.Dict, consts: Mapping[str, int]
-) -> dict[int, tuple[str, ...]]:
-    layout: dict[int, tuple[str, ...]] = {}
-    for key, val in zip(value.keys, value.values):
-        kid: int | None = None
-        if isinstance(key, ast.Name):
-            kid = consts.get(key.id)
-        elif isinstance(key, ast.Constant) and isinstance(key.value, int):
-            kid = key.value
-        if kid is None or not isinstance(val, ast.Tuple):
-            continue
-        names = tuple(
-            e.value for e in val.elts
-            if isinstance(e, ast.Constant) and isinstance(e.value, str)
-        )
-        if len(names) == len(val.elts):
-            layout[kid] = names
-    return layout
-
-
-def _parse_roles(value: ast.Dict) -> dict[str, str]:
-    roles: dict[str, str] = {}
-    for key, val in zip(value.keys, value.values):
-        if (
-            isinstance(key, ast.Constant) and isinstance(key.value, str)
-            and isinstance(val, ast.Constant) and isinstance(val.value, str)
-        ):
-            roles[key.value] = val.value
-    return roles
-
-
-def _parse_coverage(
-    fn: ast.FunctionDef, consts: Mapping[str, int]
-) -> dict[str, int]:
-    """Class-name -> kernel-id pairs from ``_class_ids``'s dict literal."""
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Dict) or not node.keys:
-            continue
-        if not all(isinstance(k, ast.Name) for k in node.keys):
-            continue
-        coverage: dict[str, int] = {}
-        for key, val in zip(node.keys, node.values):
-            kid: int | None = None
-            if isinstance(val, ast.Name):
-                kid = consts.get(val.id)
-            elif isinstance(val, ast.Constant) and isinstance(val.value, int):
-                kid = val.value
-            if isinstance(key, ast.Name) and kid is not None:
-                coverage[key.id] = kid
-        if coverage:
-            return coverage
-    return {}
-
-
-def _is_kid_test(test: ast.expr) -> bool:
-    """``kid == <int literal>`` — the unique shape of the dispatch tests."""
-    return (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.ops[0], ast.Eq)
-        and isinstance(test.left, ast.Name)
-        and isinstance(test.comparators[0], ast.Constant)
-        and isinstance(test.comparators[0].value, int)
-        and not isinstance(test.comparators[0].value, bool)
-    )
-
-
-def _slot_subscript(node: ast.expr | None) -> int | None:
-    """The slot index of a ``params[i, j, <k>]`` read, else ``None``."""
-    if (
-        isinstance(node, ast.Subscript)
-        and isinstance(node.value, ast.Name)
-        and isinstance(node.slice, ast.Tuple)
-        and len(node.slice.elts) == 3
-    ):
-        last = node.slice.elts[2]
-        if isinstance(last, ast.Constant) and isinstance(last.value, int):
-            return last.value
-    return None
-
-
-def _make_kernel_resolver(
-    kid: int,
-    slot_names: tuple[str, ...],
-    roles: Mapping[str, str],
-    summary: FunctionSummary,
-) -> Callable[[ast.expr], Sym | None]:
-    """Resolver for one dispatch branch of ``_advance_cells``.
-
-    Scalar cell state resolves through the module's ``_SYMBOLIC_ROLES``
-    hint; parameter slot reads (direct or via single-assignment locals
-    like ``p0 = params[i, j, 0]``) resolve through ``_PARAM_LAYOUT``.
-    """
-
-    def slot_var(index: int) -> Sym:
-        if index >= len(slot_names):
-            raise ExtractionError(
-                f"parameter slot {index} beyond _PARAM_LAYOUT for kernel id {kid}"
-            )
-        return Var(slot_names[index])
-
-    def resolve(node: ast.expr) -> Sym | None:
-        if isinstance(node, ast.Name):
-            role = roles.get(node.id)
-            if role is not None:
-                return Var(role)
-            definition = summary.single_def(node.id)
-            slot = _slot_subscript(definition)
-            if slot is not None:
-                return slot_var(slot)
-            return None
-        slot = _slot_subscript(node)
-        if slot is not None:
-            return slot_var(slot)
-        return None
-
-    return resolve
-
-
-def _branch_expr(stmts: list[ast.stmt], env: _Env) -> Sym:
-    """The value a dispatch branch assigns (``nxt = ...`` shapes)."""
-    real = [s for s in stmts if not _is_docstring(s)]
-    if len(real) != 1:
-        raise ExtractionError("dispatch branch is not a single assignment")
-    stmt = real[0]
-    if (
-        isinstance(stmt, ast.Assign)
-        and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-    ):
-        return _expr(stmt.value, env)
-    if isinstance(stmt, ast.If) and stmt.orelse:
-        return Where(
-            _expr(stmt.test, env),
-            _branch_expr(stmt.body, env),
-            _branch_expr(stmt.orelse, env),
-        )
-    raise ExtractionError("dispatch branch is not a single assignment")
-
-
-def _parse_dispatch(
-    ctx: FileContext,
-    advance: ast.FunctionDef,
-    kids: set[int],
-    layout: Mapping[int, tuple[str, ...]],
-    roles: Mapping[str, str],
-) -> tuple[dict[int, Sym], dict[int, str], dict[int, ast.stmt]] | None:
-    """One function's kernel-id dispatch chain: branches, errors, anchors.
-
-    ``None`` means the function contains no ``kid == <int>`` chain at
-    all; callers decide whether that is an error (``_advance_cells``
-    must dispatch) or fine.
-    """
-    chain_head: ast.If | None = None
-    for node in ast.walk(advance):
-        if isinstance(node, ast.If) and _is_kid_test(node.test):
-            chain_head = node
-            break
-    if chain_head is None:
-        return None
-
-    summary = summaries(ctx, advance)
-    claimed: dict[int, tuple[ast.stmt, list[ast.stmt]]] = {}
-    current: ast.If = chain_head
-    while True:
-        test = current.test
-        assert isinstance(test, ast.Compare)  # _is_kid_test guarantees it
-        comparator = test.comparators[0]
-        assert isinstance(comparator, ast.Constant)
-        claimed[int(comparator.value)] = (current, current.body)
-        orelse = current.orelse
-        if (
-            len(orelse) == 1
-            and isinstance(orelse[0], ast.If)
-            and _is_kid_test(orelse[0].test)
-        ):
-            current = orelse[0]
-            continue
-        if orelse:
-            leftover = sorted(kids - set(claimed))
-            if len(leftover) == 1:
-                claimed[leftover[0]] = (current, orelse)
-        break
-
-    branches: dict[int, Sym] = {}
-    errors: dict[int, str] = {}
-    anchors: dict[int, ast.stmt] = {}
-    for kid in sorted(kids):
-        if kid not in claimed:
-            errors[kid] = f"no dispatch branch in {advance.name}"
-            continue
-        anchor, body = claimed[kid]
-        anchors[kid] = anchor
-        env = _Env(
-            resolve=_make_kernel_resolver(kid, layout.get(kid, ()), roles, summary),
-            summary=None,
-        )
-        try:
-            branches[kid] = normalize(_branch_expr(body, env))
-        except ExtractionError as exc:
-            errors[kid] = str(exc)
-    return branches, errors, anchors
-
-
-def _kernel_model(contexts: dict[str, FileContext]) -> _KernelModel:
-    """Recover coverage, layout and per-id branch expressions statically.
-
-    An absent kernels module (single-file lint runs, partial trees) is
-    not an error — there is simply nothing to compare against. A present
-    module that registers classes but cannot be modeled *is* an error
-    (REP602): it advertises compiled coverage the gate cannot verify.
-    Both per-cell dispatch chains are modeled: the fluid kernel's
-    ``_advance_cells`` (mandatory once classes register) and the network
-    kernel's ``_advance_net_cells`` (verified whenever it exists).
-    """
-    model = _KernelModel()
-    ctx = contexts.get(_KERNELS_MODULE)
-    if ctx is None:
-        return model
-    model.ctx = ctx
-
-    consts: dict[str, int] = {}
-    layout: dict[int, tuple[str, ...]] = {}
-    roles: dict[str, str] = {}
-    advance: ast.FunctionDef | None = None
-    advance_net: ast.FunctionDef | None = None
-    for stmt in ctx.tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-        ):
-            target = stmt.targets[0].id
-            if (
-                isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, int)
-                and not isinstance(stmt.value.value, bool)
-            ):
-                consts[target] = stmt.value.value
-            elif target == "_PARAM_LAYOUT" and isinstance(stmt.value, ast.Dict):
-                layout = _parse_layout(stmt.value, consts)
-            elif target == "_SYMBOLIC_ROLES" and isinstance(stmt.value, ast.Dict):
-                roles = _parse_roles(stmt.value)
-        elif isinstance(stmt, ast.FunctionDef):
-            if stmt.name == "_advance_cells":
-                advance = stmt
-            elif stmt.name == "_advance_net_cells":
-                advance_net = stmt
-            elif stmt.name == "_class_ids":
-                model.coverage = _parse_coverage(stmt, consts)
-
-    if not model.coverage:
-        return model  # nothing registered: nothing to verify
-    if advance is None:
-        model.error = "registered kernel ids but no _advance_cells function"
-        return model
-    model.node = advance
-    if not roles:
-        model.error = (
-            "registered kernel ids but no _SYMBOLIC_ROLES hint mapping "
-            "_advance_cells locals to canonical update variables"
-        )
-        return model
-
-    kids = set(model.coverage.values())
-    parsed = _parse_dispatch(ctx, advance, kids, layout, roles)
-    if parsed is None:
-        model.error = "no kernel-id dispatch chain found in _advance_cells"
-        return model
-    model.branches, model.errors, model.anchors = parsed
-
-    if advance_net is not None:
-        model.net_node = advance_net
-        parsed = _parse_dispatch(ctx, advance_net, kids, layout, roles)
-        if parsed is None:
-            model.net_errors = {
-                kid: "no dispatch branch in _advance_net_cells" for kid in kids
-            }
-        else:
-            model.net_branches, model.net_errors, model.net_anchors = parsed
-    return model
-
-
-def _class_kid(chain: list[_ClassInfo], coverage: Mapping[str, int]) -> int | None:
-    """The compiled kernel id class ``chain[0]`` runs under, if any.
-
-    Mirrors :func:`repro.model.kernels.kernel_id`: a subclass inherits
-    its nearest covered ancestor's id only while it overrides neither
-    ``batched_next`` nor ``batch_param_names`` on the way up.
-    """
-    for info in chain:
-        if info.node.name in coverage:
-            return coverage[info.node.name]
-        if "batched_next" in info.methods or "batch_param_names" in info.assigns:
-            return None
-    return None
-
-
-def _cached_model(contexts: dict[str, FileContext]) -> _KernelModel:
-    """One kernel model per lint run, memoized on the kernels FileContext."""
-    ctx = contexts.get(_KERNELS_MODULE)
-    if ctx is None:
-        return _kernel_model(contexts)
-    cached = ctx.cache.get("kernel-model")
-    if not isinstance(cached, _KernelModel):
-        cached = _kernel_model(contexts)
-        ctx.cache["kernel-model"] = cached
-    return cached
-
-
-def _find_function(
-    ctx: FileContext | None, name: str
-) -> ast.FunctionDef | None:
-    """A module-level function by name, or ``None``."""
-    if ctx is None:
-        return None
-    for stmt in ctx.tree.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
-            return stmt
-    return None
-
-
-#: The canonical operands of the cloud-in-cell mass split. Both scatter
-#: renderings spell them differently (``plan.weight_hi`` vs
-#: ``weight_hi[k]``), so the resolver maps every spelling to one Var.
-_SCATTER_BASES = frozenset({"mass", "weight_hi", "index_lo"})
-
-
-def _resolve_scatter(node: ast.expr) -> Sym | None:
-    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
-        if node.value.id in _SCATTER_BASES:
-            return Var(node.value.id)
-        return None
-    if isinstance(node, ast.Attribute) and node.attr in _SCATTER_BASES:
-        return Var(node.attr)
-    if isinstance(node, ast.Name) and node.id in _SCATTER_BASES:
-        return Var(node.id)
-    return None
-
-
-def _scatter_exprs(
-    ctx: FileContext, fn: ast.FunctionDef
-) -> tuple[Sym, Sym] | str:
-    """The normalized ``(upper, lower)`` mass-split expressions of a
-    scatter rendering, or an error string when extraction fails.
-
-    Both :func:`repro.meanfield.kernel.meanfield_deposit` and its
-    compiled transliteration ``_deposit_cells`` split each particle's
-    mass into an upper and lower deposit before accumulating; those two
-    products are the only arithmetic the scatter performs, so comparing
-    them is the whole bit-identity story (accumulation order is pinned
-    by the bincount-pair structure, which the property tests cover).
-    """
-    summary = summaries(ctx, fn)
-    env = _Env(resolve=_resolve_scatter, summary=summary)
-    upper_def = summary.single_def("upper")
-    lower_def = summary.single_def("lower")
-    if upper_def is None or lower_def is None:
-        return "no single 'upper'/'lower' mass-split assignments"
-    try:
-        return (
-            normalize(_expr(upper_def, env)),
-            normalize(_expr(lower_def, env)),
-        )
-    except ExtractionError as exc:
-        return str(exc)
-
-
-# ----------------------------------------------------------------------
 # REP601 — implementation drift
 # ----------------------------------------------------------------------
 def _drift_message(
@@ -1029,8 +629,8 @@ def _drift_message(
     "REP601",
     "implementation-drift",
     Severity.ERROR,
-    "the scalar, vectorized, batched, compiled-kernel and mean-field "
-    "renderings of a protocol's update rule must encode the same "
+    "the scalar, vectorized, batched and mean-field renderings of a "
+    "protocol's update rule must encode the same "
     "arithmetic; a drifted constant or operator breaks the bit-identity "
     "contract the fast paths are gated on",
     project=True,
@@ -1040,7 +640,6 @@ def _check_implementation_drift(
     rule_: Rule, contexts: dict[str, FileContext]
 ) -> Iterator[Finding]:
     classes = _collect_classes(contexts)
-    model = _cached_model(contexts)
     seen: set[tuple[object, ...]] = set()
     for name in sorted(_protocol_families(classes)):
         info = classes[name]
@@ -1068,47 +667,6 @@ def _check_implementation_drift(
                     ),
                 )
 
-        # The compiled kernel's branch for this class, when covered —
-        # once against the fluid chain, once against the network chain.
-        if model.ctx is not None and model.error is None:
-            kid = _class_kid(chain, model.coverage)
-            if kid is not None and kid in model.branches:
-                batched = next(
-                    (i for i in good if i.label == "batched_next"), ref
-                )
-                key = ("jit", id(batched.node), kid)
-                if key not in seen:
-                    seen.add(key)
-                    if model.branches[kid] != batched.sym:
-                        pair = diff(batched.sym, model.branches[kid])
-                        assert pair is not None and batched.sym is not None
-                        yield _make(
-                            rule_, model.ctx, model.anchors[kid],
-                            f"compiled kernel branch for id {kid} diverges "
-                            f"from '{batched.owner.node.name}."
-                            f"{batched.label}': {render(pair[1])} vs "
-                            f"{render(pair[0])} — the JIT transliteration "
-                            "must stay bit-identical",
-                        )
-            if kid is not None and kid in model.net_branches:
-                batched = next(
-                    (i for i in good if i.label == "batched_next"), ref
-                )
-                key = ("jit-net", id(batched.node), kid)
-                if key not in seen:
-                    seen.add(key)
-                    if model.net_branches[kid] != batched.sym:
-                        pair = diff(batched.sym, model.net_branches[kid])
-                        assert pair is not None and batched.sym is not None
-                        yield _make(
-                            rule_, model.ctx, model.net_anchors[kid],
-                            f"compiled network kernel branch for id {kid} "
-                            f"diverges from '{batched.owner.node.name}."
-                            f"{batched.label}': {render(pair[1])} vs "
-                            f"{render(pair[0])} — the network JIT "
-                            "transliteration must stay bit-identical",
-                        )
-
         # The mean-field trigger against batched_next's branch condition.
         trigger = _lookup_flag(chain, "meanfield_trigger")
         if trigger is not None:
@@ -1135,31 +693,6 @@ def _check_implementation_drift(
                         "batched kernel",
                     )
 
-    # The mean-field scatter against its compiled transliteration: the
-    # two mass-split products must be the same arithmetic.
-    dep_ctx = contexts.get(_MEANFIELD_KERNEL_MODULE)
-    ref_fn = _find_function(dep_ctx, "meanfield_deposit")
-    cells_fn = _find_function(model.ctx, "_deposit_cells")
-    if dep_ctx is not None and ref_fn is not None and cells_fn is not None:
-        assert model.ctx is not None
-        ref_exprs = _scatter_exprs(dep_ctx, ref_fn)
-        cell_exprs = _scatter_exprs(model.ctx, cells_fn)
-        if isinstance(ref_exprs, tuple) and isinstance(cell_exprs, tuple):
-            for label, ref_sym, other_sym in (
-                ("upper", ref_exprs[0], cell_exprs[0]),
-                ("lower", ref_exprs[1], cell_exprs[1]),
-            ):
-                if other_sym != ref_sym:
-                    pair = diff(ref_sym, other_sym)
-                    assert pair is not None
-                    yield _make(
-                        rule_, model.ctx, cells_fn,
-                        f"'_deposit_cells' {label} mass split diverges from "
-                        f"'meanfield_deposit': {render(pair[1])} vs "
-                        f"{render(pair[0])} — the compiled scatter must "
-                        "stay bit-identical",
-                    )
-
 
 # ----------------------------------------------------------------------
 # REP602 — advertised coverage the extractor cannot verify
@@ -1168,7 +701,7 @@ def _check_implementation_drift(
     "REP602",
     "unverifiable-coverage",
     Severity.ERROR,
-    "a protocol advertising batched/JIT/mean-field coverage must keep "
+    "a protocol advertising batched/mean-field coverage must keep "
     "those renderings statically extractable, or the drift detector "
     "(REP601) is silently blind to them",
     project=True,
@@ -1178,7 +711,6 @@ def _check_unverifiable_coverage(
     rule_: Rule, contexts: dict[str, FileContext]
 ) -> Iterator[Finding]:
     classes = _collect_classes(contexts)
-    model = _cached_model(contexts)
     seen: set[tuple[object, ...]] = set()
 
     for name in sorted(_protocol_families(classes)):
@@ -1234,65 +766,6 @@ def _check_unverifiable_coverage(
                                 "not a two-branch where(); the mean-field "
                                 "branch images cannot be derived",
                             )
-
-    # Kernel-module-level verification: registered compiled coverage must
-    # itself be modelable.
-    if model.ctx is not None and model.coverage:
-        if model.error is not None:
-            anchor: ast.AST = model.node if model.node is not None else model.ctx.tree
-            yield _make(
-                rule_, model.ctx, anchor,
-                f"compiled kernel module cannot be verified: {model.error}",
-            )
-        else:
-            for kid in sorted(set(model.coverage.values())):
-                message = model.errors.get(kid)
-                if message is None:
-                    continue
-                anchor = model.anchors.get(kid) or model.node or model.ctx.tree
-                names = sorted(
-                    cls for cls, k in model.coverage.items() if k == kid
-                )
-                yield _make(
-                    rule_, model.ctx, anchor,
-                    f"compiled branch for kernel id {kid} (classes: "
-                    f"{', '.join(names)}) cannot be extracted: {message}",
-                )
-            # Same story for the network kernel's chain, when it exists.
-            for kid in sorted(set(model.coverage.values())):
-                message = model.net_errors.get(kid)
-                if message is None:
-                    continue
-                anchor = (
-                    model.net_anchors.get(kid)
-                    or model.net_node
-                    or model.ctx.tree
-                )
-                names = sorted(
-                    cls for cls, k in model.coverage.items() if k == kid
-                )
-                yield _make(
-                    rule_, model.ctx, anchor,
-                    f"compiled network branch for kernel id {kid} (classes: "
-                    f"{', '.join(names)}) cannot be extracted: {message}",
-                )
-
-    # When both scatter renderings exist, each must stay extractable or
-    # the deposit drift comparison (REP601) is silently blind.
-    dep_ctx = contexts.get(_MEANFIELD_KERNEL_MODULE)
-    ref_fn = _find_function(dep_ctx, "meanfield_deposit")
-    cells_fn = _find_function(model.ctx, "_deposit_cells")
-    if dep_ctx is not None and ref_fn is not None and cells_fn is not None:
-        assert model.ctx is not None
-        for ctx_, fn in ((dep_ctx, ref_fn), (model.ctx, cells_fn)):
-            exprs = _scatter_exprs(ctx_, fn)
-            if isinstance(exprs, str):
-                yield _make(
-                    rule_, ctx_, fn,
-                    f"scatter rendering '{fn.name}' cannot be extracted "
-                    f"({exprs}); the deposit drift comparison cannot "
-                    "verify it",
-                )
 
 
 # ----------------------------------------------------------------------

@@ -35,12 +35,6 @@ full-row ``mass[i] @ points[i]`` per scenario: BLAS groups the dot
 product's partial sums by position, so only the exact full-row dot the
 serial engine performs is bit-reproducible — never a segmented one.
 
-When numba is importable (the ``fast`` extra) and ``REPRO_JIT`` is not
-``"0"``, the scatters run through the compiled transliteration
-:func:`repro.model.kernels.deposit` instead (``force_python=True``
-exercises the same transliterated loop without numba, the bit-test
-path); absence of numba falls back to the ``bincount`` pair silently.
-
 Scenario compatibility (one group, same grid resolution and horizon,
 same trigger comparator and feedback mode, no AQM marking) is decided by
 the planner in :mod:`repro.backends.batch`. A row whose aggregate or
@@ -57,8 +51,7 @@ import numpy as np
 
 from repro import debug
 from repro.meanfield.dynamics import MASS_TOLERANCE
-from repro.meanfield.kernel import DepositPlan
-from repro.model import kernels
+from repro.meanfield.kernel import DepositPlan, meanfield_deposit, meanfield_step
 from repro.model.formulas import droptail_loss_rate_array, eq1_rtt_array
 from repro.model.random_loss import combine_loss_array
 from repro.perf import timing
@@ -73,8 +66,8 @@ __all__ = [
 ]
 
 #: Total scenario-steps the mean-field kernel has advanced in this
-#: process, for throughput-based chunk autotuning (with
-#: ``timing.REGISTRY``'s ``batch.meanfield_kernel`` total).
+#: process (with ``timing.REGISTRY``'s ``batch.meanfield_kernel`` total,
+#: its measured throughput).
 _MF_KERNEL_CELLS = 0
 
 
@@ -113,28 +106,6 @@ class MeanFieldBatchInputs:
     @property
     def cells(self) -> int:
         return self.mass.shape[1]
-
-    def rows(self, lo: int, hi: int) -> "MeanFieldBatchInputs":
-        """Scenarios ``lo:hi`` as a new (view-backed) batch, for chunking."""
-        return MeanFieldBatchInputs(
-            steps=self.steps,
-            synchronized=self.synchronized,
-            op=self.op,
-            thresholds=self.thresholds[lo:hi],
-            points=self.points[lo:hi],
-            plans_lo=self.plans_lo[:, lo:hi],
-            plans_hi=self.plans_hi[:, lo:hi],
-            mass=self.mass[lo:hi],
-            supp_start=self.supp_start[lo:hi],
-            supp_len=self.supp_len[lo:hi],
-            populations=self.populations[lo:hi],
-            capacity=self.capacity[lo:hi],
-            bandwidth=self.bandwidth[lo:hi],
-            base_rtt=self.base_rtt[lo:hi],
-            pipe_limit=self.pipe_limit[lo:hi],
-            timeout_rtt=self.timeout_rtt[lo:hi],
-            random_rate=self.random_rate[lo:hi],
-        )
 
 
 @dataclass
@@ -192,17 +163,6 @@ def mass_support(mass: np.ndarray) -> tuple[int, int]:
     return int(nonzero[0]), int(nonzero[-1] - nonzero[0] + 1)
 
 
-def _scatter_numpy(
-    index_lo: np.ndarray, weight_hi: np.ndarray, mass: np.ndarray, length: int
-) -> np.ndarray:
-    """The serial engine's cloud-in-cell scatter over a flat index space."""
-    upper = mass * weight_hi
-    lower = mass - upper
-    return np.bincount(index_lo, weights=lower, minlength=length) + np.bincount(
-        index_lo + 1, weights=upper, minlength=length
-    )
-
-
 def _step_scalars(inputs: MeanFieldBatchInputs, total: np.ndarray):
     """The serial loop's per-step link closure, elementwise over rows.
 
@@ -257,9 +217,13 @@ def _advance_sync(
     obs_out: np.ndarray,
     cong_out: np.ndarray,
     rtt_out: np.ndarray,
-    scatter,
 ) -> dict[int, int]:
-    """The synchronized path: one segmented deposit per scenario per step."""
+    """The synchronized path: one segmented deposit per scenario per step.
+
+    Every row's segment scatters through one flat
+    :func:`~repro.meanfield.kernel.meanfield_deposit` over a
+    ``B * out_width`` index space, rows offset into disjoint spans.
+    """
     b, c = mass.shape
     points = inputs.points
     populations = inputs.populations
@@ -314,9 +278,10 @@ def _advance_sync(
         idx = np.where(valid, seg_lo - lo_min[:, None], 0) + (rows * out_width)[
             :, None
         ]
-        moved = scatter(
-            idx.ravel(), seg_hi.ravel(), seg_mass.ravel(), b * out_width
-        ).reshape(b, out_width)
+        plan = DepositPlan(
+            index_lo=idx.ravel(), weight_hi=seg_hi.ravel(), cells=b * out_width
+        )
+        moved = meanfield_deposit(plan, seg_mass.ravel()).reshape(b, out_width)
 
         # Swap supports: zero the old window, write the new one.
         flat[(row_base + safe_cols)[valid]] = 0.0
@@ -345,19 +310,28 @@ def _advance_dense(
     obs_out: np.ndarray,
     cong_out: np.ndarray,
     rtt_out: np.ndarray,
-    scatter,
 ) -> dict[int, int]:
-    """The unsynchronized path: the dense 2-D branch mixture every step."""
+    """The unsynchronized path: the dense 2-D branch mixture every step.
+
+    Both branch plans are flattened once, every row's indices offset
+    into a disjoint span of a ``B * cells`` index space, so each step is
+    one :func:`~repro.meanfield.kernel.meanfield_step` over the whole
+    batch with the serial engine's within-row accumulation order.
+    """
     b, c = mass.shape
     points = inputs.points
     populations = inputs.populations
     thresholds = inputs.thresholds
     inclusive = inputs.op == "ge"
     offsets = (np.arange(b, dtype=np.int64) * c)[:, None]
-    growth_idx = (inputs.plans_lo[0] + offsets).ravel()
-    decrease_idx = (inputs.plans_lo[1] + offsets).ravel()
-    growth_hi = np.ascontiguousarray(inputs.plans_hi[0]).ravel()
-    decrease_hi = np.ascontiguousarray(inputs.plans_hi[1]).ravel()
+    growth, decrease = (
+        DepositPlan(
+            index_lo=(inputs.plans_lo[k] + offsets).ravel(),
+            weight_hi=np.ascontiguousarray(inputs.plans_hi[k]).ravel(),
+            cells=b * c,
+        )
+        for k in (0, 1)
+    )
     alive = np.ones(b, dtype=bool)
     failed: dict[int, int] = {}
     checks = debug.enabled()
@@ -391,11 +365,7 @@ def _advance_dense(
             noticed[i] = mass[i] @ notice[i]
         obs_out[t] = noticed * seen_hit + (1.0 - noticed) * seen_miss
 
-        decreased = mass * p_decrease
-        grown = mass - decreased
-        moved = scatter(growth_idx, growth_hi, grown.ravel(), b * c) + scatter(
-            decrease_idx, decrease_hi, decreased.ravel(), b * c
-        )
+        moved = meanfield_step(mass.ravel(), p_decrease.ravel(), growth, decrease)
         mass[...] = moved.reshape(b, c)
         newbad = ~np.isfinite(mass).all(axis=1) & alive
         if newbad.any():
@@ -406,16 +376,8 @@ def _advance_dense(
     return failed
 
 
-def run_meanfield_batch_kernel(
-    inputs: MeanFieldBatchInputs,
-    force_python: bool = False,
-) -> MeanFieldBatchResult:
-    """Advance every mean-field scenario of ``inputs`` through all steps.
-
-    ``force_python`` routes the scatters through the pure-Python body of
-    the compiled transliteration (:func:`repro.model.kernels.deposit`)
-    — the bit-test path exercised without numba installed.
-    """
+def run_meanfield_batch_kernel(inputs: MeanFieldBatchInputs) -> MeanFieldBatchResult:
+    """Advance every mean-field scenario of ``inputs`` through all steps."""
     global _MF_KERNEL_CELLS
     steps = inputs.steps
     b = inputs.batch_size
@@ -425,21 +387,11 @@ def run_meanfield_batch_kernel(
     cong_out = np.zeros((steps, b))
     rtt_out = np.zeros((steps, b))
 
-    if force_python or kernels.jit_enabled():
-
-        def scatter(index_lo, weight_hi, seg_mass, length):
-            return kernels.deposit(
-                index_lo, weight_hi, seg_mass, length, force_python=force_python
-            )
-
-    else:
-        scatter = _scatter_numpy
-
     advance = _advance_sync if inputs.synchronized else _advance_dense
     with timing.measure("batch.meanfield_kernel"), np.errstate(
         over="ignore", invalid="ignore", divide="ignore"
     ):
-        failed = advance(inputs, mass, mean_out, obs_out, cong_out, rtt_out, scatter)
+        failed = advance(inputs, mass, mean_out, obs_out, cong_out, rtt_out)
     _MF_KERNEL_CELLS += b * steps
 
     return MeanFieldBatchResult(

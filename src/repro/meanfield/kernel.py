@@ -78,28 +78,14 @@ def meanfield_plan(positions: np.ndarray, grid: WindowGrid) -> DepositPlan:
 def meanfield_deposit(plan: DepositPlan, mass: np.ndarray) -> np.ndarray:
     """Scatter ``mass`` (one entry per planned position) onto the grid.
 
-    ``mass`` may carry a leading batch axis (``(batch, positions)``), in
-    which case ``plan.index_lo``/``plan.weight_hi`` are broadcast against
-    it (stacked per-row plans or one shared plan) and each row scatters
-    onto its own ``cells``-wide output row. The batched branch offsets
-    every row's indices into a disjoint span of one flat ``bincount``
-    pair, so within-row accumulation order — and therefore every float —
-    is identical to scattering that row alone through the 1-D branch.
+    The batched mean-field kernel (:mod:`repro.meanfield.batch`) scatters
+    a whole batch through this same call: its plans offset every row's
+    indices into a disjoint span of one flat index space, so within-row
+    accumulation order — and therefore every float — is identical to
+    scattering that row alone.
     """
     upper = mass * plan.weight_hi
     lower = mass - upper
-    if mass.ndim == 2:
-        rows = mass.shape[0]
-        offsets = (np.arange(rows, dtype=np.int64) * plan.cells)[:, None]
-        index_lo = plan.index_lo + offsets
-        flat = np.bincount(
-            index_lo.ravel(), weights=lower.ravel(), minlength=rows * plan.cells
-        ) + np.bincount(
-            (index_lo + 1).ravel(),
-            weights=upper.ravel(),
-            minlength=rows * plan.cells,
-        )
-        return flat.reshape(rows, plan.cells)
     return np.bincount(
         plan.index_lo, weights=lower, minlength=plan.cells
     ) + np.bincount(plan.index_lo + 1, weights=upper, minlength=plan.cells)
@@ -115,9 +101,7 @@ def meanfield_step(
 
     ``p_decrease`` is the per-point (or scalar, when feedback is
     synchronized) probability of taking the multiplicative-decrease
-    branch this step. With a ``(batch, positions)`` mass and stacked
-    plans the whole batch advances in one call (``p_decrease`` then
-    broadcasts per row — shape ``(batch, 1)`` for synchronized feedback).
+    branch this step.
     """
     decreased = mass * p_decrease
     return meanfield_deposit(growth_plan, mass - decreased) + meanfield_deposit(

@@ -33,12 +33,6 @@ slicing row ``i`` out of a batch result reproduces the serial trace of
 scenario ``i`` bit for bit (property-tested in
 ``tests/property/test_prop_batch.py``).
 
-When `numba <https://numba.pydata.org/>`__ is importable (the ``fast``
-extra) and not disabled via ``REPRO_JIT=0``, the per-step loop runs as a
-compiled kernel from :mod:`repro.model.kernels` instead — a scalar
-transliteration of the same recurrence, gated by the same bit-identity
-property tests. Absence of numba falls back to the NumPy loop silently.
-
 Scenario *compatibility* (same flow count and horizon; synchronized
 feedback; no schedules, ECN or stateful loss) is decided by the planner
 in :mod:`repro.backends.batch`; this module only sees already-stacked
@@ -57,7 +51,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.model import kernels
 from repro.model.dynamics import _PLACEHOLDER_RTT
 from repro.model.formulas import droptail_loss_rate_array, eq1_rtt_array
 from repro.model.random_loss import combine_loss_array
@@ -220,8 +213,6 @@ def _advance_numpy(
     """The NumPy per-step loop: advance ``current`` through all steps.
 
     Fills the four output arrays in place and returns the failure map.
-    :func:`repro.model.kernels.advance` is the compiled drop-in for this
-    loop; both must produce identical bits.
     """
     b, n = current.shape
     groups = _dispatch_groups(inputs)
@@ -317,14 +308,9 @@ def run_batch_kernel(
         current = np.clip(
             inputs.initial, inputs.min_window[:, None], inputs.max_window[:, None]
         )
-        if kernels.use_jit(inputs.class_table):
-            failed = kernels.advance(
-                inputs, current, windows_out, observed_out, congestion_out, rtts_out
-            )
-        else:
-            failed = _advance_numpy(
-                inputs, current, windows_out, observed_out, congestion_out, rtts_out
-            )
+        failed = _advance_numpy(
+            inputs, current, windows_out, observed_out, congestion_out, rtts_out
+        )
     _KERNEL_CELLS += b * steps
 
     return BatchResult(

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import ScenarioSpec, run_spec, run_specs_batched
+from repro.backends import ScenarioSpec, run_batched, run_spec
 from repro.backends.batch import plan_batches
 from repro.model.link import Link
 from repro.protocols.aimd import AIMD
@@ -41,7 +41,7 @@ def _assert_bit_identical(batched, serial):
 
 
 def _check_grid(specs, **kwargs):
-    batched = run_specs_batched(specs, use_cache=False, **kwargs)
+    batched = run_batched(specs, **kwargs)
     for spec, trace in zip(specs, batched):
         _assert_bit_identical(trace, run_spec(spec, "fluid", use_cache=False))
 
@@ -190,7 +190,7 @@ def test_shared_memory_scheduler_matches_inline_kernel():
         )
         for _ in range(24)
     ]
-    inline = run_specs_batched(specs, use_cache=False)
-    parallel = run_specs_batched(specs, use_cache=False, workers=2, chunk_rows=5)
+    inline = run_batched(specs)
+    parallel = run_batched(specs, workers=2, chunk_rows=5)
     for a, b in zip(inline, parallel):
         _assert_bit_identical(a, b)

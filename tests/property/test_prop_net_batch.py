@@ -4,10 +4,7 @@ The contract mirrors ``test_prop_batch.py`` for the multi-link backend:
 for every batch-eligible grid of topology scenarios, the stacked
 ``(batch, flows)`` kernel must produce, spec for spec, exactly the
 float64 arrays the serial ``run_spec(spec, "network")`` path produces —
-raw bit patterns, not tolerances. The same property, with
-``force_python=True``, pins the scalar transliteration numba would
-compile (``kernels.advance_network``) to the NumPy loop, which is how
-environments without numba verify the JIT rendering.
+raw bit patterns, not tolerances.
 """
 
 import numpy as np
@@ -15,12 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import ScenarioSpec, run_spec
-from repro.backends.batch import (
-    plan_network_batches,
-    run_network_specs_batched,
-)
+from repro.backends.batch import plan_network_batches, run_batched
 from repro.model.link import Link
-from repro.netmodel.batch import run_network_batch_kernel
 from repro.netmodel.topology import dumbbell, parking_lot, single_link
 from repro.protocols.aimd import AIMD
 from repro.protocols.mimd import MIMD
@@ -35,8 +28,6 @@ _TRACE_ARRAYS = (
     "base_rtts",
 )
 
-_KERNEL_ARRAYS = ("windows", "flow_loss", "flow_rtts", "link_load", "link_loss")
-
 
 def _assert_bit_identical(batched, serial):
     for name in _TRACE_ARRAYS:
@@ -48,7 +39,7 @@ def _assert_bit_identical(batched, serial):
 
 
 def _check_grid(specs, **kwargs):
-    batched = run_network_specs_batched(specs, use_cache=False, **kwargs)
+    batched = run_batched(specs, "network", **kwargs)
     for spec, trace in zip(specs, batched):
         _assert_bit_identical(trace, run_spec(spec, "network", use_cache=False))
 
@@ -136,30 +127,7 @@ def test_single_link_topology_matches_serial():
 def test_shared_memory_scheduler_matches_inline_kernel():
     """workers>1 routes through the shm chunk scheduler; same bits out."""
     specs = _dumbbell_specs(11, grid=12, n=2, steps=60)
-    inline = run_network_specs_batched(specs, use_cache=False)
-    parallel = run_network_specs_batched(
-        specs, use_cache=False, workers=2, chunk_rows=3
-    )
+    inline = run_batched(specs, "network")
+    parallel = run_batched(specs, "network", workers=2, chunk_rows=3)
     for a, b in zip(inline, parallel):
         _assert_bit_identical(a, b)
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    n=st.integers(min_value=1, max_value=4),
-    loss_rate=st.floats(min_value=0.0, max_value=0.03),
-)
-def test_transliterated_loop_matches_numpy_loop(seed, n, loss_rate):
-    """The scalar loop numba would compile, executed interpreted."""
-    specs = _dumbbell_specs(seed, n=n, steps=80, loss_rate=loss_rate)
-    plan = plan_network_batches(specs)
-    assert not plan.fallback
-    for group in plan.groups:
-        ref = run_network_batch_kernel(group.inputs)
-        jit = run_network_batch_kernel(group.inputs, force_python=True)
-        assert ref.failed == jit.failed
-        for name in _KERNEL_ARRAYS:
-            a = getattr(ref, name)
-            b = getattr(jit, name)
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name

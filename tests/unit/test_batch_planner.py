@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.backends import ScenarioSpec, run_spec, run_specs_batched
+from repro.backends import ScenarioSpec, run_batched, run_spec
 from repro.backends.batch import (
     _DEFAULT_CHUNK_ROWS,
     autotune_chunk_rows,
     plan_batches,
     plan_meanfield_batches,
     plan_network_batches,
-    run_meanfield_specs_batched,
-    run_network_specs_batched,
 )
 from repro.backends.spec import LoweringError
 from repro.model.link import Link
@@ -134,7 +132,7 @@ class TestPlanBatches:
         assert [g.indices for g in plan.groups] == [[0, 2, 5]]
         # Results come back in submission order, each equal to its serial
         # run — stateful fallbacks and batched rows interleaved.
-        results = run_specs_batched(specs, use_cache=False)
+        results = run_batched(specs)
         for spec, trace in zip(specs, results):
             reference = run_spec(spec, "fluid", use_cache=False)
             assert np.array_equal(
@@ -155,13 +153,12 @@ class TestPlanBatches:
 class TestErrorIsolation:
     def test_fallback_error_raises_the_serial_exception(self):
         with pytest.raises(LoweringError):
-            run_specs_batched([_aimd_spec(), _multilink_spec()], use_cache=False)
+            run_batched([_aimd_spec(), _multilink_spec()])
 
     def test_skip_errors_yields_none_without_poisoning_the_batch(self):
         good = [_aimd_spec(a=1.0), _aimd_spec(a=2.0)]
-        results = run_specs_batched(
-            [good[0], _multilink_spec(), good[1]], use_cache=False,
-            skip_errors=True,
+        results = run_batched(
+            [good[0], _multilink_spec(), good[1]], skip_errors=True
         )
         assert results[1] is None
         for spec, trace in ((good[0], results[0]), (good[1], results[2])):
@@ -192,10 +189,8 @@ class TestErrorIsolation:
         plan = plan_batches([diverging, healthy])
         assert plan.fallback == []  # same group: isolation happens in-kernel
         with pytest.raises(ValueError, match="non-finite"):
-            run_specs_batched([diverging, healthy], use_cache=False)
-        results = run_specs_batched(
-            [diverging, healthy], use_cache=False, skip_errors=True
-        )
+            run_batched([diverging, healthy])
+        results = run_batched([diverging, healthy], skip_errors=True)
         assert results[0] is None
         reference = run_spec(healthy, "fluid", use_cache=False)
         assert np.array_equal(results[1].windows, reference.windows)
@@ -228,10 +223,8 @@ class TestErrorIsolation:
         assert [g.indices for g in plan.groups] == [[0, 1]]
         assert len(plan.groups[0].inputs.class_table) == 2
         with pytest.raises(ValueError, match="non-finite"):
-            run_specs_batched([diverging, healthy], use_cache=False)
-        results = run_specs_batched(
-            [diverging, healthy], use_cache=False, skip_errors=True
-        )
+            run_batched([diverging, healthy])
+        results = run_batched([diverging, healthy], skip_errors=True)
         assert results[0] is None
         reference = run_spec(healthy, "fluid", use_cache=False)
         assert np.array_equal(
@@ -310,7 +303,7 @@ class TestPlanNetworkBatches:
         ]
         plan = plan_network_batches(specs)
         assert plan.fallback == [1]
-        results = run_network_specs_batched(specs, use_cache=False)
+        results = run_batched(specs, "network")
         for spec, trace in zip(specs, results):
             reference = run_spec(spec, "network", use_cache=False)
             assert _bit_equal(trace.windows, reference.windows)
@@ -343,7 +336,7 @@ class TestPlanMeanFieldBatches:
         plan = plan_meanfield_batches(specs)
         assert plan.fallback == [1]
         assert [g.indices for g in plan.groups] == [[0, 2]]
-        results = run_meanfield_specs_batched(specs, use_cache=False)
+        results = run_batched(specs, "meanfield")
         for spec, trace in zip(specs, results):
             reference = run_spec(spec, "meanfield", use_cache=False)
             assert _bit_equal(trace.windows, reference.windows)
@@ -361,7 +354,7 @@ class TestPlanMeanFieldBatches:
         plan = plan_meanfield_batches(specs)
         assert plan.fallback == []
         assert {tuple(g.indices) for g in plan.groups} == {(0,), (1,)}
-        results = run_meanfield_specs_batched(specs, use_cache=False)
+        results = run_batched(specs, "meanfield")
         for spec, trace in zip(specs, results):
             reference = run_spec(spec, "meanfield", use_cache=False)
             assert _bit_equal(trace.windows, reference.windows)
@@ -400,6 +393,6 @@ class TestChunkAutotune:
 
         monkeypatch.setattr(model_batch, "_KERNEL_CELLS", 0)
         spent_before = timing.REGISTRY.total("batch.kernel")
-        run_specs_batched([_aimd_spec(), _aimd_spec(a=2.0)], use_cache=False)
+        run_batched([_aimd_spec(), _aimd_spec(a=2.0)])
         assert model_batch.kernel_cells() == 2 * 100
         assert timing.REGISTRY.total("batch.kernel") > spent_before

@@ -74,10 +74,10 @@ class _GateJob:
     def key(self) -> str:
         return self._key
 
-    def probe(self, cache) -> None:
+    def probe(self, cache, key) -> None:
         return None
 
-    def run(self, use_cache: bool = True) -> str:
+    def run(self, use_cache: bool = True, key=None) -> str:
         if self._started is not None:
             self._started.set()
         assert self._gate.wait(timeout=30)

@@ -208,7 +208,7 @@ class TestPruneCache:
 
 class TestExtractBatchTrace:
     def test_extracted_row_round_trips_through_the_cache(self, tmp_path):
-        from repro.backends import run_specs_batched
+        from repro.backends import run_specs
         from repro.perf.store import extract_batch_trace  # noqa: F401 (API)
 
         specs = [
@@ -217,7 +217,7 @@ class TestExtractBatchTrace:
             for i in range(3)
         ]
         with cache_enabled(tmp_path) as cache:
-            batched = run_specs_batched(specs)
+            batched = run_specs(specs, "fluid", batch=True)
             assert cache.stats()["entries"] >= len(specs)
             # Warm rerun: serial run_spec reads the batched runs' entries.
             for spec_i, trace in zip(specs, batched):
