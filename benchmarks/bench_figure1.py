@@ -17,7 +17,7 @@ from _support import record_summary
 from repro.core.metrics import EstimatorConfig
 from repro.experiments.figure1 import (
     measure_aimd_point,
-    measure_aimd_points_batched,
+    measure_aimd_points,
     render_figure1,
     run_figure1,
 )
@@ -71,7 +71,7 @@ def test_figure1_batched_speedup(results_dir, monkeypatch):
     ]
 
     t0 = time.perf_counter()
-    batched = measure_aimd_points_batched(points, link, config, use_cache=False)
+    batched = measure_aimd_points(points, link, config, batch=True, use_cache=False)
     t_batched = time.perf_counter() - t0
     t0 = time.perf_counter()
     serial = [measure_aimd_point(a, b, link, config) for a, b in points]

@@ -37,7 +37,7 @@ from repro.backends import meanfield as _meanfield  # noqa: E402,F401
 from repro.backends import network as _network  # noqa: E402,F401
 from repro.backends import packet as _packet  # noqa: E402,F401
 from repro.backends.batch import plan_batches, run_batched
-from repro.backends.jobs import run_specs, spec_job
+from repro.backends.jobs import run_spec_groups, run_specs
 
 __all__ = [
     "Backend",
@@ -54,6 +54,6 @@ __all__ = [
     "register_backend",
     "run_batched",
     "run_spec",
+    "run_spec_groups",
     "run_specs",
-    "spec_job",
 ]

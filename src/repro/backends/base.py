@@ -1,25 +1,25 @@
-"""The backend protocol, the registry, and the cache-aware run entry point.
+"""The backend protocol, the registry, and the one-spec run entry point.
 
 A :class:`Backend` turns a :class:`~repro.backends.spec.ScenarioSpec` into
-a :class:`~repro.backends.trace.UnifiedTrace` and declares a deterministic
-content-addressed :meth:`~Backend.cache_key`. Implementations register at
-import time via :func:`register_backend` (the REP303 lint rule enforces
+a :class:`~repro.backends.trace.UnifiedTrace`. Implementations register
+at import time via :func:`register_backend` (the REP303 lint rule enforces
 this for every subclass in :mod:`repro.backends`), and callers go through
-:func:`run_spec`, which adds the unified-store caching layer shared by all
-backends — :meth:`Backend.run` itself stays pure lowering + simulation.
+:func:`run_spec` or :func:`~repro.backends.jobs.run_specs`, which submit
+to the executor (:mod:`repro.exec`): it keys every spec by
+:func:`repro.perf.store.unified_key`, serves and archives traces in the
+store, and dedups identical work. :meth:`Backend.run` itself stays pure
+lowering + simulation.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
 
 from repro.backends.spec import ScenarioSpec
 
 __all__ = [
     "Backend",
     "backend_names",
-    "compute_spec",
     "get_backend",
     "register_backend",
     "run_spec",
@@ -35,15 +35,6 @@ class Backend(ABC):
     @abstractmethod
     def run(self, spec: ScenarioSpec):
         """Lower ``spec``, simulate, and adapt the result to a UnifiedTrace."""
-
-    @abstractmethod
-    def cache_key(self, spec: ScenarioSpec) -> str | None:
-        """A deterministic content hash of ``spec`` on this backend.
-
-        ``None`` marks the run uncacheable. The key must be a pure
-        function of the spec's canonical form — never of wall-clock time,
-        process state or unseeded randomness (lint rule REP303).
-        """
 
 
 _BACKENDS: dict[str, Backend] = {}
@@ -80,49 +71,17 @@ def run_spec(
     backend: str | Backend = "fluid",
     use_cache: bool = True,
 ) -> "object":
-    """Run ``spec`` on ``backend`` through the unified store.
+    """Run ``spec`` on ``backend``: a one-job executor submission.
 
-    When a :mod:`repro.perf` cache is active and the spec is cacheable, a
-    previously archived :class:`~repro.backends.trace.UnifiedTrace` is
-    reloaded instead of re-simulating; all backends are deterministic, so
-    the arrays are bit-identical either way. (The fluid and packet
-    engines additionally keep their own native cache entries; a unified
-    entry is simply one more kind in the same store.)
+    With ``use_cache`` and an active :mod:`repro.perf` cache, a trace
+    already in the store is reloaded instead of re-simulating (and a
+    fresh one is archived); all backends are deterministic, so the arrays
+    are bit-identical either way. A failing spec raises its original
+    exception.
     """
-    if isinstance(backend, str):
-        backend = get_backend(backend)
-    if use_cache:
-        from repro.perf import store
-        from repro.perf.cache import active_cache
+    from repro.exec import SpecJob, default_executor
 
-        cache = active_cache()
-        if cache is not None:
-            key = backend.cache_key(spec)
-            if key is not None:
-                cached = store.load_unified_trace(cache, key)
-                if cached is not None:
-                    return cached
-                return compute_spec(spec, backend, cache, key)
-    return backend.run(spec)
-
-
-def compute_spec(
-    spec: ScenarioSpec,
-    backend: str | Backend = "fluid",
-    cache: Any = None,
-    key: str | None = None,
-) -> Any:
-    """Run ``spec`` on ``backend`` without reading the store.
-
-    The write half of :func:`run_spec`, for callers that probed the store
-    themselves (the executor and its batch lanes): with a ``cache`` and a
-    ``key``, the trace is archived under ``key`` before it is returned.
-    """
-    if isinstance(backend, str):
-        backend = get_backend(backend)
-    trace = backend.run(spec)
-    if cache is not None and key is not None:
-        from repro.perf import store
-
-        store.store_unified_trace(cache, key, trace)
-    return trace
+    name = backend if isinstance(backend, str) else backend.name
+    return default_executor().run(
+        [SpecJob(spec=spec, backend=name)], use_cache=use_cache
+    )[0]

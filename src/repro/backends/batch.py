@@ -18,12 +18,11 @@ shared-memory outputs. One pipeline drives every lane:
   per-spec fallbacks;
 - :func:`run_batched` runs a plan: one kernel call per group (or, for
   large groups with ``workers > 1``, the shared-memory chunk scheduler),
-  then extracts each row's trace, archives it under the caller's key,
-  and runs the fallbacks through the serial engine.
+  then extracts each row's trace and runs the fallbacks through the
+  serial engine.
 
-The runner never *reads* the unified store: the executor probes it
-before planning and passes each spec's key along, so no lane loads a
-stored trace a second time.
+The runner never touches the store: the executor probes it before
+planning and archives the traces the runner returns.
 
 The shared-memory scheduler replaces per-job pickling for batch results:
 the parent allocates one ``multiprocessing.shared_memory`` buffer per
@@ -33,6 +32,8 @@ over the pool. Chunk size is autotuned from the lane's measured kernel
 throughput in :data:`repro.perf.timing.REGISTRY`. A lane that declares
 no shared-memory outputs runs in-process: the mean-field kernel already
 advances a whole sweep in one vectorized loop, so chunking buys nothing.
+When the segments or the pool cannot be created, the group runs
+in-process after a one-time warning naming the lane and the error.
 
 Batched, chunked and serial execution all produce bit-identical traces;
 a spec that fails mid-batch is rerun serially so callers see the exact
@@ -51,12 +52,13 @@ from __future__ import annotations
 
 import importlib
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.backends.base import compute_spec
+from repro.backends.base import get_backend
 from repro.backends.spec import ScenarioSpec
 from repro.model.random_loss import BernoulliLoss, NoLoss
 from repro.perf import store, timing
@@ -76,6 +78,9 @@ _DEFAULT_CHUNK_ROWS = 64
 #: Autotuning target: chunks sized to roughly this much kernel time, so
 #: scheduling overhead stays small without starving the pool of work.
 _TARGET_CHUNK_SECONDS = 0.25
+
+#: Lanes that already warned about running a chunked group in-process.
+_warned_in_process: set[str] = set()
 
 
 @dataclass
@@ -665,7 +670,8 @@ def _run_group(
     With ``workers > 1`` and more rows than one chunk, row chunks go to a
     process pool that writes into shared-memory buffers; when shared
     memory or a pool is unavailable on this platform the kernel runs
-    in-process instead. The result is bit-identical either way: chunks
+    in-process instead, after a one-time warning per lane that names the
+    error. The result is bit-identical either way: chunks
     are disjoint row ranges of the same elementwise recurrence.
     ``positions`` are the group rows' submission positions, which a dead
     worker's error names. The parent may touch the buffers freely — the
@@ -699,7 +705,16 @@ def _run_group(
                 )
             chunks = [(lo, min(lo + chunk_rows, b)) for lo in range(0, b, chunk_rows)]
             pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
-        except (OSError, ValueError, RuntimeError):
+        except (OSError, ValueError, RuntimeError) as exc:
+            if lane.backend not in _warned_in_process:
+                _warned_in_process.add(lane.backend)
+                warnings.warn(
+                    f"{lane.backend} lane: shared-memory chunk scheduler "
+                    f"unavailable ({type(exc).__name__}: {exc}); running "
+                    "the batch in-process",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             return kernel(inputs)
         shm_names = {name: seg.name for name, seg in segments.items()}
         failed: dict[int, int] = {}
@@ -746,8 +761,6 @@ def run_batched(
     specs: Sequence[ScenarioSpec],
     backend: str = "fluid",
     *,
-    keys: Sequence[str | None] | None = None,
-    cache: Any = None,
     positions: Sequence[int] | None = None,
     skip_errors: bool = False,
     workers: int | None = None,
@@ -758,8 +771,7 @@ def run_batched(
     Results are :class:`~repro.backends.trace.UnifiedTrace` objects,
     bit-identical to ``run_spec(spec, backend)`` for every spec whichever
     path — batch kernel, chunked kernel, or serial fallback — produced
-    it. The store is never read; with a ``cache``, each computed trace is
-    archived under ``keys[i]`` (a ``None`` key is not archived).
+    it. The store is neither read nor written (the executor does both).
     ``positions`` are the specs' places in the caller's submission, which
     errors name (default: their indices in ``specs``). With
     ``skip_errors`` a failing spec yields ``None`` instead of raising;
@@ -768,10 +780,8 @@ def run_batched(
     (:func:`autotune_chunk_rows` picks the rows when ``None``).
     """
     specs = list(specs)
-    if cache is None or keys is None:
-        keys = [None] * len(specs)
     if backend == "packet":
-        results, serial = _run_packet(specs, use_cache=cache is not None)
+        results, serial = _run_packet(specs)
     else:
         lane = _LANES[backend]
         if positions is None:
@@ -793,34 +803,30 @@ def run_batched(
                     serial.append(index)
                 else:
                     results[index] = lane.extract(result, pos, group, specs[index])
-    for trace, key in zip(results, keys):
-        if trace is not None and key is not None:
-            store.store_unified_trace(cache, key, trace)
+    engine = get_backend(backend)
     for index in sorted(serial):
         try:
-            results[index] = compute_spec(specs[index], backend, cache, keys[index])
+            results[index] = engine.run(specs[index])
         except Exception:
             if not skip_errors:
                 raise
     return results
 
 
-def _run_packet(
-    specs: list[ScenarioSpec], use_cache: bool
-) -> tuple[list, list[int]]:
+def _run_packet(specs: list[ScenarioSpec]) -> tuple[list, list[int]]:
     """The packet backend's lane: merged event loops, not a stacked kernel.
 
     Specs lower to :class:`~repro.packetsim.scenario.PacketScenario`
     objects and run through
     :func:`repro.packetsim.batch.run_scenarios_batched`, which merges
-    replications sharing a link and duration into one event loop and
-    keeps its native packet-cache entries; traces are bit-identical to
-    ``run_spec(spec, "packet")``. A spec the packet backend cannot
+    replications sharing a link and duration into one event loop; traces
+    are bit-identical to ``run_spec(spec, "packet")``. A spec the packet
+    backend cannot
     express is left to the serial engine, which raises its exact
     lowering error.
     """
     from repro.backends.trace import from_packet_result
-    from repro.packetsim.batch import run_scenarios_batched
+    from repro.packetsim import batch
 
     results: list = [None] * len(specs)
     pending: list[int] = []
@@ -833,6 +839,6 @@ def _run_packet(
             serial.append(i)
             continue
         pending.append(i)
-    for i, result in zip(pending, run_scenarios_batched(scenarios, use_cache=use_cache)):
+    for i, result in zip(pending, batch.run_scenarios_batched(scenarios)):
         results[i] = from_packet_result(result, backend="packet")
     return results, serial

@@ -5,15 +5,14 @@ from __future__ import annotations
 from repro.backends.base import Backend, register_backend
 from repro.backends.spec import ScenarioSpec
 from repro.backends.trace import UnifiedTrace, from_fluid_trace
-from repro.perf.store import unified_key
 
 
 class FluidBackend(Backend):
     """RTT-stepped fluid dynamics (:class:`~repro.model.dynamics.FluidSimulator`).
 
     Lowering rebuilds the exact :class:`~repro.model.dynamics.SimulationConfig`
-    a hand-written driver would pass, so traces — and the engine's native
-    cache keys — are bit-identical to the pre-backend call sites.
+    a hand-written driver would pass, so traces are bit-identical to the
+    pre-backend call sites.
     """
 
     name = "fluid"
@@ -24,9 +23,6 @@ class FluidBackend(Backend):
         link, protocols, config, steps = spec.lower_fluid()
         trace = FluidSimulator(link, protocols, config).run(steps)
         return from_fluid_trace(trace, backend=self.name)
-
-    def cache_key(self, spec: ScenarioSpec) -> str | None:
-        return unified_key(self.name, spec)
 
 
 register_backend(FluidBackend())

@@ -21,29 +21,18 @@ merged-scheduler replication runner (:mod:`repro.packetsim.batch`)
 instead: scenarios sharing a link and duration run inside one event
 loop, again bit-identical to the serial engine. A (hypothetical future)
 backend without a batch lane warns once, naming the backend, and runs
-per-job. Without ``batch`` the executor falls back to the
-:class:`~repro.experiments.sweep.Sweep` process pool (or a serial
-loop), exactly the pre-executor dispatch.
+per-job. Without ``batch`` the executor's per-job lane runs the specs: a
+process pool with one spec per task when ``workers > 1``, a serial loop
+otherwise.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.backends.base import run_spec
 from repro.backends.spec import ScenarioSpec
 
-__all__ = ["run_specs", "spec_job"]
-
-
-def spec_job(
-    index: int,
-    specs: Sequence[ScenarioSpec],
-    backend: str,
-    use_cache: bool = True,
-):
-    """Run one indexed spec (top-level, so process pools can pickle it)."""
-    return run_spec(specs[index], backend, use_cache=use_cache)
+__all__ = ["run_spec_groups", "run_specs"]
 
 
 def run_specs(
@@ -80,3 +69,19 @@ def run_specs(
         use_cache=use_cache,
         skip_errors=skip_errors,
     )
+
+
+def run_spec_groups(
+    groups: Sequence[Sequence[ScenarioSpec]],
+    backend: str = "fluid",
+    **options,
+) -> list[list]:
+    """Run several spec lists as one :func:`run_specs` submission.
+
+    The traces come back split the same way, one list per group, so a
+    driver can plan many independent measurements, submit them together
+    and score each from its own traces. ``options`` are those of
+    :func:`run_specs`.
+    """
+    traces = iter(run_specs([spec for group in groups for spec in group], backend, **options))
+    return [[next(traces) for _ in group] for group in groups]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.backends.base import Backend, register_backend
 from repro.backends.spec import ScenarioSpec
 from repro.backends.trace import UnifiedTrace, from_meanfield_result
-from repro.perf.store import unified_key
 
 
 class MeanFieldBackend(Backend):
@@ -32,9 +31,6 @@ class MeanFieldBackend(Backend):
         scenario = spec.lower_meanfield()
         result = MeanFieldSimulator(scenario).run()
         return from_meanfield_result(result, backend=self.name)
-
-    def cache_key(self, spec: ScenarioSpec) -> str | None:
-        return unified_key(self.name, spec)
 
 
 register_backend(MeanFieldBackend())

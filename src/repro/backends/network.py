@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.backends.base import Backend, register_backend
 from repro.backends.spec import ScenarioSpec
 from repro.backends.trace import UnifiedTrace, from_network_trace
-from repro.perf.store import unified_key
 
 
 class NetworkBackend(Backend):
@@ -13,8 +12,7 @@ class NetworkBackend(Backend):
 
     With no explicit topology the spec lowers to a single-link topology
     built from ``spec.link``, which reduces exactly to the paper's base
-    model. The engine has no native cache; the unified store gives its
-    runs content-addressed caching for the first time.
+    model.
     """
 
     name = "network"
@@ -25,9 +23,6 @@ class NetworkBackend(Backend):
         topology, protocols, kwargs, steps = spec.lower_network()
         trace = NetworkFluidSimulator(topology, protocols, **kwargs).run(steps)
         return from_network_trace(trace, spec.link, backend=self.name)
-
-    def cache_key(self, spec: ScenarioSpec) -> str | None:
-        return unified_key(self.name, spec)
 
 
 register_backend(NetworkBackend())

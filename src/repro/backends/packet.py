@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.backends.base import Backend, register_backend
 from repro.backends.spec import ScenarioSpec
 from repro.backends.trace import UnifiedTrace, from_packet_result
-from repro.perf.store import unified_key
 
 
 class PacketBackend(Backend):
@@ -13,9 +12,9 @@ class PacketBackend(Backend):
 
     Lowering builds a field-identical
     :class:`~repro.packetsim.scenario.PacketScenario`, so the event stream
-    — and the engine's native statistics cache — are unchanged by the
-    indirection; the event-level result is then resampled onto a base-RTT
-    grid (:func:`~repro.backends.trace.from_packet_result`).
+    is unchanged by the indirection; the event-level result is then
+    resampled onto a base-RTT grid
+    (:func:`~repro.backends.trace.from_packet_result`).
     """
 
     name = "packet"
@@ -25,9 +24,6 @@ class PacketBackend(Backend):
 
         result = run_scenario(spec.lower_packet())
         return from_packet_result(result, backend=self.name)
-
-    def cache_key(self, spec: ScenarioSpec) -> str | None:
-        return unified_key(self.name, spec)
 
 
 register_backend(PacketBackend())

@@ -237,8 +237,7 @@ class ScenarioSpec:
         """Lower to the Section-2 fluid engine's native inputs.
 
         The returned config is field-for-field what a hand-written driver
-        would construct, so both the dynamics and the native cache key are
-        unchanged by the indirection.
+        would construct, so the dynamics are unchanged by the indirection.
         """
         if self.topology is not None:
             raise LoweringError("the fluid backend is single-link; use 'network'")

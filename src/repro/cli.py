@@ -44,7 +44,6 @@ from repro.experiments import (
 )
 from repro.experiments.table2 import run_table2_packet
 from repro.backends import backend_names
-from repro.model.dynamics import FluidSimulator
 from repro.model.link import Link
 from repro.protocols import make_protocol, presets
 
@@ -269,6 +268,9 @@ def _run_cache_command(args: argparse.Namespace) -> int:
               f"{report['reclaimed_bytes']} bytes from {cache.directory}")
         print(f"remaining: {report['remaining_entries']} entries, "
               f"{report['remaining_bytes']} bytes")
+        if report["stale_temp_files"]:
+            print(f"{verb} {report['stale_temp_files']} stale temp file(s) "
+                  "left by killed writers")
         return 0
     if args.action == "clear":
         removed = cache.clear()
@@ -333,7 +335,9 @@ def _run_run_command(args: argparse.Namespace) -> int:
             mean = tail_means[i * args.flows]
             label = f" x{args.flows}" if args.flows > 1 else ""
             print(f"  {protocol.name}{label}: tail mean window {mean:.2f} MSS")
-    key = backend.cache_key(spec)
+    from repro.perf.store import unified_key
+
+    key = unified_key(backend.name, spec)
     if key is not None:
         print(f"  cache key: {args.backend}:{key[:16]}…")
     return 0
@@ -450,10 +454,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         print(render_fct(result, markdown=args.markdown))
     elif args.command == "simulate":
+        from repro.backends import ScenarioSpec, run_spec
+
         link = _link_from(args)
         protocols = [make_protocol(spec) for spec in args.protocols]
-        sim = FluidSimulator(link, protocols)
-        trace = sim.run(args.steps)
+        trace = run_spec(ScenarioSpec.from_fluid(link, protocols, args.steps))
         print(f"{link.describe()}, {args.steps} steps")
         for key, value in trace.summary().items():
             print(f"  {key}: {value:.4f}")

@@ -16,12 +16,18 @@ VIII      ``latency``             max tail RTT inflation (smaller better)
 ========  ======================  ==============================================
 
 :func:`estimate_all_metrics` bundles all eight into a
-:class:`~repro.core.metrics.vector.MetricVector`.
+:class:`~repro.core.metrics.vector.MetricVector`: the scenarios behind
+the seven link-bound metrics (:func:`metric_specs`) go to the executor as
+one submission and :func:`metrics_from_traces` scores them; robustness
+runs its own bisection. Drivers that characterize many protocols submit
+all their :func:`metric_specs` at once and score with the same reducer.
 """
 
 from __future__ import annotations
 
-from repro.core.metrics.base import EstimatorConfig, MetricResult
+import math
+
+from repro.core.metrics.base import EstimatorConfig, MetricResult, homogeneous_spec
 from repro.core.metrics.convergence import convergence_from_trace, estimate_convergence
 from repro.core.metrics.extensions import (
     estimate_churn_resilience,
@@ -33,13 +39,20 @@ from repro.core.metrics.fast_utilization import (
     estimate_fast_utilization,
     estimate_unconstrained_growth,
     fast_utilization_from_trace,
+    fast_utilization_spec,
 )
 from repro.core.metrics.friendliness import (
     estimate_friendliness,
     estimate_tcp_friendliness,
+    friendliness_from_mixes,
     friendliness_from_trace,
+    friendliness_mix_specs,
 )
-from repro.core.metrics.latency import estimate_latency_avoidance, latency_from_trace
+from repro.core.metrics.latency import (
+    estimate_latency_avoidance,
+    latency_from_trace,
+    latency_spec,
+)
 from repro.core.metrics.loss_avoidance import (
     estimate_loss_avoidance,
     loss_avoidance_from_trace,
@@ -52,6 +65,8 @@ from repro.core.metrics.robustness import (
 )
 from repro.core.metrics.vector import LOWER_IS_BETTER, METRIC_ORDER, MetricVector
 from repro.model.link import Link
+from repro.model.trace import SimulationTrace
+from repro.protocols.aimd import AIMD
 from repro.protocols.base import Protocol
 
 __all__ = [
@@ -82,8 +97,54 @@ __all__ = [
     "friendliness_from_trace",
     "latency_from_trace",
     "loss_avoidance_from_trace",
+    "metric_specs",
+    "metrics_from_traces",
     "robustness_profile",
 ]
+
+
+def metric_specs(
+    protocol: Protocol, link: Link, config: EstimatorConfig | None = None
+) -> list:
+    """The scenarios of the seven link-bound metrics, in scoring order.
+
+    The homogeneous run (efficiency, loss-avoidance, fairness,
+    convergence), the probing sender (fast-utilization), every P/Q mix
+    toward Reno (TCP-friendliness) and the deep-buffer run
+    (latency-avoidance) — exactly the specs the single-metric estimators
+    run, so :func:`metrics_from_traces` reproduces their scores.
+    """
+    config = config or EstimatorConfig()
+    if config.n_senders < 2:
+        raise ValueError("fairness estimation requires n_senders >= 2")
+    reno = AIMD(1.0, 0.5)
+    return [
+        homogeneous_spec(protocol, link, config),
+        fast_utilization_spec(protocol, link, config),
+        *(spec for _, spec in friendliness_mix_specs(protocol, reno, link, config)),
+        latency_spec(protocol, link, config),
+    ]
+
+
+def metrics_from_traces(
+    traces: list[SimulationTrace],
+    config: EstimatorConfig | None = None,
+    robustness: float = math.nan,
+) -> MetricVector:
+    """Score the traces of :func:`metric_specs` (same config, same order)."""
+    config = config or EstimatorConfig()
+    homogeneous, probing, *mixes, deep = traces
+    tail = config.tail_fraction
+    return MetricVector(
+        efficiency=efficiency_from_trace(homogeneous, tail).score,
+        fast_utilization=fast_utilization_from_trace(probing, sender=0).score,
+        loss_avoidance=loss_avoidance_from_trace(homogeneous, tail).score,
+        fairness=fairness_from_trace(homogeneous, tail).score,
+        convergence=convergence_from_trace(homogeneous, tail).score,
+        robustness=robustness,
+        tcp_friendliness=friendliness_from_mixes(mixes, config).score,
+        latency_avoidance=latency_from_trace(deep, tail).score,
+    )
 
 
 def estimate_all_metrics(
@@ -94,20 +155,14 @@ def estimate_all_metrics(
 ) -> MetricVector:
     """Estimate every axiom for ``protocol`` on ``link``.
 
-    Robustness runs its own (infinite-link) scenario and a bisection, so
-    it dominates the cost; disable it with ``include_robustness=False``
+    The link-bound scenarios run as one executor submission. Robustness
+    runs its own (infinite-link) scenario and a bisection, so it
+    dominates the cost; disable it with ``include_robustness=False``
     when only the link-bound metrics matter.
     """
+    from repro.backends import run_specs
+
     config = config or EstimatorConfig()
-    scores = {
-        "efficiency": estimate_efficiency(protocol, link, config).score,
-        "fast_utilization": estimate_fast_utilization(protocol, link, config).score,
-        "loss_avoidance": estimate_loss_avoidance(protocol, link, config).score,
-        "fairness": estimate_fairness(protocol, link, config).score,
-        "convergence": estimate_convergence(protocol, link, config).score,
-        "tcp_friendliness": estimate_tcp_friendliness(protocol, link, config).score,
-        "latency_avoidance": estimate_latency_avoidance(protocol, link, config).score,
-    }
-    if include_robustness:
-        scores["robustness"] = estimate_robustness(protocol).score
-    return MetricVector(**scores)
+    traces = run_specs(metric_specs(protocol, link, config))
+    robustness = estimate_robustness(protocol).score if include_robustness else math.nan
+    return metrics_from_traces(traces, config, robustness)

@@ -31,10 +31,68 @@ from repro.core.metrics.base import MetricResult
 from repro.model.dynamics import SimulationConfig
 from repro.model.events import EventSchedule
 from repro.model.link import Link
+from repro.model.trace import SimulationTrace
 from repro.protocols.base import Protocol
 
 RESPONSIVENESS = "responsiveness"
 CHURN_RESILIENCE = "churn_resilience"
+
+
+def _responsiveness_target(link: Link, target_fraction: float) -> float:
+    """The aggregate window that counts as having reclaimed the doubled link."""
+    if not 0.0 < target_fraction <= 1.0:
+        raise ValueError(f"target_fraction must be in (0, 1], got {target_fraction}")
+    target = target_fraction * link.with_bandwidth(2 * link.bandwidth).pipe_limit
+    if target <= link.pipe_limit:
+        raise ValueError(
+            f"target {target:.1f} MSS does not exceed the pre-upgrade pipe "
+            f"limit {link.pipe_limit:.1f}; raise target_fraction"
+        )
+    return target
+
+
+def responsiveness_spec(
+    protocol: Protocol,
+    link: Link,
+    n_senders: int = 2,
+    warmup_steps: int = 1500,
+    measure_steps: int = 3000,
+):
+    """The Metric IX run: ``link``'s bandwidth doubles at ``warmup_steps``."""
+    from repro.backends import ScenarioSpec
+
+    if warmup_steps <= 0 or measure_steps <= 0:
+        raise ValueError("warmup_steps and measure_steps must be positive")
+    upgraded = link.with_bandwidth(2 * link.bandwidth)
+    schedule = EventSchedule().add_link_change(warmup_steps, upgraded)
+    config = SimulationConfig(
+        initial_windows=[1.0] * n_senders, schedule=schedule
+    )
+    return ScenarioSpec.from_fluid(
+        link, [protocol] * n_senders, warmup_steps + measure_steps, config
+    )
+
+
+def responsiveness_from_trace(
+    trace: SimulationTrace,
+    link: Link,
+    warmup_steps: int = 1500,
+    target_fraction: float = 0.85,
+) -> MetricResult:
+    """Score a :func:`responsiveness_spec` run on ``link``."""
+    target = _responsiveness_target(link, target_fraction)
+    total = trace.total_window()[warmup_steps:]
+    hit = np.nonzero(total >= target)[0]
+    steps_needed = float(hit[0]) if hit.size else math.inf
+    return MetricResult(
+        metric=RESPONSIVENESS,
+        score=steps_needed,
+        detail={
+            "target_windows": target,
+            "final_total_window": float(total[-1]),
+            "new_capacity": link.with_bandwidth(2 * link.bandwidth).capacity,
+        },
+    )
 
 
 def estimate_responsiveness(
@@ -54,37 +112,57 @@ def estimate_responsiveness(
     limit, or a buffer-standing protocol trivially "responds" at step 0).
     ``inf`` if it never does within the horizon.
     """
-    if not 0.0 < target_fraction <= 1.0:
-        raise ValueError(f"target_fraction must be in (0, 1], got {target_fraction}")
-    if warmup_steps <= 0 or measure_steps <= 0:
-        raise ValueError("warmup_steps and measure_steps must be positive")
-    upgraded = link.with_bandwidth(2 * link.bandwidth)
-    target = target_fraction * upgraded.pipe_limit
-    if target <= link.pipe_limit:
-        raise ValueError(
-            f"target {target:.1f} MSS does not exceed the pre-upgrade pipe "
-            f"limit {link.pipe_limit:.1f}; raise target_fraction"
-        )
-    from repro.backends import ScenarioSpec, run_spec
+    from repro.backends import run_spec
 
-    schedule = EventSchedule().add_link_change(warmup_steps, upgraded)
-    config = SimulationConfig(
-        initial_windows=[1.0] * n_senders, schedule=schedule
+    _responsiveness_target(link, target_fraction)
+    spec = responsiveness_spec(protocol, link, n_senders, warmup_steps, measure_steps)
+    return responsiveness_from_trace(
+        run_spec(spec, "fluid"), link, warmup_steps, target_fraction
     )
-    spec = ScenarioSpec.from_fluid(
-        link, [protocol] * n_senders, warmup_steps + measure_steps, config
+
+
+def churn_resilience_spec(
+    protocol: Protocol,
+    link: Link,
+    incumbents: int = 1,
+    warmup_steps: int = 1500,
+    measure_steps: int = 4000,
+):
+    """The Metric X run: one more flow joins ``incumbents`` at ``warmup_steps``."""
+    from repro.backends import ScenarioSpec
+
+    if incumbents <= 0:
+        raise ValueError(f"incumbents must be positive, got {incumbents}")
+    n = incumbents + 1
+    schedule = EventSchedule().add_sender_start(n - 1, warmup_steps, window=1.0)
+    config = SimulationConfig(initial_windows=[1.0] * n, schedule=schedule)
+    return ScenarioSpec.from_fluid(
+        link, [protocol] * n, warmup_steps + measure_steps, config
     )
-    trace = run_spec(spec, "fluid")
-    total = trace.total_window()[warmup_steps:]
-    hit = np.nonzero(total >= target)[0]
+
+
+def churn_resilience_from_trace(
+    trace: SimulationTrace,
+    link: Link,
+    warmup_steps: int = 1500,
+    share_fraction: float = 0.5,
+) -> MetricResult:
+    """Score a :func:`churn_resilience_spec` run on ``link``."""
+    if not 0.0 < share_fraction <= 1.0:
+        raise ValueError(f"share_fraction must be in (0, 1], got {share_fraction}")
+    n = trace.n_senders
+    joiner = trace.sender_series(n - 1)[warmup_steps:]
+    fair_share = link.capacity / n
+    target = share_fraction * fair_share
+    hit = np.nonzero(joiner >= target)[0]
     steps_needed = float(hit[0]) if hit.size else math.inf
     return MetricResult(
-        metric=RESPONSIVENESS,
+        metric=CHURN_RESILIENCE,
         score=steps_needed,
         detail={
-            "target_windows": target,
-            "final_total_window": float(total[-1]),
-            "new_capacity": upgraded.capacity,
+            "fair_share": fair_share,
+            "target_window": target,
+            "joiner_final_window": float(joiner[-1]),
         },
     )
 
@@ -104,30 +182,11 @@ def estimate_churn_resilience(
     ``C / (incumbents + 1)``; the score is the number of post-join steps
     until the joiner's window first reaches ``share_fraction`` of it.
     """
-    if incumbents <= 0:
-        raise ValueError(f"incumbents must be positive, got {incumbents}")
+    from repro.backends import run_spec
+
     if not 0.0 < share_fraction <= 1.0:
         raise ValueError(f"share_fraction must be in (0, 1], got {share_fraction}")
-    from repro.backends import ScenarioSpec, run_spec
-
-    n = incumbents + 1
-    schedule = EventSchedule().add_sender_start(n - 1, warmup_steps, window=1.0)
-    config = SimulationConfig(initial_windows=[1.0] * n, schedule=schedule)
-    spec = ScenarioSpec.from_fluid(
-        link, [protocol] * n, warmup_steps + measure_steps, config
-    )
-    trace = run_spec(spec, "fluid")
-    joiner = trace.sender_series(n - 1)[warmup_steps:]
-    fair_share = link.capacity / n
-    target = share_fraction * fair_share
-    hit = np.nonzero(joiner >= target)[0]
-    steps_needed = float(hit[0]) if hit.size else math.inf
-    return MetricResult(
-        metric=CHURN_RESILIENCE,
-        score=steps_needed,
-        detail={
-            "fair_share": fair_share,
-            "target_window": target,
-            "joiner_final_window": float(joiner[-1]),
-        },
+    spec = churn_resilience_spec(protocol, link, incumbents, warmup_steps, measure_steps)
+    return churn_resilience_from_trace(
+        run_spec(spec, "fluid"), link, warmup_steps, share_fraction
     )

@@ -136,30 +136,29 @@ def estimate_fast_utilization(
     return fast_utilization_from_trace(trace, sender=0, min_interval=min_interval)
 
 
-def estimate_unconstrained_growth(
-    protocol: Protocol,
-    horizon: int = 512,
-    start_window: float = 1.0,
-) -> MetricResult:
-    """The clean-room variant: growth on an effectively infinite link.
-
-    No loss ever occurs, so the full horizon is one loss-free interval;
-    useful for exhibiting MIMD's superlinearity (``alpha_hat`` grows with
-    the horizon) versus binomial ``k > 0`` decay (``alpha_hat`` shrinks).
-    The detail dict reports ``alpha_hat`` at half and full horizon so the
-    trend is visible.
-    """
-    from repro.backends import ScenarioSpec, run_spec
+def unconstrained_growth_spec(
+    protocol: Protocol, horizon: int = 512, start_window: float = 1.0
+):
+    """The one-sender infinite-link spec :func:`estimate_unconstrained_growth` runs."""
+    from repro.backends import ScenarioSpec
 
     if horizon < 4:
         raise ValueError(f"horizon must be at least 4, got {horizon}")
-    link = Link.infinite()
-    spec = ScenarioSpec.from_fluid(
-        link, [protocol], horizon, SimulationConfig(initial_windows=[start_window])
+    return ScenarioSpec.from_fluid(
+        Link.infinite(), [protocol], horizon,
+        SimulationConfig(initial_windows=[start_window]),
     )
-    trace = run_spec(spec, "fluid")
+
+
+def unconstrained_growth_from_trace(trace: SimulationTrace) -> MetricResult:
+    """The growth score and trend of a :func:`unconstrained_growth_spec` run.
+
+    No loss ever occurs, so the full horizon is one loss-free interval;
+    the detail dict reports ``alpha_hat`` at half and full horizon so the
+    trend is visible.
+    """
     windows = trace.sender_series(0)
-    half = witnessed_alpha(windows[: horizon // 2])
+    half = witnessed_alpha(windows[: windows.shape[0] // 2])
     full = witnessed_alpha(windows)
     # Linear growth keeps alpha_hat constant in the horizon (ratio ~ 1.00);
     # any polynomial decay (e.g. IIAD's Delta**-0.5, ratio 0.71 per
@@ -172,3 +171,20 @@ def estimate_unconstrained_growth(
         score=max(0.0, full),
         detail={"alpha_half": half, "alpha_full": full, "trend": trend},
     )
+
+
+def estimate_unconstrained_growth(
+    protocol: Protocol,
+    horizon: int = 512,
+    start_window: float = 1.0,
+) -> MetricResult:
+    """The clean-room variant: growth on an effectively infinite link.
+
+    Useful for exhibiting MIMD's superlinearity (``alpha_hat`` grows with
+    the horizon) versus binomial ``k > 0`` decay (``alpha_hat`` shrinks);
+    see :func:`unconstrained_growth_from_trace`.
+    """
+    from repro.backends import run_spec
+
+    spec = unconstrained_growth_spec(protocol, horizon, start_window)
+    return unconstrained_growth_from_trace(run_spec(spec, "fluid"))

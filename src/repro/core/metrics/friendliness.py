@@ -81,6 +81,27 @@ def friendliness_mix_specs(
     return specs
 
 
+def friendliness_from_mixes(
+    traces: list[SimulationTrace], config: EstimatorConfig | None = None
+) -> MetricResult:
+    """The worst witnessed alpha over the traces of
+    :func:`friendliness_mix_specs` (same config, same order)."""
+    config = config or EstimatorConfig()
+    n = max(2, config.n_senders)
+    worst = float("inf")
+    per_mix: dict[str, float] = {}
+    for n_p, trace in zip(range(1, n), traces):
+        alpha = friendliness_from_trace(
+            trace,
+            p_senders=list(range(n_p)),
+            q_senders=list(range(n_p, n)),
+            tail_fraction=config.tail_fraction,
+        )
+        per_mix[f"{n_p}P/{n - n_p}Q"] = alpha
+        worst = min(worst, alpha)
+    return MetricResult(metric=METRIC_NAME, score=worst, detail={"per_mix": per_mix})
+
+
 def estimate_friendliness(
     protocol: Protocol,
     toward: Protocol,
@@ -93,28 +114,12 @@ def estimate_friendliness(
     Q-groups (at least one of each) and reports the minimum witnessed
     alpha.
     """
-    from repro.backends import run_spec
+    from repro.backends import run_specs
 
-    config = config or EstimatorConfig()
-    n = max(2, config.n_senders)
-    worst = float("inf")
-    per_mix: dict[str, float] = {}
-    for n_p, spec in friendliness_mix_specs(protocol, toward, link, config):
-        n_q = n - n_p
-        trace = run_spec(spec, "fluid")
-        alpha = friendliness_from_trace(
-            trace,
-            p_senders=list(range(n_p)),
-            q_senders=list(range(n_p, n)),
-            tail_fraction=config.tail_fraction,
-        )
-        per_mix[f"{n_p}P/{n_q}Q"] = alpha
-        worst = min(worst, alpha)
-    return MetricResult(
-        metric=METRIC_NAME,
-        score=worst,
-        detail={"per_mix": per_mix, "toward": toward.name},
-    )
+    mixes = friendliness_mix_specs(protocol, toward, link, config)
+    result = friendliness_from_mixes(run_specs([spec for _, spec in mixes]), config)
+    result.detail["toward"] = toward.name
+    return result
 
 
 def estimate_tcp_friendliness(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.metrics.base import EstimatorConfig, MetricResult, run_homogeneous_trace
+from repro.core.metrics.base import EstimatorConfig, MetricResult, homogeneous_spec
 from repro.model.link import Link
 from repro.model.trace import SimulationTrace
 from repro.protocols.base import Protocol
@@ -59,13 +59,13 @@ def latency_from_trace(trace: SimulationTrace, tail_fraction: float = 0.5) -> Me
     )
 
 
-def estimate_latency_avoidance(
+def latency_spec(
     protocol: Protocol,
     link: Link,
     config: EstimatorConfig | None = None,
     buffer_capacity_ratio: float = 4.0,
-) -> MetricResult:
-    """Run the homogeneous Metric VIII scenario on a deep-buffered link.
+):
+    """The homogeneous Metric VIII scenario on a deep-buffered link.
 
     Senders cold-start at 1 MSS regardless of ``config``: latency-avoiding
     protocols estimate the propagation delay from their minimum observed
@@ -79,5 +79,18 @@ def estimate_latency_avoidance(
     config = config or EstimatorConfig()
     deep = deep_buffer_link(link, buffer_capacity_ratio)
     sim_config = SimulationConfig(initial_windows=[1.0] * config.n_senders)
-    trace = run_homogeneous_trace(protocol, deep, config, sim_config)
+    return homogeneous_spec(protocol, deep, config, sim_config)
+
+
+def estimate_latency_avoidance(
+    protocol: Protocol,
+    link: Link,
+    config: EstimatorConfig | None = None,
+    buffer_capacity_ratio: float = 4.0,
+) -> MetricResult:
+    """Run :func:`latency_spec` and estimate the latency-avoidance alpha."""
+    from repro.backends import run_spec
+
+    config = config or EstimatorConfig()
+    trace = run_spec(latency_spec(protocol, link, config, buffer_capacity_ratio))
     return latency_from_trace(trace, config.tail_fraction)

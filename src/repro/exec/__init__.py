@@ -3,7 +3,8 @@
 ``repro.exec`` owns the decisions the execution layer used to scatter
 across ``run_specs``, the batch planners and each experiment driver:
 what to compute, what to serve from the content-addressed store, what to
-attach to in-flight work, and which engine runs the rest. Callers build
+attach to in-flight work, which engine runs the rest, and what to
+archive. It is the only code that reads or writes the store. Callers build
 :mod:`~repro.exec.jobs` jobs and hand them to an
 :class:`~repro.exec.executor.Executor`; the serve layer
 (:mod:`repro.exec.serve`) exposes the same scheduler over HTTP.
@@ -14,19 +15,11 @@ from repro.exec.executor import (
     ExecutorStats,
     JobOutcome,
     default_executor,
-    map_calls,
     reset_default_executor,
 )
-from repro.exec.jobs import (
-    CallJob,
-    Job,
-    PacketScenarioJob,
-    SpecJob,
-    WorkloadJob,
-)
+from repro.exec.jobs import Job, PacketScenarioJob, SpecJob, WorkloadJob
 
 __all__ = [
-    "CallJob",
     "Executor",
     "ExecutorStats",
     "Job",
@@ -35,6 +28,5 @@ __all__ = [
     "SpecJob",
     "WorkloadJob",
     "default_executor",
-    "map_calls",
     "reset_default_executor",
 ]

@@ -11,16 +11,19 @@ while the executor decides how little work that actually requires:
    computation; keys already being computed by a concurrent submission
    attach as *waiters* (one computation, many waiters — the property the
    serve layer's concurrent clients rely on); keyed jobs whose result is
-   already in the content-addressed store are served from it. The
-   executor is the only layer that reads the store for a spec job: the
-   engines it routes to archive their results but never probe.
+   already in the content-addressed store are served from it.
 3. **Route** — the jobs that remain are grouped per kind and sent to the
    cheapest engine that preserves bit-identity: with ``batch=True`` the
    stacked fluid, network or mean-field kernel or the merged packet
-   scheduler (one batch lane per spec backend), a process pool when
-   ``workers > 1``, a serial loop otherwise.
+   scheduler (one batch lane per spec backend), otherwise the per-job
+   lane — a process pool when ``workers > 1``, a serial loop otherwise.
 4. **Fall back** — anything a batched engine cannot express runs per-job
    through exactly the code path a hand-written driver would have used.
+5. **Archive** — every computed result is written to the store under the
+   key from step 1, before the job's in-flight claim is released.
+
+The executor is the only code that reads or writes the store: engines,
+batch lanes, jobs and pool workers only compute.
 
 Results are bit-identical to the pre-executor paths for every routing
 decision: the engines themselves already guarantee batched == pooled ==
@@ -40,13 +43,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
-from repro.exec.jobs import (
-    CallJob,
-    PacketScenarioJob,
-    SpecJob,
-    WorkloadJob,
-    job_runner,
-)
+from repro.exec.jobs import PacketScenarioJob, SpecJob, WorkloadJob
 
 #: Spec backends with a batched engine; SpecJobs on any other backend
 #: fall back per-job (with a one-time warning naming the backend).
@@ -55,12 +52,14 @@ _BATCHED_SPEC_BACKENDS = ("fluid", "packet", "network", "meanfield")
 #: Backends already warned about falling back from ``batch=True``.
 _warned_laneless: set[str] = set()
 
+#: Set once the per-job lane has warned that its pool could not start.
+_warned_pool = False
+
 __all__ = [
     "ExecutorStats",
     "Executor",
     "JobOutcome",
     "default_executor",
-    "map_calls",
     "reset_default_executor",
 ]
 
@@ -120,16 +119,12 @@ class ExecutorStats:
 class _Run:
     """One submission as the engines see it.
 
-    Its jobs, the keys the executor computed for them, the store to
-    archive into, its options, and the outcomes the engines fill in by
+    Its jobs, its options, and the outcomes the engines fill in by
     submission index.
     """
 
     jobs: list
-    keys: list[str | None]
-    cache: Any
     workers: int | None
-    use_cache: bool
     skip_errors: bool
     outcomes: dict[int, JobOutcome] = field(default_factory=dict)
 
@@ -194,9 +189,13 @@ class Executor:
         keys = [job.key() for job in jobs]
         cache = active_cache() if use_cache else None
         plan = self._plan(jobs, keys, cache)
-        run = _Run(jobs, keys, cache, workers, use_cache, skip_errors)
+        run = _Run(jobs, workers, skip_errors)
         try:
-            self._compute(run, plan.compute, batch)
+            try:
+                self._compute(run, plan.compute, batch)
+            finally:
+                if cache is not None:
+                    self._archive(run, keys, cache)
         except BaseException as exc:
             # Engines raised before per-job outcomes existed: fail every
             # claim so concurrent waiters see the error instead of hanging.
@@ -252,20 +251,24 @@ class Executor:
         miss is then planned under the lock, where in-flight claims are
         atomic. A claimed key is probed once more after the claim: a
         concurrent submission may have stored it between the first probe
-        and the claim (computations store *before* releasing their
-        claim, so a post-claim miss proves this submission is the
+        and the claim (:meth:`_archive` stores *before* the claim is
+        released, so a post-claim miss proves this submission is the
         genuine leader). That second probe is what makes "each unique
         key computes exactly once" exact rather than merely likely. These
-        two probes are the only store reads a job gets: the engines
-        downstream receive its key and never read the store themselves.
+        two probes are the only store reads a key gets; jobs repeating a
+        key within the submission share its reads.
         """
         probed: dict[int, Any] = {}
         if cache is not None:
+            reads: dict[str, Any] = {}
             for index, (job, key) in enumerate(zip(jobs, keys)):
-                if key is not None:
-                    hit = job.probe(cache, key)
-                    if hit is not None:
-                        probed[index] = hit
+                if key is None:
+                    continue
+                full_key = f"{job.kind}:{key}"
+                if full_key not in reads:
+                    reads[full_key] = job.probe(cache, key)
+                if reads[full_key] is not None:
+                    probed[index] = reads[full_key]
         plan = _Plan()
         seen: dict[str, int] = {}
         with self._lock:
@@ -310,6 +313,18 @@ class Executor:
             plan.compute = [i for i in plan.compute if i not in plan.cached]
         return plan
 
+    @staticmethod
+    def _archive(run: _Run, keys: list[str | None], cache) -> None:
+        """Store every computed value under its key, before claims release.
+
+        Runs even when an engine raised part-way, so whatever was
+        computed is kept.
+        """
+        for index, outcome in run.outcomes.items():
+            key = keys[index]
+            if outcome.ok and key is not None:
+                run.jobs[index].store(cache, key, outcome.value)
+
     def _resolve_claims(
         self,
         claimed: dict[int, str],
@@ -338,10 +353,8 @@ class Executor:
         network and mean-field, all behind
         :func:`repro.backends.batch.run_batched` — plus packet scenarios
         and workloads; every other (kind, flags) combination falls back
-        to the per-job lane, which preserves the pooled / serial
-        semantics of the pre-executor drivers exactly. A spec job on a
-        backend without a batch lane warns once, naming the backend,
-        before falling back.
+        to the per-job lane. A spec job on a backend without a batch
+        lane warns once, naming the backend, before falling back.
         """
         lanes: dict[str, list[int]] = {}
         leftover: list[int] = []
@@ -355,17 +368,15 @@ class Executor:
         for lane, members in sorted(lanes.items()):
             engines.get(lane, self._run_specs)(run, members)
         if leftover:
-            self._run_per_job(run, leftover)
+            _run_per_job(run, leftover)
 
     def _run_specs(self, run: _Run, members: list[int]) -> None:
-        """One spec backend's batch lane; the lane archives, never reads."""
+        """One spec backend's batch lane."""
         from repro.backends.batch import run_batched
 
         traces = run_batched(
             [run.jobs[i].spec for i in members],
             run.jobs[members[0]].backend,
-            keys=[run.keys[i] for i in members],
-            cache=run.cache,
             positions=members,
             skip_errors=run.skip_errors,
             workers=run.workers,
@@ -373,15 +384,15 @@ class Executor:
         self._fill(run, members, traces)
 
     def _run_scenarios(self, run: _Run, members: list[int]) -> None:
-        from repro.packetsim.batch import run_scenarios_batched
+        from repro.packetsim import batch
 
         self._run_merged(
-            run, members, run_scenarios_batched,
-            [run.jobs[i].scenario for i in members], use_cache=run.use_cache,
+            run, members, batch.run_scenarios_batched,
+            [run.jobs[i].scenario for i in members],
         )
 
     def _run_workloads(self, run: _Run, members: list[int]) -> None:
-        from repro.packetsim.batch import run_workloads_batched
+        from repro.packetsim import batch
 
         groups: dict[tuple, list[int]] = {}
         for index in members:
@@ -389,14 +400,13 @@ class Executor:
         for group in groups.values():
             first = run.jobs[group[0]]
             self._run_merged(
-                run, group, run_workloads_batched,
+                run, group, batch.run_workloads_batched,
                 first.link,
                 [(list(run.jobs[i].specs), list(run.jobs[i].background))
                  for i in group],
                 first.duration,
                 slow_start=first.slow_start,
                 initial_window=first.initial_window,
-                use_cache=run.use_cache,
             )
 
     def _run_merged(self, run: _Run, members: list[int], engine, *args, **kwargs) -> None:
@@ -425,34 +435,87 @@ class Executor:
             else:
                 run.outcomes[index] = JobOutcome(value=value)
 
-    @staticmethod
-    def _run_per_job(run: _Run, members: list[int]) -> None:
-        """The per-job fallback lane: a Sweep pool, or a serial loop.
 
-        Mirrors the pre-executor ``run_specs`` exactly — the same sweep
-        machinery, the same submission-order collection, the same
-        first-error-raises / ``None``-hole semantics.
-        """
-        import functools
+# ----------------------------------------------------------------------
+# The per-job lane
+# ----------------------------------------------------------------------
+def _run_job(job: Any) -> Any:
+    """Pool-worker entry point: compute one job (top-level, so it pickles)."""
+    return job.run()
 
-        from repro.experiments.sweep import Sweep, workers_sweep_options
 
-        sweep = Sweep(
-            axes={"index": list(members)},
-            measure=functools.partial(
-                job_runner, jobs=run.jobs, keys=run.keys, use_cache=run.use_cache
-            ),
-            skip_errors=run.skip_errors,
+def _pooled(run: _Run, members: list[int]):
+    """``(pool, futures)`` with one task per job, or ``None`` to run serially.
+
+    ``None`` when ``workers`` asks for no parallelism or there is only one
+    job, and when the pool cannot start — after a one-time warning naming
+    the reason. The pool comes from the ``spawn`` context: its workers
+    inherit no state from the parent (no executor lock held by another
+    thread), and they never need the store.
+    """
+    global _warned_pool
+    if run.workers is None or run.workers <= 1 or len(members) <= 1:
+        return None
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(
+            max_workers=min(run.workers, len(members)),
+            mp_context=multiprocessing.get_context("spawn"),
         )
-        rows = sweep.run(**workers_sweep_options(run.workers))
-        failures = {
-            cell["index"]: message for cell, message in sweep.errors
-        }
-        for index, row in zip(members, rows):
-            if index in failures:
-                run.outcomes[index] = JobOutcome(ok=False, error=failures[index])
-            else:
-                run.outcomes[index] = JobOutcome(value=row.value)
+        return pool, [pool.submit(_run_job, run.jobs[index]) for index in members]
+    except (OSError, ValueError, RuntimeError, NotImplementedError) as exc:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        if not _warned_pool:
+            _warned_pool = True
+            warnings.warn(
+                f"per-job lane: process pool unavailable "
+                f"({type(exc).__name__}: {exc}); running jobs serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return None
+
+
+def _run_per_job(run: _Run, members: list[int]) -> None:
+    """The per-job lane: one job per pool task, or a serial loop.
+
+    Results are collected in submission order. With ``skip_errors`` a
+    failing job leaves a ``None`` hole; without it the first failure in
+    submission order raises its original exception.
+    """
+    from repro.perf import timing
+
+    pooled = _pooled(run, members)
+    if pooled is None:
+        with timing.measure("exec.serial"):
+            for index in members:
+                _record(run, index, run.jobs[index].run)
+        return
+    pool, futures = pooled
+    try:
+        with timing.measure("exec.pool"):
+            for index, future in zip(members, futures):
+                _record(run, index, future.result)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _record(run: _Run, index: int, call) -> None:
+    """Store ``call()``'s value or failure as job ``index``'s outcome."""
+    try:
+        value = call()
+    except Exception as exc:
+        if not run.skip_errors:
+            raise
+        run.outcomes[index] = JobOutcome(
+            ok=False, error=f"{type(exc).__name__}: {exc}"
+        )
+    else:
+        run.outcomes[index] = JobOutcome(value=value)
 
 
 def _batch_lane(job: Any) -> str | None:
@@ -502,22 +565,3 @@ def reset_default_executor() -> None:
     global _default
     with _default_lock:
         _default = None
-
-
-def map_calls(
-    fn,
-    cells: Sequence[dict],
-    workers: int | None = None,
-    skip_errors: bool = False,
-) -> list[Any]:
-    """Run ``fn(**cell)`` for every cell through the default executor.
-
-    The grid-driver convenience: replaces a hand-rolled ``Sweep`` with an
-    executor submission of :class:`~repro.exec.jobs.CallJob` rows —
-    same pooled/serial fallbacks, same submission-order results, but one
-    scheduler owns every execution decision.
-    """
-    jobs = [CallJob(fn=fn, kwargs=dict(cell)) for cell in cells]
-    return default_executor().run(
-        jobs, workers=workers, skip_errors=skip_errors
-    )

@@ -20,33 +20,27 @@ job classes here say what kinds exist and how each one behaves:
   :class:`~repro.packetsim.workload.WorkloadResult`. Addressed by the
   packet cache's workload key; batch submissions merge jobs sharing a
   link and duration into one event loop.
-- :class:`CallJob` — run an arbitrary picklable callable. Never
-  content-addressed (the executor cannot know the call is deterministic),
-  but still scheduled, pooled and ordered like every other job; this is
-  the lane grid drivers use for measure-style cells.
 
 Every job kind computes exactly what the hand-written path it replaced
 computed — the executor only decides *where* and *whether* to run it, so
 results are bit-identical to the pre-executor drivers by construction.
 
-The executor calls :meth:`key` once per job and passes the key to
-``probe(cache, key)`` and ``run(use_cache, key)``. A SpecJob's ``run``
-archives its trace under that key without reading the store; the packet
-jobs' engines keep their own native cache entries and ignore it.
+The executor calls :meth:`key` once per job, reads the store through
+``probe(cache, key)`` and archives a computed result through
+``store(cache, key, value)``. ``run()`` only computes: it never touches
+the store, so it runs unchanged in a pool worker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 __all__ = [
-    "CallJob",
     "Job",
     "PacketScenarioJob",
     "SpecJob",
     "WorkloadJob",
-    "job_runner",
 ]
 
 
@@ -68,20 +62,19 @@ class SpecJob:
 
     def probe(self, cache, key: str) -> Any | None:
         """The result stored under ``key``, or ``None`` on a miss."""
-        from repro.perf import store
+        from repro.perf.store import load_unified_trace
 
-        return store.load_unified_trace(cache, key)
+        return load_unified_trace(cache, key)
 
-    def run(self, use_cache: bool = True, key: str | None = None) -> Any:
-        """Compute the trace and, with ``use_cache``, archive it under ``key``.
+    def store(self, cache, key: str, value: Any) -> None:
+        from repro.perf.store import store_unified_trace
 
-        Never reads the store: the executor already probed it.
-        """
-        from repro.backends.base import compute_spec
-        from repro.perf.cache import active_cache
+        store_unified_trace(cache, key, value)
 
-        cache = active_cache() if use_cache else None
-        return compute_spec(self.spec, self.backend, cache, key)
+    def run(self) -> Any:
+        from repro.backends.base import get_backend
+
+        return get_backend(self.backend).run(self.spec)
 
 
 @dataclass
@@ -102,10 +95,15 @@ class PacketScenarioJob:
 
         return packet_cache.load_scenario_result(cache, key, self.scenario)
 
-    def run(self, use_cache: bool = True, key: str | None = None) -> Any:
+    def store(self, cache, key: str, value: Any) -> None:
+        from repro.perf import packet_cache
+
+        packet_cache.store_scenario_result(cache, key, value)
+
+    def run(self) -> Any:
         from repro.packetsim.scenario import run_scenario
 
-        return run_scenario(self.scenario, use_cache=use_cache)
+        return run_scenario(self.scenario)
 
 
 @dataclass
@@ -157,7 +155,12 @@ class WorkloadJob:
             cache, key, list(self.specs), self.duration
         )
 
-    def run(self, use_cache: bool = True, key: str | None = None) -> Any:
+    def store(self, cache, key: str, value: Any) -> None:
+        from repro.perf import packet_cache
+
+        packet_cache.store_workload_result(cache, key, value)
+
+    def run(self) -> Any:
         from repro.packetsim.workload import run_workload
 
         return run_workload(
@@ -167,42 +170,8 @@ class WorkloadJob:
             background=list(self.background),
             slow_start=self.slow_start,
             initial_window=self.initial_window,
-            use_cache=use_cache,
         )
 
 
-@dataclass
-class CallJob:
-    """Run an arbitrary callable with keyword arguments (never deduped)."""
-
-    fn: Callable[..., Any]
-    kwargs: dict[str, Any] = field(default_factory=dict)
-
-    kind = "call"
-
-    def key(self) -> None:
-        return None
-
-    def probe(self, cache, key: str) -> None:
-        return None
-
-    def run(self, use_cache: bool = True, key: str | None = None) -> Any:
-        return self.fn(**self.kwargs)
-
-
 #: Every concrete job class (documentation + isinstance checks).
-Job = (SpecJob, PacketScenarioJob, WorkloadJob, CallJob)
-
-
-def job_runner(
-    index: int,
-    jobs: Sequence[Any],
-    keys: Sequence[str | None],
-    use_cache: bool = True,
-) -> Any:
-    """Run one indexed job on its per-job (non-batched) engine.
-
-    Top-level, so process pools can pickle it; ``keys`` are the keys the
-    executor computed, passed on so no job recomputes its own.
-    """
-    return jobs[index].run(use_cache=use_cache, key=keys[index])
+Job = (SpecJob, PacketScenarioJob, WorkloadJob)

@@ -26,15 +26,12 @@ from repro.experiments.claims import ClaimsResult, render_claims, run_claims
 from repro.experiments.emulab import EmulabResult, render_emulab, run_emulab
 from repro.experiments.fct import FctResult, render_fct, run_fct_study
 from repro.experiments.survey import SurveyResult, render_survey, run_survey
-from repro.experiments.sweep import Sweep, SweepRow
 
 __all__ = [
     "ClaimsResult",
     "EmulabResult",
     "FctResult",
     "SurveyResult",
-    "Sweep",
-    "SweepRow",
     "Figure1Result",
     "Table",
     "Table1Result",

@@ -20,13 +20,19 @@ content:
   at least Reno's share from an alpha-TCP-friendly AIMD/BIN protocol.
 - **Theorem 5** — Reno's friendliness toward the Vegas-like
   latency-avoider collapses toward 0 as buffers deepen.
+
+Each demonstration is a list of fluid scenarios plus a scorer: every
+scenario goes to the executor in one submission, and each scorer turns
+its own traces into checks. Theorem 4 submits its transfer runs in a
+second round, for the aggressors that pass its precondition.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.backends import ScenarioSpec, run_spec_groups, run_specs
 from repro.core.metrics.convergence import convergence_from_trace
 from repro.core.metrics.efficiency import efficiency_from_trace
 from repro.core.metrics.fast_utilization import fast_utilization_from_trace
@@ -34,8 +40,7 @@ from repro.core.metrics.friendliness import friendliness_from_trace
 from repro.core.metrics.loss_avoidance import loss_avoidance_from_trace
 from repro.core.theory import theorems
 from repro.experiments.report import Table
-from repro.experiments.sweep import Sweep, workers_sweep_options
-from repro.model.dynamics import FluidSimulator, SimulationConfig
+from repro.model.dynamics import SimulationConfig
 from repro.model.link import Link
 from repro.protocols.aimd import AIMD
 from repro.protocols.base import Protocol
@@ -86,107 +91,114 @@ class ClaimsResult:
         }
 
 
-def _homogeneous_trace(protocol: Protocol, link: Link, n: int, steps: int,
-                       min_window: float = 1.0):
-    sim = FluidSimulator(
-        link,
-        [protocol] * n,
-        SimulationConfig(initial_windows=[1.0] * n, min_window=min_window),
-    )
-    return sim.run(steps)
+#: A demonstration: its scenarios, and the scorer turning their traces
+#: (same order) into checks.
+Demonstration = tuple[list[ScenarioSpec], Callable[[list], list[TheoremCheck]]]
 
 
-def _mixed_trace(p: Protocol, q: Protocol, link: Link, steps: int,
-                 min_window: float = 1.0):
-    sim = FluidSimulator(
-        link,
-        [p, q],
-        SimulationConfig(initial_windows=[1.0, 1.0], min_window=min_window),
+def _fluid_spec(protocols: list[Protocol], link: Link, steps: int,
+                min_window: float = 1.0) -> ScenarioSpec:
+    """One demonstration run: every sender starts at a 1 MSS window."""
+    config = SimulationConfig(
+        initial_windows=[1.0] * len(protocols), min_window=min_window
     )
-    return sim.run(steps)
+    return ScenarioSpec.from_fluid(link, protocols, steps, config)
 
 
 # ----------------------------------------------------------------------
-def check_claim1(link: Link, steps: int = 3000) -> list[TheoremCheck]:
+def claim1(link: Link, steps: int = 3000) -> Demonstration:
     """Probe-and-hold: 0-loss and 0-fast-utilizing; AIMD: neither."""
-    checks = []
-    hold_trace = _homogeneous_trace(ProbeAndHold(1.0, 0.9), link, n=1, steps=steps)
-    hold_loss = loss_avoidance_from_trace(hold_trace)
-    hold_fast = fast_utilization_from_trace(hold_trace)
-    zero_loss = bool(hold_loss.detail["is_zero_loss"])
-    consistent = theorems.claim1_consistent(True, zero_loss, max(0.0, hold_fast.score))
-    checks.append(
-        TheoremCheck(
-            statement="Claim 1",
-            instance="Probe&Hold(1,0.9), single sender",
-            expected="0-loss implies fast-utilization = 0",
-            observed=f"tail max loss {hold_loss.score:.4f}, "
-            f"fast-utilization {hold_fast.score:.4f}",
-            holds=zero_loss and consistent and hold_fast.score == 0.0,
+    specs = [
+        _fluid_spec([ProbeAndHold(1.0, 0.9)], link, steps),
+        _fluid_spec([AIMD(1.0, 0.5)], link, steps),
+    ]
+
+    def score(traces: list) -> list[TheoremCheck]:
+        hold_trace, aimd_trace = traces
+        hold_loss = loss_avoidance_from_trace(hold_trace)
+        hold_fast = fast_utilization_from_trace(hold_trace)
+        zero_loss = bool(hold_loss.detail["is_zero_loss"])
+        consistent = theorems.claim1_consistent(
+            True, zero_loss, max(0.0, hold_fast.score)
         )
-    )
-    aimd_trace = _homogeneous_trace(AIMD(1.0, 0.5), link, n=1, steps=steps)
-    aimd_loss = loss_avoidance_from_trace(aimd_trace)
-    aimd_fast = fast_utilization_from_trace(aimd_trace)
-    checks.append(
-        TheoremCheck(
-            statement="Claim 1 (contrast)",
-            instance="AIMD(1,0.5), single sender",
-            expected="fast-utilizing protocols keep incurring loss",
-            observed=f"fast-utilization {aimd_fast.score:.3f}, "
-            f"tail max loss {aimd_loss.score:.4f}",
-            holds=aimd_fast.score > 0.5 and aimd_loss.score > 0.0,
-        )
-    )
-    return checks
+        aimd_loss = loss_avoidance_from_trace(aimd_trace)
+        aimd_fast = fast_utilization_from_trace(aimd_trace)
+        return [
+            TheoremCheck(
+                statement="Claim 1",
+                instance="Probe&Hold(1,0.9), single sender",
+                expected="0-loss implies fast-utilization = 0",
+                observed=f"tail max loss {hold_loss.score:.4f}, "
+                f"fast-utilization {hold_fast.score:.4f}",
+                holds=zero_loss and consistent and hold_fast.score == 0.0,
+            ),
+            TheoremCheck(
+                statement="Claim 1 (contrast)",
+                instance="AIMD(1,0.5), single sender",
+                expected="fast-utilizing protocols keep incurring loss",
+                observed=f"fast-utilization {aimd_fast.score:.3f}, "
+                f"tail max loss {aimd_loss.score:.4f}",
+                holds=aimd_fast.score > 0.5 and aimd_loss.score > 0.0,
+            ),
+        ]
+
+    return specs, score
 
 
-def check_theorem1(link: Link, steps: int = 4000,
-                   bs: tuple[float, ...] = (0.3, 0.5, 0.7, 0.9)) -> list[TheoremCheck]:
+def theorem1(link: Link, steps: int = 4000,
+             bs: tuple[float, ...] = (0.3, 0.5, 0.7, 0.9)) -> Demonstration:
     """alpha-convergent + fast-utilizing => alpha/(2-alpha)-efficient."""
-    checks = []
-    for b in bs:
-        trace = _homogeneous_trace(AIMD(1.0, b), link, n=2, steps=steps)
-        conv = convergence_from_trace(trace).score
-        fast = fast_utilization_from_trace(trace).score
-        eff = efficiency_from_trace(trace).score
-        bound = theorems.theorem1_efficiency_bound(conv)
-        holds = theorems.theorem1_holds(conv, fast, eff, slack=0.02)
-        checks.append(
-            TheoremCheck(
-                statement="Theorem 1",
-                instance=f"AIMD(1,{b:g}), 2 senders",
-                expected=f"efficiency >= alpha/(2-alpha) = {bound:.3f}",
-                observed=f"convergence {conv:.3f}, efficiency {eff:.3f}, "
-                f"fast-utilization {fast:.3f}",
-                holds=holds,
+    specs = [_fluid_spec([AIMD(1.0, b)] * 2, link, steps) for b in bs]
+
+    def score(traces: list) -> list[TheoremCheck]:
+        checks = []
+        for b, trace in zip(bs, traces):
+            conv = convergence_from_trace(trace).score
+            fast = fast_utilization_from_trace(trace).score
+            eff = efficiency_from_trace(trace).score
+            bound = theorems.theorem1_efficiency_bound(conv)
+            holds = theorems.theorem1_holds(conv, fast, eff, slack=0.02)
+            checks.append(
+                TheoremCheck(
+                    statement="Theorem 1",
+                    instance=f"AIMD(1,{b:g}), 2 senders",
+                    expected=f"efficiency >= alpha/(2-alpha) = {bound:.3f}",
+                    observed=f"convergence {conv:.3f}, efficiency {eff:.3f}, "
+                    f"fast-utilization {fast:.3f}",
+                    holds=holds,
+                )
             )
-        )
-    return checks
+        return checks
+
+    return specs, score
 
 
-def check_theorem2(link: Link, steps: int = 4000,
-                   grid: tuple[tuple[float, float], ...] = (
-                       (0.5, 0.5), (1.0, 0.5), (2.0, 0.5), (1.0, 0.8),
-                   )) -> list[TheoremCheck]:
+def theorem2(link: Link, steps: int = 4000,
+             grid: tuple[tuple[float, float], ...] = (
+                 (0.5, 0.5), (1.0, 0.5), (2.0, 0.5), (1.0, 0.8),
+             )) -> Demonstration:
     """Friendliness cap 3(1-b)/(a(1+b)), tight at AIMD(a, b)."""
-    checks = []
-    for a, b in grid:
-        trace = _mixed_trace(AIMD(a, b), AIMD(1.0, 0.5), link, steps)
-        friendliness = friendliness_from_trace(trace, [0], [1])
-        bound = theorems.theorem2_friendliness_bound(a, b)
-        within = friendliness <= bound * 1.15 + 0.02
-        tight = friendliness >= bound * 0.7 - 0.02
-        checks.append(
-            TheoremCheck(
-                statement="Theorem 2",
-                instance=f"AIMD({a:g},{b:g}) vs Reno",
-                expected=f"friendliness <= (and ~=) {bound:.3f}",
-                observed=f"measured {friendliness:.3f}",
-                holds=within and tight,
+    specs = [_fluid_spec([AIMD(a, b), AIMD(1.0, 0.5)], link, steps) for a, b in grid]
+
+    def score(traces: list) -> list[TheoremCheck]:
+        checks = []
+        for (a, b), trace in zip(grid, traces):
+            friendliness = friendliness_from_trace(trace, [0], [1])
+            bound = theorems.theorem2_friendliness_bound(a, b)
+            within = friendliness <= bound * 1.15 + 0.02
+            tight = friendliness >= bound * 0.7 - 0.02
+            checks.append(
+                TheoremCheck(
+                    statement="Theorem 2",
+                    instance=f"AIMD({a:g},{b:g}) vs Reno",
+                    expected=f"friendliness <= (and ~=) {bound:.3f}",
+                    observed=f"measured {friendliness:.3f}",
+                    holds=within and tight,
+                )
             )
-        )
-    return checks
+        return checks
+
+    return specs, score
 
 
 def loss_quantum(link: Link, n: int, a: float) -> float:
@@ -205,8 +217,8 @@ def loss_quantum(link: Link, n: int, a: float) -> float:
     return n * a / (link.pipe_limit + n * a)
 
 
-def check_theorem3(link: Link | None = None, steps: int = 6000,
-                   epsilons: tuple[float, ...] = (0.005, 0.02, 0.05)) -> list[TheoremCheck]:
+def theorem3(link: Link | None = None, steps: int = 6000,
+             epsilons: tuple[float, ...] = (0.005, 0.02, 0.05)) -> Demonstration:
     """Robustness shrinks the friendliness cap dramatically.
 
     The regime matters: Robust-AIMD's threshold only *binds* when epsilon
@@ -219,154 +231,179 @@ def check_theorem3(link: Link | None = None, steps: int = 6000,
     the paper's window space ``{0..M}``.
     """
     link = link or Link.from_mbps(100, 42, 100)
-    checks = []
     quantum = loss_quantum(link, n=2, a=1.0)
-    for eps in epsilons:
-        protocol = RobustAIMD(1.0, 0.8, eps)
-        trace = _mixed_trace(protocol, AIMD(1.0, 0.5), link, steps, min_window=0.0)
-        friendliness = friendliness_from_trace(trace, [0], [1])
-        t3 = theorems.theorem3_friendliness_bound(
-            1.0, 0.8, eps, link.capacity, link.buffer_size
-        )
-        t2 = theorems.theorem2_friendliness_bound(1.0, 0.8)
-        if eps > quantum:
-            # Binding regime: friendliness must collapse toward the T3 cap.
-            expected = (
-                f"threshold binds (eps > quantum {quantum:.4f}): friendliness "
-                f"far below T2 cap {t2:.3f}, toward T3 cap {t3:.2e}"
+    specs = [
+        _fluid_spec([RobustAIMD(1.0, 0.8, eps), AIMD(1.0, 0.5)], link, steps,
+                    min_window=0.0)
+        for eps in epsilons
+    ]
+
+    def score(traces: list) -> list[TheoremCheck]:
+        checks = []
+        for eps, trace in zip(epsilons, traces):
+            friendliness = friendliness_from_trace(trace, [0], [1])
+            t3 = theorems.theorem3_friendliness_bound(
+                1.0, 0.8, eps, link.capacity, link.buffer_size
             )
-            holds = friendliness <= max(100.0 * t3, 0.2 * t2)
-        else:
-            # Non-binding: Robust-AIMD degenerates to AIMD(a, b); only the
-            # Theorem 2 cap is in force.
-            expected = (
-                f"threshold does not bind (eps <= quantum {quantum:.4f}): "
-                f"friendliness <= T2 cap {t2:.3f}"
+            t2 = theorems.theorem2_friendliness_bound(1.0, 0.8)
+            if eps > quantum:
+                # Binding regime: friendliness must collapse toward the T3 cap.
+                expected = (
+                    f"threshold binds (eps > quantum {quantum:.4f}): friendliness "
+                    f"far below T2 cap {t2:.3f}, toward T3 cap {t3:.2e}"
+                )
+                holds = friendliness <= max(100.0 * t3, 0.2 * t2)
+            else:
+                # Non-binding: Robust-AIMD degenerates to AIMD(a, b); only the
+                # Theorem 2 cap is in force.
+                expected = (
+                    f"threshold does not bind (eps <= quantum {quantum:.4f}): "
+                    f"friendliness <= T2 cap {t2:.3f}"
+                )
+                holds = friendliness <= t2 * 1.15 + 0.02
+            checks.append(
+                TheoremCheck(
+                    statement="Theorem 3",
+                    instance=f"Robust-AIMD(1,0.8,{eps:g}) vs Reno (floor 0, "
+                    f"{link.describe()})",
+                    expected=expected,
+                    observed=f"measured {friendliness:.4f}",
+                    holds=holds,
+                )
             )
-            holds = friendliness <= t2 * 1.15 + 0.02
-        checks.append(
-            TheoremCheck(
-                statement="Theorem 3",
-                instance=f"Robust-AIMD(1,0.8,{eps:g}) vs Reno (floor 0, "
-                f"{link.describe()})",
-                expected=expected,
-                observed=f"measured {friendliness:.4f}",
-                holds=holds,
-            )
-        )
-    return checks
+        return checks
+
+    return specs, score
 
 
-def check_theorem4(link: Link, steps: int = 4000) -> list[TheoremCheck]:
-    """Friendliness toward Reno transfers to more-aggressive protocols."""
+def theorem4(link: Link, steps: int = 4000,
+             workers: int | None = None) -> Demonstration:
+    """Friendliness toward Reno transfers to more-aggressive protocols.
+
+    The transfer runs depend on the precondition (does the aggressor beat
+    Reno?), so the scorer submits them itself, as a second round.
+    """
     friendly = BIN(1.0, 0.5, 0.5, 0.5)  # SQRT: k+l=1, TCP-compatible
     aggressors: list[Protocol] = [AIMD(2.0, 0.5), AIMD(1.0, 0.7), MIMD(1.01, 0.875)]
     reno = AIMD(1.0, 0.5)
-    base_trace = _mixed_trace(friendly, reno, link, steps)
-    alpha = friendliness_from_trace(base_trace, [0], [1])
-    checks = []
-    for aggressor in aggressors:
-        duel = _mixed_trace(aggressor, reno, link, steps)
-        verdict = theorems.AggressivenessVerdict(
-            p_name=aggressor.name,
-            q_name=reno.name,
-            p_goodput=float(duel.tail(0.5).mean_goodput()[0]),
-            q_goodput=float(duel.tail(0.5).mean_goodput()[1]),
-        )
-        if not verdict.p_more_aggressive:
+    specs = [_fluid_spec([friendly, reno], link, steps)] + [
+        _fluid_spec([aggressor, reno], link, steps) for aggressor in aggressors
+    ]
+
+    def score(traces: list) -> list[TheoremCheck]:
+        base_trace, *duels = traces
+        alpha = friendliness_from_trace(base_trace, [0], [1])
+        verdicts = [
+            theorems.AggressivenessVerdict(
+                p_name=aggressor.name,
+                q_name=reno.name,
+                p_goodput=float(duel.tail(0.5).mean_goodput()[0]),
+                q_goodput=float(duel.tail(0.5).mean_goodput()[1]),
+            )
+            for aggressor, duel in zip(aggressors, duels)
+        ]
+        transfers = iter(run_specs(
+            [
+                _fluid_spec([friendly, aggressor], link, steps)
+                for aggressor, verdict in zip(aggressors, verdicts)
+                if verdict.p_more_aggressive
+            ],
+            workers=workers,
+        ))
+        checks = []
+        for aggressor, verdict in zip(aggressors, verdicts):
+            if not verdict.p_more_aggressive:
+                checks.append(
+                    TheoremCheck(
+                        statement="Theorem 4 (precondition)",
+                        instance=f"{aggressor.name} vs Reno",
+                        expected="aggressor outperforms Reno",
+                        observed=f"goodputs {verdict.p_goodput:.1f} vs "
+                        f"{verdict.q_goodput:.1f}",
+                        holds=False,
+                    )
+                )
+                continue
+            alpha_q = friendliness_from_trace(next(transfers), [0], [1])
+            required = theorems.theorem4_transfer(alpha)
             checks.append(
                 TheoremCheck(
-                    statement="Theorem 4 (precondition)",
-                    instance=f"{aggressor.name} vs Reno",
-                    expected="aggressor outperforms Reno",
-                    observed=f"goodputs {verdict.p_goodput:.1f} vs {verdict.q_goodput:.1f}",
-                    holds=False,
+                    statement="Theorem 4",
+                    instance=f"{friendly.name} toward {aggressor.name}",
+                    expected=f"friendliness >= TCP-friendliness {required:.3f}",
+                    observed=f"measured {alpha_q:.3f}",
+                    holds=alpha_q >= required * 0.9 - 0.02,
                 )
             )
-            continue
-        transfer = _mixed_trace(friendly, aggressor, link, steps)
-        alpha_q = friendliness_from_trace(transfer, [0], [1])
-        required = theorems.theorem4_transfer(alpha)
-        checks.append(
-            TheoremCheck(
-                statement="Theorem 4",
-                instance=f"{friendly.name} toward {aggressor.name}",
-                expected=f"friendliness >= TCP-friendliness {required:.3f}",
-                observed=f"measured {alpha_q:.3f}",
-                holds=alpha_q >= required * 0.9 - 0.02,
-            )
-        )
-    return checks
+        return checks
+
+    return specs, score
 
 
-def check_theorem5(base_link: Link, steps: int = 4000,
-                   buffer_ratios: tuple[float, ...] = (1.0, 2.0, 4.0)) -> list[TheoremCheck]:
+def theorem5(base_link: Link, steps: int = 4000,
+             buffer_ratios: tuple[float, ...] = (1.0, 2.0, 4.0)) -> Demonstration:
     """Reno starves the Vegas-like latency-avoider; worse with deeper buffers."""
-    checks = []
-    shares = []
-    for ratio in buffer_ratios:
-        link = Link(
-            bandwidth=base_link.bandwidth,
-            theta=base_link.theta,
-            buffer_size=ratio * base_link.capacity,
+    specs = [
+        _fluid_spec(
+            [AIMD(1.0, 0.5), VegasLike(gamma=0.2)],
+            Link(
+                bandwidth=base_link.bandwidth,
+                theta=base_link.theta,
+                buffer_size=ratio * base_link.capacity,
+            ),
+            steps,
         )
-        trace = _mixed_trace(AIMD(1.0, 0.5), VegasLike(gamma=0.2), link, steps)
-        share = friendliness_from_trace(trace, [0], [1])
-        shares.append(share)
+        for ratio in buffer_ratios
+    ]
+
+    def score(traces: list) -> list[TheoremCheck]:
+        checks = []
+        shares = []
+        for ratio, trace in zip(buffer_ratios, traces):
+            share = friendliness_from_trace(trace, [0], [1])
+            shares.append(share)
+            checks.append(
+                TheoremCheck(
+                    statement="Theorem 5",
+                    instance=f"Reno vs Vegas-like, buffer {ratio:g}x C",
+                    expected="latency-avoider's share ~ 0",
+                    observed=f"share {share:.4f}",
+                    holds=theorems.theorem5_holds(1.0, share, tolerance=0.1),
+                )
+            )
         checks.append(
             TheoremCheck(
-                statement="Theorem 5",
-                instance=f"Reno vs Vegas-like, buffer {ratio:g}x C",
-                expected="latency-avoider's share ~ 0",
-                observed=f"share {share:.4f}",
-                holds=theorems.theorem5_holds(1.0, share, tolerance=0.1),
+                statement="Theorem 5 (trend)",
+                instance="buffer sweep",
+                expected="share does not grow with buffer depth",
+                observed=f"shares {['%.4f' % s for s in shares]}",
+                holds=shares[-1] <= shares[0] + 0.02,
             )
         )
-    checks.append(
-        TheoremCheck(
-            statement="Theorem 5 (trend)",
-            instance="buffer sweep",
-            expected="share does not grow with buffer depth",
-            observed=f"shares {['%.4f' % s for s in shares]}",
-            holds=shares[-1] <= shares[0] + 0.02,
-        )
-    )
-    return checks
+        return checks
 
-
-def _claims_cell(statement: str, link: Link, steps: int) -> list[TheoremCheck]:
-    """One demonstration group by name (picklable for process pools)."""
-    if statement == "claim1":
-        return check_claim1(link, steps)
-    if statement == "theorem1":
-        return check_theorem1(link, steps)
-    if statement == "theorem2":
-        return check_theorem2(link, steps)
-    if statement == "theorem3":
-        return check_theorem3(steps=max(steps, 6000))
-    if statement == "theorem4":
-        return check_theorem4(link, steps)
-    if statement == "theorem5":
-        return check_theorem5(link, steps)
-    raise ValueError(f"unknown demonstration {statement!r}")
+    return specs, score
 
 
 def run_claims(link: Link | None = None, steps: int = 4000,
                workers: int | None = None) -> ClaimsResult:
-    """Run every Section 4 demonstration (in parallel when ``workers > 1``)."""
+    """Run every Section 4 demonstration as one executor submission.
+
+    ``workers > 1`` spreads the scenarios over the executor's process pool.
+    """
     link = link or Link.from_mbps(20, 42, 100)
+    demonstrations = [
+        claim1(link, steps),
+        theorem1(link, steps),
+        theorem2(link, steps),
+        theorem3(steps=max(steps, 6000)),
+        theorem4(link, steps, workers),
+        theorem5(link, steps),
+    ]
+    groups = run_spec_groups([specs for specs, _ in demonstrations], workers=workers)
     result = ClaimsResult()
-    sweep = Sweep(
-        axes={
-            "statement": [
-                "claim1", "theorem1", "theorem2", "theorem3", "theorem4",
-                "theorem5",
-            ]
-        },
-        measure=functools.partial(_claims_cell, link=link, steps=steps),
-    )
-    for row in sweep.run(**workers_sweep_options(workers)):
-        result.checks.extend(row.value)
+    for (_, score), traces in zip(demonstrations, groups):
+        result.checks.extend(score(traces))
     return result
 
 

@@ -21,7 +21,6 @@ strictly orders, the measured order against the theoretical one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,10 +28,9 @@ import numpy as np
 
 from repro.analysis.stats import convergence_alpha, min_over_max
 from repro.core.theory import table1
-from repro.exec import map_calls
+from repro.exec import PacketScenarioJob, default_executor
 from repro.experiments.report import Table
 from repro.model import units
-from repro.packetsim.scenario import run_scenario
 from repro.protocols import presets
 from repro.protocols.base import Protocol
 
@@ -170,8 +168,10 @@ def _cell_scenarios(
     """The (homogeneous, mixed) packet scenarios for one protocol/cell.
 
     The metrics come from the raw event statistics, so we build the
-    native scenarios the packet backend lowers to — same engine, same
-    cache entries as ``run_spec(spec, "packet")`` would warm.
+    native scenarios the packet backend lowers to. Flows get a slow-start
+    ramp (as the kernel stacks in the paper's testbed do), so
+    multiplicative-increase protocols reach the operating point within
+    the run.
     """
     from repro.backends import ScenarioSpec
 
@@ -228,49 +228,6 @@ def _cell_measurement(
     )
 
 
-def measure_cell(
-    name: str,
-    protocol: Protocol,
-    n: int,
-    bandwidth_mbps: float,
-    buffer_mss: int,
-    duration: float,
-    rtt_ms: float = PAPER_RTT_MS,
-) -> CellMeasurement:
-    """Run the homogeneous and mixed scenarios for one protocol/cell.
-
-    Flows get a slow-start ramp (as the kernel stacks in the paper's
-    testbed do), so multiplicative-increase protocols reach the operating
-    point within the run.
-    """
-    homogeneous_scenario, mixed_scenario = _cell_scenarios(
-        protocol, n, bandwidth_mbps, buffer_mss, duration, rtt_ms
-    )
-    return _cell_measurement(
-        name,
-        bandwidth_mbps,
-        run_scenario(homogeneous_scenario),
-        run_scenario(mixed_scenario),
-    )
-
-
-def _emulab_protocol_cell(
-    n: int,
-    bw: float,
-    buf: int,
-    proto: str,
-    protocols: dict[str, Protocol],
-    duration: float,
-) -> CellMeasurement:
-    """One protocol's measurements for one grid cell (picklable for pools).
-
-    Fanning out per (cell, protocol) rather than per cell gives the pool
-    ``len(protocols)`` times more units of work, so small grids still
-    saturate the workers.
-    """
-    return measure_cell(proto, protocols[proto], n, bw, buf, duration)
-
-
 def run_emulab(
     ns: tuple[int, ...] = (2, 4),
     bandwidths_mbps: tuple[float, ...] = (20, 60),
@@ -285,13 +242,13 @@ def run_emulab(
 
     The default grid is a representative subset of the paper's (which is
     ``ns=(2, 3, 4)``, ``bandwidths=(20, 30, 60, 100)``); pass the full
-    tuple to reproduce every cell at higher runtime. Grid cells are
-    independent; ``workers > 1`` fans them out over a process pool.
-    ``batch=True`` instead submits the grid's native scenarios to the
-    unified executor as one batch, which merges them into shared event
-    loops (:func:`repro.packetsim.batch.run_scenarios_batched` — every
-    cell at the same bandwidth runs in one loop), with measurements
-    bit-identical to the serial sweep.
+    tuple to reproduce every cell at higher runtime. The grid's native
+    scenarios are one executor submission: ``batch=True`` merges them
+    into shared event loops
+    (:func:`repro.packetsim.batch.run_scenarios_batched` — every cell at
+    the same bandwidth runs in one loop), and otherwise ``workers > 1``
+    spreads them over the executor's process pool; the measurements are
+    bit-identical either way.
     """
     protocols = protocols or default_protocols()  # kernel-scaled Cubic
     result = EmulabResult()
@@ -300,38 +257,17 @@ def run_emulab(
         for n in ns for bw in bandwidths_mbps
         for buf in buffers_mss for proto in protocols
     ]
-    if batch:
-        from repro.exec import PacketScenarioJob, default_executor
-
-        jobs = []
-        for n, bw, buf, proto in combos:
-            jobs.extend(
-                PacketScenarioJob(scenario)
-                for scenario in _cell_scenarios(
-                    protocols[proto], n, bw, buf, duration
-                )
-            )
-        runs = default_executor().run(jobs, batch=True)
-        measured = [
-            (n, bw, buf,
-             _cell_measurement(proto, bw, runs[2 * i], runs[2 * i + 1]))
-            for i, (n, bw, buf, proto) in enumerate(combos)
-        ]
-    else:
-        values = map_calls(
-            functools.partial(
-                _emulab_protocol_cell, protocols=protocols, duration=duration
-            ),
-            [
-                {"n": n, "bw": bw, "buf": buf, "proto": proto}
-                for n, bw, buf, proto in combos
-            ],
-            workers=workers,
+    jobs = []
+    for n, bw, buf, proto in combos:
+        jobs.extend(
+            PacketScenarioJob(scenario)
+            for scenario in _cell_scenarios(protocols[proto], n, bw, buf, duration)
         )
-        measured = [
-            (n, bw, buf, value)
-            for (n, bw, buf, _proto), value in zip(combos, values)
-        ]
+    runs = default_executor().run(jobs, batch=batch, workers=workers)
+    measured = [
+        (n, bw, buf, _cell_measurement(proto, bw, runs[2 * i], runs[2 * i + 1]))
+        for i, (n, bw, buf, proto) in enumerate(combos)
+    ]
     # The protocol axis is innermost, so submission order yields each
     # cell's protocols consecutively and in dict order; regroup them back
     # into per-cell lists before running the hierarchy checks.

@@ -10,26 +10,21 @@ friendliness ordering exactly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from repro.exec import map_calls
+from repro.exec import WorkloadJob, default_executor
 from repro.experiments.report import Table
 from repro.model.link import Link
-from repro.packetsim.workload import poisson_workload, run_workload
+from repro.packetsim.workload import poisson_workload
 from repro.protocols import presets
 from repro.protocols.base import Protocol
 
 
 def _kernel_cubic() -> Protocol:
-    """Kernel-time-scaled Cubic at the study's 42 ms RTT.
-
-    A module-level factory (not a lambda) so background dicts stay
-    picklable and the study can fan out over a process pool.
-    """
+    """Kernel-time-scaled Cubic at the study's 42 ms RTT."""
     from repro.experiments.emulab import kernel_cubic_c_per_round
     from repro.protocols.cubic import CUBIC
 
@@ -93,35 +88,6 @@ class FctResult:
         }
 
 
-def _fct_replication(
-    background: str,
-    rep: int,
-    backgrounds: dict[str, Callable[[], Protocol] | None],
-    link: Link,
-    rate_per_s: float,
-    mean_size: int,
-    arrival_window: float,
-    duration: float,
-    seed: int,
-) -> dict:
-    """One (background, replication) run's raw outcomes (picklable)."""
-    factory = backgrounds[background]
-    specs = poisson_workload(
-        rate_per_s=rate_per_s, mean_size=mean_size,
-        duration=arrival_window, protocol=presets.reno(), seed=seed + rep,
-    )
-    outcome = run_workload(
-        link, specs, duration=duration,
-        background=[factory()] if factory is not None else [],
-    )
-    return {
-        "offered": len(specs),
-        "completed": outcome.completed,
-        "fcts": outcome.completion_times(),
-        "retransmissions": outcome.total_retransmissions(),
-    }
-
-
 def run_fct_study(
     link: Link | None = None,
     backgrounds: dict[str, Callable[[], Protocol] | None] | None = None,
@@ -138,13 +104,12 @@ def run_fct_study(
 
     ``replications > 1`` repeats every background with seeds ``seed``,
     ``seed + 1``, ... and pools the completion times (one row per
-    background either way); the (background, replication) grid is
-    independent, so ``workers > 1`` fans it out over a process pool with
-    results identical to the serial order. ``batch=True`` instead runs
-    the whole grid inside one merged event loop
-    (:func:`repro.packetsim.batch.run_workloads_batched`) — every run
-    shares the link and duration, so all of them merge — with results
-    bit-identical to the serial sweep.
+    background either way). The (background, replication) grid is one
+    executor submission: ``batch=True`` runs it inside one merged event
+    loop (:func:`repro.packetsim.batch.run_workloads_batched` — every run
+    shares the link and duration, so all of them merge), and otherwise
+    ``workers > 1`` spreads it over the executor's process pool; results
+    are bit-identical either way.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
@@ -153,53 +118,32 @@ def run_fct_study(
     pooled: dict[str, list[dict]] = {name: [] for name in backgrounds}
     grid = [(name, rep) for name in backgrounds
             for rep in range(replications)]
-    if batch:
-        from repro.exec import WorkloadJob, default_executor
-
-        # Same (background, rep) submission order as the per-job path.
-        jobs = []
-        for name, rep in grid:
-            factory = backgrounds[name]
-            specs = poisson_workload(
-                rate_per_s=rate_per_s, mean_size=mean_size,
-                duration=arrival_window, protocol=presets.reno(),
-                seed=seed + rep,
+    jobs = []
+    for name, rep in grid:
+        factory = backgrounds[name]
+        specs = poisson_workload(
+            rate_per_s=rate_per_s, mean_size=mean_size,
+            duration=arrival_window, protocol=presets.reno(),
+            seed=seed + rep,
+        )
+        jobs.append(
+            WorkloadJob(
+                link=link,
+                specs=specs,
+                duration=duration,
+                background=[factory()] if factory is not None else [],
             )
-            jobs.append(
-                WorkloadJob(
-                    link=link,
-                    specs=specs,
-                    duration=duration,
-                    background=[factory()] if factory is not None else [],
-                )
-            )
-        outcomes = default_executor().run(jobs, batch=True)
-        for (name, _), outcome in zip(grid, outcomes):
-            pooled[name].append(
-                {
-                    "offered": len(outcome.specs),
-                    "completed": outcome.completed,
-                    "fcts": outcome.completion_times(),
-                    "retransmissions": outcome.total_retransmissions(),
-                }
-            )
-        return _pool_rows(pooled)
-    values = map_calls(
-        functools.partial(
-            _fct_replication,
-            backgrounds=backgrounds,
-            link=link,
-            rate_per_s=rate_per_s,
-            mean_size=mean_size,
-            arrival_window=arrival_window,
-            duration=duration,
-            seed=seed,
-        ),
-        [{"background": name, "rep": rep} for name, rep in grid],
-        workers=workers,
-    )
-    for (name, _rep), value in zip(grid, values):
-        pooled[name].append(value)
+        )
+    outcomes = default_executor().run(jobs, batch=batch, workers=workers)
+    for (name, _), outcome in zip(grid, outcomes):
+        pooled[name].append(
+            {
+                "offered": len(outcome.specs),
+                "completed": outcome.completed,
+                "fcts": outcome.completion_times(),
+                "retransmissions": outcome.total_retransmissions(),
+            }
+        )
     return _pool_rows(pooled)
 
 

@@ -23,7 +23,6 @@ a plot-ready layout.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from repro.core.metrics.base import EstimatorConfig
@@ -35,7 +34,7 @@ from repro.core.metrics.fast_utilization import (
 )
 from repro.core.metrics.friendliness import (
     estimate_tcp_friendliness,
-    friendliness_from_trace,
+    friendliness_from_mixes,
     friendliness_mix_specs,
 )
 from repro.core.theory.pareto import (
@@ -44,7 +43,6 @@ from repro.core.theory.pareto import (
     frontier_friendliness,
     surface_is_mutually_non_dominated,
 )
-from repro.exec import map_calls
 from repro.experiments.report import Table
 from repro.model.link import Link
 from repro.protocols.aimd import AIMD
@@ -139,64 +137,53 @@ def measure_aimd_point(
     )
 
 
-def measure_aimd_points_batched(
+def measure_aimd_points(
     points: list[tuple[float, float]],
     link: Link,
     config: EstimatorConfig,
     workers: int | None = None,
+    batch: bool = False,
     use_cache: bool = True,
 ) -> list[EmpiricalFrontierPoint]:
-    """All grid points' frontier coordinates through the batched kernel.
+    """All grid points' frontier coordinates as one executor submission.
 
     Builds, for every ``(alpha, beta)``, the *same* three estimator
     scenarios :func:`measure_aimd_point` runs — the probing sender, the
-    homogeneous efficiency run, and the P/Q friendliness mixes — stacks
-    them through ``run_specs(batch=True)``, and scores the traces with the
-    same ``*_from_trace`` reducers. Traces are bit-identical to the serial
-    path, so the scores are equal floats; only the wall-clock differs.
+    homogeneous efficiency run, and the P/Q friendliness mixes — submits
+    them together, and scores the traces with the same ``*_from_trace``
+    reducers. With ``batch`` they advance through the batched fluid
+    kernel; traces are bit-identical either way, so the scores are equal
+    floats and only the wall-clock differs.
     """
-    from repro.backends import run_specs
+    from repro.backends import run_spec_groups
     from repro.core.metrics.base import homogeneous_spec
 
-    n = max(2, config.n_senders)
-    specs = []
-    layout = []  # per point: (fast index, efficiency index, [(n_p, mix index)])
+    groups = []
     for alpha, beta in points:
         protocol = AIMD(alpha, beta)
-        fast_at = len(specs)
-        specs.append(fast_utilization_spec(protocol, link, config))
-        eff_at = len(specs)
-        specs.append(homogeneous_spec(protocol, link, config))
-        mixes = []
-        for n_p, spec in friendliness_mix_specs(protocol, AIMD(1.0, 0.5), link, config):
-            mixes.append((n_p, len(specs)))
-            specs.append(spec)
-        layout.append((fast_at, eff_at, mixes))
-
-    traces = run_specs(specs, batch=True, workers=workers, use_cache=use_cache)
+        groups.append([
+            fast_utilization_spec(protocol, link, config),
+            homogeneous_spec(protocol, link, config),
+            *(spec for _, spec in
+              friendliness_mix_specs(protocol, AIMD(1.0, 0.5), link, config)),
+        ])
     results = []
-    for (alpha, beta), (fast_at, eff_at, mixes) in zip(points, layout):
-        fast = fast_utilization_from_trace(traces[fast_at], sender=0).score
-        efficiency = efficiency_from_trace(
-            traces[eff_at], config.tail_fraction
-        ).detail["capped_score"]
-        friendliness = min(
-            friendliness_from_trace(
-                traces[at],
-                p_senders=list(range(n_p)),
-                q_senders=list(range(n_p, n)),
-                tail_fraction=config.tail_fraction,
-            )
-            for n_p, at in mixes
-        )
+    for (alpha, beta), (probing, homogeneous, *mixes) in zip(
+        points,
+        run_spec_groups(groups, batch=batch, workers=workers, use_cache=use_cache),
+    ):
         results.append(
             EmpiricalFrontierPoint(
                 alpha=alpha,
                 beta=beta,
                 predicted_friendliness=frontier_friendliness(alpha, beta),
-                measured_fast_utilization=fast,
-                measured_efficiency=efficiency,
-                measured_friendliness=friendliness,
+                measured_fast_utilization=fast_utilization_from_trace(
+                    probing, sender=0
+                ).score,
+                measured_efficiency=efficiency_from_trace(
+                    homogeneous, config.tail_fraction
+                ).detail["capped_score"],
+                measured_friendliness=friendliness_from_mixes(mixes, config).score,
             )
         )
     return results
@@ -214,37 +201,23 @@ def run_figure1(
 ) -> Figure1Result:
     """Generate the Figure 1 surface and its empirical validation points.
 
-    The empirical (alpha, beta) grid cells are independent simulations,
-    scheduled through the unified executor (:mod:`repro.exec`):
-    ``workers > 1`` fans them out over a process pool. With ``batch``
-    the whole grid instead runs through the batched fluid kernel
-    (:func:`measure_aimd_points_batched`) — same results, one NumPy pass
-    per step for all cells.
+    The empirical (alpha, beta) grid is one executor submission
+    (:func:`measure_aimd_points`): ``batch`` runs it through the batched
+    fluid kernel, one NumPy pass per step for all cells, and otherwise
+    ``workers > 1`` spreads it over the executor's process pool.
     """
     surface = figure1_surface(alphas, betas)
     link = link or Link.from_mbps(20, 42, 100)
     config = config or EstimatorConfig(steps=4000, n_senders=2)
     empirical_alphas = empirical_alphas or [0.5, 1.0, 2.0]
     empirical_betas = empirical_betas or [0.3, 0.5, 0.8]
-    if batch:
-        points = [(a, b) for a in empirical_alphas for b in empirical_betas]
-        empirical = measure_aimd_points_batched(
-            points, link, config, workers=workers
-        )
-    else:
-        empirical = map_calls(
-            functools.partial(measure_aimd_point, link=link, config=config),
-            [
-                {"alpha": alpha, "beta": beta}
-                for alpha in empirical_alphas
-                for beta in empirical_betas
-            ],
-            workers=workers,
-        )
+    points = [(a, b) for a in empirical_alphas for b in empirical_betas]
     return Figure1Result(
         surface=surface,
         mutually_non_dominated=surface_is_mutually_non_dominated(surface),
-        empirical=empirical,
+        empirical=measure_aimd_points(
+            points, link, config, workers=workers, batch=batch
+        ),
     )
 
 

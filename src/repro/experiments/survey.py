@@ -7,26 +7,33 @@ link regimes, and reports each as a point in the axiom space plus the
 extension metrics. This is the "classify existing and proposed solutions
 according to the properties they satisfy" program of the paper's
 introduction, executed wholesale.
+
+Every (regime, protocol) pair's scenarios go to the executor as one
+submission; each pair's robustness is then located by its own bisection.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.backends import run_spec_groups
 from repro.core.metrics import (
     EstimatorConfig,
     MetricVector,
-    estimate_all_metrics,
+    estimate_robustness,
+    metric_specs,
+    metrics_from_traces,
 )
 from repro.core.metrics.extensions import (
-    estimate_churn_resilience,
-    estimate_responsiveness,
+    churn_resilience_from_trace,
+    churn_resilience_spec,
+    responsiveness_from_trace,
+    responsiveness_spec,
 )
 from repro.core.metrics.vector import METRIC_ORDER
 from repro.experiments.report import Table
-from repro.experiments.sweep import Sweep, workers_sweep_options
 from repro.model.link import Link
 from repro.protocols import presets
 from repro.protocols.base import Protocol
@@ -115,41 +122,6 @@ class SurveyResult:
         }
 
 
-def _survey_cell(
-    regime: str,
-    protocol: str,
-    roster: dict[str, Callable[[], Protocol]],
-    regimes: dict[str, Link],
-    config: EstimatorConfig,
-    include_extensions: bool,
-    include_robustness: bool,
-) -> SurveyEntry:
-    """One (regime, protocol) characterization (picklable for pools)."""
-    factory = roster[protocol]
-    link = regimes[regime]
-    vector = estimate_all_metrics(
-        factory(), link, config, include_robustness=include_robustness
-    )
-    if include_extensions:
-        responsiveness = estimate_responsiveness(
-            factory(), link, warmup_steps=config.steps // 3,
-            measure_steps=config.steps,
-        ).score
-        churn = estimate_churn_resilience(
-            factory(), link, warmup_steps=config.steps // 3,
-            measure_steps=config.steps,
-        ).score
-    else:
-        responsiveness = churn = float("nan")
-    return SurveyEntry(
-        protocol=protocol,
-        regime=regime,
-        vector=vector,
-        responsiveness=responsiveness,
-        churn_resilience=churn,
-    )
-
-
 def run_survey(
     roster: dict[str, Callable[[], Protocol]] | None = None,
     regimes: dict[str, Link] | None = None,
@@ -160,26 +132,48 @@ def run_survey(
 ) -> SurveyResult:
     """Characterize every (protocol, regime) pair.
 
-    Pairs are independent; ``workers > 1`` fans them out over a process
-    pool.
+    All pairs' scenarios are one executor submission; ``workers > 1``
+    spreads them over the executor's process pool.
     """
     roster = roster or default_roster()
     regimes = regimes or default_regimes()
     config = config or EstimatorConfig(steps=3000, n_senders=2)
+    warmup = config.steps // 3
+    pairs = [(regime, protocol) for regime in regimes for protocol in roster]
+    groups = []
+    for regime, protocol in pairs:
+        factory, link = roster[protocol], regimes[regime]
+        group = metric_specs(factory(), link, config)
+        if include_extensions:
+            group += [
+                responsiveness_spec(factory(), link, warmup_steps=warmup,
+                                    measure_steps=config.steps),
+                churn_resilience_spec(factory(), link, warmup_steps=warmup,
+                                      measure_steps=config.steps),
+            ]
+        groups.append(group)
     result = SurveyResult()
-    sweep = Sweep(
-        axes={"regime": list(regimes), "protocol": list(roster)},
-        measure=functools.partial(
-            _survey_cell,
-            roster=roster,
-            regimes=regimes,
-            config=config,
-            include_extensions=include_extensions,
-            include_robustness=include_robustness,
-        ),
-    )
-    for row in sweep.run(**workers_sweep_options(workers)):
-        result.entries.append(row.value)
+    for (regime, protocol), traces in zip(
+        pairs, run_spec_groups(groups, workers=workers)
+    ):
+        link = regimes[regime]
+        responsiveness = churn = math.nan
+        if include_extensions:
+            churn = churn_resilience_from_trace(traces.pop(), link, warmup).score
+            responsiveness = responsiveness_from_trace(traces.pop(), link, warmup).score
+        robustness = (
+            estimate_robustness(roster[protocol]()).score
+            if include_robustness else math.nan
+        )
+        result.entries.append(
+            SurveyEntry(
+                protocol=protocol,
+                regime=regime,
+                vector=metrics_from_traces(traces, config, robustness),
+                responsiveness=responsiveness,
+                churn_resilience=churn,
+            )
+        )
     return result
 
 

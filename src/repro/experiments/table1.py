@@ -23,21 +23,33 @@ asserts per family: AIMD/Robust-AIMD witness exactly ``a``; MIMD's growth
 is superlinear (the ``<inf>`` entry); binomial protocols with ``k > 0``
 are sublinear (the ``<0>`` entry); CUBIC's measured value must respect its
 ``<c>`` lower-bound guarantee.
+
+Every protocol's link-bound scenarios (plus the infinite-link growth run
+of the non-additive families) go to the executor as one submission; each
+protocol's robustness is then located by its own bisection.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
-from repro.core.characterization import CharacterizationResult, characterize
-from repro.core.metrics import EstimatorConfig
-from repro.core.metrics.fast_utilization import estimate_unconstrained_growth
+from repro.backends import run_spec_groups
+from repro.core.characterization import CharacterizationResult, theoretical_row_for
+from repro.core.metrics import (
+    EstimatorConfig,
+    MetricResult,
+    estimate_robustness,
+    metric_specs,
+    metrics_from_traces,
+)
+from repro.core.metrics.fast_utilization import (
+    unconstrained_growth_from_trace,
+    unconstrained_growth_spec,
+)
 from repro.core.metrics.vector import LOWER_IS_BETTER, METRIC_ORDER
 from repro.core.theory.theorems import theorem2_friendliness_bound
 from repro.experiments.report import Table
-from repro.experiments.sweep import Sweep, workers_sweep_options
 from repro.model.link import Link
 from repro.protocols import presets
 from repro.protocols.aimd import AIMD
@@ -172,7 +184,11 @@ def _close(measured: float, predicted: float, abs_tol: float,
 
 
 def _prediction_checks_for(
-    result: CharacterizationResult, protocol: Protocol, link: Link, n: int
+    result: CharacterizationResult,
+    protocol: Protocol,
+    link: Link,
+    n: int,
+    growth: MetricResult | None,
 ) -> list[PredictionCheck]:
     row = result.theoretical
     if row is None:
@@ -239,7 +255,7 @@ def _prediction_checks_for(
     checks.append(_friendliness_check(name, protocol, row, emp, link, n))
 
     # Fast-utilization: growth class.
-    checks.append(_fast_utilization_check(name, protocol, emp))
+    checks.append(_fast_utilization_check(name, protocol, emp, growth))
     return checks
 
 
@@ -282,11 +298,20 @@ def _friendliness_check(name, protocol, row, emp, link: Link, n: int) -> Predict
     )
 
 
-def _fast_utilization_check(name, protocol, emp) -> PredictionCheck:
-    """Validate the fast-utilization entry per growth class."""
-    if isinstance(protocol, (RobustAIMD, AIMD)) or (
+def _additive(protocol: Protocol) -> bool:
+    """Families whose fast-utilization Table 1 states as exactly ``a``."""
+    return isinstance(protocol, (RobustAIMD, AIMD)) or (
         isinstance(protocol, BIN) and protocol.k == 0
-    ):
+    )
+
+
+def _fast_utilization_check(name, protocol, emp, growth) -> PredictionCheck:
+    """Validate the fast-utilization entry per growth class.
+
+    ``growth`` is the infinite-link growth run of a non-additive family
+    (``None`` for the additive ones).
+    """
+    if _additive(protocol):
         a = protocol.a
         return PredictionCheck(
             protocol=name, metric="fast_utilization", predicted=a,
@@ -294,7 +319,6 @@ def _fast_utilization_check(name, protocol, emp) -> PredictionCheck:
             holds=_close(emp.fast_utilization, a, 0.05, 0.1),
             note="additive families witness exactly a",
         )
-    growth = estimate_unconstrained_growth(protocol, horizon=800)
     trend = growth.detail["trend"]
     if isinstance(protocol, MIMD):
         return PredictionCheck(
@@ -412,18 +436,8 @@ def _config_for_protocol(protocol: Protocol,
     )
 
 
-def _table1_cell(
-    index: int,
-    protocols: list[Protocol],
-    link: Link,
-    config: EstimatorConfig,
-) -> tuple[CharacterizationResult, list[PredictionCheck]]:
-    """Characterize one protocol and run its checks (picklable for pools)."""
-    protocol = protocols[index]
-    proto_config = _config_for_protocol(protocol, config)
-    result = characterize(protocol, link, proto_config)
-    checks = _prediction_checks_for(result, protocol, link, proto_config.n_senders)
-    return result, checks
+#: Horizon of the infinite-link growth run of the non-additive families.
+_GROWTH_HORIZON = 800
 
 
 def run_table1(
@@ -434,24 +448,40 @@ def run_table1(
 ) -> Table1Result:
     """Characterize the Table 1 protocols and validate predictions + hierarchy.
 
-    Each protocol's characterization is independent; ``workers > 1`` fans
-    them out over a process pool.
+    The scenarios of every protocol are one executor submission;
+    ``workers > 1`` spreads them over the executor's process pool.
     """
     link = link or Link.from_mbps(20, 42, 100)
     config = config or EstimatorConfig(steps=4000, n_senders=2)
     protocols = protocols or paper_protocols()
-    sweep = Sweep(
-        axes={"index": list(range(len(protocols)))},
-        measure=functools.partial(
-            _table1_cell, protocols=protocols, link=link, config=config
-        ),
-    )
+    configs = [_config_for_protocol(protocol, config) for protocol in protocols]
+    groups = [
+        metric_specs(protocol, link, proto_config)
+        + ([] if _additive(protocol)
+           else [unconstrained_growth_spec(protocol, _GROWTH_HORIZON)])
+        for protocol, proto_config in zip(protocols, configs)
+    ]
     characterizations = []
     prediction_checks: list[PredictionCheck] = []
-    for row in sweep.run(**workers_sweep_options(workers)):
-        result, checks = row.value
+    for protocol, proto_config, traces in zip(
+        protocols, configs, run_spec_groups(groups, workers=workers)
+    ):
+        growth = (
+            None if _additive(protocol)
+            else unconstrained_growth_from_trace(traces.pop())
+        )
+        n = proto_config.n_senders
+        result = CharacterizationResult(
+            protocol=protocol.name,
+            empirical=metrics_from_traces(
+                traces, proto_config, estimate_robustness(protocol).score
+            ),
+            theoretical=theoretical_row_for(protocol, link, n),
+        )
         characterizations.append(result)
-        prediction_checks.extend(checks)
+        prediction_checks.extend(
+            _prediction_checks_for(result, protocol, link, n, growth)
+        )
     pair_checks = _pairwise_checks(characterizations, prediction_checks)
     return Table1Result(
         link=link,

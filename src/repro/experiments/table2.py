@@ -21,14 +21,13 @@ loss utility) by default, with the paper's aggressiveness lower bound
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import ScenarioSpec, run_spec
+from repro.backends import ScenarioSpec, run_spec, run_specs
 from repro.core.metrics.friendliness import friendliness_from_trace
-from repro.exec import map_calls
+from repro.exec import PacketScenarioJob, default_executor
 from repro.experiments.report import Table
 from repro.model.link import Link
 from repro.protocols import presets
@@ -88,11 +87,16 @@ def measure_friendliness(
     spec = friendliness_spec(
         protocol, n_senders, bandwidth_mbps, steps, rtt_ms, buffer_mss
     )
-    trace = run_spec(spec, "fluid")
+    return _reno_share(run_spec(spec, "fluid"), tail_fraction)
+
+
+def _reno_share(trace, tail_fraction: float = 0.5) -> float:
+    """A Table 2 cell's score: the last (Reno) sender toward the others."""
+    n = trace.n_senders
     return friendliness_from_trace(
         trace,
-        p_senders=list(range(n_senders - 1)),
-        q_senders=[n_senders - 1],
+        p_senders=list(range(n - 1)),
+        q_senders=[n - 1],
         tail_fraction=tail_fraction,
     )
 
@@ -156,58 +160,6 @@ class Table2Result:
         }
 
 
-def _table2_cell(
-    n: int,
-    bw: float,
-    robust_aimd: Protocol,
-    pcc: Protocol,
-    steps: int,
-) -> tuple[float, float]:
-    """One (n, BW) cell's pair of friendliness scores (picklable for pools)."""
-    return (
-        measure_friendliness(robust_aimd, n, bw, steps),
-        measure_friendliness(pcc, n, bw, steps),
-    )
-
-
-def _table2_cells_batched(
-    cells: list[tuple[int, float]],
-    robust_aimd: Protocol,
-    pcc: Protocol,
-    steps: int,
-    workers: int | None,
-    tail_fraction: float = 0.5,
-) -> list[tuple[float, float]]:
-    """All cells' (robust, pcc) friendliness pairs via the batched kernel.
-
-    Stacks the same specs :func:`measure_friendliness` runs. Robust-AIMD
-    scenarios batch by (protocol tuple, steps) group; the PCC stand-in is
-    stateful, so its specs fall back to the serial path inside
-    ``run_specs`` — correctness is unaffected, only those cells miss the
-    batching speedup.
-    """
-    from repro.backends import run_specs
-
-    specs = []
-    for n, bw in cells:
-        specs.append(friendliness_spec(robust_aimd, n, bw, steps))
-        specs.append(friendliness_spec(pcc, n, bw, steps))
-    traces = run_specs(specs, batch=True, workers=workers)
-    pairs = []
-    for at, (n, _bw) in enumerate(cells):
-        scores = tuple(
-            friendliness_from_trace(
-                traces[2 * at + offset],
-                p_senders=list(range(n - 1)),
-                q_senders=[n - 1],
-                tail_fraction=tail_fraction,
-            )
-            for offset in (0, 1)
-        )
-        pairs.append(scores)
-    return pairs
-
-
 def run_table2(
     senders: tuple[int, ...] = PAPER_SENDERS,
     bandwidths_mbps: tuple[float, ...] = PAPER_BANDWIDTHS_MBPS,
@@ -217,37 +169,79 @@ def run_table2(
     workers: int | None = None,
     batch: bool = False,
 ) -> Table2Result:
-    """Measure every Table 2 cell (over a process pool when ``workers > 1``).
+    """Measure every Table 2 cell as one executor submission.
 
-    Cells are scheduled through the unified executor (:mod:`repro.exec`).
-    With ``batch`` the grid runs through the batched fluid kernel instead:
-    all batch-compatible cells advance in one NumPy pass per step, the
-    rest (e.g. the stateful PCC stand-in) fall back serially.
+    The specs are the ones :func:`measure_friendliness` runs. With
+    ``batch`` they go through the batched fluid kernel: all
+    batch-compatible cells advance in one NumPy pass per step, and the
+    rest (e.g. the stateful PCC stand-in) fall back serially. Otherwise
+    ``workers > 1`` spreads them over the executor's process pool.
     """
     pcc = pcc or presets.pcc_like()
     robust_aimd = robust_aimd or presets.robust_aimd_paper()
-    result = Table2Result(pcc_standin=pcc.name)
     cells = [(n, bw) for n in senders for bw in bandwidths_mbps]
-    if batch:
-        pairs = _table2_cells_batched(cells, robust_aimd, pcc, steps, workers)
-    else:
-        pairs = map_calls(
-            functools.partial(
-                _table2_cell, robust_aimd=robust_aimd, pcc=pcc, steps=steps
-            ),
-            [{"n": n, "bw": bw} for n, bw in cells],
-            workers=workers,
-        )
-    for (n, bw), (f_robust, f_pcc) in zip(cells, pairs):
+    traces = run_specs(
+        [
+            friendliness_spec(protocol, n, bw, steps)
+            for n, bw in cells
+            for protocol in (robust_aimd, pcc)
+        ],
+        batch=batch,
+        workers=workers,
+    )
+    scores = [_reno_share(trace) for trace in traces]
+    return _table2_result(pcc.name, cells, scores)
+
+
+def _table2_result(
+    pcc_standin: str, cells: list[tuple[int, float]], scores: list[float]
+) -> Table2Result:
+    """Cells from their (Robust-AIMD, PCC) score pairs, in cell order."""
+    result = Table2Result(pcc_standin=pcc_standin)
+    for at, (n, bw) in enumerate(cells):
         result.cells.append(
             Table2Cell(
                 n_senders=n,
                 bandwidth_mbps=bw,
-                friendliness_robust_aimd=f_robust,
-                friendliness_pcc=f_pcc,
+                friendliness_robust_aimd=scores[2 * at],
+                friendliness_pcc=scores[2 * at + 1],
             )
         )
     return result
+
+
+def friendliness_packet_scenario(
+    protocol: Protocol,
+    n_senders: int,
+    bandwidth_mbps: float,
+    duration: float = 30.0,
+    rtt_ms: float = PAPER_RTT_MS,
+    buffer_mss: int = PAPER_BUFFER_MSS,
+):
+    """The packet scenario of one Table 2 cell for one protocol under test.
+
+    Flows get a slow-start ramp (as the kernel stacks in the paper's
+    testbed do). Friendliness is a goodput ratio of the raw event
+    statistics, so this is the native scenario the packet backend lowers
+    the cell's spec to.
+    """
+    if n_senders < 2:
+        raise ValueError(f"need at least 2 senders, got {n_senders}")
+    flows: list[Protocol] = [protocol] * (n_senders - 1) + [presets.reno()]
+    spec = ScenarioSpec.from_mbps(
+        bandwidth_mbps, rtt_ms, buffer_mss, flows,
+        duration=duration, slow_start=True, seed=1,
+    )
+    return spec.lower_packet()
+
+
+def _packet_reno_share(result) -> float:
+    """Reno's tail goodput over the best protocol flow's."""
+    rates = result.throughputs()
+    worst_protocol_rate = max(rates[:-1])
+    if worst_protocol_rate <= 0:
+        return float("inf")
+    return rates[-1] / worst_protocol_rate
 
 
 def measure_friendliness_packet(
@@ -260,43 +254,13 @@ def measure_friendliness_packet(
 ) -> float:
     """Packet-level analogue of :func:`measure_friendliness`.
 
-    Flows get a slow-start ramp (as the kernel stacks in the paper's
-    testbed do) and friendliness is measured on tail goodput, which is
-    what the Emulab experiments report.
+    Friendliness is measured on tail goodput, which is what the Emulab
+    experiments report.
     """
-    from repro.packetsim.scenario import run_scenario
-
-    if n_senders < 2:
-        raise ValueError(f"need at least 2 senders, got {n_senders}")
-    flows: list[Protocol] = [protocol] * (n_senders - 1) + [presets.reno()]
-    spec = ScenarioSpec.from_mbps(
-        bandwidth_mbps, rtt_ms, buffer_mss, flows,
-        duration=duration, slow_start=True, seed=1,
+    scenario = friendliness_packet_scenario(
+        protocol, n_senders, bandwidth_mbps, duration, rtt_ms, buffer_mss
     )
-    # Friendliness is a goodput ratio of the raw event statistics, so run
-    # the native scenario the packet backend lowers to (same engine, same
-    # cache entry as `run_spec(spec, "packet")` would warm).
-    result = run_scenario(spec.lower_packet())
-    rates = result.throughputs()
-    reno_rate = rates[-1]
-    worst_protocol_rate = max(rates[:-1])
-    if worst_protocol_rate <= 0:
-        return float("inf")
-    return reno_rate / worst_protocol_rate
-
-
-def _table2_packet_cell(
-    n: int,
-    bw: float,
-    robust_aimd: Protocol,
-    pcc: Protocol,
-    duration: float,
-) -> tuple[float, float]:
-    """One packet-level cell's friendliness pair (picklable for pools)."""
-    return (
-        measure_friendliness_packet(robust_aimd, n, bw, duration),
-        measure_friendliness_packet(pcc, n, bw, duration),
-    )
+    return _packet_reno_share(default_executor().run([PacketScenarioJob(scenario)])[0])
 
 
 def run_table2_packet(
@@ -309,33 +273,23 @@ def run_table2_packet(
 ) -> Table2Result:
     """Packet-level Table 2 over a (reduced, configurable) grid.
 
-    Cells are independent packet simulations scheduled through the
-    unified executor; ``workers > 1`` fans them out over a process pool,
-    with results in submission order (identical to the serial nested
-    loops).
+    Every cell's two native scenarios are one executor submission;
+    ``workers > 1`` spreads them over the executor's process pool, with
+    results in submission order (identical to the serial nested loops).
     """
     pcc = pcc or presets.pcc_like()
     robust_aimd = robust_aimd or presets.robust_aimd_paper()
-    result = Table2Result(pcc_standin=f"{pcc.name} [packet-level]")
     cells = [(n, bw) for n in senders for bw in bandwidths_mbps]
-    pairs = map_calls(
-        functools.partial(
-            _table2_packet_cell, robust_aimd=robust_aimd, pcc=pcc,
-            duration=duration,
-        ),
-        [{"n": n, "bw": bw} for n, bw in cells],
+    results = default_executor().run(
+        [
+            PacketScenarioJob(friendliness_packet_scenario(protocol, n, bw, duration))
+            for n, bw in cells
+            for protocol in (robust_aimd, pcc)
+        ],
         workers=workers,
     )
-    for (n, bw), (f_robust, f_pcc) in zip(cells, pairs):
-        result.cells.append(
-            Table2Cell(
-                n_senders=n,
-                bandwidth_mbps=bw,
-                friendliness_robust_aimd=f_robust,
-                friendliness_pcc=f_pcc,
-            )
-        )
-    return result
+    scores = [_packet_reno_share(result) for result in results]
+    return _table2_result(f"{pcc.name} [packet-level]", cells, scores)
 
 
 def render_table2(result: Table2Result, markdown: bool = False) -> str:

@@ -626,26 +626,8 @@ def _check_vectorized_signature(
 
 
 # ----------------------------------------------------------------------
-# REP303 — backend registration and deterministic cache keys
+# REP303 — backend registration
 # ----------------------------------------------------------------------
-#: Call origins that make a cache key depend on something other than the
-#: scenario content (host entropy, wall clock, process identity). A key
-#: derived from any of these aliases differently across runs, defeating
-#: the content-addressed store.
-_NONDETERMINISTIC_KEY_CALLS = (
-    _WALL_CLOCK
-    | _UNSEEDED_CALLS
-    | _SEEDABLE_CTORS
-    | frozenset({
-        "uuid.uuid1", "uuid.uuid3", "uuid.uuid4", "uuid.uuid5",
-        "os.urandom", "os.getpid",
-        "secrets.token_hex", "secrets.token_bytes", "secrets.token_urlsafe",
-        "secrets.randbits", "secrets.randbelow", "secrets.choice",
-        "id", "hash",
-    })
-)
-
-
 def _subclasses_of(root: str, classes: dict[str, _ClassInfo]) -> set[str]:
     """Names of classes transitively derived from ``root`` (excluded)."""
     family = {root}
@@ -686,8 +668,7 @@ def _module_registers(ctx: FileContext, class_name: str) -> bool:
     "backend-contract",
     Severity.ERROR,
     "Backend implementations must be registered with register_backend(...) "
-    "at module level and must derive cache keys without nondeterministic "
-    "constructs (wall clock, RNG, uuid, id()/hash())",
+    "at module level",
     scope=("repro/backends",),
     project=True,
 )
@@ -705,30 +686,6 @@ def _check_backend_contract(
                 f"backend class '{name}' is never passed to register_backend; "
                 "unregistered backends are invisible to run_spec and the CLI",
             )
-        chain = _ancestry(name, classes)
-        found = _lookup_method(chain, "cache_key")
-        if found is None:
-            yield _make(
-                rule_, info.ctx, info.node,
-                f"backend class '{name}' does not implement cache_key (and "
-                "inherits no concrete implementation)",
-            )
-            continue
-        owner, method = found
-        if owner is not info:
-            continue  # inherited implementation was checked on its owner
-        imports = _import_map(owner.ctx.tree)
-        for inner in ast.walk(method):
-            if not isinstance(inner, ast.Call):
-                continue
-            dotted = _dotted(inner.func, imports)
-            if dotted in _NONDETERMINISTIC_KEY_CALLS:
-                yield _make(
-                    rule_, owner.ctx, inner,
-                    f"'{name}.cache_key' calls '{dotted}': cache keys must be "
-                    "pure functions of the scenario spec, or entries alias "
-                    "across runs",
-                )
 
 
 # ----------------------------------------------------------------------

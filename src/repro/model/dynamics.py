@@ -165,30 +165,13 @@ class FluidSimulator:
     def run(self, steps: int) -> SimulationTrace:
         """Simulate ``steps`` RTT-sized time steps and return the trace.
 
-        When a simulation cache is active (:mod:`repro.perf.cache`) and
-        the run is cacheable, a previously archived trace is returned
-        instead of re-simulating; the dynamics are deterministic, so the
-        arrays are bit-identical either way. Homogeneous runs whose
-        protocol opts in take the vectorized fast path (see
+        Always simulates: stored traces come through
+        :func:`repro.backends.run_spec` or an executor job. Homogeneous
+        runs whose protocol opts in take the vectorized fast path (see
         ``SimulationConfig.allow_vectorized``).
         """
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
-        from repro.perf import cache as sim_cache
-
-        cache = sim_cache.active_cache()
-        key = None
-        if cache is not None:
-            key = sim_cache.simulation_key(
-                self.link, self.protocols, self.config, self._initial, steps
-            )
-            if key is not None:
-                cached = cache.get(key)
-                if cached is not None:
-                    if debug.enabled():
-                        _validate_trace(cached)
-                    return cached
-
         cfg = self.config
         cfg.loss_process.reset()
         for protocol in self.protocols:
@@ -201,8 +184,6 @@ class FluidSimulator:
                 trace = self._run_general(steps)
         if debug.enabled():
             _validate_trace(trace)
-        if cache is not None and key is not None:
-            cache.put(key, trace)
         return trace
 
     # ------------------------------------------------------------------

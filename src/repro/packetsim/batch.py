@@ -37,8 +37,9 @@ serial engine, field for field.
 Entry points: :func:`run_scenarios_batched` (long-lived-flow scenarios,
 used by ``repro emulab --batch`` and ``run_specs(..., backend="packet",
 batch=True)``) and :func:`run_workloads_batched` (finite-flow FCT
-workloads, used by ``repro fct --batch``). Both honor the same
-:mod:`repro.perf` caches as their serial counterparts, entry for entry.
+workloads, used by ``repro fct --batch``). Like their serial
+counterparts they only compute; the executor serves and archives stored
+results.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def _wire_scenario(
 
     A function (not a loop body) so the ``deliver``/``drop`` closures bind
     this replication's ``flows`` list and RNG — mirror images of the
-    closures in :func:`repro.packetsim.scenario._run_scenario`.
+    closures in :func:`repro.packetsim.scenario.run_scenario`.
     """
     flows: list[Flow] = []
     rng = _BlockRandom(scenario.seed)
@@ -216,48 +217,24 @@ def _run_merged_scenarios(
 
 def run_scenarios_batched(
     scenarios: Sequence[PacketScenario],
-    use_cache: bool = True,
 ) -> list[ScenarioResult]:
     """Run scenarios, merging compatible ones into shared event loops.
 
     Results are returned in submission order and are bit-identical to
     ``[run_scenario(s) for s in scenarios]`` — same ``FlowStats`` and
-    ``QueueStats`` values, same per-run event counts, and the same
-    :mod:`repro.perf` cache entries read and written (so batched runs
-    warm the cache for serial callers and vice versa). Scenarios whose
+    ``QueueStats`` values, same per-run event counts. Scenarios whose
     link or duration admits no merge partner simply run as a merge group
     of one through the same code path.
     """
     scenarios = list(scenarios)
     results: list[ScenarioResult | None] = [None] * len(scenarios)
-    keys: list[str | None] = [None] * len(scenarios)
-    cache = None
-    if use_cache:
-        from repro.perf.cache import active_cache
-
-        cache = active_cache()
-    if cache is not None:
-        from repro.perf import packet_cache
-
-        for i, scenario in enumerate(scenarios):
-            keys[i] = packet_cache.scenario_key(scenario)
-            if keys[i] is not None:
-                results[i] = packet_cache.load_scenario_result(
-                    cache, keys[i], scenario
-                )
     groups: dict[tuple[float, float, float], list[int]] = {}
     for i, scenario in enumerate(scenarios):
-        if results[i] is None:
-            groups.setdefault(_merge_key(scenario), []).append(i)
+        groups.setdefault(_merge_key(scenario), []).append(i)
     for indices in groups.values():
         merged = _run_merged_scenarios([scenarios[i] for i in indices])
         for i, result in zip(indices, merged):
             results[i] = result
-            key = keys[i]
-            if cache is not None and key is not None:
-                from repro.perf import packet_cache
-
-                packet_cache.store_scenario_result(cache, key, result)
     return [result for result in results if result is not None]
 
 
@@ -332,7 +309,6 @@ def run_workloads_batched(
     duration: float,
     slow_start: bool = True,
     initial_window: float = 1.0,
-    use_cache: bool = True,
 ) -> list[WorkloadResult]:
     """Run finite-flow workload jobs in one merged event loop.
 
@@ -341,7 +317,7 @@ def run_workloads_batched(
     and the flags are shared, which is exactly what makes every job merge
     into a single scheduler (all rail delays agree by construction).
     Results come back in job order, bit-identical to running each job
-    through ``run_workload``, and read/write the same cache entries.
+    through ``run_workload``.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -357,56 +333,33 @@ def run_workloads_batched(
                     f"duration {duration}"
                 )
         normalized.append((specs, list(background or [])))
-    results: list[WorkloadResult | None] = [None] * len(normalized)
-    keys: list[str | None] = [None] * len(normalized)
-    cache = None
-    if use_cache:
-        from repro.perf.cache import active_cache
-
-        cache = active_cache()
-    if cache is not None:
-        from repro.perf import packet_cache
-
-        for i, (specs, background) in enumerate(normalized):
-            keys[i] = packet_cache.workload_key(
-                link, specs, duration, background, slow_start, initial_window
-            )
-            if keys[i] is not None:
-                results[i] = packet_cache.load_workload_result(
-                    cache, keys[i], specs, duration
-                )
-    pending = [i for i in range(len(normalized)) if results[i] is None]
-    if pending:
-        scheduler = EventScheduler()
-        pool = PacketPool()
-        ack_rail = scheduler.rail(2 * link.theta)
-        drop_rail = scheduler.rail(link.base_rtt)
-        service_rail = scheduler.rail(1.0 / link.bandwidth)
-        wired = [
-            _wire_workload(
-                normalized[i][0], normalized[i][1], link, scheduler, pool,
-                ack_rail, drop_rail, service_rail, slow_start, initial_window,
-            )
-            for i in pending
-        ]
-        for flows in wired:
-            for flow in flows:
-                flow.start()
-        scheduler.run_until(duration)
-        for i, flows in zip(pending, wired):
-            specs = normalized[i][0]
-            result = WorkloadResult(
-                specs=list(specs),
-                flows=[flow.stats for flow in flows[: len(specs)]],
-                duration=duration,
-            )
-            results[i] = result
-            key = keys[i]
-            if cache is not None and key is not None:
-                from repro.perf import packet_cache
-
-                packet_cache.store_workload_result(cache, key, result)
-        scheduler.discard_pending()
-        for flows in wired:
-            flows.clear()
-    return [result for result in results if result is not None]
+    if not normalized:
+        return []
+    scheduler = EventScheduler()
+    pool = PacketPool()
+    ack_rail = scheduler.rail(2 * link.theta)
+    drop_rail = scheduler.rail(link.base_rtt)
+    service_rail = scheduler.rail(1.0 / link.bandwidth)
+    wired = [
+        _wire_workload(
+            specs, background, link, scheduler, pool,
+            ack_rail, drop_rail, service_rail, slow_start, initial_window,
+        )
+        for specs, background in normalized
+    ]
+    for flows in wired:
+        for flow in flows:
+            flow.start()
+    scheduler.run_until(duration)
+    results = [
+        WorkloadResult(
+            specs=list(specs),
+            flows=[flow.stats for flow in flows[: len(specs)]],
+            duration=duration,
+        )
+        for (specs, _), flows in zip(normalized, wired)
+    ]
+    scheduler.discard_pending()
+    for flows in wired:
+        flows.clear()
+    return results

@@ -143,35 +143,12 @@ class ScenarioResult:
         return rates[numerator] / rates[denominator]
 
 
-def run_scenario(scenario: PacketScenario,
-                 use_cache: bool = True) -> ScenarioResult:
+def run_scenario(scenario: PacketScenario) -> ScenarioResult:
     """Execute a scenario and collect statistics.
 
-    When a :mod:`repro.perf` trace cache is active (``REPRO_SIM_CACHE`` or
-    :func:`repro.perf.configure_cache`) and ``use_cache`` is true, the run
-    is keyed by its canonical inputs and previously archived statistics
-    are reloaded instead of re-simulating.
+    Pure simulation: a stored result comes only through a
+    :class:`~repro.exec.jobs.PacketScenarioJob` submitted to the executor.
     """
-    if use_cache:
-        from repro.perf.cache import active_cache
-
-        cache = active_cache()
-        if cache is not None:
-            from repro.perf import packet_cache
-
-            key = packet_cache.scenario_key(scenario)
-            if key is not None:
-                cached = packet_cache.load_scenario_result(cache, key, scenario)
-                if cached is not None:
-                    return cached
-                result = _run_scenario(scenario)
-                packet_cache.store_scenario_result(cache, key, result)
-                return result
-    return _run_scenario(scenario)
-
-
-def _run_scenario(scenario: PacketScenario) -> ScenarioResult:
-    """The simulation proper (cache-oblivious)."""
     scheduler = EventScheduler()
     link = scenario.link
     theta = link.theta

@@ -141,7 +141,6 @@ def run_workload(
     background: list[Protocol] | None = None,
     slow_start: bool = True,
     initial_window: float = 1.0,
-    use_cache: bool = True,
 ) -> WorkloadResult:
     """Run finite flows (plus optional long-lived background flows).
 
@@ -149,9 +148,9 @@ def run_workload(
     duration; their stats are excluded from the returned result (their
     role is to load the link).
 
-    Like :func:`repro.packetsim.scenario.run_scenario`, the run is served
-    from the :mod:`repro.perf` trace cache when one is active and
-    ``use_cache`` is true.
+    Like :func:`repro.packetsim.scenario.run_scenario`, this is pure
+    simulation: a stored result comes only through a
+    :class:`~repro.exec.jobs.WorkloadJob` submitted to the executor.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -164,41 +163,6 @@ def run_workload(
                 f"duration {duration}"
             )
     background = background or []
-    if use_cache:
-        from repro.perf.cache import active_cache
-
-        cache = active_cache()
-        if cache is not None:
-            from repro.perf import packet_cache
-
-            key = packet_cache.workload_key(
-                link, specs, duration, background, slow_start, initial_window
-            )
-            if key is not None:
-                cached = packet_cache.load_workload_result(
-                    cache, key, specs, duration
-                )
-                if cached is not None:
-                    return cached
-                result = _run_workload(
-                    link, specs, duration, background, slow_start, initial_window
-                )
-                packet_cache.store_workload_result(cache, key, result)
-                return result
-    return _run_workload(
-        link, specs, duration, background, slow_start, initial_window
-    )
-
-
-def _run_workload(
-    link: Link,
-    specs: list[FlowSpec],
-    duration: float,
-    background: list[Protocol],
-    slow_start: bool,
-    initial_window: float,
-) -> WorkloadResult:
-    """The finite-flow simulation proper (cache-oblivious)."""
     scheduler = EventScheduler()
     flows: list[Flow] = []
     pool = PacketPool()

@@ -1,27 +1,28 @@
-"""Performance layer: parallel sweeps, the simulation cache, and timing.
+"""Performance layer: the content-addressed store, its codec, and timing.
 
-The reproduction's headline artifacts are grids of independent fluid
-simulations; this package supplies the machinery that makes regenerating
-them fast without changing a single result:
+The reproduction's headline artifacts are grids of independent,
+deterministic simulations; this package supplies the machinery that
+makes regenerating them fast without changing a single result:
 
-- :mod:`repro.perf.cache` — a content-addressed on-disk cache of
-  simulation traces, keyed by a stable hash of (link, protocols, config,
-  steps), so repeated estimator calls reload archived arrays instead of
-  re-simulating;
+- :mod:`repro.perf.cache` — the content-addressed on-disk store
+  (:class:`TraceCache`) and the canonical keying rules every key scheme
+  shares, so a rerun reloads archived arrays instead of re-simulating;
+- :mod:`repro.perf.store` — the unified entry kind (one
+  :class:`~repro.backends.trace.UnifiedTrace` per ``(backend, spec)``
+  key), per-kind accounting and pruning;
+- :mod:`repro.perf.packet_cache` — the native packet entry kind:
+  ``PacketScenario``/workload inputs hash to archived
+  ``FlowStats``/``QueueStats`` arrays, so warm Emulab and FCT runs skip
+  the discrete-event simulation entirely;
 - :mod:`repro.perf.codec` — the array-bundle format of every store entry
   and every ``repro serve`` trace;
-- :mod:`repro.perf.packet_cache` — the same idea for packet-level runs:
-  ``PacketScenario``/workload inputs hash to archived
-  ``FlowStats``/``QueueStats`` arrays, so warm Emulab/FCT/Table-2 packet
-  checks skip the discrete-event simulation entirely;
-- :mod:`repro.perf.timing` — a lightweight timing registry the simulator,
-  sweep harness and cache all report into, so speedups are measured
-  rather than asserted.
+- :mod:`repro.perf.timing` — a lightweight timing registry the engines,
+  the executor's lanes and the store all report into, so speedups are
+  measured rather than asserted.
 
-Parallel grid execution itself lives on
-:class:`repro.experiments.sweep.Sweep` (``parallel``/``max_workers``);
-the vectorized homogeneous fast path lives in
-:class:`repro.model.dynamics.FluidSimulator`. Both report here.
+Only the executor (:mod:`repro.exec`) reads and writes the store; it also
+owns the process pool that spreads per-job work over ``workers``
+processes.
 """
 
 from repro.perf.cache import (

@@ -1,18 +1,19 @@
-"""Content-addressed on-disk cache of fluid-simulation traces.
+"""The content-addressed on-disk store and its keying rules.
 
-A fluid simulation is a deterministic function of (link, protocols,
-config, steps) — the paper's own framing: a protocol-plus-initial-windows
-choice *deterministically* induces the dynamics. That makes traces
-content-addressable: we canonicalize the inputs into a stable structure,
-hash it, and archive the resulting trace's arrays as one array bundle
-(:mod:`repro.perf.codec`) under the hash. Repeated estimator calls across
-Table 1, Figure 1 and the claims checks then reload bit-identical arrays
-instead of re-simulating. Every entry kind (fluid traces here, packet
-statistics in :mod:`repro.perf.packet_cache`, unified traces in
-:mod:`repro.perf.store`) goes through the same codec, read and written by
-one private reader and one private writer on :class:`TraceCache`.
+Every engine in this reproduction is deterministic — the paper's own
+framing: a protocol-plus-initial-windows choice *deterministically*
+induces the dynamics. That makes results content-addressable: we
+canonicalize a run's inputs into a stable structure, hash it, and
+archive the result's arrays as one array bundle (:mod:`repro.perf.codec`)
+under the hash. Repeated estimator calls across Table 1, Figure 1 and the
+claims checks then reload bit-identical arrays instead of re-simulating.
+Every entry kind (unified traces in :mod:`repro.perf.store`, packet
+statistics in :mod:`repro.perf.packet_cache`) goes through the same
+codec, read and written by one private reader and one private writer on
+:class:`TraceCache` — and only :meth:`repro.exec.Executor.submit` calls
+them, through each job kind's ``probe`` and ``store``.
 
-Keying rules:
+Keying rules (:func:`_canonical`, shared by every key scheme):
 
 - floats are keyed by their exact bit pattern (``float.hex``), so "close"
   parameters never collide;
@@ -21,13 +22,14 @@ Keying rules:
   whatever mid-run state the instance carries);
 - loss processes are keyed by class plus their reset attribute dict, with
   RNG objects skipped (the seed attribute already determines them);
-- anything that cannot be canonicalized makes the simulation *uncacheable*
-  (``simulation_key`` returns ``None``) rather than wrongly cacheable.
+- anything that cannot be canonicalized makes the run *uncacheable* (its
+  key is ``None``) rather than wrongly cacheable.
 
 Activation is explicit: nothing is cached until :func:`configure_cache`
 (or the :func:`cache_enabled` context manager) installs a cache, or the
 ``REPRO_SIM_CACHE`` environment variable names a directory — the latter
-is how parallel sweep workers and child processes join in.
+is how child processes (a ``repro serve`` launched from a shell, say)
+join the same store.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ CACHE_ENV = "REPRO_SIM_CACHE"
 #: The per-store index file: one NDJSON record per stored entry, written
 #: at put time, so ``repro cache stats`` never opens the entry payloads.
 INDEX_NAME = "index.ndjson"
+
+#: Name prefix of an entry write in progress (renamed into place when done).
+TEMP_PREFIX = ".tmp-"
 
 #: Bump when the canonicalization or the trace format changes.
 _KEY_VERSION = 1
@@ -132,6 +137,7 @@ def _attrs_of(obj: Any) -> Any:
     }
 
 
+# No caller in src/: perfbench/tracing.py binds simulation_key; delete both together.
 #: SimulationConfig fields excluded from the key: ``initial_windows`` is
 #: keyed in resolved form separately, and ``allow_vectorized`` selects an
 #: execution path whose output is bit-identical by contract (and tested).
@@ -205,7 +211,7 @@ def default_cache_dir() -> Path:
 
 
 class TraceCache:
-    """Trace archive addressed by :func:`simulation_key` hashes.
+    """Content-addressed archive of array bundles, one entry per key.
 
     Entries are array bundles (:mod:`repro.perf.codec`), sharded as
     ``<dir>/<key[:2]>/<key>.npz`` so thousands of concurrent clients
@@ -213,14 +219,14 @@ class TraceCache:
     entries were npz archives before the codec existed, and an entry
     still in that form fails the codec's magic check, is dropped as
     corrupt on first touch and is rewritten by the next put. Writes are
-    atomic (temp file + rename), so concurrent sweep workers may race on
-    the same key without corrupting entries. Every put also appends one
+    atomic (a ``.tmp-*`` file in the shard, then a rename), so concurrent
+    writers may race on the same key without corrupting entries; scans
+    skip temp names, and :func:`repro.perf.store.prune_cache` reclaims
+    the ones a killed writer left behind. Every put also appends one
     NDJSON record (key, kind, bytes) to ``index.ndjson``, which is what lets
     ``repro cache stats`` break the store down per kind without opening
-    a single payload. Entries written by the pre-shard flat layout
-    (``<dir>/<key>.npz``) migrate transparently: lookups relocate the
-    flat file into its shard on first touch, and :meth:`entries` sweeps
-    any stragglers.
+    a single payload. Only :meth:`repro.exec.Executor.submit` reads and
+    writes entries.
     """
 
     def __init__(self, directory: str | Path | None = None) -> None:
@@ -230,40 +236,6 @@ class TraceCache:
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.npz"
-
-    # ------------------------------------------------------------------
-    # Flat-layout migration
-    # ------------------------------------------------------------------
-    def _migrate_flat(self, key: str) -> bool:
-        """Relocate ``key``'s legacy flat entry into its shard, if any."""
-        flat = self.directory / f"{key}.npz"
-        if not flat.is_file():
-            return False
-        dest = self._path(key)
-        try:
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(flat, dest)
-        except OSError:
-            return False
-        return True
-
-    def migrate_flat_entries(self) -> int:
-        """Sweep every legacy flat-layout entry into the sharded layout.
-
-        Returns how many entries moved. Concurrent migrations are safe:
-        ``os.replace`` is atomic and a file another process already moved
-        is simply skipped.
-        """
-        moved = 0
-        if not self.directory.is_dir():
-            return 0
-        for flat in sorted(self.directory.glob("*.npz")):
-            key = flat.stem
-            if key.startswith("."):
-                continue  # in-progress temp files
-            if self._migrate_flat(key):
-                moved += 1
-        return moved
 
     # ------------------------------------------------------------------
     # The entry-kind index
@@ -350,7 +322,7 @@ class TraceCache:
         """
         path = self._path(key)
         with timing.measure("cache.get"):
-            if path.exists() or self._migrate_flat(key):
+            if path.exists():
                 try:
                     value = unpack_arrays(path.read_bytes())
                     if decode is not None:
@@ -373,7 +345,7 @@ class TraceCache:
         path = self._path(key)
         with timing.measure("cache.put"):
             if not path.exists():
-                tmp = path.with_name(f".tmp-{os.getpid()}-{key[:16]}.npz")
+                tmp = path.with_name(f"{TEMP_PREFIX}{os.getpid()}-{key[:16]}.npz")
                 try:
                     blob = pack_arrays(arrays)
                     path.parent.mkdir(parents=True, exist_ok=True)
@@ -388,10 +360,12 @@ class TraceCache:
                 self.index_append(key, kind, len(blob))
         return path
 
+    # No caller in src/: perfbench/tracing.py binds this method; delete both together.
     def get(self, key: str):
         """The cached fluid trace for ``key``, or ``None`` (counts hit/miss)."""
         return self._read(key, trace_from_arrays)
 
+    # No caller in src/: perfbench/tracing.py binds this method; delete both together.
     def put(self, key: str, trace) -> Path | None:
         """Archive a fluid ``trace`` under ``key`` (no-op if already present)."""
         return self._write(key, trace_to_arrays(trace), "fluid")
@@ -416,13 +390,14 @@ class TraceCache:
     def entries(self) -> list[Path]:
         """All archived entry files, sorted for determinism.
 
-        Sweeps any legacy flat-layout entries into their shards first,
-        so iteration sees each entry exactly once at its sharded path.
+        In-progress (or abandoned) ``.tmp-*`` writes are not entries.
         """
         if not self.directory.exists():
             return []
-        self.migrate_flat_entries()
-        return sorted(self.directory.glob("*/*.npz"))
+        return sorted(
+            path for path in self.directory.glob("*/*.npz")
+            if not path.name.startswith(TEMP_PREFIX)
+        )
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
@@ -465,7 +440,7 @@ def configure_cache(directory: str | Path | None = None,
     """Install a :class:`TraceCache` as this process's active cache.
 
     With ``export_env`` (default) the directory is also exported via
-    ``REPRO_SIM_CACHE`` so parallel sweep workers share the cache.
+    ``REPRO_SIM_CACHE`` so child processes use the same store.
     """
     global _active
     _active = TraceCache(directory)

@@ -1,19 +1,21 @@
 """The unified content-addressed store behind every backend.
 
-:mod:`repro.perf.cache` (fluid traces) and :mod:`repro.perf.packet_cache`
-(packet statistics) already share one on-disk :class:`TraceCache`
-directory; this module completes the collapse into a single store:
+One on-disk :class:`TraceCache` directory holds every entry kind; this
+module defines the unified kind and the store-wide maintenance:
 
 - :func:`unified_key` keys a run by ``(backend.name, canonical spec)`` —
-  the one addressing scheme :func:`repro.backends.run_spec` uses for all
-  backends (the native layers keep their own keys and keep working; a
-  unified entry is just one more kind in the same directory);
+  the one addressing scheme every spec job uses, whichever backend runs
+  it (packet scenarios and workloads submitted natively keep the
+  :mod:`repro.perf.packet_cache` keys, because their callers need the raw
+  event statistics);
 - :func:`store_unified_trace` / :func:`load_unified_trace` archive the
   :class:`~repro.backends.trace.UnifiedTrace` a backend produced, so a
-  cached ``run_spec`` is bit-identical to an uncached one;
+  stored trace is bit-identical to a fresh one; the executor is their
+  only caller;
 - :func:`classify_entry` / :func:`stats_by_kind` break the directory down
-  per entry kind (fluid / packet / unified-per-backend), which is what
-  ``repro cache stats`` prints and ``repro cache clear`` reports;
+  per entry kind (unified-per-backend / packet, plus ``fluid`` for native
+  fluid entries, which only stores written by older versions hold), which
+  is what ``repro cache stats`` prints and ``repro cache clear`` reports;
 - :func:`extract_batch_trace` slices one scenario's per-spec
   :class:`~repro.backends.trace.UnifiedTrace` out of a stacked
   :class:`~repro.model.batch.BatchResult`, so batched runs populate the
@@ -21,7 +23,8 @@ directory; this module completes the collapse into a single store:
 - :func:`prune_cache` bounds the directory: entries are evicted oldest
   first until the store fits under a byte cap (``--max-mb`` on the CLI,
   or the ``REPRO_CACHE_MAX_MB`` environment default), reporting how many
-  bytes were reclaimed.
+  bytes were reclaimed; it also deletes the temp files killed writers
+  left behind.
 
 Like every key in :mod:`repro.perf.cache`, an input that cannot be
 canonically keyed makes the run uncacheable (``None``) rather than wrongly
@@ -33,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 import warnings
 from pathlib import Path
 from typing import Any
@@ -40,6 +44,7 @@ from typing import Any
 import numpy as np
 
 from repro.perf.cache import (
+    TEMP_PREFIX,
     CacheKeyError,
     TraceCache,
     _canonical,
@@ -62,6 +67,10 @@ __all__ = [
 
 #: Environment variable holding the default size cap in megabytes.
 CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
+
+#: A temp file older than this is a dead writer's leftover (a live write
+#: takes milliseconds); :func:`prune_cache` deletes it.
+STALE_TEMP_SECONDS = 600.0
 
 #: Bump when the spec canonicalization or the stored layout changes.
 _KEY_VERSION = 1
@@ -242,12 +251,24 @@ def prune_cache(
     with neither set the call is a no-op. Age is the entry file's mtime
     (write time — entries are immutable once written), with the path as a
     deterministic tie-break. Returns the number of entries removed, the
-    bytes reclaimed, and what remains. With ``dry_run`` nothing is
-    deleted: the report describes what eviction *would* do (the
-    "removed"/"remaining" numbers are the hypothetical outcome).
+    bytes reclaimed, what remains, and how many stale temp files (older
+    than :data:`STALE_TEMP_SECONDS`) were deleted — whatever the cap. With
+    ``dry_run`` nothing is deleted: the report describes what eviction
+    *would* do (the "removed"/"remaining" numbers are the hypothetical
+    outcome).
     """
     if max_bytes is None:
         max_bytes = size_cap_bytes()
+    stale_before = time.time() - STALE_TEMP_SECONDS
+    stale = 0
+    for tmp in cache.directory.glob(f"*/{TEMP_PREFIX}*"):
+        try:
+            if tmp.stat().st_mtime < stale_before:
+                if not dry_run:
+                    tmp.unlink()
+                stale += 1
+        except OSError:
+            continue  # finished or reclaimed concurrently
     entries = []
     for path in cache.entries():
         try:
@@ -277,6 +298,7 @@ def prune_cache(
         "reclaimed_bytes": reclaimed,
         "remaining_entries": len(entries) - removed,
         "remaining_bytes": total - reclaimed,
+        "stale_temp_files": stale,
     }
 
 
@@ -286,9 +308,10 @@ def prune_cache(
 def classify_entry(path: Path) -> str:
     """The kind of one cache entry file, from its member names.
 
-    Kinds: ``fluid`` (native fluid traces), ``packet`` (native packet
-    statistics), ``unified:<backend>`` (unified-store traces), and
-    ``unknown`` for anything unreadable or unrecognized. The kind follows
+    Kinds: ``fluid`` (native fluid traces, which only older versions
+    wrote), ``packet`` (native packet statistics), ``unified:<backend>``
+    (unified-store traces), and ``unknown`` for anything unreadable or
+    unrecognized. The kind follows
     from the member names plus, for unified entries, the one-string
     backend member; decoding the entry also verifies its checksum, so a
     corrupt entry is ``unknown``.
@@ -306,9 +329,9 @@ def stats_by_kind(cache: TraceCache) -> dict[str, dict[str, Any]]:
 
     Kinds come from the store's ``index.ndjson`` (written at put time),
     so no payload is opened on the steady-state path; an entry the index
-    doesn't know — a pre-index store, a migrated flat entry — is
-    classified from its member names once and the record is appended, so
-    the next scan is index-only. Entries another process evicts
+    doesn't know (a pre-index store, say) is classified from its member
+    names once and the record is appended, so the next scan is
+    index-only. Entries another process evicts
     mid-iteration are skipped rather than crashing the scan.
     """
     index = cache.read_index()

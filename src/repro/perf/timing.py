@@ -1,16 +1,17 @@
 """A lightweight timing harness for the performance layer.
 
 Perf work in this repo follows one rule: speedups are *measured*, never
-asserted. The simulator, the sweep harness and the trace cache each wrap
-their hot sections in :func:`measure`, accumulating wall-clock statistics
+asserted. The engines, the executor's per-job lane and the store each
+wrap their hot sections in :func:`measure`, accumulating wall-clock statistics
 into a process-wide :data:`REGISTRY`; ``repro ... --timing`` and the
 ``benchmarks/bench_perf.py`` harness render the result. The registry is
 deliberately dumb — monotonic-clock durations bucketed by name — so it
 can sit inside the per-run hot path without perturbing what it measures.
 
-Note that parallel sweep workers are separate processes with their own
-registries; the parent's registry times whole parallel runs, while
-per-cell timings are only visible in serial mode.
+Note that the executor's pool workers are separate processes with their
+own registries; the parent's registry times whole pooled runs
+(``exec.pool``), while per-job timings are only visible in serial mode
+(``exec.serial``).
 """
 
 from __future__ import annotations

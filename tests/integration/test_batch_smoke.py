@@ -12,7 +12,7 @@ import numpy as np
 from repro.core.metrics import EstimatorConfig
 from repro.experiments.figure1 import (
     measure_aimd_point,
-    measure_aimd_points_batched,
+    measure_aimd_points,
     run_figure1,
 )
 from repro.experiments.table2 import run_table2
@@ -25,8 +25,8 @@ _POINTS = [(a, b) for a in (0.5, 2.0) for b in (0.3, 0.7)]
 
 
 def test_small_frontier_grid_batched_equals_serial():
-    batched = measure_aimd_points_batched(
-        _POINTS, _LINK, _CONFIG, use_cache=False
+    batched = measure_aimd_points(
+        _POINTS, _LINK, _CONFIG, batch=True, use_cache=False
     )
     for (alpha, beta), b in zip(_POINTS, batched):
         s = measure_aimd_point(alpha, beta, _LINK, _CONFIG)

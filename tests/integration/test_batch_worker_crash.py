@@ -1,16 +1,19 @@
-"""A shared-memory chunk worker that dies leaves a named error and no debris.
+"""The shared-memory chunk scheduler's failure paths.
 
 The fluid lane's scheduler spreads a batch over a process pool in row
 chunks. When a worker process dies mid-kernel, the caller must get an
 error naming the lane, the chunk's rows and the submission positions of
 its specs — not an anonymous ``BrokenProcessPool`` — and the failure
 must leave no shared-memory segment, no in-flight executor claim, and
-no effect on the next run.
+no effect on the next run. When the scheduler cannot start at all, the
+batch runs in-process after a one-time warning naming the lane and the
+error, with bit-identical results.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -87,3 +90,30 @@ def test_dead_chunk_worker_names_lane_rows_and_specs():
             b = np.ascontiguousarray(getattr(reference, name))
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
     assert _segments() <= before
+
+
+def test_unavailable_shared_memory_warns_once_and_runs_in_process(monkeypatch):
+    from multiprocessing import shared_memory
+
+    def refuse(*args, **kwargs):
+        raise OSError("no space left on /dev/shm")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    monkeypatch.setattr(batch_module, "_warned_in_process", set())
+    specs = _grid(AIMD)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traces = run_specs(specs, "fluid", batch=True, workers=2,
+                           use_cache=False)
+        run_specs(specs[::-1], "fluid", batch=True, workers=2, use_cache=False)
+    fallbacks = [w for w in caught if "chunk scheduler" in str(w.message)]
+    assert len(fallbacks) == 1
+    message = str(fallbacks[0].message)
+    assert "fluid lane" in message
+    assert "OSError: no space left on /dev/shm" in message
+    for spec, trace in zip(specs, traces):
+        reference = run_spec(spec, "fluid", use_cache=False)
+        for name in ("windows", "observed_loss", "rtts"):
+            a = np.ascontiguousarray(getattr(trace, name))
+            b = np.ascontiguousarray(getattr(reference, name))
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name

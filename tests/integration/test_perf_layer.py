@@ -63,8 +63,8 @@ class TestCachedExperiments:
         assert cold_stats[1] > 0
         # The warm rerun resolved every simulation from the cache: no new
         # misses, and one unified-store hit per simulation. Each cold
-        # simulation misses twice — once in the unified store, once in the
-        # engine's own cache warming alongside (docs/backends.md).
+        # simulation misses twice: the executor probes before and after
+        # its in-flight claim.
         assert warm_stats[1] == cold_stats[1]
         assert 2 * warm_stats[0] == cold_stats[1]
         assert _table2_tuples(cold_result) == _table2_tuples(warm_result)
@@ -77,12 +77,15 @@ class TestCachedExperiments:
             cached = run_table2(**kwargs)  # replay
         assert _table2_tuples(uncached) == _table2_tuples(cached)
 
-    def test_parallel_workers_share_the_cache_via_env(self, tmp_path):
+    def test_pooled_runs_are_archived_by_the_parent(self, tmp_path):
         kwargs = dict(senders=(2, 3), bandwidths_mbps=(20,), steps=300)
         with cache_enabled(tmp_path) as cache:
-            run_table2(workers=2, **kwargs)  # workers populate via env
-            warm = run_table2(**kwargs)  # parent replays from disk
-            assert cache.stats()["entries"] > 0
-            assert cache.hits > 0
+            pooled = run_table2(workers=2, **kwargs)  # pool workers compute
+            # The parent archived every (cell, protocol) run exactly once.
+            assert cache.stats()["entries"] == 4
+            assert len(cache.read_index()) == 4
+            warm = run_table2(**kwargs)  # replays from disk
+            assert cache.hits == 4
         serial = run_table2(**kwargs)
         assert _table2_tuples(serial) == _table2_tuples(warm)
+        assert _table2_tuples(serial) == _table2_tuples(pooled)

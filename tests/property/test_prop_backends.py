@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import ScenarioSpec, get_backend, run_spec
+from repro.backends import ScenarioSpec, run_spec
 from repro.model.dynamics import FluidSimulator, SimulationConfig
 from repro.model.link import Link
 from repro.packetsim.scenario import PacketScenario, run_scenario
@@ -189,8 +189,7 @@ def test_cache_keys_distinct_across_backends():
         protocols=[AIMD(1.0, 0.5)], link=Link.from_mbps(20, 42, 100), steps=32
     )
     keys = {
-        name: get_backend(name).cache_key(spec)
-        for name in ("fluid", "network", "packet")
+        name: unified_key(name, spec) for name in ("fluid", "network", "packet")
     }
     assert all(isinstance(k, str) and len(k) == 64 for k in keys.values())
     assert len(set(keys.values())) == 3

@@ -76,10 +76,9 @@ def test_real_runs_append_in_clock_order():
         20.0, 42.0, 10, [presets.reno(), presets.cubic()], duration=4.0, seed=3,
         start_times=[0.0, 1.0],
     )
-    flows = list(run_scenario(scenario, use_cache=False).flows)
+    flows = list(run_scenario(scenario).flows)
     specs = poisson_workload(1.0, 30, 3.0, presets.reno(), seed=5)
-    flows += run_workload(Link.from_mbps(20, 42, 10), specs, duration=6.0,
-                          use_cache=False).flows
+    flows += run_workload(Link.from_mbps(20, 42, 10), specs, duration=6.0).flows
     assert any(flow.loss_times for flow in flows)  # the shallow buffer drops
     for flow in flows:
         assert _nondecreasing(flow.ack_times)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exec import Executor, PacketScenarioJob
 from repro.model.link import Link
 from repro.packetsim.batch import (
     _BlockRandom,
@@ -97,9 +98,9 @@ def test_merged_scenarios_bit_identical_to_serial(seed, count, lossy):
     """One merge group: same link and duration across all replications."""
     link = Link.from_mbps(12, 42, 60)
     scenarios = _scenarios(seed, count, link, duration=3.0, lossy=lossy)
-    merged = run_scenarios_batched(scenarios, use_cache=False)
+    merged = run_scenarios_batched(scenarios)
     for scenario, result in zip(scenarios, merged):
-        _assert_results_equal(result, run_scenario(scenario, use_cache=False))
+        _assert_results_equal(result, run_scenario(scenario))
 
 
 def test_mixed_links_split_into_merge_groups_in_submission_order():
@@ -111,11 +112,11 @@ def test_mixed_links_split_into_merge_groups_in_submission_order():
             _scenarios(int(rng.integers(0, 2**16)), 1,
                        Link.from_mbps(mbps, 42, 50), duration=2.0, lossy=True)
         )
-    merged = run_scenarios_batched(scenarios, use_cache=False)
+    merged = run_scenarios_batched(scenarios)
     assert len(merged) == len(scenarios)
     for scenario, result in zip(scenarios, merged):
         assert result.scenario is scenario
-        _assert_results_equal(result, run_scenario(scenario, use_cache=False))
+        _assert_results_equal(result, run_scenario(scenario))
 
 
 @settings(max_examples=10, deadline=None)
@@ -151,11 +152,9 @@ def test_merged_workloads_bit_identical_to_serial(seed, jobs):
             protocol=presets.reno(), seed=seed + rep,
         )
         job_list.append((specs, backgrounds[rep % len(backgrounds)]))
-    merged = run_workloads_batched(link, job_list, duration, use_cache=False)
+    merged = run_workloads_batched(link, job_list, duration)
     for (specs, background), result in zip(job_list, merged):
-        serial = run_workload(
-            link, specs, duration, background=background, use_cache=False
-        )
+        serial = run_workload(link, specs, duration, background=background)
         assert result.duration == serial.duration
         assert len(result.flows) == len(serial.flows) == len(specs)
         for m, s in zip(result.flows, serial.flows):
@@ -163,18 +162,20 @@ def test_merged_workloads_bit_identical_to_serial(seed, jobs):
 
 
 def test_batched_runs_warm_the_serial_cache(tmp_path):
-    """Cache entries are interchangeable in both directions."""
+    """Store entries are interchangeable between the batched and per-job lanes."""
     link = Link.from_mbps(10, 42, 50)
     scenarios = _scenarios(11, 3, link, duration=2.0, lossy=True)
+    jobs = [PacketScenarioJob(scenario) for scenario in scenarios]
     with cache_enabled(tmp_path) as cache:
-        batched = run_scenarios_batched(scenarios)
-        assert cache.misses == len(scenarios)
-        # Serial reads what the batch stored: no new simulation, pure hits.
-        for scenario, expected in zip(scenarios, batched):
-            _assert_results_equal(run_scenario(scenario), expected)
+        batched = Executor().run(jobs, batch=True)
+        # Cold: the executor probes before and after its in-flight claim.
+        assert cache.misses == 2 * len(scenarios)
+        # The per-job lane reads what the batch stored: pure hits.
+        for expected, result in zip(batched, Executor().run(jobs)):
+            _assert_results_equal(result, expected)
         assert cache.hits == len(scenarios)
-        # And a second batched call is served entirely from the cache.
-        again = run_scenarios_batched(scenarios)
+        # And a second batched submission is served entirely from the store.
+        again = Executor().run(jobs, batch=True)
         assert cache.hits == 2 * len(scenarios)
         for expected, result in zip(batched, again):
             _assert_results_equal(result, expected)

@@ -27,7 +27,7 @@ def _bits(values) -> list[int]:
 
 def assert_scenario_matches_reference(scenario: PacketScenario) -> None:
     ref_flows, ref_queue, ref_events = reference_run_scenario(scenario)
-    result = run_scenario(scenario, use_cache=False)
+    result = run_scenario(scenario)
 
     assert result.events == ref_events
     assert result.queue.enqueued == ref_queue.enqueued
@@ -106,7 +106,7 @@ def test_window_decisions_carry_identical_floats():
         20, 42, 50, [presets.cubic(), presets.reno()], duration=12.0
     )
     ref_flows, _, _ = reference_run_scenario(scenario)
-    result = run_scenario(scenario, use_cache=False)
+    result = run_scenario(scenario)
     for stats, ref in zip(result.flows, ref_flows, strict=True):
         ours = [w for _, w in stats.window_samples]
         theirs = [w for _, w in ref.window_samples]

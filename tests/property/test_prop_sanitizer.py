@@ -92,7 +92,7 @@ def test_packet_run_bit_identical_under_checks(name, n, loss):
             10, 42, 50, [factory() for _ in range(n)],
             duration=3.0, random_loss_rate=loss,
         )
-        return run_scenario(scenario, use_cache=False)
+        return run_scenario(scenario)
 
     with debug.checks(True):
         checked = run()
@@ -111,7 +111,7 @@ def test_emulab_scale_scenario_bit_identical_under_checks():
             [presets.reno(), presets.cubic(), presets.robust_aimd_paper()],
             duration=10.0,
         )
-        return run_scenario(scenario, use_cache=False)
+        return run_scenario(scenario)
 
     with debug.checks(True):
         checked = run()

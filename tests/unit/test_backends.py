@@ -180,9 +180,6 @@ class TestRegistry:
             def run(self, spec):  # pragma: no cover - never called
                 return None
 
-            def cache_key(self, spec):  # pragma: no cover - never called
-                return None
-
         with pytest.raises(ValueError, match="name"):
             register_backend(Anonymous())
 

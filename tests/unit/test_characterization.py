@@ -56,6 +56,32 @@ class TestCharacterize:
         assert gap is not None
         assert abs(gap) < 0.02
 
+    @pytest.mark.parametrize("n_senders", [2, 3])
+    def test_one_submission_matches_single_metric_estimators(
+        self, emulab_link, n_senders
+    ):
+        # characterize scores one submission of metric_specs; each score
+        # must be the very float the metric's own estimator returns.
+        from repro.core import metrics
+
+        config = EstimatorConfig(steps=600, n_senders=n_senders)
+        protocol = CUBIC(0.4, 0.8)
+        vector = characterize(
+            protocol, emulab_link, config, include_robustness=False
+        ).empirical
+        single = {
+            "efficiency": metrics.estimate_efficiency,
+            "fast_utilization": metrics.estimate_fast_utilization,
+            "loss_avoidance": metrics.estimate_loss_avoidance,
+            "fairness": metrics.estimate_fairness,
+            "convergence": metrics.estimate_convergence,
+            "tcp_friendliness": metrics.estimate_tcp_friendliness,
+            "latency_avoidance": metrics.estimate_latency_avoidance,
+        }
+        for name, estimate in single.items():
+            expected = estimate(protocol, emulab_link, config).score
+            assert getattr(vector, name) == expected, name
+
     def test_discrepancy_none_without_theory(self, emulab_link, fast_config):
         result = characterize(
             PccLike(), emulab_link, fast_config, include_robustness=False

@@ -122,7 +122,7 @@ class TestMain:
         assert exit_code == 0
         captured = capsys.readouterr()
         assert "Claim 1" in captured.out
-        assert "sweep.run" in captured.err  # the timing table
+        assert "exec.pool" in captured.err  # the timing table
 
     def test_cache_stats_and_clear(self, capsys, tmp_path):
         assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
@@ -146,13 +146,13 @@ class TestMain:
         out = capsys.readouterr().out
         assert "unified:fluid: 1 entries" in out
         assert "unified:packet: 1 entries" in out
-        # The engines' native caches warm alongside the unified store.
-        assert "\n  fluid: 1 entries" in out
-        assert "\n  packet: 1 entries" in out
+        # Only the executor writes entries: no native engine entries.
+        assert "\n  fluid: " not in out
+        assert "\n  packet: " not in out
 
         assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "removed 4" in out
+        assert "removed 2" in out
         assert "unified:fluid" in out
 
     def test_cache_prune_reports_reclaimed_bytes(self, capsys, tmp_path,

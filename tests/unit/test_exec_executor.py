@@ -12,11 +12,11 @@ from repro.exec import (
     Executor,
     SpecJob,
     default_executor,
-    map_calls,
     reset_default_executor,
 )
 from repro.model.link import Link
 from repro.netmodel.topology import single_link
+from repro.perf import timing
 from repro.perf.cache import cache_enabled
 from repro.protocols.aimd import AIMD
 
@@ -77,7 +77,10 @@ class _GateJob:
     def probe(self, cache, key) -> None:
         return None
 
-    def run(self, use_cache: bool = True, key=None) -> str:
+    def store(self, cache, key, value) -> None:
+        pass
+
+    def run(self) -> str:
         if self._started is not None:
             self._started.set()
         assert self._gate.wait(timeout=30)
@@ -199,6 +202,31 @@ class TestDedupTiers:
         assert executor.snapshot()["errors"] == 2
 
 
+class TestArchive:
+    def test_values_computed_before_a_failure_are_archived(self, tmp_path):
+        # The first error in submission order raises, but what the lane
+        # computed before it is in the store for the next submission.
+        executor = Executor()
+        good = SpecJob(spec=_spec(1.0))
+        with cache_enabled(tmp_path) as cache:
+            with pytest.raises(LoweringError):
+                executor.submit([good, SpecJob(spec=_failing_spec())])
+            assert len(cache.entries()) == 1
+            (again,) = executor.submit([good])
+        assert again.source == "cache"
+        assert executor._inflight == {}
+
+    def test_deduplicated_jobs_share_their_store_reads(self, tmp_path):
+        executor = Executor()
+        spec = _spec(1.0)
+        with cache_enabled(tmp_path) as cache:
+            executor.submit([SpecJob(spec=spec)])
+            cache.hits = cache.misses = 0
+            outcomes = executor.submit([SpecJob(spec=spec)] * 3)
+            assert (cache.hits, cache.misses) == (1, 0)
+        assert [o.source for o in outcomes] == ["cache"] * 3
+
+
 class TestRunSpecsEdges:
     @pytest.mark.parametrize("backend", ["fluid", "meanfield", "packet",
                                          "network"])
@@ -241,9 +269,6 @@ class TestRunSpecsEdges:
             def run(self, spec):
                 return get_backend("fluid").run(spec)
 
-            def cache_key(self, spec):
-                return None
-
         monkeypatch.setitem(_BACKENDS, "laneless", LanelessBackend())
         monkeypatch.setattr(executor_mod, "_warned_laneless", set())
         specs = [_spec(1.0, steps=24), _spec(1.5, steps=24)]
@@ -267,6 +292,17 @@ class TestRunSpecsEdges:
         for a, b in zip(pooled, serial):
             _assert_bit_identical(a, b)
 
+    def test_spec_groups_split_back_per_group(self):
+        from repro.backends import run_spec_groups
+
+        groups = [[_spec(1.0), _spec(2.0)], [], [_spec(3.0)]]
+        split = run_spec_groups(groups, use_cache=False)
+        assert [len(traces) for traces in split] == [2, 0, 1]
+        flat = run_specs([_spec(1.0), _spec(2.0), _spec(3.0)], use_cache=False)
+        for a, b in zip(split[0] + split[2], flat):
+            _assert_bit_identical(a, b)
+        assert default_executor().snapshot()["submissions"] == 2
+
     def test_duplicate_specs_share_one_computation(self):
         spec = _spec()
         traces = run_specs([spec, spec], use_cache=False)
@@ -274,23 +310,53 @@ class TestRunSpecsEdges:
         assert default_executor().snapshot()["deduped"] == 1
 
 
+class _CallJob:
+    """An unkeyed job computing ``fn(**kwargs)`` (top-level, so it pickles)."""
+
+    kind = "call"
+
+    def __init__(self, fn, kwargs: dict) -> None:
+        self.fn = fn
+        self.kwargs = kwargs
+
+    def key(self) -> None:
+        return None
+
+    def run(self):
+        return self.fn(**self.kwargs)
+
+
+def _map_calls(fn, cells, **options) -> list:
+    """``fn(**cell)`` for every cell, as one submission to the per-job lane."""
+    return Executor().run([_CallJob(fn, dict(cell)) for cell in cells],
+                          use_cache=False, **options)
+
+
 class TestMapCalls:
     def test_results_in_cell_order(self):
         cells = [{"x": i} for i in range(5)]
-        assert map_calls(_double, cells) == [0, 2, 4, 6, 8]
+        assert _map_calls(_double, cells) == [0, 2, 4, 6, 8]
 
     def test_skip_errors_holes(self):
         cells = [{"x": 1}, {"x": -1}, {"x": 2}]
-        assert map_calls(_refuses_negative, cells, skip_errors=True) == \
+        assert _map_calls(_refuses_negative, cells, skip_errors=True) == \
             [1, None, 2]
 
     def test_error_propagates(self):
         with pytest.raises(ValueError):
-            map_calls(_refuses_negative, [{"x": -1}])
+            _map_calls(_refuses_negative, [{"x": -1}])
 
     def test_pooled_matches_serial(self):
         cells = [{"x": i} for i in range(4)]
-        assert map_calls(_double, cells, workers=2) == map_calls(_double, cells)
+        pooled_before = _lane_calls("exec.pool")
+        pooled = _map_calls(_double, cells, workers=2)
+        assert _lane_calls("exec.pool") == pooled_before + 1
+        assert pooled == _map_calls(_double, cells)
+
+
+def _lane_calls(lane: str) -> int:
+    stats = timing.REGISTRY.stats()
+    return stats[lane].count if lane in stats else 0
 
 
 def _double(x: int) -> int:

@@ -1,15 +1,17 @@
-"""The executor is the only code that reads the unified store for a spec job.
+"""The executor is the only code that reads or writes the store.
 
-Every route a spec job can take — a batched lane, a lane's serial
-fallback, the serial per-job loop — receives the key the executor
-computed and archives its trace under it, but never probes the store
-itself. So a cold submission reads each job's entry at most twice (the
-executor's probes before and after its in-flight claim), a warm one
-reads it exactly once, and the key is hashed once per job.
+Every route a job can take — a batched lane, a lane's serial fallback,
+the per-job lane — only computes: the executor probes the store before
+and after its in-flight claim and archives what was computed. So a cold
+submission reads each key at most twice, a warm one reads it exactly
+once, each computed key is written once and the key is hashed once per
+job. The driver-level test holds every paper artifact (and the other
+entry points that reach the store) to the same contract, cold then warm.
 """
 
 from __future__ import annotations
 
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -144,3 +146,106 @@ def test_executor_is_the_only_store_reader(tmp_path, counted, backend, batch):
             a = np.ascontiguousarray(getattr(first, name))
             b = np.ascontiguousarray(getattr(second, name))
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+
+# ----------------------------------------------------------------------
+# Every driver: only Executor.submit touches the store
+# ----------------------------------------------------------------------
+def _drivers():
+    """Each entry point at a tiny scale (the benchmark's smoke-test sizes)."""
+    from repro import experiments
+    from repro.backends import run_spec
+    from repro.cli import main
+    from repro.core.characterization import characterize
+    from repro.core.metrics import EstimatorConfig
+    from repro.protocols import presets
+
+    config = EstimatorConfig(steps=60, n_senders=2)
+    return {
+        "table1": lambda: experiments.run_table1(link=_LINK, config=config),
+        "claims": lambda: experiments.run_claims(link=_LINK, steps=60),
+        "survey": lambda: experiments.run_survey(
+            roster={"reno": presets.reno}, regimes={"wan": _LINK}, config=config
+        ),
+        "figure1": lambda: experiments.run_figure1(config=config),
+        "figure1-batch": lambda: experiments.run_figure1(config=config, batch=True),
+        "table2": lambda: experiments.run_table2(steps=60),
+        "table2-batch": lambda: experiments.run_table2(steps=60, batch=True),
+        "table2-packet": lambda: experiments.table2.run_table2_packet(
+            senders=(2,), duration=0.5
+        ),
+        "emulab": lambda: experiments.run_emulab(duration=0.3),
+        "fct": lambda: experiments.run_fct_study(
+            duration=4.0, arrival_window=3.0, replications=1
+        ),
+        "fct-batch": lambda: experiments.run_fct_study(
+            duration=4.0, arrival_window=3.0, replications=1, batch=True
+        ),
+        "characterize": lambda: characterize(presets.cubic(), _LINK, config),
+        "run_spec": lambda: run_spec(_fluid_specs()[0]),
+        "simulate": lambda: main(["simulate", "--protocols", "reno", "cubic",
+                                  "--steps", "60"]),
+    }
+
+
+@pytest.fixture
+def store_calls(monkeypatch):
+    """Per-key reads and writes, failing any call made outside submit."""
+    from repro.exec.executor import Executor
+
+    reads: Counter = Counter()
+    writes: Counter = Counter()
+    submitted: set = set()
+    outside: list = []
+
+    def inside_submit() -> bool:
+        return any(frame.name == "submit" and frame.filename.endswith(
+            "executor.py") for frame in traceback.extract_stack())
+
+    def wrap(name, tally):
+        original = getattr(TraceCache, name)
+
+        def wrapper(self, key, *args, **kwargs):
+            if not inside_submit():
+                outside.append(f"TraceCache.{name}")
+            tally[key] += 1
+            return original(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(TraceCache, name, wrapper)
+
+    for name in ("get", "get_arrays"):
+        wrap(name, reads)
+    for name in ("put", "put_arrays"):
+        wrap(name, writes)
+    submit = Executor.submit
+
+    def recording_submit(self, jobs, **options):
+        submitted.update(key for key in (job.key() for job in jobs) if key)
+        return submit(self, jobs, **options)
+
+    monkeypatch.setattr(Executor, "submit", recording_submit)
+    return reads, writes, submitted, outside
+
+
+@pytest.mark.parametrize("name", sorted(_drivers()))
+def test_only_the_executor_touches_the_store(tmp_path, store_calls, name, capsys):
+    reads, writes, submitted, outside = store_calls
+    run = _drivers()[name]
+    with cache_enabled(tmp_path):
+        run()
+        assert not outside, outside
+        assert submitted, "the driver never reached the executor"
+        assert set(reads) == submitted
+        assert max(reads.values()) <= 2, reads
+        assert set(writes) == submitted
+        assert set(writes.values()) == {1}, writes
+
+        reads.clear()
+        writes.clear()
+        submitted.clear()
+        reset_default_executor()
+        run()
+        assert not outside, outside
+        assert set(reads) == submitted
+        assert set(reads.values()) == {1}, reads
+        assert not writes, writes

@@ -87,20 +87,16 @@ CASES = [
         "REP303",
         "repro/backends/custom.py",
         (
-            "import uuid\n"
-            "from repro.backends.base import Backend, register_backend\n\n"
-            "class WobblyBackend(Backend):\n"
-            "    name = 'wobbly'\n"
+            "from repro.backends.base import Backend\n\n"
+            "class GhostBackend(Backend):\n"
+            "    name = 'ghost'\n"
             "    def run(self, spec):\n        return None\n"
-            "    def cache_key(self, spec):\n        return str(uuid.uuid4())\n\n"
-            "register_backend(WobblyBackend())\n"
         ),
         (
             "from repro.backends.base import Backend, register_backend\n\n"
             "class SteadyBackend(Backend):\n"
             "    name = 'steady'\n"
-            "    def run(self, spec):\n        return None\n"
-            "    def cache_key(self, spec):\n        return 'steady:' + spec\n\n"
+            "    def run(self, spec):\n        return None\n\n"
             "register_backend(SteadyBackend())\n"
         ),
     ),
@@ -420,7 +416,7 @@ def test_inherited_protocol_methods_are_accepted(tmp_path):
     assert run_lint([root]).findings == []
 
 
-def test_rep303_unregistered_and_missing_cache_key(tmp_path):
+def test_rep303_unregistered_backends(tmp_path):
     root = _write_tree(tmp_path / "bad", {
         "repro/backends/ghost.py": (
             "from repro.backends.base import Backend\n\n"
@@ -430,20 +426,17 @@ def test_rep303_unregistered_and_missing_cache_key(tmp_path):
         ),
     })
     findings = run_lint([root]).findings
-    assert [f.code for f in findings] == ["REP303", "REP303"]
-    messages = " | ".join(f.message for f in findings)
-    assert "register_backend" in messages
-    assert "cache_key" in messages
+    assert [f.code for f in findings] == ["REP303"]
+    assert "register_backend" in findings[0].message
 
-    # A subclass inheriting both registration-worthy methods from a
-    # registered concrete base only needs its own registration call.
+    # A subclass inheriting ``run`` from a registered concrete base only
+    # needs its own registration call.
     clean_root = _write_tree(tmp_path / "clean", {
         "repro/backends/family.py": (
             "from repro.backends.base import Backend, register_backend\n\n"
             "class BaseBackend(Backend):\n"
             "    name = 'base'\n"
-            "    def run(self, spec):\n        return None\n"
-            "    def cache_key(self, spec):\n        return 'base'\n\n"
+            "    def run(self, spec):\n        return None\n\n"
             "class ChildBackend(BaseBackend):\n"
             "    name = 'child'\n\n"
             "register_backend(BaseBackend())\n"

@@ -1,8 +1,14 @@
-"""Packet-run cache keying and round-tripping (repro.perf.packet_cache)."""
+"""Packet-run cache keying and round-tripping (repro.perf.packet_cache).
+
+Stored packet results come only through executor jobs: the executor
+probes the store before and after its in-flight claim, so a cold run
+counts two misses.
+"""
 
 import numpy as np
 import pytest
 
+from repro.exec import Executor, PacketScenarioJob, WorkloadJob
 from repro.model.link import Link
 from repro.packetsim.scenario import PacketScenario, run_scenario
 from repro.packetsim.workload import FlowSpec, poisson_workload, run_workload
@@ -94,13 +100,18 @@ def _flow_bits(stats):
     )
 
 
+def _run(job, **options):
+    """One job through a fresh executor (no shared dedup state)."""
+    return Executor().run([job], **options)[0]
+
+
 class TestRoundTrip:
     def test_scenario_hit_round_trips_exactly(self, tmp_path):
         sc = scenario(sample_queue=True)
         with cache_enabled(tmp_path) as cache:
-            cold = run_scenario(sc)
-            warm = run_scenario(sc)
-            assert cache.misses == 1
+            cold = _run(PacketScenarioJob(sc))
+            warm = _run(PacketScenarioJob(sc))
+            assert cache.misses == 2
             assert cache.hits == 1
         assert warm.events == cold.events
         assert warm.duration == cold.duration
@@ -117,18 +128,18 @@ class TestRoundTrip:
 
     def test_different_scenario_misses(self, tmp_path):
         with cache_enabled(tmp_path) as cache:
-            run_scenario(scenario())
-            run_scenario(scenario(seed=2))
-            assert cache.misses == 2
+            _run(PacketScenarioJob(scenario()))
+            _run(PacketScenarioJob(scenario(seed=2)))
+            assert cache.misses == 4
             assert cache.hits == 0
 
     def test_workload_hit_round_trips_exactly(self, tmp_path):
         link = Link.from_mbps(20, 42, 100)
         specs = poisson_workload(1.0, 30, 4.0, presets.reno(), seed=7)
         with cache_enabled(tmp_path) as cache:
-            cold = run_workload(link, specs, duration=8.0)
-            warm = run_workload(link, specs, duration=8.0)
-            assert cache.misses == 1
+            cold = _run(WorkloadJob(link, specs, duration=8.0))
+            warm = _run(WorkloadJob(link, specs, duration=8.0))
+            assert cache.misses == 2
             assert cache.hits == 1
         for a, b in zip(warm.flows, cold.flows, strict=True):
             assert _flow_bits(a) == _flow_bits(b)
@@ -137,9 +148,19 @@ class TestRoundTrip:
 
     def test_use_cache_false_bypasses_the_cache(self, tmp_path):
         with cache_enabled(tmp_path) as cache:
-            run_scenario(scenario(), use_cache=False)
+            _run(PacketScenarioJob(scenario()), use_cache=False)
             assert cache.misses == 0
             assert cache.hits == 0
+            assert cache.entries() == []
+
+    def test_engines_never_touch_the_store(self, tmp_path):
+        link = Link.from_mbps(20, 42, 100)
+        specs = poisson_workload(1.0, 30, 4.0, presets.reno(), seed=7)
+        with cache_enabled(tmp_path) as cache:
+            run_scenario(scenario())
+            run_workload(link, specs, duration=8.0)
+            assert cache.misses == 0
+            assert cache.entries() == []
 
     def test_no_active_cache_simulates_normally(self):
         result = run_scenario(scenario())
@@ -148,12 +169,13 @@ class TestRoundTrip:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         sc = scenario()
         with cache_enabled(tmp_path) as cache:
-            run_scenario(sc)
+            _run(PacketScenarioJob(sc))
             (entry,) = cache.entries()
             entry.write_bytes(b"not an npz archive")
-            result = run_scenario(sc)
+            result = _run(PacketScenarioJob(sc))
             assert result.events > 0
-            assert cache.misses == 2
+            assert cache.misses == 4
+            assert cache.hits == 0
 
     def test_raw_array_api_round_trips(self, tmp_path):
         cache = TraceCache(tmp_path)

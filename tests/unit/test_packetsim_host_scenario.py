@@ -218,24 +218,23 @@ class TestFinishedRunsAreFreed:
 
     def test_serial_scenario(self):
         assert not self._cyclic_garbage(
-            lambda: [run_scenario(s, use_cache=False) for s in self._scenarios()]
+            lambda: [run_scenario(s) for s in self._scenarios()]
         )
 
     def test_batched_scenarios(self):
         assert not self._cyclic_garbage(
-            lambda: run_scenarios_batched(self._scenarios(), use_cache=False)
+            lambda: run_scenarios_batched(self._scenarios())
         )
 
     def test_serial_workload(self):
         link = Link.from_mbps(20, 42, 10)
         assert not self._cyclic_garbage(lambda: [run_workload(
             link, self._workload(), duration=3.0, background=[presets.reno()],
-            use_cache=False,
         )])
 
     def test_batched_workloads(self):
         link = Link.from_mbps(20, 42, 10)
         jobs = [(self._workload(), [presets.reno()]), (self._workload(), None)]
         assert not self._cyclic_garbage(lambda: run_workloads_batched(
-            link, jobs, duration=3.0, use_cache=False,
+            link, jobs, duration=3.0,
         ))

@@ -192,17 +192,23 @@ class TestActivation:
 
 
 class TestSimulatorIntegration:
+    """Fluid runs reach the store through ``run_spec``, never directly."""
+
+    @staticmethod
+    def _run(link, protocols, cfg, steps):
+        from repro.backends import ScenarioSpec, run_spec
+
+        return run_spec(ScenarioSpec.from_fluid(link, protocols, steps, cfg))
+
     def test_second_run_hits_and_matches_bitwise(self, tmp_path, emulab_link):
         with cache_enabled(tmp_path) as cache:
             cfg = SimulationConfig(initial_windows=[1.0, 5.0])
-            first = FluidSimulator(
-                emulab_link, [RobustAIMD(1, 0.8, 0.01)] * 2, cfg
-            ).run(400)
-            second = FluidSimulator(
-                emulab_link, [RobustAIMD(1, 0.8, 0.01)] * 2, cfg
-            ).run(400)
+            protocols = [RobustAIMD(1, 0.8, 0.01)] * 2
+            first = self._run(emulab_link, protocols, cfg, 400)
+            second = self._run(emulab_link, protocols, cfg, 400)
             assert cache.hits == 1
-            assert cache.misses == 1
+            # The cold run is probed before and after its in-flight claim.
+            assert cache.misses == 2
             assert np.array_equal(
                 first.windows.view(np.uint64), second.windows.view(np.uint64)
             )
@@ -210,17 +216,22 @@ class TestSimulatorIntegration:
     def test_cached_result_matches_uncached(self, tmp_path, emulab_link):
         cfg = SimulationConfig(initial_windows=[1.0, 2.0])
         uncached = FluidSimulator(emulab_link, [AIMD(1, 0.5)] * 2, cfg).run(300)
-        with cache_enabled(tmp_path):
+        with cache_enabled(tmp_path) as cache:
+            # A direct simulator run never touches the store.
             FluidSimulator(emulab_link, [AIMD(1, 0.5)] * 2, cfg).run(300)
-            cached = FluidSimulator(emulab_link, [AIMD(1, 0.5)] * 2, cfg).run(300)
+            assert cache.entries() == [] and cache.misses == 0
+            self._run(emulab_link, [AIMD(1, 0.5)] * 2, cfg, 300)
+            cached = self._run(emulab_link, [AIMD(1, 0.5)] * 2, cfg, 300)
+            assert cache.hits == 1
         assert np.array_equal(
             uncached.windows.view(np.uint64), cached.windows.view(np.uint64)
         )
 
     def test_different_steps_do_not_collide(self, tmp_path, emulab_link):
-        with cache_enabled(tmp_path):
+        with cache_enabled(tmp_path) as cache:
             cfg = SimulationConfig(initial_windows=[1.0])
-            long = FluidSimulator(emulab_link, [AIMD(1, 0.5)], cfg).run(200)
-            short = FluidSimulator(emulab_link, [AIMD(1, 0.5)], cfg).run(100)
+            long = self._run(emulab_link, [AIMD(1, 0.5)], cfg, 200)
+            short = self._run(emulab_link, [AIMD(1, 0.5)], cfg, 100)
             assert long.windows.shape == (200, 1)
             assert short.windows.shape == (100, 1)
+            assert len(cache.entries()) == 2

@@ -79,24 +79,25 @@ class TestStoreRoundTrip:
 
 class TestAccounting:
     def test_classify_and_stats_by_kind(self, tmp_path, spec):
+        from repro.exec import PacketScenarioJob, default_executor
+
+        packet_spec = ScenarioSpec(protocols=spec.protocols, link=spec.link,
+                                   duration=4.0, seed=1)
         with cache_enabled(tmp_path) as cache:
             run_spec(spec, "fluid")
-            run_spec(
-                ScenarioSpec(protocols=spec.protocols, link=spec.link,
-                             duration=4.0, seed=1),
-                "packet",
-            )
+            run_spec(packet_spec, "packet")
+            # Drivers that reduce raw event statistics submit native jobs.
+            default_executor().run([PacketScenarioJob(packet_spec.lower_packet())])
             breakdown = stats_by_kind(cache)
             kinds = {
                 classify_entry(path) for path in cache.entries()
             }
-        # run_spec stores unified entries; the engines warm their native
-        # caches alongside, all in the same directory.
-        assert {"unified:fluid", "unified:packet", "fluid", "packet"} <= kinds
-        for kind in ("unified:fluid", "unified:packet"):
+        # One unified entry per run_spec and one native entry per packet
+        # job, all in the same directory; the engines write none of their own.
+        assert kinds == {"unified:fluid", "unified:packet", "packet"}
+        for kind in kinds:
             assert breakdown[kind]["entries"] == 1
             assert breakdown[kind]["bytes"] > 0
-        assert sum(b["entries"] for b in breakdown.values()) == len(kinds)
         assert list(breakdown) == sorted(breakdown)
 
     def test_unknown_entry_kind(self, tmp_path):

@@ -63,7 +63,6 @@ SUBMODULES = [
     "repro.analysis",
     "repro.analysis.timeseries",
     "repro.experiments",
-    "repro.experiments.sweep",
     "repro.experiments.survey",
     "repro.experiments.fct",
     "repro.storage",

@@ -1,6 +1,9 @@
-"""The sharded store's entry-kind index, flat migration, and race guards."""
+"""The sharded store's entry-kind index, temp files, and race guards."""
 
 from __future__ import annotations
+
+import os
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from repro.backends import ScenarioSpec, run_spec
 from repro.model.link import Link
 from repro.perf.cache import TraceCache, kind_from_members
 from repro.perf.store import (
+    STALE_TEMP_SECONDS,
     prune_cache,
     stats_by_kind,
     store_unified_trace,
@@ -110,51 +114,34 @@ class TestIndex:
         assert cache.index_path.read_bytes() == before
 
 
-class TestFlatMigration:
-    def _flatten(self, cache: TraceCache) -> list[str]:
-        """Rewrite the store into the legacy flat layout (no index)."""
-        keys = []
-        for path in sorted(cache.directory.glob("*/*.npz")):
-            path.rename(cache.directory / path.name)
-            path.parent.rmdir()
-            keys.append(path.stem)
-        cache.index_path.unlink(missing_ok=True)
-        return keys
+class TestTempFiles:
+    """A writer killed between write and rename leaves a ``.tmp-*`` file."""
 
-    def test_lookup_relocates_flat_entry(self, tmp_path):
+    def _plant(self, cache: TraceCache, key: str, age_s: float):
+        shard = cache._path(key).parent
+        shard.mkdir(parents=True, exist_ok=True)
+        tmp = shard / f".tmp-99999-{key[:16]}.npz"
+        tmp.write_bytes(b"partial write")
+        stamp = time.time() - age_s
+        os.utime(tmp, (stamp, stamp))
+        return tmp
+
+    def test_scans_skip_temp_files_and_prune_reclaims_stale_ones(self, tmp_path):
         cache, key = _populate(tmp_path)
-        self._flatten(cache)
-        arrays = cache.get_arrays(key)
-        assert arrays is not None and "unified_backend" in arrays
-        assert (cache.directory / key[:2] / f"{key}.npz").is_file()
-        assert not (cache.directory / f"{key}.npz").exists()
-
-    def test_entries_sweeps_stragglers(self, tmp_path):
-        cache, _ = _populate(tmp_path)
-        keys = self._flatten(cache)
-        entries = cache.entries()
-        assert sorted(path.stem for path in entries) == sorted(keys)
-        assert all(path.parent != cache.directory for path in entries)
-        assert cache.migrate_flat_entries() == 0  # nothing left to move
-
-    def test_flat_store_survives_stats_and_get(self, tmp_path):
-        cache, key = _populate(tmp_path)
-        spec_trace = cache.get(FLUID_KEY)
-        self._flatten(cache)
-        breakdown = stats_by_kind(cache)
-        assert sum(info["entries"] for info in breakdown.values()) == 3
-        again = cache.get(FLUID_KEY)
-        assert again is not None
-        assert np.array_equal(
-            np.asarray(spec_trace.windows), np.asarray(again.windows)
+        fresh = self._plant(cache, key, age_s=1.0)
+        stale = self._plant(cache, "ab" + "1" * 62, age_s=STALE_TEMP_SECONDS + 60)
+        assert [p.name for p in cache.entries()] == sorted(
+            f"{k}.npz" for k in (key, FLUID_KEY, PACKET_KEY)
         )
-
-    def test_temp_files_are_not_migrated(self, tmp_path):
-        cache, _ = _populate(tmp_path)
-        junk = cache.directory / ".tmp-999-deadbeef.npz"
-        junk.write_bytes(b"partial write")
-        cache.migrate_flat_entries()
-        assert junk.is_file()  # left where the writer put it
+        assert cache.stats()["entries"] == 3
+        assert "unknown" not in stats_by_kind(cache)
+        rehearsal = prune_cache(cache, max_bytes=10**9, dry_run=True)
+        assert rehearsal["stale_temp_files"] == 1 and stale.is_file()
+        report = prune_cache(cache, max_bytes=10**9)
+        assert report["stale_temp_files"] == 1
+        assert report["removed"] == 0 and report["remaining_entries"] == 3
+        assert fresh.is_file()  # may belong to a live writer
+        assert not stale.exists()
 
 
 class TestRaceGuards:

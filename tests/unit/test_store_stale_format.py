@@ -4,6 +4,8 @@ One test per entry kind whose loader checks a format tag: unified traces
 (``unified_format``), packet scenarios and packet workloads (``format``).
 Each restamps a real entry with tag 0, then checks that the next run
 recomputes and rewrites it and that the run after that is a store hit.
+Runs go through the executor, which probes a key it computes twice
+(before and after its in-flight claim) and a stored key once.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends import ScenarioSpec, run_spec
+from repro.exec import Executor, PacketScenarioJob, WorkloadJob
 from repro.model.link import Link
-from repro.packetsim.scenario import PacketScenario, run_scenario
-from repro.packetsim.workload import poisson_workload, run_workload
+from repro.packetsim.scenario import PacketScenario
+from repro.packetsim.workload import poisson_workload
 from repro.perf.cache import TraceCache, cache_enabled
 from repro.perf.codec import pack_arrays, unpack_arrays
 from repro.perf.store import unified_key
@@ -50,8 +53,7 @@ def test_stale_unified_entry(tmp_path):
         assert path.stem == unified_key("fluid", spec)
         _reset(cache)
         again = run_spec(spec, "fluid")
-        # The stale unified entry misses; the fluid engine's own entry hits.
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert (cache.hits, cache.misses) == (0, 2)
         assert _tag(path, "unified_format") == 1
         _reset(cache)
         warm = run_spec(spec, "fluid")
@@ -64,15 +66,18 @@ def test_stale_packet_scenario_entry(tmp_path):
     scenario = PacketScenario.from_mbps(
         20.0, 42.0, 100, [presets.reno(), presets.reno()], duration=3.0, seed=1
     )
+    def run():
+        return Executor().run([PacketScenarioJob(scenario)])[0]
+
     with cache_enabled(tmp_path) as cache:
-        cold = run_scenario(scenario)
+        cold = run()
         path = _restamp(cache, "format")
         _reset(cache)
-        again = run_scenario(scenario)
-        assert (cache.hits, cache.misses) == (0, 1)
+        again = run()
+        assert (cache.hits, cache.misses) == (0, 2)
         assert _tag(path, "format") == 1
         _reset(cache)
-        warm = run_scenario(scenario)
+        warm = run()
         assert (cache.hits, cache.misses) == (1, 0)
     for result in (again, warm):
         assert result.events == cold.events
@@ -82,15 +87,18 @@ def test_stale_packet_scenario_entry(tmp_path):
 def test_stale_packet_workload_entry(tmp_path):
     link = Link.from_mbps(20, 42, 100)
     specs = poisson_workload(1.0, 30, 3.0, presets.reno(), seed=7)
+    def run():
+        return Executor().run([WorkloadJob(link, specs, duration=6.0)])[0]
+
     with cache_enabled(tmp_path) as cache:
-        cold = run_workload(link, specs, duration=6.0)
+        cold = run()
         path = _restamp(cache, "format")
         _reset(cache)
-        again = run_workload(link, specs, duration=6.0)
-        assert (cache.hits, cache.misses) == (0, 1)
+        again = run()
+        assert (cache.hits, cache.misses) == (0, 2)
         assert _tag(path, "format") == 1
         _reset(cache)
-        warm = run_workload(link, specs, duration=6.0)
+        warm = run()
         assert (cache.hits, cache.misses) == (1, 0)
     for result in (again, warm):
         assert result.completion_times() == cold.completion_times()

@@ -1,212 +1,194 @@
-"""The generic sweep harness (repro.experiments.sweep)."""
+"""Sweeps through the executor's per-job lane.
 
-import functools
+A sweep is one submission of independent jobs. Without ``batch`` the
+executor's per-job lane runs them one job per task on a spawn-context
+process pool (``workers > 1``) or in a serial loop. Either way results
+come back in submission order, a failing job leaves a ``None`` hole with
+``skip_errors``, and otherwise the first failure in submission order
+raises its original exception.
+"""
 
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
 import pytest
 
-from repro.experiments.sweep import Sweep, SweepRow, workers_sweep_options
+import repro.exec.executor as executor_mod
+from repro.backends import LoweringError, ScenarioSpec, get_backend, run_specs
+from repro.core.metrics.friendliness import friendliness_from_trace
+from repro.exec import Executor, SpecJob, reset_default_executor
+from repro.experiments.table2 import friendliness_spec
+from repro.model.link import Link
+from repro.netmodel.topology import single_link
+from repro.perf import timing
+from repro.protocols.aimd import AIMD
+from repro.protocols.presets import pcc_like
+from repro.protocols.robust_aimd import RobustAIMD
+
+_LINK = Link.from_mbps(20, 42, 100)
 
 
-def _times(x, factor):
-    """Module-level so it survives pickling into pool workers."""
-    return x * factor
+def _spec(alpha: float, steps: int = 24) -> ScenarioSpec:
+    return ScenarioSpec(protocols=[AIMD(alpha, 0.5)] * 2, link=_LINK, steps=steps)
 
 
-def _grid_value(x, y):
-    return x * 10 + y
+def _fails_on_fluid() -> SpecJob:
+    """Constructs fine; the fluid backend rejects its topology."""
+    spec = ScenarioSpec(protocols=[AIMD(1, 0.5)] * 2, link=_LINK, steps=24,
+                        topology=single_link(_LINK, 1))
+    return SpecJob(spec=spec)
 
 
-def _explode_on(x, bad):
-    if x == bad:
-        raise RuntimeError("nope")
-    return x
+def _fails_on_meanfield() -> SpecJob:
+    """A stateful protocol the mean-field backend cannot lower."""
+    spec = ScenarioSpec(protocols=[pcc_like()], link=_LINK, steps=24)
+    return SpecJob(spec=spec, backend="meanfield")
 
 
-class TestCells:
-    def test_cross_product(self):
-        sweep = Sweep(axes={"a": [1, 2], "b": ["x", "y", "z"]},
-                      measure=lambda a, b: None)
-        assert sweep.size() == 6
-        cells = list(sweep.cells())
-        assert cells[0] == {"a": 1, "b": "x"}
-        assert cells[-1] == {"a": 2, "b": "z"}
+def _bits(trace) -> list:
+    return [
+        np.ascontiguousarray(getattr(trace, name)).view(np.uint64).tolist()
+        for name in ("windows", "observed_loss", "congestion_loss", "rtts")
+    ]
 
-    def test_deterministic_order(self):
-        sweep = Sweep(axes={"a": [1, 2], "b": [3, 4]}, measure=lambda a, b: None)
-        assert list(sweep.cells()) == list(sweep.cells())
 
-    def test_empty_axes_rejected(self):
-        with pytest.raises(ValueError):
-            Sweep(axes={}, measure=lambda: None)
-        with pytest.raises(ValueError):
-            Sweep(axes={"a": []}, measure=lambda a: None)
+def _reference(specs) -> list:
+    """The engine's own results, one spec at a time, outside the executor."""
+    return [_bits(get_backend("fluid").run(spec)) for spec in specs]
+
+
+def _lane_calls() -> dict[str, int]:
+    stats = timing.REGISTRY.stats()
+    return {lane: stats[lane].count if lane in stats else 0
+            for lane in ("exec.pool", "exec.serial")}
+
+
+@pytest.fixture(autouse=True)
+def _fresh_default_executor():
+    reset_default_executor()
+    yield
+    reset_default_executor()
 
 
 class TestRun:
     def test_measures_every_cell(self):
-        sweep = Sweep(axes={"x": [1, 2, 3]}, measure=lambda x: x * 10)
-        rows = sweep.run()
-        assert [row.value for row in rows] == [10, 20, 30]
-        assert rows[1].parameter("x") == 2
+        specs = [_spec(alpha) for alpha in (1.0, 2.0, 3.0)]
+        traces = run_specs(specs, use_cache=False)
+        assert [_bits(trace) for trace in traces] == _reference(specs)
 
     def test_errors_propagate_by_default(self):
-        def boom(x):
-            raise RuntimeError("nope")
-
-        with pytest.raises(RuntimeError):
-            Sweep(axes={"x": [1]}, measure=boom).run()
+        with pytest.raises(LoweringError):
+            Executor().run([_fails_on_fluid()], use_cache=False)
 
     def test_skip_errors_records_them(self):
-        def sometimes(x):
-            if x == 2:
-                raise RuntimeError("nope")
-            return x
-
-        sweep = Sweep(axes={"x": [1, 2, 3]}, measure=sometimes, skip_errors=True)
-        rows = sweep.run()
-        assert [row.value for row in rows] == [1, None, 3]
-        assert len(sweep.errors) == 1
-        assert sweep.errors[0][0] == {"x": 2}
+        jobs = [SpecJob(_spec(1.0)), _fails_on_fluid(), SpecJob(_spec(2.0))]
+        outcomes = Executor().submit(jobs, use_cache=False, skip_errors=True)
+        assert [o.ok for o in outcomes] == [True, False, True]
+        assert outcomes[1].value is None
+        assert outcomes[1].error.startswith("LoweringError: ")
+        assert [_bits(outcomes[i].value) for i in (0, 2)] == _reference(
+            [_spec(1.0), _spec(2.0)]
+        )
 
     def test_errors_reset_between_runs(self):
-        # Regression: errors from one run() used to pile up into the next.
-        sweep = Sweep(
-            axes={"x": [1, 2, 3]},
-            measure=functools.partial(_explode_on, bad=2),
-            skip_errors=True,
-        )
-        sweep.run()
-        assert len(sweep.errors) == 1
-        sweep.run()
-        assert len(sweep.errors) == 1
+        executor = Executor()
+        jobs = [SpecJob(_spec(1.0)), _fails_on_fluid()]
+        for _ in range(2):
+            outcomes = executor.submit(jobs, use_cache=False, skip_errors=True)
+            assert [o.ok for o in outcomes] == [True, False]
+        assert executor.snapshot()["errors"] == 2
 
-    def test_errors_list_identity_preserved(self):
-        sweep = Sweep(
-            axes={"x": [2]},
-            measure=functools.partial(_explode_on, bad=2),
-            skip_errors=True,
-        )
-        held = sweep.errors
-        sweep.run()
-        assert held is sweep.errors and len(held) == 1
-
-    def test_real_measurement(self, emulab_link):
+    def test_real_measurement(self):
         # A miniature Table 2-style sweep through the actual simulator.
-        from repro.experiments.table2 import measure_friendliness
-        from repro.protocols.aimd import AIMD
-
-        sweep = Sweep(
-            axes={"a": [1.0, 2.0], "bw": [20]},
-            measure=lambda a, bw: measure_friendliness(AIMD(a, 0.5), 2, bw,
-                                                       steps=800),
+        traces = run_specs(
+            [friendliness_spec(AIMD(a, 0.5), 2, 20, steps=800) for a in (1.0, 2.0)],
+            use_cache=False,
         )
-        rows = sweep.run()
+        alphas = [friendliness_from_trace(t, [0], [1]) for t in traces]
         # Larger increment -> less friendly.
-        assert rows[0].value > rows[1].value
+        assert alphas[0] > alphas[1]
 
 
 class TestParallel:
     def test_rows_identical_to_serial(self):
-        axes = {"x": [1, 2, 3, 4], "y": [5, 6]}
-        serial = Sweep(axes=axes, measure=_grid_value).run()
-        parallel = Sweep(axes=axes, measure=_grid_value).run(
-            parallel=True, max_workers=3
-        )
-        assert serial == parallel  # same values AND same order
-
-    def test_parallel_flag_on_the_sweep_itself(self):
-        sweep = Sweep(
-            axes={"x": [1, 2, 3]},
-            measure=functools.partial(_times, factor=2),
-            parallel=True,
-            max_workers=2,
-        )
-        assert [row.value for row in sweep.run()] == [2, 4, 6]
+        specs = [_spec(alpha) for alpha in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)]
+        pooled = run_specs(specs, workers=3, use_cache=False)
+        # Same values AND same order.
+        assert [_bits(trace) for trace in pooled] == _reference(specs)
 
     def test_single_worker_falls_back_to_serial(self):
-        sweep = Sweep(axes={"x": [1, 2]}, measure=functools.partial(_times, factor=2))
-        assert sweep.run(parallel=True, max_workers=1) == sweep.run()
-
-    def test_unpicklable_measure_falls_back_to_serial(self):
-        sweep = Sweep(axes={"x": [1, 2, 3]}, measure=lambda x: x * 2)
-        rows = sweep.run(parallel=True, max_workers=4)
-        assert [row.value for row in rows] == [2, 4, 6]
+        before = _lane_calls()
+        run_specs([_spec(1.0), _spec(2.0)], workers=1, use_cache=False)
+        after = _lane_calls()
+        assert after["exec.pool"] == before["exec.pool"]
+        assert after["exec.serial"] == before["exec.serial"] + 1
 
     def test_errors_propagate_in_grid_order(self):
-        sweep = Sweep(axes={"x": [1, 2, 3]},
-                      measure=functools.partial(_explode_on, bad=2))
-        with pytest.raises(RuntimeError):
-            sweep.run(parallel=True, max_workers=2)
+        jobs = [SpecJob(_spec(1.0)), _fails_on_fluid(), _fails_on_meanfield()]
+        with pytest.raises(LoweringError, match="single-link"):
+            Executor().run(jobs, workers=2, use_cache=False)
+        with pytest.raises(LoweringError, match="mean-field"):
+            Executor().run(jobs[::-1], workers=2, use_cache=False)
 
     def test_skip_errors_records_them_in_parallel(self):
-        sweep = Sweep(
-            axes={"x": [1, 2, 3]},
-            measure=functools.partial(_explode_on, bad=2),
-            skip_errors=True,
+        jobs = [SpecJob(_spec(1.0)), _fails_on_meanfield(), SpecJob(_spec(2.0))]
+        outcomes = Executor().submit(
+            jobs, workers=2, use_cache=False, skip_errors=True
         )
-        rows = sweep.run(parallel=True, max_workers=2)
-        assert [row.value for row in rows] == [1, None, 3]
-        assert len(sweep.errors) == 1
-        assert sweep.errors[0][0] == {"x": 2}
+        assert [o.ok for o in outcomes] == [True, False, True]
+        assert outcomes[1].value is None
+        assert "mean-field" in outcomes[1].error
+        assert [_bits(outcomes[i].value) for i in (0, 2)] == _reference(
+            [_spec(1.0), _spec(2.0)]
+        )
 
-    def test_real_measurement_parallel_matches_serial(self, emulab_link):
+    def test_real_measurement_parallel_matches_serial(self):
         # A miniature Table 2-sized grid through the actual simulator; the
-        # values must be identical floats, not merely close.
-        from repro.experiments.table2 import measure_friendliness
-        from repro.protocols.robust_aimd import RobustAIMD
+        # traces must be identical bits, not merely close.
+        specs = [
+            friendliness_spec(RobustAIMD(1, 0.8, 0.01), n, bw, steps=300)
+            for n in (2, 3) for bw in (20, 30)
+        ]
+        serial = run_specs(specs, use_cache=False)
+        pooled = run_specs(specs, workers=2, use_cache=False)
+        assert [_bits(t) for t in pooled] == [_bits(t) for t in serial]
 
-        measure = functools.partial(
-            measure_friendliness, RobustAIMD(1, 0.8, 0.01), steps=300
-        )
-        axes = {"n_senders": [2, 3], "bandwidth_mbps": [20, 30]}
-        serial = Sweep(axes=axes, measure=measure).run()
-        parallel = Sweep(axes=axes, measure=measure).run(
-            parallel=True, max_workers=2
-        )
-        assert serial == parallel
+    def test_unstartable_pool_warns_once_and_runs_serially(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(executor_mod, "_warned_pool", False)
+        specs = [_spec(1.0), _spec(2.0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = run_specs(specs, workers=2, use_cache=False)
+            run_specs(specs[::-1], workers=2, use_cache=False)
+        pool_warnings = [w for w in caught if "per-job lane" in str(w.message)]
+        assert len(pool_warnings) == 1
+        assert "OSError: no semaphores here" in str(pool_warnings[0].message)
+        assert [_bits(trace) for trace in first] == _reference(specs)
 
 
 class TestWorkersSweepOptions:
+    """What ``workers`` selects in the per-job lane."""
+
+    def _lanes_used(self, workers) -> dict[str, int]:
+        before = _lane_calls()
+        run_specs([_spec(1.0), _spec(2.0), _spec(3.0)], workers=workers,
+                  use_cache=False)
+        after = _lane_calls()
+        return {lane: after[lane] - before[lane] for lane in after}
+
     def test_none_means_serial(self):
-        assert workers_sweep_options(None) == {"parallel": False}
+        assert self._lanes_used(None) == {"exec.pool": 0, "exec.serial": 1}
 
     def test_one_means_serial(self):
-        assert workers_sweep_options(1) == {"parallel": False}
+        assert self._lanes_used(1) == {"exec.pool": 0, "exec.serial": 1}
 
     def test_many_enables_pool(self):
-        assert workers_sweep_options(4) == {"parallel": True, "max_workers": 4}
-
-
-class TestAggregateAndRender:
-    def make_rows(self):
-        sweep = Sweep(
-            axes={"a": [1, 2], "b": [10, 20]},
-            measure=lambda a, b: a * b,
-        )
-        return sweep.run()
-
-    def test_aggregate_groups_and_reduces(self):
-        rows = self.make_rows()
-        by_a = Sweep.aggregate(rows, by=("a",), reduce=sum)
-        assert by_a == {(1,): 30, (2,): 60}
-
-    def test_aggregate_max(self):
-        rows = self.make_rows()
-        by_b = Sweep.aggregate(rows, by=("b",), reduce=max)
-        assert by_b == {(10,): 20, (20,): 40}
-
-    def test_to_table(self):
-        rows = self.make_rows()
-        table = Sweep.to_table(rows, title="demo", value_label="product")
-        assert table.headers == ["a", "b", "product"]
-        assert len(table.rows) == 4
-
-    def test_to_table_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Sweep.to_table([], title="demo")
-
-    def test_row_unknown_parameter(self):
-        row = SweepRow(parameters=(("a", 1),), value=2)
-        with pytest.raises(KeyError):
-            row.parameter("b")
-        assert row.as_dict() == {"a": 1, "value": 2}
+        assert self._lanes_used(4) == {"exec.pool": 1, "exec.serial": 0}
