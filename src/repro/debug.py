@@ -14,8 +14,10 @@ finite values. This module is the switch that compiles those checks in:
 Checks are *observers*: they never mutate simulator state, so a run with
 checks on is bit-identical to a run with checks off (property-tested in
 ``tests/property/test_prop_sanitizer.py``). When off, the hot paths pay
-one local boolean test per event — see ``docs/performance.md`` for why
-they are compiled out by default.
+one boolean test per event — the packet engine's handlers read the
+module attribute :data:`active` directly, at call time, instead of
+calling :func:`enabled` — see ``docs/performance.md`` for why they are
+compiled out by default.
 
 A failed check raises :class:`DebugCheckError` (an ``AssertionError``
 subclass, so ``pytest.raises(AssertionError)`` also catches it) with the
@@ -30,6 +32,7 @@ from typing import Iterator
 
 __all__ = [
     "DebugCheckError",
+    "active",
     "checks",
     "disable",
     "enable",
@@ -48,36 +51,39 @@ def _from_env() -> bool:
     return os.environ.get(ENV_VAR, "").strip().lower() not in ("", "0", "false", "off")
 
 
-_enabled: bool = _from_env()
+#: Whether sanitizer checks are on. Toggle it through :func:`enable`,
+#: :func:`disable` or :func:`checks`; hot paths read it as
+#: ``debug.active`` (an attribute load, not a call).
+active: bool = _from_env()
 
 
 def enabled() -> bool:
     """Whether sanitizer checks are currently active."""
-    return _enabled
+    return active
 
 
 def enable() -> None:
     """Turn sanitizer checks on for this process."""
-    global _enabled
-    _enabled = True
+    global active
+    active = True
 
 
 def disable() -> None:
     """Turn sanitizer checks off for this process."""
-    global _enabled
-    _enabled = False
+    global active
+    active = False
 
 
 @contextmanager
 def checks(on: bool = True) -> Iterator[None]:
     """Scoped enable/disable, restoring the prior state on exit."""
-    global _enabled
-    previous = _enabled
-    _enabled = on
+    global active
+    previous = active
+    active = on
     try:
         yield
     finally:
-        _enabled = previous
+        active = previous
 
 
 def fail(invariant: str, detail: str) -> None:

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro import debug
 from repro.model.events import EventSchedule
+from repro.model.formulas import droptail_loss_rate, eq1_rtt
 from repro.model.link import Link
 from repro.model.random_loss import BernoulliLoss, LossProcess, NoLoss, combine_loss
-from repro.model.sender import SenderState
+from repro.model.sender import Observation, SenderState
 from repro.model.trace import SimulationTrace
 from repro.perf import timing
 from repro.protocols.base import Protocol
@@ -228,32 +229,39 @@ class FluidSimulator:
 
     # ------------------------------------------------------------------
     def _run_general(self, steps: int) -> SimulationTrace:
-        """The per-sender reference loop (handles every configuration)."""
+        """The per-sender reference loop (handles every configuration).
+
+        A sender-step is flat: the protocol's :class:`Observation` is
+        built once with its final fields (ECN marks, and the placeholder
+        RTT a loss-based protocol sees under enforcement), windows and
+        observed losses go into flat lists that become the trace arrays at
+        the end, and the link's derived quantities are read once per link
+        rather than once per step.
+        """
         cfg = self.config
-        n = len(self.protocols)
+        protocols = self.protocols
+        n = len(protocols)
         rng = np.random.default_rng(cfg.seed) if cfg.unsynchronized_loss else None
+        clamp = self._clamp
 
         senders = []
         for i in range(n):
             start = cfg.schedule.start_for(i)
             if start is None:
-                senders.append(SenderState(index=i, window=self._clamp(self._initial[i])))
+                senders.append(SenderState(index=i, window=clamp(self._initial[i])))
             else:
                 senders.append(
                     SenderState(
                         index=i,
-                        window=self._clamp(start.window),
+                        window=clamp(start.window),
                         start_step=start.step,
                     )
                 )
 
-        windows = np.full((steps, n), np.nan)
-        observed_loss = np.full((steps, n), np.nan)
-        congestion_loss = np.zeros(steps)
-        rtts = np.zeros(steps)
-        capacities = np.zeros(steps)
-        pipe_limits = np.zeros(steps)
-        base_rtts = np.zeros(steps)
+        windows = [math.nan] * (steps * n)
+        observed_loss = [math.nan] * (steps * n)
+        congestion_loss = [0.0] * steps
+        rtts = [0.0] * steps
 
         # Loop invariants hoisted for the (overwhelmingly common) case of
         # an empty schedule: the link never changes and every sender is
@@ -261,53 +269,74 @@ class FluidSimulator:
         schedule = cfg.schedule
         has_link_changes = bool(schedule.link_changes)
         static_membership = not schedule.sender_starts
-        link = self.link
+        link_columns: list[tuple[float, float, float]] = []
+        loss_rate_of = cfg.loss_process.rate
+        enforce = cfg.enforce_loss_based
+        link = None
         active = senders
 
         for t in range(steps):
+            current = schedule.link_at(t, self.link) if has_link_changes else self.link
+            if current is not link:
+                link = current
+                capacity, pipe_limit, base_rtt = (
+                    link.capacity, link.pipe_limit, link.base_rtt
+                )
+                bandwidth, timeout_rtt = link.bandwidth, link.timeout_rtt
+                marking = link.marking_enabled
             if has_link_changes:
-                link = schedule.link_at(t, self.link)
+                link_columns.append((capacity, pipe_limit, base_rtt))
             if not static_membership:
                 active = [s for s in senders if s.active(t)]
-            total = sum(s.window for s in active)
-            loss = link.loss_rate(total)
-            rtt = link.rtt(total)
-            ecn = link.mark_fraction(total)
+            total = sum([s.window for s in active])
+            if total < 0:
+                link.loss_rate(total)  # raises the link's negative-total error
+            loss = droptail_loss_rate(total, pipe_limit)
+            rtt = eq1_rtt(total, capacity, bandwidth, base_rtt, pipe_limit, timeout_rtt)
+            # Marking off: mark_fraction is 0.0 (loss_rate already vetted total).
+            ecn = link.mark_fraction(total) if marking else 0.0
+            if not ecn > 0.0:
+                ecn = 0.0
 
             congestion_loss[t] = loss
             rtts[t] = rtt
-            capacities[t] = link.capacity
-            pipe_limits[t] = link.pipe_limit
-            base_rtts[t] = link.base_rtt
-
+            row = t * n
             for state in active:
                 i = state.index
+                window = state.window
                 congestion_seen = loss
                 if rng is not None and loss > 0.0:
-                    notice_probability = 1.0 - (1.0 - loss) ** state.window
+                    notice_probability = 1.0 - (1.0 - loss) ** window
                     if rng.random() >= notice_probability:
                         congestion_seen = 0.0
-                random_loss = cfg.loss_process.rate(t, i)
-                seen = combine_loss(congestion_seen, random_loss)
-                windows[t, i] = state.window
-                observed_loss[t, i] = seen
-                state.record(state.window, seen, rtt)
+                seen = combine_loss(congestion_seen, loss_rate_of(t, i))
+                windows[row + i] = window
+                observed_loss[row + i] = seen
+                if rtt < state.min_rtt:
+                    state.min_rtt = rtt
 
-                protocol = self.protocols[i]
-                obs = state.observation(t)
-                if ecn > 0.0:
-                    obs = replace(obs, ecn_fraction=ecn)
-                if cfg.enforce_loss_based and protocol.loss_based:
-                    obs = replace(
-                        obs, rtt=_PLACEHOLDER_RTT, min_rtt=_PLACEHOLDER_RTT
+                protocol = protocols[i]
+                if enforce and protocol.loss_based:
+                    obs = Observation(
+                        t, window, seen, _PLACEHOLDER_RTT, _PLACEHOLDER_RTT, ecn
                     )
-                state.window = self._clamp(protocol.next_window(obs))
+                else:
+                    obs = Observation(t, window, seen, rtt, state.min_rtt, ecn)
+                state.window = clamp(protocol.next_window(obs))
 
+        if has_link_changes:
+            capacities, pipe_limits, base_rtts = (
+                np.array(column, dtype=float) for column in zip(*link_columns)
+            )
+        else:
+            capacities = np.full(steps, capacity)
+            pipe_limits = np.full(steps, pipe_limit)
+            base_rtts = np.full(steps, base_rtt)
         return SimulationTrace(
-            windows=windows,
-            observed_loss=observed_loss,
-            congestion_loss=congestion_loss,
-            rtts=rtts,
+            windows=np.array(windows, dtype=float).reshape(steps, n),
+            observed_loss=np.array(observed_loss, dtype=float).reshape(steps, n),
+            congestion_loss=np.array(congestion_loss, dtype=float),
+            rtts=np.array(rtts, dtype=float),
             capacities=capacities,
             pipe_limits=pipe_limits,
             base_rtts=base_rtts,

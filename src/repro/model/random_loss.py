@@ -28,9 +28,10 @@ def combine_loss(congestion: float, random_loss: float) -> float:
     A packet survives only if it survives both drop opportunities, so the
     combined rate is ``1 - (1 - congestion) * (1 - random_loss)``.
     """
-    for name, value in (("congestion", congestion), ("random_loss", random_loss)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} loss rate must be in [0, 1], got {value}")
+    if not (0.0 <= congestion <= 1.0 and 0.0 <= random_loss <= 1.0):
+        for name, value in (("congestion", congestion), ("random_loss", random_loss)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} loss rate must be in [0, 1], got {value}")
     return 1.0 - (1.0 - congestion) * (1.0 - random_loss)
 
 

@@ -3,13 +3,14 @@
 The paper defines a protocol as a deterministic map from a sender's own
 history — of congestion windows, RTTs and loss rates — to its next window.
 :class:`Observation` is the per-step slice of that history handed to the
-protocol; :class:`SenderState` accumulates the full history so that both
-history-dependent protocols and the metric estimators can see it.
+protocol; a history-dependent protocol keeps whatever summary of it it
+needs in its own state. :class:`SenderState` is the simulator's per-sender
+record, holding only what the fluid loop reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -49,41 +50,23 @@ class Observation:
 
 @dataclass
 class SenderState:
-    """Mutable per-sender record kept by the simulator.
+    """Mutable per-sender record kept by the fluid simulator's general loop.
 
-    The ``windows``, ``loss_rates`` and ``rtts`` lists grow by one entry per
-    simulated step and constitute exactly the history the paper says a
-    protocol may condition on.
+    It holds exactly what the loop reads each step: the sender's index,
+    its current window, the step it starts at, and ``min_rtt``, the
+    smallest RTT the sender has seen. ``min_rtt`` is updated with the
+    step's real RTT on every step the sender is active, before the
+    protocol is shown its :class:`Observation` (a loss-based protocol
+    under enforcement is shown a placeholder instead). No per-step history
+    is kept: protocols see only the Observation, and the trace holds the
+    windows and losses.
     """
 
     index: int
     window: float
     start_step: int = 0
-    windows: list[float] = field(default_factory=list)
-    loss_rates: list[float] = field(default_factory=list)
-    rtts: list[float] = field(default_factory=list)
     min_rtt: float = float("inf")
 
     def active(self, step: int) -> bool:
         """Whether this sender has started transmitting by ``step``."""
         return step >= self.start_step
-
-    def record(self, window: float, loss_rate: float, rtt: float) -> None:
-        """Append one step of history and refresh the min-RTT estimate."""
-        self.windows.append(window)
-        self.loss_rates.append(loss_rate)
-        self.rtts.append(rtt)
-        if rtt < self.min_rtt:
-            self.min_rtt = rtt
-
-    def observation(self, step: int) -> Observation:
-        """The :class:`Observation` describing the step just recorded."""
-        if not self.windows:
-            raise ValueError("no history recorded yet")
-        return Observation(
-            step=step,
-            window=self.windows[-1],
-            loss_rate=self.loss_rates[-1],
-            rtt=self.rtts[-1],
-            min_rtt=self.min_rtt,
-        )

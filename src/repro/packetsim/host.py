@@ -15,11 +15,17 @@ Every packet resolves (ACK or delayed loss notification), so rounds always
 close and no retransmission-timeout machinery is needed for the paper's
 long-lived-flow scenarios.
 
-Packets and round records are recycled through freelists (a shared
-:class:`~repro.packetsim.packet.PacketPool` and a per-flow round-record
-pool): a packet returns to the pool the moment its ACK/loss is processed
-and a round record returns when its round closes, so a steady-state run
-holds O(window) live objects regardless of how many packets it sends.
+Packets are recycled through a shared
+:class:`~repro.packetsim.packet.PacketPool` freelist: a packet returns to
+the pool the moment its ACK/loss is processed, so a steady-state run
+holds O(window) live packets regardless of how many it sends.
+
+The three per-packet handlers (:meth:`Flow._pump`, :meth:`Flow.on_ack`,
+:meth:`Flow.on_loss`) run once per event, so they are written flat: the
+pool, the round lookup, the clock read and the sanitizer flag are inlined
+as local-variable operations rather than helper calls. Only round
+boundaries (once per RTT) call out: :meth:`Flow._open_round`,
+:meth:`Flow._close_rounds` and the protocol.
 """
 
 from __future__ import annotations
@@ -39,35 +45,20 @@ _FLOW_PUMP = int(EventKind.FLOW_PUMP)
 
 
 class _RoundRecord:
-    """Accounting for one RTT-round (pooled: see ``Flow._round``)."""
+    """Accounting for one RTT-round: its send quota and what came back.
+
+    A round is *complete* once its quota is sent and every sent packet is
+    ACKed or lost: ``sent >= quota and acked + lost >= sent``.
+    """
 
     __slots__ = ("quota", "sent", "acked", "lost", "rtt_sum")
 
     def __init__(self, quota: int) -> None:
-        self.reset(quota)
-
-    def reset(self, quota: int) -> "_RoundRecord":
         self.quota = quota
         self.sent = 0
         self.acked = 0
         self.lost = 0
         self.rtt_sum = 0.0
-        return self
-
-    @property
-    def accounted(self) -> int:
-        return self.acked + self.lost
-
-    @property
-    def complete(self) -> bool:
-        return self.sent >= self.quota and self.accounted >= self.sent
-
-    @property
-    def loss_rate(self) -> float:
-        return self.lost / self.sent if self.sent else 0.0
-
-    def mean_rtt(self, fallback: float) -> float:
-        return self.rtt_sum / self.acked if self.acked else fallback
 
 
 @dataclass
@@ -167,23 +158,18 @@ class Flow:
         self._max_window = max_window
         self.start_time = start_time
         self.size = size
-        self._remaining_new = size  # distinct packets not yet first-sent
+        # Distinct packets not yet first-sent (read only when ``size`` is set).
+        self._remaining_new = 0 if size is None else size
         self._pending_retransmits = 0
         self.inflight = 0
         self._next_seq = 0
         self._send_round = 0
         self._decision_round = 0
         self._rounds: dict[int, _RoundRecord] = {}
-        self._round_free: list[_RoundRecord] = []
-        self._pool = pool if pool is not None else PacketPool()
+        self._free = pool if pool is not None else PacketPool()
         self._min_rtt = math.inf
         self._last_rtt = math.nan
         self.stats = FlowStats()
-
-    @property
-    def completed(self) -> bool:
-        """Whether a finite flow has delivered all its packets."""
-        return self.stats.completed_at is not None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -194,110 +180,138 @@ class Flow:
         )
 
     # ------------------------------------------------------------------
-    def _quota(self) -> int:
-        return max(1, int(round(self.cwnd)))
-
-    def _round(self, index: int) -> _RoundRecord:
-        record = self._rounds.get(index)
-        if record is None:
-            free = self._round_free
-            record = free.pop().reset(self._quota()) if free \
-                else _RoundRecord(self._quota())
-            self._rounds[index] = record
-        return record
-
-    def _has_data(self) -> bool:
-        """Whether any payload (new or retransmit) is waiting to be sent."""
-        if self.size is None:
-            return True
-        return self._pending_retransmits > 0 or (self._remaining_new or 0) > 0
-
     def _pump(self) -> None:
-        """Send while the window allows, advancing rounds as quotas fill."""
-        if self.completed:
+        """Send while the window allows, advancing rounds as quotas fill.
+
+        ``transmit`` only schedules events (the queue's service and drop
+        notifications), so nothing reads this flow's counters while the
+        loop runs; they live in locals and are stored once at the end.
+        """
+        stats = self.stats
+        if stats.completed_at is not None:
             return
-        while (self.inflight < int(self.cwnd) or self.inflight == 0) and \
-                self._has_data():
-            record = self._round(self._send_round)
-            if record.sent >= record.quota:
-                self._send_round += 1
-                continue
-            if self.size is not None:
+        cwnd = self.cwnd
+        limit = int(cwnd)
+        if limit < 1:
+            limit = 1
+        inflight = self.inflight
+        size = self.size
+        rounds = self._rounds
+        free = self._free
+        transmit = self._transmit
+        now = self._scheduler._now
+        flow_id = self.flow_id
+        seq = self._next_seq
+        send_round = self._send_round
+        while inflight < limit:
+            if size is not None:
                 if self._pending_retransmits > 0:
                     self._pending_retransmits -= 1
-                    self.stats.retransmissions += 1
-                else:
+                    stats.retransmissions += 1
+                elif self._remaining_new > 0:
                     self._remaining_new -= 1
-            packet = self._pool.acquire(
-                self.flow_id,
-                self._next_seq,
-                self._scheduler.now,
-                self._send_round,
-            )
-            self._next_seq += 1
+                else:
+                    break
+            record = rounds.get(send_round)
+            while record is not None and record.sent >= record.quota:
+                send_round += 1
+                record = rounds.get(send_round)
+            if record is None:
+                record = self._open_round(send_round)
+            packet = free.pop() if free else Packet.__new__(Packet)
+            packet.flow_id = flow_id
+            packet.sequence = seq
+            packet.sent_at = now
+            packet.round_index = send_round
+            seq += 1
             record.sent += 1
-            self.inflight += 1
-            self.stats.packets_sent += 1
-            self._transmit(packet)
-            if self.inflight >= max(1, int(self.cwnd)):
-                break
+            inflight += 1
+            stats.packets_sent += 1
+            transmit(packet)
+        self.inflight = inflight
+        self._next_seq = seq
+        self._send_round = send_round
 
     # ------------------------------------------------------------------
     def on_ack(self, packet: Packet) -> None:
         """An ACK for ``packet`` arrived."""
-        now = self._scheduler.now
+        now = self._scheduler._now
         rtt = now - packet.sent_at
-        self.inflight -= 1
-        if debug.enabled() and (self.inflight < 0 or rtt < 0):
+        inflight = self.inflight = self.inflight - 1
+        if debug.active and (inflight < 0 or rtt < 0):
             debug.fail(
                 "flow-accounting",
-                f"flow {self.flow_id}: inflight={self.inflight}, rtt={rtt} "
+                f"flow {self.flow_id}: inflight={inflight}, rtt={rtt} "
                 "after ACK (packet double-counted or clock ran backwards?)",
             )
-        record = self._round(packet.round_index)
-        self._pool.release(packet)
+        rounds = self._rounds
+        index = packet.round_index
+        record = rounds.get(index)
+        if record is None:
+            record = self._open_round(index)
+        self._free.append(packet)
         record.acked += 1
         record.rtt_sum += rtt
-        self.stats.packets_acked += 1
-        self.stats.ack_times.append(now)
-        self.stats.rtt_samples.append(rtt)
-        self._min_rtt = min(self._min_rtt, rtt)
+        stats = self.stats
+        acked = stats.packets_acked = stats.packets_acked + 1
+        stats.ack_times.append(now)
+        stats.rtt_samples.append(rtt)
+        if rtt < self._min_rtt:
+            self._min_rtt = rtt
         self._last_rtt = rtt
-        if (
-            self.size is not None
-            and not self.completed
-            and self.stats.packets_acked >= self.size
-        ):
-            self.stats.completed_at = now
-        self._maybe_close_rounds()
+        size = self.size
+        if size is not None and stats.completed_at is None and acked >= size:
+            stats.completed_at = now
+        head = rounds.get(self._decision_round)
+        if head is not None and head.sent >= head.quota and \
+                head.acked + head.lost >= head.sent:
+            self._close_rounds()
         self._pump()
 
     def on_loss(self, packet: Packet) -> None:
         """The sender learned that ``packet`` was dropped."""
-        self.inflight -= 1
-        if debug.enabled() and self.inflight < 0:
+        inflight = self.inflight = self.inflight - 1
+        if debug.active and inflight < 0:
             debug.fail(
                 "flow-accounting",
-                f"flow {self.flow_id}: inflight={self.inflight} after loss "
+                f"flow {self.flow_id}: inflight={inflight} after loss "
                 "(packet double-counted?)",
             )
-        record = self._round(packet.round_index)
-        self._pool.release(packet)
+        rounds = self._rounds
+        index = packet.round_index
+        record = rounds.get(index)
+        if record is None:
+            record = self._open_round(index)
+        self._free.append(packet)
         record.lost += 1
-        self.stats.packets_lost += 1
-        self.stats.loss_times.append(self._scheduler.now)
+        stats = self.stats
+        stats.packets_lost += 1
+        stats.loss_times.append(self._scheduler._now)
         if self.size is not None:
             # The payload still has to get across: queue a retransmission.
             self._pending_retransmits += 1
-        self._maybe_close_rounds()
+        head = rounds.get(self._decision_round)
+        if head is not None and head.sent >= head.quota and \
+                head.acked + head.lost >= head.sent:
+            self._close_rounds()
         self._pump()
 
     # ------------------------------------------------------------------
-    def _maybe_close_rounds(self) -> None:
+    def _open_round(self, index: int) -> _RoundRecord:
+        """Open round ``index`` with a quota of the current window."""
+        record = self._rounds[index] = _RoundRecord(max(1, int(round(self.cwnd))))
+        return record
+
+    def _close_rounds(self) -> None:
         """Close completed rounds in order, consulting the protocol once per round."""
+        rounds = self._rounds
+        stats = self.stats
         while True:
-            record = self._rounds.get(self._decision_round)
-            if record is None or not record.complete:
+            record = rounds.get(self._decision_round)
+            if record is None or not (
+                record.sent >= record.quota
+                and record.acked + record.lost >= record.sent
+            ):
                 return
             # A round only completes after its quota was fully sent, so a
             # later round may exist; close strictly in order regardless.
@@ -305,12 +319,12 @@ class Flow:
             observation = Observation(
                 step=self._decision_round,
                 window=self.cwnd,
-                loss_rate=record.loss_rate,
-                rtt=record.mean_rtt(fallback),
+                loss_rate=record.lost / record.sent if record.sent else 0.0,
+                rtt=record.rtt_sum / record.acked if record.acked else fallback,
                 min_rtt=self._min_rtt if math.isfinite(self._min_rtt) else fallback,
             )
             new_window = self.protocol.next_window(observation)
-            if debug.enabled() and not (
+            if debug.active and not (
                 math.isfinite(new_window) and new_window >= 0
             ):
                 debug.fail(
@@ -320,7 +334,7 @@ class Flow:
                     f"{self._decision_round}",
                 )
             self.cwnd = min(max(new_window, self._min_window), self._max_window)
-            self.stats.rounds_completed += 1
-            self.stats.window_samples.append((self._scheduler.now, self.cwnd))
-            self._round_free.append(self._rounds.pop(self._decision_round))
+            stats.rounds_completed += 1
+            stats.window_samples.append((self._scheduler._now, self.cwnd))
+            del rounds[self._decision_round]
             self._decision_round += 1

@@ -6,12 +6,13 @@ zero-size control messages that only carry timing, so they never queue.
 Packets used to be frozen dataclasses allocated once per send — the
 single largest allocation source in long runs. They are now plain
 ``__slots__`` objects recycled through a :class:`PacketPool` freelist:
-once a packet's fate is decided (ACK or loss processed) the flow releases
-it back to the pool and the next send rewrites its four fields in place.
-Steady-state packet-level runs therefore allocate O(max inflight) packet
-objects, not O(packets sent). Direct construction still validates its
-arguments (the pool's :meth:`~PacketPool.acquire` skips validation — its
-callers are the simulator's own inner loops).
+once a packet's fate is decided (ACK or loss processed) the flow appends
+it back to the pool and the next send pops it and rewrites its four
+fields in place. Steady-state packet-level runs therefore allocate
+O(max inflight) packet objects, not O(packets sent). Direct construction
+still validates its arguments; the flow's send loop allocates with
+``Packet.__new__`` and skips validation, because it is the simulator's
+own inner loop.
 """
 
 from __future__ import annotations
@@ -73,37 +74,14 @@ class Packet:
         return hash((self.flow_id, self.sequence, self.sent_at, self.round_index))
 
 
-class PacketPool:
+class PacketPool(list[Packet]):
     """A freelist of recycled :class:`Packet` objects.
 
-    ``acquire`` pops a free packet (or allocates one via ``__new__``,
-    bypassing ``__init__`` validation) and overwrites its fields;
-    ``release`` returns a packet whose fate is settled. A released packet
-    must not be referenced afterwards — the simulator guarantees this by
-    releasing only from ``on_ack``/``on_loss`` once the packet's RTT and
-    round accounting are done.
+    A plain list, shared by the flows of one run: a flow's send loop pops
+    a free packet (or allocates one with ``Packet.__new__``) and
+    overwrites its fields, and its ACK and loss handlers append a packet
+    back once its RTT and round accounting are done. A packet in the pool
+    is not referenced by anything else.
     """
 
-    __slots__ = ("_free",)
-
-    def __init__(self) -> None:
-        self._free: list[Packet] = []
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(
-        self, flow_id: int, sequence: int, sent_at: float, round_index: int
-    ) -> Packet:
-        """A packet with the given fields, recycled when possible."""
-        free = self._free
-        packet = free.pop() if free else Packet.__new__(Packet)
-        packet.flow_id = flow_id
-        packet.sequence = sequence
-        packet.sent_at = sent_at
-        packet.round_index = round_index
-        return packet
-
-    def release(self, packet: Packet) -> None:
-        """Return ``packet`` to the freelist for reuse."""
-        self._free.append(packet)
+    __slots__ = ()

@@ -13,6 +13,11 @@ Serialization completions are scheduled on a dedicated fixed-delay
 packet, no closures), and occupancy sampling goes through a bounded
 :class:`OccupancyRing` instead of an unbounded Python list, so a queue's
 memory footprint no longer grows with run length.
+
+The two per-packet handlers, :meth:`BottleneckQueue.arrive` and
+:meth:`BottleneckQueue._finish_service`, start the next service and take
+the (optional) occupancy sample inline, so a packet costs one call into
+the queue per event.
 """
 
 from __future__ import annotations
@@ -195,10 +200,10 @@ class BottleneckQueue:
         self._on_drop = on_drop
         self._buffer: deque[Packet] = deque()
         self._busy = False
-        self._sample = sample_occupancy
         self.stats = QueueStats(
             occupancy_ring=OccupancyRing(sample_budget) if sample_occupancy else None
         )
+        self._ring = self.stats.occupancy_ring
 
     @property
     def occupancy(self) -> int:
@@ -206,51 +211,67 @@ class BottleneckQueue:
         return len(self._buffer)
 
     def arrive(self, packet: Packet) -> None:
-        """A packet reaches the queue: enqueue or drop."""
-        if len(self._buffer) >= self.capacity and self._busy:
-            self.stats.dropped += 1
-            self._record_occupancy()
+        """A packet reaches the queue: enqueue or drop.
+
+        An idle server takes the head of the buffer into service at once;
+        every change of the buffer is sampled when sampling is on.
+        """
+        buffer = self._buffer
+        stats = self.stats
+        ring = self._ring
+        busy = self._busy
+        if busy and len(buffer) >= self.capacity:
+            stats.dropped += 1
+            if ring is not None:
+                ring.push(self._scheduler._now, len(buffer))
             self._on_drop(packet)
             return
-        self.stats.enqueued += 1
-        self._buffer.append(packet)
-        self.stats.max_occupancy = max(self.stats.max_occupancy, len(self._buffer))
-        self._record_occupancy()
-        if not self._busy:
-            self._start_service()
-        if debug.enabled() and len(self._buffer) > self.capacity:
+        stats.enqueued += 1
+        buffer.append(packet)
+        occupancy = len(buffer)
+        if occupancy > stats.max_occupancy:
+            stats.max_occupancy = occupancy
+        if ring is not None:
+            ring.push(self._scheduler._now, occupancy)
+        if not busy:
+            self._busy = True
+            head = buffer.popleft()
+            if ring is not None:
+                ring.push(self._scheduler._now, len(buffer))
+            self._service_rail.push(_QUEUE_SERVICE, self, head)
+        if debug.active and len(buffer) > self.capacity:
             debug.fail(
                 "queue-occupancy",
-                f"buffer holds {len(self._buffer)} packets, capacity is "
+                f"buffer holds {len(buffer)} packets, capacity is "
                 f"{self.capacity}",
             )
 
-    def _start_service(self) -> None:
-        if not self._buffer:
-            self._busy = False
-            return
-        self._busy = True
-        packet = self._buffer.popleft()
-        self._record_occupancy()
-        self._service_rail.push(_QUEUE_SERVICE, self, packet)
-
     def _finish_service(self, packet: Packet) -> None:
-        """A packet's serialization finished (dispatched by the engine)."""
-        self.stats.departed += 1
-        if debug.enabled():
+        """A packet's serialization finished (dispatched by the engine).
+
+        Hands the packet on, then takes the next buffered packet into
+        service, or leaves the server idle when the buffer is empty.
+        """
+        stats = self.stats
+        stats.departed += 1
+        buffer = self._buffer
+        if debug.active:
             # Packet conservation: at this instant nothing is in service
             # (the finishing packet was just counted as departed), so every
             # enqueued packet is either departed or still buffered.
-            waiting = len(self._buffer)
-            if self.stats.enqueued != self.stats.departed + waiting:
+            waiting = len(buffer)
+            if stats.enqueued != stats.departed + waiting:
                 debug.fail(
                     "packet-conservation",
-                    f"enqueued={self.stats.enqueued} != departed="
-                    f"{self.stats.departed} + buffered={waiting}",
+                    f"enqueued={stats.enqueued} != departed="
+                    f"{stats.departed} + buffered={waiting}",
                 )
         self._on_departure(packet)
-        self._start_service()
-
-    def _record_occupancy(self) -> None:
-        if self._sample:
-            self.stats.occupancy_ring.push(self._scheduler.now, len(self._buffer))
+        if buffer:
+            head = buffer.popleft()
+            ring = self._ring
+            if ring is not None:
+                ring.push(self._scheduler._now, len(buffer))
+            self._service_rail.push(_QUEUE_SERVICE, self, head)
+        else:
+            self._busy = False

@@ -245,14 +245,27 @@ class TraceCache:
         return self.directory / INDEX_NAME
 
     def index_append(self, key: str, kind: str, nbytes: int) -> None:
-        """Record one stored entry's kind (best-effort, O_APPEND-atomic)."""
+        """Record one stored entry's kind (best-effort, O_APPEND-atomic).
+
+        A writer killed mid-append leaves a last line with no newline.
+        Appending straight after it would glue this record onto the torn
+        one and lose both, so a torn tail is terminated first; the record
+        then stands on its own line (an empty line, from two appenders
+        terminating the same tail, is skipped by readers).
+        """
         record = {"bytes": int(nbytes), "key": key, "kind": kind}
         line = json.dumps(record, sort_keys=True) + "\n"
         try:
             fd = os.open(
-                self.index_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+                self.index_path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
             )
             try:
+                size = os.fstat(fd).st_size
+                if size:
+                    # O_APPEND writes at the end whatever the offset is.
+                    os.lseek(fd, size - 1, os.SEEK_SET)
+                    if os.read(fd, 1) != b"\n":
+                        line = "\n" + line
                 os.write(fd, line.encode("utf-8"))
             finally:
                 os.close(fd)

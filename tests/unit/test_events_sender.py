@@ -6,7 +6,7 @@ import pytest
 
 from repro.model.events import EventSchedule, LinkChange, SenderStart
 from repro.model.link import Link
-from repro.model.sender import Observation, SenderState
+from repro.model.sender import SenderState
 
 
 class TestSenderStart:
@@ -74,32 +74,6 @@ class TestSenderState:
         state = SenderState(index=0, window=1.0, start_step=5)
         assert not state.active(4)
         assert state.active(5)
-
-    def test_record_appends_history(self):
-        state = SenderState(index=0, window=1.0)
-        state.record(1.0, 0.0, 0.042)
-        state.record(2.0, 0.1, 0.05)
-        assert state.windows == [1.0, 2.0]
-        assert state.loss_rates == [0.0, 0.1]
-        assert state.rtts == [0.042, 0.05]
-
-    def test_min_rtt_tracks_minimum(self):
-        state = SenderState(index=0, window=1.0)
-        state.record(1.0, 0.0, 0.05)
-        state.record(1.0, 0.0, 0.042)
-        state.record(1.0, 0.0, 0.06)
-        assert state.min_rtt == pytest.approx(0.042)
-
-    def test_observation_reflects_last_step(self):
-        state = SenderState(index=0, window=1.0)
-        state.record(3.0, 0.2, 0.05)
-        obs = state.observation(step=7)
-        assert obs == Observation(step=7, window=3.0, loss_rate=0.2, rtt=0.05,
-                                  min_rtt=0.05)
-
-    def test_observation_without_history_raises(self):
-        with pytest.raises(ValueError):
-            SenderState(index=0, window=1.0).observation(0)
 
     def test_initial_min_rtt_is_inf(self):
         assert math.isinf(SenderState(index=0, window=1.0).min_rtt)

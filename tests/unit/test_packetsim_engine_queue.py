@@ -3,8 +3,10 @@
 import pytest
 
 from repro.packetsim.engine import EventKind, EventScheduler
+from repro.packetsim.host import Flow
 from repro.packetsim.packet import Packet, PacketPool
 from repro.packetsim.queue import BottleneckQueue, OccupancyRing
+from repro.protocols.aimd import AIMD
 
 
 class TestScheduler:
@@ -204,23 +206,39 @@ class TestRails:
 
 
 class TestPacketPool:
+    """Flows pop packets from the pool to send and append them back once
+    the ACK (or loss) is processed."""
+
+    @staticmethod
+    def _flow(pool, sent, window=1.0):
+        scheduler = EventScheduler()
+        flow = Flow(flow_id=0, protocol=AIMD(1, 0.5), scheduler=scheduler,
+                    transmit=sent.append, initial_window=window, pool=pool)
+        flow.start()
+        scheduler.run_until(0.0)
+        return scheduler, flow
+
     def test_acquire_recycles_released_packets(self):
-        pool = PacketPool()
-        first = pool.acquire(0, 0, 0.0, 0)
-        pool.release(first)
-        second = pool.acquire(1, 7, 3.0, 2)
-        assert second is first
-        assert (second.flow_id, second.sequence, second.sent_at,
-                second.round_index) == (1, 7, 3.0, 2)
+        pool, sent = PacketPool(), []
+        scheduler, flow = self._flow(pool, sent)
+        first = sent[0]
+        scheduler.run_until(3.0)
+        flow.on_ack(first)  # back to the pool; the grown window sends two
+        assert sent[1] is first
+        assert (first.flow_id, first.sequence, first.sent_at) == (0, 1, 3.0)
+        assert sent[2] is not first
+        assert len(pool) == 0
 
     def test_pool_grows_only_when_empty(self):
-        pool = PacketPool()
-        a = pool.acquire(0, 0, 0.0, 0)
-        b = pool.acquire(0, 1, 0.0, 0)
+        pool, sent = PacketPool(), []
+        _scheduler, flow = self._flow(pool, sent, window=2.0)
+        a, b = sent
         assert a is not b
-        pool.release(a)
-        pool.release(b)
-        assert len(pool) == 2
+        flow.on_loss(a)  # the resend takes ``a`` back instead of allocating
+        assert sent == [a, b, a]
+        flow.on_loss(b)  # round 0 closes, the window halves to 1: no send
+        assert sent == [a, b, a]
+        assert list(pool) == [b]
 
 
 class TestOccupancyRing:

@@ -19,7 +19,7 @@ from repro.model.sender import Observation
 from repro.model.trace import SimulationTrace
 from repro.packetsim.engine import EventKind, EventScheduler
 from repro.packetsim.host import Flow
-from repro.packetsim.packet import PacketPool
+from repro.packetsim.packet import Packet
 from repro.packetsim.queue import BottleneckQueue
 from repro.protocols.base import Protocol
 
@@ -86,8 +86,7 @@ def _queue(scheduler: EventScheduler, capacity: int = 2) -> BottleneckQueue:
 def test_corrupted_counter_trips_packet_conservation():
     scheduler = EventScheduler()
     queue = _queue(scheduler)
-    pool = PacketPool()
-    queue.arrive(pool.acquire(0, 0, 0.0, 0))
+    queue.arrive(Packet(0, 0, 0.0, 0))
     queue.stats.enqueued += 5  # pretend packets entered that never did
     with pytest.raises(debug.DebugCheckError, match=r"\[packet-conservation\]"):
         scheduler.run_until(1.0)
@@ -96,19 +95,17 @@ def test_corrupted_counter_trips_packet_conservation():
 def test_overfull_buffer_trips_queue_occupancy():
     scheduler = EventScheduler()
     queue = _queue(scheduler, capacity=2)
-    pool = PacketPool()
     # Stuff the buffer behind the droptail check's back, then arrive once.
-    queue._buffer.extend(pool.acquire(0, seq, 0.0, 0) for seq in range(3))
+    queue._buffer.extend(Packet(0, seq, 0.0, 0) for seq in range(3))
     with pytest.raises(debug.DebugCheckError, match=r"\[queue-occupancy\]"):
-        queue.arrive(pool.acquire(0, 99, 0.0, 0))
+        queue.arrive(Packet(0, 99, 0.0, 0))
 
 
 def test_clean_queue_run_passes_checks():
     scheduler = EventScheduler()
     queue = _queue(scheduler, capacity=2)
-    pool = PacketPool()
     for seq in range(5):
-        queue.arrive(pool.acquire(0, seq, 0.0, 0))
+        queue.arrive(Packet(0, seq, 0.0, 0))
     scheduler.run_until(1.0)
     assert queue.stats.departed == queue.stats.enqueued
 
@@ -128,7 +125,7 @@ def _flow(protocol: Protocol | None = None) -> tuple[EventScheduler, Flow]:
 
 def test_double_counted_ack_trips_flow_accounting():
     _scheduler, flow = _flow()
-    packet = PacketPool().acquire(0, 0, 0.0, 0)
+    packet = Packet(0, 0, 0.0, 0)
     flow.inflight = 0  # an ACK with nothing in flight is double-counting
     with pytest.raises(debug.DebugCheckError, match=r"\[flow-accounting\]"):
         flow.on_ack(packet)
@@ -136,7 +133,7 @@ def test_double_counted_ack_trips_flow_accounting():
 
 def test_negative_rtt_trips_flow_accounting():
     _scheduler, flow = _flow()
-    packet = PacketPool().acquire(0, 0, 5.0, 0)  # "sent" in the future
+    packet = Packet(0, 0, 5.0, 0)  # "sent" in the future
     flow.inflight = 1
     with pytest.raises(debug.DebugCheckError, match=r"\[flow-accounting\]"):
         flow.on_ack(packet)
@@ -144,25 +141,28 @@ def test_negative_rtt_trips_flow_accounting():
 
 def test_double_counted_loss_trips_flow_accounting():
     _scheduler, flow = _flow()
-    packet = PacketPool().acquire(0, 0, 0.0, 0)
+    packet = Packet(0, 0, 0.0, 0)
     flow.inflight = 0
     with pytest.raises(debug.DebugCheckError, match=r"\[flow-accounting\]"):
         flow.on_loss(packet)
 
 
 def test_nan_window_from_protocol_trips_window_bounds():
-    _scheduler, flow = _flow(_NaNProtocol())
-    packet = PacketPool().acquire(0, 0, 0.0, 0)
-    flow.inflight = 1
-    flow._round(0).sent = 1  # round complete once this ACK lands
+    sent = []
+    scheduler = EventScheduler()
+    flow = Flow(flow_id=0, protocol=_NaNProtocol(), scheduler=scheduler,
+                transmit=sent.append)
+    flow.start()
+    scheduler.run_until(0.0)  # round 0's one-packet quota goes out
+    assert len(sent) == 1
     with pytest.raises(debug.DebugCheckError, match=r"\[window-bounds\]"):
-        flow.on_ack(packet)
+        flow.on_ack(sent[0])  # completes round 0: the protocol says NaN
 
 
 def test_checks_off_lets_corruption_pass_silently():
     with debug.checks(False):
         _scheduler, flow = _flow()
-        packet = PacketPool().acquire(0, 0, 0.0, 0)
+        packet = Packet(0, 0, 0.0, 0)
         flow.inflight = 0
         flow.on_ack(packet)  # no DebugCheckError
         assert flow.stats.packets_acked == 1

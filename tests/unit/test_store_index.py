@@ -100,6 +100,35 @@ class TestIndex:
         assert index[key] == "unified:fluid"
         assert "aa" not in index
 
+    def test_record_after_a_torn_tail_survives(self, tmp_path):
+        # A writer died mid-append: the last line has no newline.
+        cache, key = _populate(tmp_path)
+        with open(cache.index_path, "a", encoding="utf-8") as handle:
+            handle.write('{"bytes": 12, "ke')
+        cache.index_append("b" * 64, "packet", 20)
+        index = cache.read_index()
+        assert index["b" * 64] == "packet"
+        assert index[key] == "unified:fluid"
+        assert cache.index_path.read_text(encoding="utf-8").endswith("\n")
+
+    def test_entry_lost_in_a_torn_line_is_reclassified(self, tmp_path, monkeypatch):
+        # The packet entry's record is the torn line: stats_by_kind
+        # classifies the entry itself and re-appends a whole record.
+        cache, _ = _populate(tmp_path)
+        lines = cache.index_path.read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines if PACKET_KEY not in line]
+        torn = next(line for line in lines if PACKET_KEY in line)[:-12]
+        cache.index_path.write_text("\n".join(kept) + "\n" + torn, encoding="utf-8")
+        assert PACKET_KEY not in cache.read_index()
+        breakdown = stats_by_kind(cache)
+        assert breakdown["packet"]["entries"] == 1
+        assert cache.read_index()[PACKET_KEY] == "packet"
+        monkeypatch.setattr(
+            "repro.perf.store.unpack_arrays",
+            lambda *a, **k: (_ for _ in ()).throw(AssertionError("reopened")),
+        )
+        assert stats_by_kind(cache) == breakdown
+
     def test_prune_compacts_stale_records(self, tmp_path):
         cache, _ = _populate(tmp_path)
         assert len(cache.read_index()) == 3
