@@ -6,8 +6,8 @@ population. This module measures the per-step wall cost of the
 meanfield backend from N = 10^4 to N = 10^7 flows (via
 ``flow_multiplicity``; the link scales with N so the per-flow share is
 constant) and asserts it stays flat within 2x, while the fluid
-engine's vectorized per-flow sweep grows linearly over a much smaller
-range. The consolidated summary records the grid size, the per-step
+engine's row path (one NumPy update over all N windows per step)
+grows linearly over a much smaller range. The consolidated summary records the grid size, the per-step
 costs and the largest N exercised.
 """
 

@@ -15,7 +15,9 @@ shared-memory outputs. One pipeline drives every lane:
   stack — equal shared inputs, equal column shapes — in first-appearance
   order (submission order within a group), and list everything else —
   stateful protocols, schedules, ECN, lowering failures, ... — as
-  per-spec fallbacks;
+  per-spec fallbacks. The fluid lane takes exactly the runs whose
+  windows the serial engine can step as array rows: one predicate,
+  :func:`repro.model.dynamics.synchronized_stateless`, decides both;
 - :func:`run_batched` runs a plan: one kernel call per group (or, for
   large groups with ``workers > 1``, the shared-memory chunk scheduler),
   then extracts each row's trace and runs the fallbacks through the
@@ -31,7 +33,7 @@ write directly into the buffers, and only tiny failure maps travel back
 over the pool. Chunk size is autotuned from the lane's measured kernel
 throughput in :data:`repro.perf.timing.REGISTRY`. A lane that declares
 no shared-memory outputs runs in-process: the mean-field kernel already
-advances a whole sweep in one vectorized loop, so chunking buys nothing.
+advances a whole sweep in one NumPy loop, so chunking buys nothing.
 When the segments or the pool cannot be created, the group runs
 in-process after a one-time warning naming the lane and the error.
 
@@ -60,7 +62,11 @@ import numpy as np
 
 from repro.backends.base import get_backend
 from repro.backends.spec import ScenarioSpec
-from repro.model.random_loss import BernoulliLoss, NoLoss
+from repro.model.dynamics import (
+    check_window_clamp,
+    stateless_loss_rate,
+    synchronized_stateless,
+)
 from repro.perf import store, timing
 
 __all__ = [
@@ -164,28 +170,13 @@ def _stateless_feedback(
     """The initial windows and random-loss rate the fluid and network
     kernels stack for a run, or ``None`` when they cannot express it.
 
-    Both kernels need every protocol to opt into
-    :meth:`~repro.protocols.base.Protocol.batched_next` with its instance
-    state fully captured by ``batch_param_names``, a constant
-    deterministic non-congestion loss (a missing process is the serial
-    engines' ``NoLoss``), and one finite non-negative initial window per
-    flow.
+    Both kernels need a stateless run
+    (:func:`~repro.model.dynamics.stateless_loss_rate`) and one finite
+    non-negative initial window per flow.
     """
-    if loss_process is None or isinstance(loss_process, NoLoss):
-        random_rate = 0.0
-    elif isinstance(loss_process, BernoulliLoss) and loss_process.deterministic:
-        random_rate = loss_process.p
-    else:
+    random_rate = stateless_loss_rate(protocols, loss_process)
+    if random_rate is None:
         return None
-    for protocol in protocols:
-        cls = type(protocol)
-        if not getattr(cls, "supports_batched", False):
-            return None
-        try:
-            if set(vars(protocol)) != set(cls.batch_param_names):
-                return None
-        except TypeError:
-            return None
     initial = (
         list(initial_windows) if initial_windows is not None else [1.0] * len(protocols)
     )
@@ -203,25 +194,18 @@ _LINK_COLUMNS = ("capacity", "bandwidth", "base_rtt", "pipe_limit", "timeout_rtt
 def _lower_fluid(spec: ScenarioSpec) -> _Row | None:
     """``spec``'s fluid-batch-eligible form, or ``None`` to fall back.
 
-    On top of :func:`_stateless_feedback`, the fluid kernel needs the
-    serial engine's vectorized-fast-path conditions: synchronized
-    feedback (no unsynchronized loss, no ECN), real-valued windows and
-    no scheduled events. Anything it cannot express — including a spec
-    that fails to lower at all — runs serially instead, where it
-    reproduces the exact serial behaviour (or the exact serial error).
+    The fluid kernel runs what the serial engine's row path runs: a
+    :func:`~repro.model.dynamics.synchronized_stateless` run (of any mix
+    of protocol classes and any flow count). Anything it cannot express
+    — including a spec that fails to lower at all — runs serially
+    instead, where it reproduces the exact serial behaviour (or the
+    exact serial error).
     """
     try:
         link, protocols, config, steps = spec.lower_fluid()
     except Exception:
         return None
-    if (
-        not config.allow_vectorized
-        or config.unsynchronized_loss
-        or config.integer_windows
-        or config.schedule.sender_starts
-        or config.schedule.link_changes
-        or link.marking_enabled
-    ):
+    if not synchronized_stateless(link, protocols, config):
         return None
     feedback = _stateless_feedback(
         protocols, config.loss_process, config.initial_windows
@@ -255,10 +239,11 @@ def _lower_network(spec: ScenarioSpec) -> _Row | None:
     try:
         topology, protocols, kwargs, steps = spec.lower_network()
         topology.validate()
+        min_window, max_window = kwargs["min_window"], kwargs["max_window"]
+        check_window_clamp(min_window, max_window)
     except Exception:
         return None
-    min_window, max_window = kwargs["min_window"], kwargs["max_window"]
-    if len(protocols) != topology.n_flows or min_window < 0 or max_window < min_window:
+    if len(protocols) != topology.n_flows:
         return None
     feedback = _stateless_feedback(
         protocols, kwargs["loss_process"], kwargs["initial_windows"]

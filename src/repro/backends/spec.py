@@ -22,9 +22,9 @@ Two classes of knob behave differently across backends:
   integrality, clamps) either lower faithfully or raise
   :class:`LoweringError` — a spec never silently means something else on
   another backend;
-- *execution / instrumentation* hints (``allow_vectorized``,
-  ``sample_queue``) are honored where they apply and ignored elsewhere,
-  since they cannot change any backend's outputs.
+- *instrumentation* hints (``sample_queue``) are honored where they
+  apply and ignored elsewhere, since they cannot change any backend's
+  outputs.
 
 Times in a spec are in **seconds** (wall-clock of the modelled network).
 The packet backend consumes them directly; the RTT-stepped fluid backend
@@ -95,7 +95,7 @@ class ScenarioSpec:
         feedback, packet receiver drops). Note the packet drivers
         historically default to seed 1.
     min_window / max_window / integer_windows / enforce_loss_based /
-    unsynchronized_loss / allow_vectorized:
+    unsynchronized_loss:
         The :class:`~repro.model.dynamics.SimulationConfig` knobs, with
         identical defaults.
     sample_queue:
@@ -128,7 +128,6 @@ class ScenarioSpec:
     integer_windows: bool = False
     enforce_loss_based: bool = True
     unsynchronized_loss: bool = False
-    allow_vectorized: bool = True
     sample_queue: bool = False
     flow_multiplicity: int = 1
 
@@ -256,7 +255,6 @@ class ScenarioSpec:
             enforce_loss_based=self.enforce_loss_based,
             unsynchronized_loss=self.unsynchronized_loss,
             seed=self.seed,
-            allow_vectorized=self.allow_vectorized,
             **kwargs,
         )
         return self.link, self.resolved_protocols(), config, self.steps
@@ -469,7 +467,6 @@ class ScenarioSpec:
             integer_windows=config.integer_windows,
             enforce_loss_based=config.enforce_loss_based,
             unsynchronized_loss=config.unsynchronized_loss,
-            allow_vectorized=config.allow_vectorized,
         )
 
     @classmethod

@@ -10,11 +10,10 @@ turns those contracts into machine-checked rules.
 
 On top of the single-node pattern rules sits a dataflow/symbolic layer
 (:mod:`repro.lint.dataflow`): the REP6xx family
-(:mod:`repro.lint.equivalence`) proves the five parallel renderings of
-each protocol update rule — scalar, vectorized, batched, compiled
-kernel, mean-field trigger — encode identical arithmetic, and the REP7xx
-family (:mod:`repro.lint.shm`) proves shared-memory pool workers stay
-inside their assigned row chunks. These run under ``--profile full``
+(:mod:`repro.lint.equivalence`) proves the parallel renderings of each
+protocol update rule — scalar, batched, mean-field trigger — encode
+identical arithmetic, and the REP7xx family (:mod:`repro.lint.shm`)
+proves shared-memory pool workers stay inside their assigned row chunks. These run under ``--profile full``
 (the default); ``--profile fast`` keeps only the cheap pattern rules.
 
 Public surface:

@@ -1,9 +1,8 @@
 """Cross-implementation drift detection (the ``REP6xx`` rule family).
 
-Every protocol update rule in this repo exists in up to four parallel
-renderings: the scalar :meth:`next_window`, the homogeneous
-:meth:`vectorized_next`, the heterogeneous :meth:`batched_next` and the
-mean-field branch images derived from ``batched_next`` plus
+Every protocol update rule in this repo exists in up to three parallel
+renderings: the scalar :meth:`next_window`, the array :meth:`batched_next`
+and the mean-field branch images derived from ``batched_next`` plus
 :attr:`~repro.protocols.base.Protocol.meanfield_trigger`. The runtime
 property suites hold them bit-identical, but they only run on sampled
 inputs and cannot say *where* two renderings diverge. This module proves
@@ -392,9 +391,9 @@ def _positional(method: ast.FunctionDef) -> list[str]:
 
 
 def _make_attr_resolver(
-    self_name: str, attr_roles: Mapping[str, str], obs_name: str | None = None
+    self_name: str, attr_roles: Mapping[str, str], obs_name: str
 ) -> Callable[[ast.expr], Sym | None]:
-    """Resolver for ``self.X`` (and optionally ``obs.Y``) attribute reads.
+    """Resolver for ``self.X`` and ``obs.Y`` attribute reads.
 
     Built by a module-level factory (not an inline closure in a loop) so
     each rendering captures its own names.
@@ -403,7 +402,7 @@ def _make_attr_resolver(
     def resolve(node: ast.expr) -> Sym | None:
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             base = node.value.id
-            if obs_name is not None and base == obs_name:
+            if base == obs_name:
                 role = _OBS_ROLES.get(node.attr)
                 if role is None:
                     raise ExtractionError(
@@ -438,9 +437,7 @@ def _scalar_env(
 
 
 def _make_name_resolver(
-    mapping: Mapping[str, str],
-    attr_resolver: Callable[[ast.expr], Sym | None] | None = None,
-    params_name: str | None = None,
+    mapping: Mapping[str, str], params_name: str
 ) -> Callable[[ast.expr], Sym | None]:
     """Resolver for positional array arguments and ``params[...]`` reads."""
 
@@ -451,38 +448,16 @@ def _make_name_resolver(
                 return Var(role)
             return None
         if (
-            params_name is not None
-            and isinstance(node, ast.Subscript)
+            isinstance(node, ast.Subscript)
             and isinstance(node.value, ast.Name)
             and node.value.id == params_name
             and isinstance(node.slice, ast.Constant)
             and isinstance(node.slice.value, str)
         ):
             return Var(node.slice.value)
-        if attr_resolver is not None:
-            return attr_resolver(node)
         return None
 
     return resolve
-
-
-def _vectorized_env(
-    method: ast.FunctionDef,
-    summary: FunctionSummary,
-    attr_roles: Mapping[str, str],
-) -> _Env:
-    names = _positional(method)
-    if len(names) != 4:
-        raise ExtractionError(
-            "vectorized_next signature is not (self, windows, loss_rate, rtt)"
-        )
-    mapping = {names[1]: "w", names[2]: "loss", names[3]: "rtt"}
-    return _Env(
-        resolve=_make_name_resolver(
-            mapping, attr_resolver=_make_attr_resolver(names[0], attr_roles)
-        ),
-        summary=summary,
-    )
 
 
 def _batched_env(
@@ -499,7 +474,7 @@ def _batched_env(
         )
     mapping = {names[0]: "w", names[1]: "loss", names[2]: "rtt"}
     return _Env(
-        resolve=_make_name_resolver(mapping, params_name=names[3]),
+        resolve=_make_name_resolver(mapping, names[3]),
         summary=summary,
     )
 
@@ -509,7 +484,6 @@ _ENV_FACTORIES: dict[
     Callable[[ast.FunctionDef, FunctionSummary, Mapping[str, str]], _Env],
 ] = {
     "next_window": _scalar_env,
-    "vectorized_next": _vectorized_env,
     "batched_next": _batched_env,
 }
 
@@ -563,7 +537,7 @@ def _extract_impl(
         return _Impl(label=label, owner=owner, node=method, sym=None, error=str(exc))
 
 
-_IMPL_LABELS = ("next_window", "vectorized_next", "batched_next")
+_IMPL_LABELS = ("next_window", "batched_next")
 
 
 def extract_protocol_impls(
@@ -629,7 +603,7 @@ def _drift_message(
     "REP601",
     "implementation-drift",
     Severity.ERROR,
-    "the scalar, vectorized, batched and mean-field renderings of a "
+    "the scalar, batched and mean-field renderings of a "
     "protocol's update rule must encode the same "
     "arithmetic; a drifted constant or operator breaks the bit-identity "
     "contract the fast paths are gated on",

@@ -52,6 +52,7 @@ from repro.meanfield.kernel import (
     meanfield_plan,
     meanfield_step,
 )
+from repro.model.dynamics import check_window_clamp
 from repro.model.link import Link
 from repro.model.random_loss import combine_loss
 from repro.protocols.base import Protocol
@@ -124,11 +125,7 @@ class MeanFieldScenario:
             raise ValueError(
                 f"random_loss_rate must be in [0, 1), got {self.random_loss_rate}"
             )
-        if self.min_window < 0 or self.max_window < self.min_window:
-            raise ValueError(
-                f"need 0 <= min_window <= max_window, got "
-                f"[{self.min_window}, {self.max_window}]"
-            )
+        check_window_clamp(self.min_window, self.max_window)
 
     @property
     def n_flows(self) -> int:

@@ -3,10 +3,11 @@
 The Figure 1 frontier and the Table 1 / Table 2 design sweeps evaluate
 thousands of near-identical fluid scenarios — same horizon and flow
 count, different protocol parameters, protocol *classes*, or link speeds.
-Run serially, each scenario pays the full Python per-step overhead of
-:class:`~repro.model.dynamics.FluidSimulator` even on its vectorized fast
-path. This module stacks ``B`` compatible scenarios along a leading batch
-axis and advances *all* of them with one NumPy expression per step:
+Run serially, each scenario pays the Python per-step overhead of
+:class:`~repro.model.dynamics.FluidSimulator` (per sender on its general
+loop, per step on its row path). This module stacks ``B`` compatible
+scenarios along a leading batch axis and advances *all* of them with one
+NumPy expression per step:
 windows become a ``(B, flows)`` array, the Eq. (1) RTT / droptail loss /
 combined loss evaluate through the ``*_array`` variants in
 :mod:`repro.model.formulas` and :mod:`repro.model.random_loss`, and the
@@ -24,23 +25,23 @@ precomputed index mask otherwise — so mixed AIMD/MIMD/Robust-AIMD grids
 land in a single kernel launch instead of falling back to the serial
 loop.
 
-Bit-identity is the contract, exactly as for the serial fast path: every
+Bit-identity is the contract, exactly as for the serial row path: every
 float64 operation mirrors the serial engine element by element — the
-aggregate is the same left-fold column sum, scalar branches become
+aggregate is the same left fold over the flows, scalar branches become
 ``numpy.where`` selects over the same conditions, gathers and scatters
 move bits without arithmetic, and the clamp is the same ``clip`` — so
 slicing row ``i`` out of a batch result reproduces the serial trace of
 scenario ``i`` bit for bit (property-tested in
 ``tests/property/test_prop_batch.py``).
 
-Scenario *compatibility* (same flow count and horizon; synchronized
-feedback; no schedules, ECN or stateful loss) is decided by the planner
-in :mod:`repro.backends.batch`; this module only sees already-stacked
-inputs. A scenario that produces a non-finite window mid-batch is frozen
-at a placeholder value and reported in ``BatchResult.failed`` — rows are
-independent under elementwise arithmetic, so the rest of the batch is
-unaffected, and the caller reruns the failed scenario serially to
-surface the exact serial error. The non-finite recheck runs after *all*
+Scenario *compatibility* (same flow count and horizon, and
+:func:`~repro.model.dynamics.synchronized_stateless`) is decided by the
+planner in :mod:`repro.backends.batch`; this module only sees
+already-stacked inputs. A scenario that produces a non-finite window
+mid-batch is frozen at a placeholder value and reported in
+``BatchResult.failed`` — rows are independent under elementwise
+arithmetic, so the rest of the batch is unaffected, and the caller reruns
+the failed scenario serially to surface the exact serial error. The non-finite recheck runs after *all*
 per-class dispatch calls of a step have written their cells, so a row
 diverging under one class never contaminates cells another class drives.
 """
@@ -214,19 +215,15 @@ def _advance_numpy(
 
     Fills the four output arrays in place and returns the failure map.
     """
-    b, n = current.shape
     groups = _dispatch_groups(inputs)
     min_w = inputs.min_window[:, None]
     max_w = inputs.max_window[:, None]
     failed: dict[int, int] = {}
 
     for t in range(inputs.steps):
-        # Left-fold column sum in flow order, matching the serial
-        # engines' running Python sum (pairwise summation would
-        # round differently).
-        total = np.zeros(b)
-        for j in range(n):
-            total = total + current[:, j]
+        # Left-fold row sum in flow order, matching the serial engines'
+        # running Python sum (pairwise summation would round differently).
+        total = np.add.accumulate(current, axis=1)[:, -1]
         loss = droptail_loss_rate_array(total, inputs.pipe_limit)
         rtt = eq1_rtt_array(
             total,

@@ -67,14 +67,6 @@ class SimulationConfig:
         least one of its packets was among the drops — so small flows
         often sail through a loss event unscathed, as they do in real
         droptail queues. Seeded and deterministic via ``seed``.
-    allow_vectorized:
-        Permit the homogeneous fast path: when every sender runs the same
-        protocol with the same parameters, feedback is synchronized and
-        the protocol opts in (``Protocol.supports_vectorized``), the
-        simulator steps all windows with one numpy expression per step
-        instead of per-sender Python objects. Traces are bit-identical to
-        the general path (property-tested); disable to force the general
-        loop.
     """
 
     initial_windows: Sequence[float] | None = None
@@ -86,19 +78,84 @@ class SimulationConfig:
     enforce_loss_based: bool = True
     unsynchronized_loss: bool = False
     seed: int = 0
-    allow_vectorized: bool = True
 
     def __post_init__(self) -> None:
-        if self.min_window < 0:
-            raise ValueError(f"min_window must be non-negative, got {self.min_window}")
-        if self.max_window < self.min_window:
-            raise ValueError(
-                f"max_window ({self.max_window}) must be >= min_window ({self.min_window})"
-            )
+        check_window_clamp(self.min_window, self.max_window)
+
+
+def check_window_clamp(min_window: float, max_window: float) -> None:
+    """Raise ``ValueError`` unless ``0 <= min_window <= max_window`` and
+    ``min_window`` is finite. Written so that NaN fails: every comparison
+    with NaN is false."""
+    if not 0.0 <= min_window < math.inf:
+        raise ValueError(f"min_window must be finite and non-negative, got {min_window}")
+    if not min_window <= max_window:
+        raise ValueError(f"max_window must be >= min_window ({min_window}), got {max_window}")
 
 
 _PLACEHOLDER_RTT = 1.0
 """RTT shown to loss-based protocols when enforcement is on (arbitrary constant)."""
+
+_GENERAL_LOOP_MAX_FLOWS = 3
+"""Flow count up to which the general loop beats the row path.
+
+Measured with ``benchmarks/bench_engines.py`` for AIMD, MIMD and
+Robust-AIMD (docs/performance.md): the per-sender loop is faster at
+n <= 3 and slower from n = 4 on, where the row path's fixed per-step
+NumPy cost is spread over enough flows."""
+
+
+def stateless_loss_rate(
+    protocols: Sequence[Protocol], loss_process: LossProcess | None
+) -> float | None:
+    """The one non-congestion loss rate of a stateless run, or ``None``.
+
+    A run is stateless when every window update is a pure map of the
+    step's feedback: the non-congestion loss is one constant rate for
+    every sender and step (no process, ``NoLoss`` or a deterministic
+    ``BernoulliLoss``), and each protocol's class implements
+    :meth:`~repro.protocols.base.Protocol.batched_next` with the instance
+    holding exactly its ``batch_param_names``.
+    """
+    if loss_process is None or isinstance(loss_process, NoLoss):
+        rate = 0.0
+    elif isinstance(loss_process, BernoulliLoss) and loss_process.deterministic:
+        rate = loss_process.p
+    else:
+        return None
+    for protocol in protocols:
+        cls = type(protocol)
+        if not getattr(cls, "supports_batched", False):
+            return None
+        try:
+            if set(vars(protocol)) != set(cls.batch_param_names):
+                return None
+        except TypeError:
+            return None
+    return rate
+
+
+def synchronized_stateless(
+    link: Link, protocols: Sequence[Protocol], config: SimulationConfig
+) -> bool:
+    """Whether a fluid run can step its windows as array rows.
+
+    The run must be stateless (:func:`stateless_loss_rate`) and its
+    feedback synchronized: no unsynchronized loss, no ECN marking, no
+    scheduled starts or link changes, and real-valued windows. The batch
+    kernel's lowering and the serial engine's row path both ask this one
+    question.
+    """
+    schedule = config.schedule
+    if (
+        config.unsynchronized_loss
+        or config.integer_windows
+        or schedule.sender_starts
+        or schedule.link_changes
+        or link.marking_enabled
+    ):
+        return False
+    return stateless_loss_rate(protocols, config.loss_process) is not None
 
 
 def _validate_trace(trace: SimulationTrace) -> None:
@@ -167,9 +224,10 @@ class FluidSimulator:
         """Simulate ``steps`` RTT-sized time steps and return the trace.
 
         Always simulates: stored traces come through
-        :func:`repro.backends.run_spec` or an executor job. Homogeneous
-        runs whose protocol opts in take the vectorized fast path (see
-        ``SimulationConfig.allow_vectorized``).
+        :func:`repro.backends.run_spec` or an executor job. A run of more
+        than :data:`_GENERAL_LOOP_MAX_FLOWS` flows of one protocol class
+        that is :func:`synchronized_stateless` takes the row path; every
+        other run takes the general loop. Both give bit-identical traces.
         """
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
@@ -177,7 +235,11 @@ class FluidSimulator:
         cfg.loss_process.reset()
         for protocol in self.protocols:
             protocol.reset()
-        if self._fast_path_eligible():
+        if (
+            len(self.protocols) > _GENERAL_LOOP_MAX_FLOWS
+            and len({type(p) for p in self.protocols}) == 1
+            and synchronized_stateless(self.link, self.protocols, cfg)
+        ):
             with timing.measure("sim.run.vectorized"):
                 trace = self._run_vectorized(steps)
         else:
@@ -186,46 +248,6 @@ class FluidSimulator:
         if debug.enabled():
             _validate_trace(trace)
         return trace
-
-    # ------------------------------------------------------------------
-    def _fast_path_eligible(self) -> bool:
-        """Whether the vectorized homogeneous fast path applies.
-
-        Requirements: every sender runs the same protocol class with the
-        same parameters and the protocol opts in via
-        ``supports_vectorized``; feedback is synchronized (no
-        ``unsynchronized_loss``, no ECN marking); no scheduled events; no
-        per-sender non-congestion loss (``NoLoss`` or a deterministic
-        ``BernoulliLoss``, both constant across senders); and real-valued
-        windows (``integer_windows`` off). Everything else falls back to
-        the general per-sender loop.
-        """
-        cfg = self.config
-        if not cfg.allow_vectorized:
-            return False
-        if cfg.unsynchronized_loss or cfg.integer_windows:
-            return False
-        if cfg.schedule.sender_starts or cfg.schedule.link_changes:
-            return False
-        if self.link.marking_enabled:
-            return False
-        lp = cfg.loss_process
-        if not (
-            isinstance(lp, NoLoss)
-            or (isinstance(lp, BernoulliLoss) and lp.deterministic)
-        ):
-            return False
-        first = self.protocols[0]
-        if not getattr(first, "supports_vectorized", False):
-            return False
-        try:
-            signature = vars(first)
-            return all(
-                type(p) is type(first) and vars(p) == signature
-                for p in self.protocols[1:]
-            )
-        except Exception:  # noqa: BLE001 - any doubt means "not eligible"
-            return False
 
     # ------------------------------------------------------------------
     def _run_general(self, steps: int) -> SimulationTrace:
@@ -288,7 +310,9 @@ class FluidSimulator:
                 link_columns.append((capacity, pipe_limit, base_rtt))
             if not static_membership:
                 active = [s for s in senders if s.active(t)]
-            total = sum([s.window for s in active])
+            total = 0.0  # a left fold on every Python (3.12's sum() is compensated)
+            for state in active:
+                total += state.window
             if total < 0:
                 link.loss_rate(total)  # raises the link's negative-total error
             loss = droptail_loss_rate(total, pipe_limit)
@@ -344,28 +368,38 @@ class FluidSimulator:
 
     # ------------------------------------------------------------------
     def _run_vectorized(self, steps: int) -> SimulationTrace:
-        """Homogeneous fast path: one numpy update per step for all senders.
+        """The row path: one NumPy update per step for all senders.
 
-        Only runs when :meth:`_fast_path_eligible` holds. Every float
-        operation mirrors the general loop exactly — the aggregate is a
-        left-fold sum (numpy's pairwise summation would round differently),
-        loss is combined through :func:`combine_loss` even when the random
-        rate is zero, and the clamp is the same min/max — so the resulting
-        trace is bit-identical to the general path's.
+        Each step applies the one protocol class's
+        :meth:`~repro.protocols.base.Protocol.batched_next` to the window
+        row, with per-column parameters read from ``batch_param_names``.
+        Every float operation mirrors the general loop exactly — the
+        aggregate is a left fold (NumPy's pairwise ``sum`` would round
+        differently), the link is evaluated with the scalar
+        ``Link.loss_rate``/``Link.rtt``, loss is combined through
+        :func:`combine_loss` even when the random rate is zero, and the
+        clamp is the same min/max — so the trace is bit-identical to the
+        general loop's.
         """
         cfg = self.config
-        n = len(self.protocols)
-        protocol = self.protocols[0]
+        protocols = self.protocols
+        n = len(protocols)
+        cls = type(protocols[0])
+        params = {
+            name: np.array([getattr(p, name) for p in protocols], dtype=float)
+            for name in cls.batch_param_names
+        }
         link = self.link
-        # Constant by eligibility (NoLoss or deterministic Bernoulli).
+        # Constant when stateless (NoLoss or deterministic Bernoulli).
         random_rate = cfg.loss_process.rate(0, 0)
-        use_placeholder_rtt = cfg.enforce_loss_based and protocol.loss_based
+        use_placeholder_rtt = cfg.enforce_loss_based and cls.loss_based
+        min_window, max_window = cfg.min_window, cfg.max_window
 
         current = np.array(
             [self._clamp(w) for w in self._initial], dtype=float
         )
         windows = np.full((steps, n), np.nan)
-        observed_loss = np.full((steps, n), np.nan)
+        observed = np.zeros(steps)
         congestion_loss = np.zeros(steps)
         rtts = np.zeros(steps)
         capacities = np.full(steps, link.capacity)
@@ -373,38 +407,36 @@ class FluidSimulator:
         base_rtts = np.full(steps, link.base_rtt)
 
         for t in range(steps):
-            # Left-fold sum in sender order, matching sum() over states.
-            total = 0.0
-            for value in current.tolist():
-                total += value
+            total = float(np.add.accumulate(current)[-1])
             loss = link.loss_rate(total)
             rtt = link.rtt(total)
             seen = combine_loss(loss, random_rate)
 
             congestion_loss[t] = loss
             rtts[t] = rtt
-            windows[t, :] = current
-            observed_loss[t, :] = seen
+            windows[t] = current
+            observed[t] = seen
 
             rtt_observed = _PLACEHOLDER_RTT if use_placeholder_rtt else rtt
             proposed = np.asarray(
-                protocol.vectorized_next(current, seen, rtt_observed), dtype=float
+                cls.batched_next(current, seen, rtt_observed, params), dtype=float
             )
             if proposed.shape != (n,):
                 raise ValueError(
-                    f"vectorized_next returned shape {proposed.shape}, "
+                    f"batched_next returned shape {proposed.shape}, "
                     f"expected ({n},)"
                 )
-            if not np.all(np.isfinite(proposed)):
+            if not np.isfinite(proposed).all():
                 raise ValueError(
                     "protocol produced a non-finite window: "
                     f"{proposed[~np.isfinite(proposed)][0]}"
                 )
-            current = np.clip(proposed, cfg.min_window, cfg.max_window)
+            current = proposed.clip(min_window, max_window)
 
         return SimulationTrace(
             windows=windows,
-            observed_loss=observed_loss,
+            # Every sender sees the step's one synchronized loss signal.
+            observed_loss=np.repeat(observed[:, None], n, axis=1),
             congestion_loss=congestion_loss,
             rtts=rtts,
             capacities=capacities,

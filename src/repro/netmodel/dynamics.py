@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.model import formulas
-from repro.model.dynamics import DEFAULT_MAX_WINDOW
+from repro.model.dynamics import DEFAULT_MAX_WINDOW, check_window_clamp
 from repro.model.random_loss import LossProcess, NoLoss, combine_loss
 from repro.model.sender import Observation
 from repro.netmodel.topology import Topology
@@ -55,8 +55,7 @@ class NetworkFluidSimulator:
             initial_windows = [1.0] * topology.n_flows
         if len(initial_windows) != topology.n_flows:
             raise ValueError("one initial window per flow required")
-        if min_window < 0 or max_window < min_window:
-            raise ValueError("invalid window clamp")
+        check_window_clamp(min_window, max_window)
         self._initial = [float(w) for w in initial_windows]
         self.min_window = min_window
         self.max_window = max_window

@@ -73,7 +73,7 @@ CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 STALE_TEMP_SECONDS = 600.0
 
 #: Bump when the spec canonicalization or the stored layout changes.
-_KEY_VERSION = 1
+_KEY_VERSION = 2
 _FORMAT_VERSION = 1
 
 _TRACE_FIELDS = (

@@ -15,24 +15,20 @@ placeholder RTT.
 
 Stateless protocols — those whose next window is a pure function of the
 current (window, loss rate, RTT) observation — may additionally opt into
-the simulator's vectorized homogeneous fast path by setting
-:attr:`Protocol.supports_vectorized` and implementing
-:meth:`Protocol.vectorized_next`, which steps every sender's window at
-once with numpy broadcasting. The contract is strict: the vectorized map
-must be bit-identical, element by element, to ``next_window`` (same
-float64 operations in the same order), and must not read or write any
-internal state, observation history, ``min_rtt`` or ECN feedback.
-
-The batched fluid kernel (:mod:`repro.model.batch`) goes one step
-further: it advances many *scenarios* at once, so protocol parameters
-vary along the batch axis (an ``AIMD(alpha, beta)`` grid is one kernel
-call). Protocols opt in by setting :attr:`Protocol.supports_batched`,
-declaring :attr:`Protocol.batch_param_names`, and implementing the
-static :meth:`Protocol.batched_next`, which receives the per-scenario
-parameters as arrays and must be *branch-free* over them — selection via
-``numpy.where`` on the same conditions ``vectorized_next`` branches on,
-never Python ``if`` (the REP403 lint rule enforces this) — so each batch
-element is bit-identical to the serial fast path for that scenario.
+the array paths by setting :attr:`Protocol.supports_batched`, declaring
+:attr:`Protocol.batch_param_names`, and implementing the static
+:meth:`Protocol.batched_next`. It steps many windows at once: the
+batched fluid kernel (:mod:`repro.model.batch`) passes every scenario of
+a batch, with the protocol parameters stacked along the batch axis (an
+``AIMD(alpha, beta)`` grid is one kernel call), and the serial engine's
+row path passes every flow of one run, with per-flow parameters. The
+contract is strict: each element must be bit-identical to
+``next_window`` for that element's parameters (same float64 operations
+in the same order), the map must be *branch-free* over the arrays —
+selection via ``numpy.where`` on the conditions ``next_window`` branches
+on, never Python ``if`` (the REP403 lint rule enforces this) — and it
+must not read internal state, observation history, ``min_rtt`` or ECN
+feedback.
 """
 
 from __future__ import annotations
@@ -49,9 +45,6 @@ class Protocol(ABC):
 
     #: Whether the protocol ignores RTT (the paper's "loss-based" property).
     loss_based: bool = True
-
-    #: Whether :meth:`vectorized_next` is implemented (see module docstring).
-    supports_vectorized: bool = False
 
     #: Whether :meth:`batched_next` is implemented (see module docstring).
     supports_batched: bool = False
@@ -73,8 +66,8 @@ class Protocol(ABC):
     meanfield_trigger: tuple[str, float | str] | None = None
 
     #: Extraction hint for the static drift detector (lint rule REP601):
-    #: maps instance attributes the *scalar*/*vectorized* renderings read
-    #: onto canonical symbolic names, for attributes that are not batch
+    #: maps instance attributes the scalar rendering reads onto
+    #: canonical symbolic names, for attributes that are not batch
     #: parameters (``batch_param_names`` entries map to themselves
     #: automatically). An attribute read with no role makes the rendering
     #: inextractable, which silently narrows drift coverage — declare a
@@ -91,19 +84,6 @@ class Protocol(ABC):
         :meth:`reset`.
         """
 
-    def vectorized_next(self, windows: np.ndarray, loss_rate: float,
-                        rtt: float) -> np.ndarray:
-        """All senders' next windows at once (homogeneous fast path).
-
-        ``windows`` holds every sender's current window; ``loss_rate`` and
-        ``rtt`` are the step's synchronized feedback. Only meaningful when
-        :attr:`supports_vectorized` is set; implementations must be pure
-        functions that match ``next_window`` bit for bit per element.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the vectorized fast path"
-        )
-
     @staticmethod
     def batched_next(
         windows: np.ndarray,
@@ -111,15 +91,15 @@ class Protocol(ABC):
         rtt: np.ndarray,
         params: dict[str, np.ndarray],
     ) -> np.ndarray:
-        """One sender column's next windows across a whole batch of scenarios.
+        """Next windows for an array of windows (see module docstring).
 
-        Every argument carries one element per scenario: ``windows`` the
-        column's current windows, ``loss_rate``/``rtt`` the per-scenario
-        synchronized feedback, and ``params`` the stacked constructor
-        parameters named by :attr:`batch_param_names`. Implementations
-        are static (no instance state to leak), pure, and branch-free
-        over the arrays; element ``i`` must equal
-        ``vectorized_next`` of scenario ``i``'s protocol, bit for bit.
+        ``windows`` holds the current windows, ``loss_rate``/``rtt`` the
+        synchronized feedback (one element per window, or one scalar for
+        all), and ``params`` the constructor parameters named by
+        :attr:`batch_param_names`, one element per window.
+        Implementations are static (no instance state to leak), pure, and
+        branch-free over the arrays; element ``i`` must equal
+        ``next_window`` of element ``i``'s protocol, bit for bit.
         """
         raise NotImplementedError("this protocol does not implement the batched path")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -72,6 +73,21 @@ class TestWireFormats:
         wire["bogus"] = 1
         with pytest.raises(ValueError, match="unknown wire spec key"):
             spec_from_wire(wire)
+        # The retired execution-path knob is rejected, not ignored.
+        wire = _wire(1.0)
+        wire["allow_vectorized"] = False
+        with pytest.raises(ValueError, match="unknown wire spec key"):
+            spec_from_wire(wire)
+
+    @pytest.mark.parametrize("field", ["min_window", "max_window"])
+    @pytest.mark.parametrize("backend", ["fluid", "network", "meanfield"])
+    def test_nan_window_clamp_is_rejected_naming_it(self, backend, field):
+        # json.loads accepts a NaN literal, and NaN fails every comparison,
+        # so a clamp check written as `min_window < 0` lets it through.
+        wire = json.loads(json.dumps({**_wire(1.0), field: float("nan")}))
+        spec = spec_from_wire(wire)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            run_spec(spec, backend, use_cache=False)
 
     def test_missing_required_key_names_it(self):
         wire = _wire(1.0)

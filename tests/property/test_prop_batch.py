@@ -162,7 +162,8 @@ def test_heterogeneous_class_grid_is_one_batch_bit_identical(seed, n, loss_rate)
 
 
 def test_mixed_horizons_split_into_groups():
-    """Different step counts batch separately but all stay bit-identical."""
+    """Different step counts (and flow counts) batch separately but all
+    stay bit-identical."""
     rng = np.random.default_rng(7)
     specs = []
     for steps in (50, 100, 50, 100, 50):
@@ -172,8 +173,17 @@ def test_mixed_horizons_split_into_groups():
             steps=steps,
             initial_windows=[1.0, 8.0],
         ))
+    # Thousands of flows: the left fold over a row is where a pairwise
+    # sum would round differently from the serial running sum.
+    specs.append(ScenarioSpec(
+        protocols=[AIMD(1.0, 0.5), AIMD(2.0, 0.7)],
+        link=Link.from_mbps(2000, 42, 10_000),
+        steps=50,
+        initial_windows=[1.0, 30.0],
+        flow_multiplicity=1000,
+    ))
     plan = plan_batches(specs)
-    assert sorted(len(g.indices) for g in plan.groups) == [2, 3]
+    assert sorted(len(g.indices) for g in plan.groups) == [1, 2, 3]
     _check_grid(specs)
 
 

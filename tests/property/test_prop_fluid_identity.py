@@ -1,7 +1,7 @@
 """Property: the fluid general loop is bit-identical to its frozen copy.
 
-The batch kernel and the vectorized path are held to the general loop,
-but neither covers sender starts, link changes, unsynchronized loss,
+The batch kernel and the row path are held to the general loop, but
+neither covers sender starts, link changes, unsynchronized loss,
 ECN/RED marking, integer windows, random loss processes or the
 history-dependent protocols. For those settings the general loop is the
 only implementation, so it is held here to ``reference_fluid`` — a frozen
@@ -65,7 +65,9 @@ SENDERS = {
 def assert_matches_reference(link, protocols, config, steps):
     expected = reference_run_general(link, protocols, config, steps)
     sim = FluidSimulator(link, protocols, config)
-    assert not sim._fast_path_eligible()
+    # Hold the general loop itself, also where ``run`` would pick the row
+    # path (test_prop_vectorized.py holds the two loops together).
+    sim._run_vectorized = sim._run_general
     actual = sim.run(steps)
     for name in _TRACE_ARRAYS:
         ours, theirs = getattr(actual, name), getattr(expected, name)
@@ -130,7 +132,6 @@ def test_every_observation_field_matches_reference(marking, enforce):
         initial_windows=[40.0, 2.0, 1.0],
         schedule=schedule,
         enforce_loss_based=enforce,
-        allow_vectorized=False,
     )
     protocols = [_Recorder("latency", False), _Recorder("loss", True), presets.cubic()]
     _SHOWN.clear()
@@ -150,14 +151,14 @@ def test_every_observation_field_matches_reference(marking, enforce):
 @pytest.mark.parametrize("name", sorted(SENDERS))
 def test_each_sender_against_reno_matches_reference(name):
     link = Link.from_mbps(20, 42, 50)
-    config = SimulationConfig(initial_windows=[3.0, 20.0], allow_vectorized=False)
+    config = SimulationConfig(initial_windows=[3.0, 20.0])
     assert_matches_reference(link, [SENDERS[name](), presets.reno()], config, 400)
 
 
 @pytest.mark.parametrize("marking", ["ecn", "red"])
 def test_dctcp_under_marking_matches_reference(marking):
     link = _marked_link(marking, 20, 100)
-    config = SimulationConfig(initial_windows=[5.0, 60.0], allow_vectorized=False)
+    config = SimulationConfig(initial_windows=[5.0, 60.0])
     assert_matches_reference(link, [DCTCP(), DCTCP()], config, 400)
 
 
@@ -168,7 +169,6 @@ def test_loss_processes_match_reference(loss, enforce):
     config = SimulationConfig(
         loss_process=_LOSS[loss](),
         enforce_loss_based=enforce,
-        allow_vectorized=False,
     )
     assert_matches_reference(
         link, [presets.cubic(), VegasLike(), presets.pcc_like()], config, 300
@@ -182,7 +182,7 @@ def test_starts_and_link_changes_match_reference():
     schedule.add_sender_start(2, step=120, window=30.0)
     schedule.add_link_change(80, link.with_bandwidth(0.5 * link.bandwidth))
     schedule.add_link_change(200, link.with_bandwidth(2.0 * link.bandwidth))
-    config = SimulationConfig(schedule=schedule, allow_vectorized=False)
+    config = SimulationConfig(schedule=schedule)
     assert_matches_reference(
         link, [presets.reno(), presets.cubic(), Ledbat()], config, 300
     )
@@ -230,7 +230,6 @@ def test_random_configurations_match_reference(
         enforce_loss_based=enforce,
         unsynchronized_loss=unsynchronized,
         seed=seed,
-        allow_vectorized=False,
     )
     protocols = [SENDERS[name]() for name in names]
     assert_matches_reference(link, protocols, config, 250)

@@ -81,7 +81,7 @@ def test_missing_path_is_a_usage_error(tmp_path, capsys):
 def test_list_rules_prints_catalogue(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for expected in ("REP101", "REP202", "REP302", "REP501"):
+    for expected in ("REP101", "REP202", "REP301", "REP501"):
         assert expected in out
 
 

@@ -14,8 +14,8 @@ from repro.lint.rules import Rule
 
 #: The rule families that predate the dataflow layer — the fast profile.
 _FAST_CODES = {
-    "REP101", "REP102", "REP103", "REP201", "REP202", "REP301", "REP302",
-    "REP303", "REP401", "REP402", "REP403", "REP404", "REP501",
+    "REP101", "REP102", "REP103", "REP201", "REP202", "REP301", "REP303",
+    "REP401", "REP402", "REP403", "REP404", "REP501",
 }
 _FULL_ONLY_CODES = {"REP601", "REP602", "REP603", "REP701", "REP702"}
 

@@ -84,13 +84,6 @@ class TestSimulationKey:
         assert key_fresh is not None  # stateful PccLike is still cacheable
         assert key_fresh == _key(emulab_link, [used] * 2, cfg)
 
-    def test_allow_vectorized_is_not_part_of_the_key(self, emulab_link):
-        fast = SimulationConfig(initial_windows=[1.0])
-        slow = SimulationConfig(initial_windows=[1.0], allow_vectorized=False)
-        assert _key(emulab_link, [AIMD(1, 0.5)], fast) == _key(
-            emulab_link, [AIMD(1, 0.5)], slow
-        )
-
     def test_unkeyable_input_is_uncacheable(self, emulab_link):
         class Weird:
             pass
