@@ -10,8 +10,10 @@ regressions in the hot loops are visible. Results are merged into
   4,000 steps. ``run`` picks the loop: n = 2 takes the general
   per-sender loop, n = 8 and 16 the row path.
 - ``fluid_loop_cutoff_ms``: both loops timed directly at n = 2 to 6 and
-  8 (interleaved, median of 11), the measurement behind the flow count
-  at which ``run`` switches loops (``_GENERAL_LOOP_MAX_FLOWS`` in
+  8 in 11 back-to-back pairs whose order alternates; per cell, each
+  side's median and the median and quartiles of the per-pair
+  general/row ratio. It is the measurement behind the flow count at
+  which ``run`` switches loops (``_GENERAL_LOOP_MAX_FLOWS`` in
   ``repro.model.dynamics``).
 - ``fluid_general_ns_per_flow_step``: a Reno + CUBIC pair, which only
   the general loop can run; ``packet_ns_per_event``: the packet engine.
@@ -80,25 +82,39 @@ def test_fluid_single_run(benchmark, protocol, n, steps):
 
 @pytest.mark.slow
 def test_fluid_loop_cutoff():
-    """Both loops at the flow counts around the switch, interleaved."""
+    """Both loops at the flow counts around the switch, in alternating pairs.
+
+    Each repetition times one general-loop run and one row-path run back
+    to back, and which loop goes first alternates, so a clock shift
+    within a cell falls on both sides. A pair's general/row ratio above
+    1 means the row path was the faster of the pair.
+    """
     timings = {}
     for protocol, make in sorted(_PROTOCOLS.items()):
         for n in (2, 3, 4, 5, 6, 8):
             simulator = FluidSimulator(_LINK, [make()] * n)
-            loops = {
-                "general": simulator._run_general,
-                "row": simulator._run_vectorized,
-            }
-            samples = {name: [] for name in loops}
-            for _ in range(11):
-                for name, loop in loops.items():
+            loops = (
+                ("general", simulator._run_general),
+                ("row", simulator._run_vectorized),
+            )
+            samples = {name: [] for name, _ in loops}
+            for repetition in range(11):
+                for name, loop in loops if repetition % 2 == 0 else loops[::-1]:
                     start = time.perf_counter()
                     loop(1000)
                     samples[name].append(time.perf_counter() - start)
-            for name, values in samples.items():
-                timings[f"{protocol} n={n} {name}"] = round(
-                    1e3 * statistics.median(values), 2
-                )
+            ratios = [
+                general / row
+                for general, row in zip(samples["general"], samples["row"])
+            ]
+            q1, _, q3 = statistics.quantiles(ratios, n=4)
+            timings[f"{protocol} n={n}"] = {
+                "general_ms": round(1e3 * statistics.median(samples["general"]), 2),
+                "row_ms": round(1e3 * statistics.median(samples["row"]), 2),
+                "ratio_median": round(statistics.median(ratios), 3),
+                "ratio_q1": round(q1, 3),
+                "ratio_q3": round(q3, 3),
+            }
     _merge("fluid_loop_cutoff_ms", timings)
 
 

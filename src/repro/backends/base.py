@@ -2,8 +2,8 @@
 
 A :class:`Backend` turns a :class:`~repro.backends.spec.ScenarioSpec` into
 a :class:`~repro.backends.trace.UnifiedTrace`. Implementations register
-at import time via :func:`register_backend` (the REP303 lint rule enforces
-this for every subclass in :mod:`repro.backends`), and callers go through
+at import time via :func:`register_backend` (``tests/unit/test_backends.py``
+checks that every built-in backend is registered), and callers go through
 :func:`run_spec` or :func:`~repro.backends.jobs.run_specs`, which submit
 to the executor (:mod:`repro.exec`): it keys every spec by
 :func:`repro.perf.store.unified_key`, serves and archives traces in the

@@ -612,12 +612,14 @@ def _kernel_chunk(
     is returned through the pool; all array output lands in shared
     memory, which is the point.
 
-    Write-safety contract (statically enforced by lint rules REP701/702):
-    nothing synchronizes sibling workers, so every access to an array
-    built over a shared segment must go through a ``[lo:hi]`` slice on
-    the row axis whose bounds are the pristine ``lo``/``hi`` parameters
-    the planner assigned — never the whole array, never arithmetic on
-    the bounds, and never rows another worker owns.
+    Write-safety contract: nothing synchronizes sibling workers, so every
+    access to an array built over a shared segment must go through the
+    ``[lo:hi]`` slice on the row axis that the planner assigned — never
+    the whole array, never arithmetic on the bounds, and never rows
+    another worker owns. The scheduler-vs-inline tests
+    (``test_shared_memory_scheduler_matches_inline_kernel`` in
+    ``tests/property/test_prop_batch.py`` and ``test_prop_net_batch.py``)
+    hold the chunked result to the inline kernel's, raw uint64.
     """
     from multiprocessing import shared_memory
 
@@ -660,9 +662,9 @@ def _run_group(
     are disjoint row ranges of the same elementwise recurrence.
     ``positions`` are the group rows' submission positions, which a dead
     worker's error names. The parent may touch the buffers freely — the
-    REP7xx chunk discipline binds only workers (functions that *attach*
-    segments); this function *creates* them and only reads the arrays
-    back after every future has resolved.
+    chunk discipline of :func:`_kernel_chunk` binds only workers; this
+    function *creates* the segments and only reads the arrays back after
+    every future has resolved.
     """
     kernel = lane.engine_attr(lane.kernel)
     b = inputs.batch_size

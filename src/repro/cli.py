@@ -13,9 +13,8 @@ Usage::
     repro cache stats|clear|prune [--dir PATH] [--max-mb N] [--dry-run]
     repro serve [--host 127.0.0.1 --port 8273]
     repro report [--html out.html] [--summary FILE] [--baselines FILE]
-    repro lint [paths] [--select/--ignore CODES] [--profile fast|full]
-               [--baseline FILE | --write-baseline FILE] [--stats]
-               [--format json|github]
+    repro lint [paths] [--select/--ignore CODES] [--stats]
+               [--format json|github] [--list-rules]
 
 Every subcommand prints the paper-style table to stdout; ``--json`` also
 archives the structured result. The global ``--workers N`` runs experiment

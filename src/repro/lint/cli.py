@@ -3,21 +3,12 @@
 Usage::
 
     repro lint [paths ...] [--select REP101,REP501] [--ignore REP402]
-               [--profile fast|full] [--format human|json|github]
-               [--baseline FILE | --write-baseline FILE]
-               [--stats] [--list-rules]
+               [--format human|json|github] [--stats] [--list-rules]
 
 Exit status: 0 when clean, 1 when any finding (or parse error) survives
-suppression, profile filtering and the baseline, 2 on usage errors
-(unknown rule codes or profiles, missing paths, missing/malformed
-baseline files).
-
-``--profile fast`` runs only the cheap pattern-matching rules (the PR
-leg in CI); ``--profile full`` (default) adds the dataflow and
-drift-detection families. ``--baseline FILE`` fails only on findings not
-recorded in FILE; ``--write-baseline FILE`` records the current findings
-and exits 0. ``--stats`` prints per-rule wall time and finding counts to
-stderr, keeping stdout parseable.
+suppression, 2 on usage errors (unknown rule codes, missing paths).
+``--stats`` prints per-rule wall time and finding counts to stderr,
+keeping stdout parseable.
 """
 
 from __future__ import annotations
@@ -25,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.lint.baseline import apply_baseline, write_baseline
 from repro.lint.engine import run_lint
 from repro.lint.reports import (
     FORMATS,
@@ -33,7 +23,6 @@ from repro.lint.reports import (
     render_rule_catalogue,
     render_stats,
 )
-from repro.lint.rules import PROFILES
 
 
 def _split_codes(values: list[str] | None) -> list[str] | None:
@@ -56,16 +45,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ignore", action="append", default=None,
                         metavar="CODES",
                         help="comma-separated rule codes to skip")
-    parser.add_argument("--profile", choices=PROFILES, default="full",
-                        help="rule profile: 'fast' for the cheap pattern "
-                             "rules only, 'full' adds the dataflow/drift "
-                             "families (default: full)")
     parser.add_argument("--format", choices=FORMATS, default="human",
                         help="output format (default: human)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="fail only on findings not recorded in FILE")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="record current findings to FILE and exit 0")
     parser.add_argument("--stats", action="store_true",
                         help="print per-rule timing and finding counts "
                              "to stderr")
@@ -78,38 +59,12 @@ def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(render_rule_catalogue())
         return 0
-    if args.baseline and args.write_baseline:
-        print(
-            "repro lint: --baseline and --write-baseline are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
     try:
         result = run_lint(
             args.paths,
             select=_split_codes(args.select),
             ignore=_split_codes(args.ignore),
-            profile=args.profile,
         )
-        if args.write_baseline:
-            written = write_baseline(result, args.write_baseline)
-            print(
-                f"repro lint: recorded {written} baseline entr"
-                f"{'y' if written == 1 else 'ies'} to {args.write_baseline}",
-                file=sys.stderr,
-            )
-            if args.stats:
-                print(render_stats(result), file=sys.stderr)
-            return 0
-        if args.baseline:
-            stale = apply_baseline(result, args.baseline)
-            for key in stale:
-                print(
-                    f"repro lint: stale baseline entry (finding no longer "
-                    f"occurs): {key}",
-                    file=sys.stderr,
-                )
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2

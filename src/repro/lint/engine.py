@@ -5,15 +5,7 @@ can run anywhere the simulators run. It makes two passes:
 
 1. every *file rule* runs on each parsed file independently;
 2. every *project rule* runs once over the whole parsed file set, for
-   cross-file contracts (protocol interface conformance, cache-key
-   exclusion staleness, implementation drift).
-
-Rules are grouped into *profiles*: ``fast`` rules are cheap single-node
-pattern matchers safe to run on every keystroke; ``full`` additionally
-enables the dataflow/symbolic rules (REP6xx/REP7xx), which build CFGs
-and symbolic expressions and cost noticeably more. ``--profile full`` is
-the default (and what CI's full leg runs); the PR fast leg uses
-``--profile fast`` on changed files only.
+   cross-file contracts (cache-key exclusion staleness).
 
 Suppressions are trailing comments of the form ``# repro: noqa`` (all
 rules) or ``# repro: noqa[REP101,REP501]`` (listed rules), attached to
@@ -24,8 +16,8 @@ to any line of the span.
 
 A rule that crashes does not abort the run: the exception is converted
 into a synthetic ``REP999`` internal-error finding (always an error,
-never suppressible by profile) so CI fails loudly while every other rule
-still reports.
+never suppressible) so CI fails loudly while every other rule still
+reports.
 """
 
 from __future__ import annotations
@@ -38,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.rules import PROFILES, REGISTRY, FileContext, Rule
+from repro.lint.rules import REGISTRY, FileContext, Rule
 
 #: ``# repro: noqa`` with an optional bracketed, comma-separated code list.
 _NOQA_RE = re.compile(
@@ -131,8 +123,6 @@ class LintResult:
     parse_errors: list[Finding] = field(default_factory=list)
     #: Per-rule timing and finding counts, keyed by rule code.
     rule_stats: dict[str, RuleStat] = field(default_factory=dict)
-    #: Findings dropped because a ``--baseline`` file already records them.
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -175,18 +165,8 @@ def module_path(path: Path) -> str:
 def select_rules(
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    profile: str = "full",
 ) -> list[Rule]:
-    """The active rule list after profile and ``--select``/``--ignore``.
-
-    The profile filter applies only when ``select`` is not given: an
-    explicit ``--select REP701`` request always runs that rule, whatever
-    profile it belongs to.
-    """
-    if profile not in PROFILES:
-        raise ValueError(
-            f"unknown profile '{profile}' (expected one of: {', '.join(PROFILES)})"
-        )
+    """The active rule list after ``--select``/``--ignore``."""
     chosen = list(REGISTRY.values())
     if select is not None:
         wanted = {code.upper() for code in select}
@@ -194,8 +174,6 @@ def select_rules(
         if unknown:
             raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
         chosen = [rule for rule in chosen if rule.code in wanted]
-    elif profile == "fast":
-        chosen = [rule for rule in chosen if rule.profile == "fast"]
     if ignore is not None:
         dropped = {code.upper() for code in ignore}
         unknown = dropped - set(REGISTRY)
@@ -224,7 +202,6 @@ def run_lint(
     paths: Sequence[str | Path],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    profile: str = "full",
 ) -> LintResult:
     """Lint ``paths`` with the (filtered) rule registry.
 
@@ -237,7 +214,7 @@ def run_lint(
     """
     from repro.perf.timing import REGISTRY as TIMING
 
-    rules = select_rules(select, ignore, profile)
+    rules = select_rules(select, ignore)
     file_rules = [rule for rule in rules if not rule.project]
     project_rules = [rule for rule in rules if rule.project]
     stats: dict[str, RuleStat] = {

@@ -25,24 +25,18 @@ def render_human(result: LintResult) -> str:
     lines = [finding.render() for finding in result.all_findings()]
     count = len(lines)
     noun = "finding" if count == 1 else "findings"
-    notes = []
-    if result.suppressed:
-        notes.append(f"{result.suppressed} suppressed")
-    if result.baselined:
-        notes.append(f"{result.baselined} baselined")
     lines.append(
         f"{count} {noun} in {result.files_checked} file(s)"
-        + (f" ({', '.join(notes)})" if notes else "")
+        + (f" ({result.suppressed} suppressed)" if result.suppressed else "")
     )
     return "\n".join(lines)
 
 
 def render_json(result: LintResult) -> str:
     payload = {
-        "version": 1,
+        "version": 2,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "findings": [finding.as_dict() for finding in result.all_findings()],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -71,8 +65,8 @@ def render_github(result: LintResult) -> str:
 def render_stats(result: LintResult) -> str:
     """Per-rule timing and finding counts (``repro lint --stats``).
 
-    Sorted by cost, most expensive rule first, so the price of the
-    dataflow rules is visible at the top of CI logs.
+    Sorted by cost, most expensive rule first, so the costliest rule is
+    at the top of CI logs.
     """
     rows = [("rule", "findings", "time")]
     ordered = sorted(
@@ -101,9 +95,6 @@ def render_rule_catalogue() -> str:
     for code in sorted(REGISTRY):
         rule = REGISTRY[code]
         scope = ", ".join(rule.scope) if rule.scope else "all files"
-        lines.append(
-            f"{code} {rule.name} [{rule.severity.value}] "
-            f"[profile:{rule.profile}] ({scope})"
-        )
+        lines.append(f"{code} {rule.name} [{rule.severity.value}] ({scope})")
         lines.append(f"    {rule.description}")
     return "\n".join(lines)

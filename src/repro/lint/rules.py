@@ -5,8 +5,7 @@ grouped by contract family:
 
 - ``REP1xx`` determinism (randomness, wall clock, iteration order),
 - ``REP2xx`` cache-key safety (content-addressed trace cache),
-- ``REP3xx`` protocol interface conformance,
-- ``REP4xx`` hot-path hygiene (slots, mutable defaults),
+- ``REP4xx`` hot-path hygiene (slots, mutable defaults, kernel loops),
 - ``REP5xx`` float hygiene.
 
 A rule is either a *file rule* (``checker(ctx)`` over one parsed file)
@@ -27,11 +26,7 @@ from typing import Callable, Iterator
 
 from repro.lint.findings import Finding, Severity
 
-__all__ = ["FileContext", "Rule", "REGISTRY", "PROFILES", "rule"]
-
-#: Valid rule profiles: ``fast`` rules run everywhere, ``full`` adds the
-#: dataflow/symbolic families (REP6xx/REP7xx).
-PROFILES = ("fast", "full")
+__all__ = ["FileContext", "Rule", "REGISTRY", "rule"]
 
 
 @dataclass
@@ -43,10 +38,6 @@ class FileContext:
     tree: ast.Module
     source: str
     noqa: dict[int, frozenset[str] | None] = field(default_factory=dict)
-    #: Scratch space shared by every rule that analyzes this file — the
-    #: dataflow layer memoizes per-function summaries here so the second
-    #: rule asking about the same function pays nothing.
-    cache: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -60,10 +51,6 @@ class Rule:
     checker: Callable
     scope: tuple[str, ...] | None = None
     project: bool = False
-    #: ``"fast"`` rules run in every profile; ``"full"`` rules (the
-    #: dataflow/equivalence families) only run under ``--profile full``,
-    #: which is the default and what CI's full leg uses.
-    profile: str = "fast"
 
     def applies_to(self, module: str) -> bool:
         if self.scope is None:
@@ -92,11 +79,8 @@ def rule(
     description: str,
     scope: tuple[str, ...] | None = None,
     project: bool = False,
-    profile: str = "fast",
 ) -> Callable:
     """Register the decorated checker under ``code``."""
-    if profile not in PROFILES:
-        raise ValueError(f"unknown rule profile {profile!r}")
 
     def decorate(checker: Callable) -> Callable:
         if code in REGISTRY:
@@ -109,7 +93,6 @@ def rule(
             checker=checker,
             scope=scope,
             project=project,
-            profile=profile,
         )
         return checker
 
@@ -174,16 +157,6 @@ def _base_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Subscript):  # Generic[...] bases
         return _base_name(node.value)
     return None
-
-
-def _decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef) -> list[str]:
-    names = []
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = _base_name(target)
-        if name is not None:
-            names.append(name)
-    return names
 
 
 # ----------------------------------------------------------------------
@@ -327,10 +300,13 @@ def _check_set_iteration(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 #: Classes whose instances address content-addressed cache entries. Their
 #: dataclass field list *is* the cache key (repro.perf.cache canonicalizes
-#: via dataclasses.fields), so any instance attribute outside that list is
+#: via dataclasses.fields, and repro.perf.store.unified_key walks every
+#: ScenarioSpec field), so any instance attribute outside that list is
 #: state the key cannot see — two configs differing only in it would alias
 #: the same cache entry.
-CACHE_KEYED_CLASSES = frozenset({"SimulationConfig", "PacketScenario", "FlowSpec"})
+CACHE_KEYED_CLASSES = frozenset(
+    {"ScenarioSpec", "SimulationConfig", "PacketScenario", "FlowSpec"}
+)
 
 
 @rule(
@@ -418,235 +394,6 @@ def _check_stale_exclusions(
                         "SimulationConfig field (renamed or removed?); the "
                         "exclusion list is stale",
                     )
-
-
-# ----------------------------------------------------------------------
-# REP301 — protocol interface conformance
-# ----------------------------------------------------------------------
-def _signature_names(args: ast.arguments) -> list[str]:
-    return [a.arg for a in args.posonlyargs + args.args]
-
-
-def _required_positional(args: ast.arguments) -> int:
-    total = len(args.posonlyargs) + len(args.args)
-    return total - len(args.defaults)
-
-
-def _class_literal(node: ast.expr | None) -> tuple[bool, object]:
-    """(ok, value) for literals class bodies declare contracts with.
-
-    Beyond plain constants, the protocol contract attributes are tuples
-    (``batch_param_names``, ``meanfield_trigger``) and string dicts
-    (``symbolic_roles``); the conformance and drift rules need their
-    values, so this parses nested constant literals and refuses anything
-    computed.
-    """
-    if isinstance(node, ast.Constant):
-        return True, node.value
-    if (
-        isinstance(node, ast.UnaryOp)
-        and isinstance(node.op, ast.USub)
-        and isinstance(node.operand, ast.Constant)
-        and isinstance(node.operand.value, (int, float))
-    ):
-        return True, -node.operand.value
-    if isinstance(node, ast.Tuple):
-        elements = [_class_literal(e) for e in node.elts]
-        if all(ok for ok, _ in elements):
-            return True, tuple(value for _, value in elements)
-    if isinstance(node, ast.Dict):
-        if any(key is None for key in node.keys):
-            return False, None
-        keys = [_class_literal(k) for k in node.keys if k is not None]
-        values = [_class_literal(v) for v in node.values]
-        if all(ok for ok, _ in keys) and all(ok for ok, _ in values):
-            return True, {k: v for (_, k), (_, v) in zip(keys, values)}
-    return False, None
-
-
-class _ClassInfo:
-    __slots__ = ("ctx", "node", "bases", "methods", "assigns", "abstract")
-
-    def __init__(self, ctx: FileContext, node: ast.ClassDef) -> None:
-        self.ctx = ctx
-        self.node = node
-        self.bases = [name for b in node.bases if (name := _base_name(b))]
-        self.methods: dict[str, ast.FunctionDef] = {}
-        self.assigns: dict[str, object] = {}
-        self.abstract = False
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.methods[stmt.name] = stmt
-                if "abstractmethod" in _decorator_names(stmt):
-                    self.abstract = True
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                ok, value = _class_literal(stmt.value)
-                if ok:
-                    self.assigns[stmt.target.id] = value
-            elif isinstance(stmt, ast.Assign):
-                ok, value = _class_literal(stmt.value)
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name) and ok:
-                        self.assigns[target.id] = value
-
-
-def _collect_classes(contexts: dict[str, FileContext]) -> dict[str, _ClassInfo]:
-    classes: dict[str, _ClassInfo] = {}
-    for ctx in contexts.values():
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                classes[node.name] = _ClassInfo(ctx, node)
-    return classes
-
-
-def _protocol_families(classes: dict[str, _ClassInfo]) -> set[str]:
-    """Names of classes transitively derived from ``Protocol``."""
-    protocol_like = {"Protocol"}
-    changed = True
-    while changed:
-        changed = False
-        for name, info in classes.items():
-            if name not in protocol_like and any(b in protocol_like for b in info.bases):
-                protocol_like.add(name)
-                changed = True
-    protocol_like.discard("Protocol")
-    return protocol_like
-
-
-def _ancestry(name: str, classes: dict[str, _ClassInfo]) -> list[_ClassInfo]:
-    """The class and its in-project ancestors, nearest first (BFS)."""
-    chain: list[_ClassInfo] = []
-    queue = [name]
-    seen: set[str] = set()
-    while queue:
-        current = queue.pop(0)
-        if current in seen or current not in classes:
-            continue
-        seen.add(current)
-        info = classes[current]
-        chain.append(info)
-        queue.extend(info.bases)
-    return chain
-
-
-def _lookup_method(chain: list[_ClassInfo], method: str) -> tuple[_ClassInfo, ast.FunctionDef] | None:
-    for info in chain:
-        node = info.methods.get(method)
-        if node is not None and "abstractmethod" not in _decorator_names(node):
-            return info, node
-    return None
-
-
-def _lookup_flag(chain: list[_ClassInfo], attr: str) -> object:
-    for info in chain:
-        if attr in info.assigns:
-            return info.assigns[attr]
-    return None
-
-
-@rule(
-    "REP301",
-    "protocol-interface",
-    Severity.ERROR,
-    "every Protocol subclass must provide next_window(self, obs) so the "
-    "fluid and packet simulators can drive it interchangeably",
-    project=True,
-)
-def _check_protocol_interface(
-    rule_: Rule, contexts: dict[str, FileContext]
-) -> Iterator[Finding]:
-    classes = _collect_classes(contexts)
-    for name in sorted(_protocol_families(classes)):
-        info = classes[name]
-        if info.abstract:
-            continue
-        chain = _ancestry(name, classes)
-        found = _lookup_method(chain, "next_window")
-        if found is None:
-            yield _make(
-                rule_, info.ctx, info.node,
-                f"protocol class '{name}' does not implement next_window "
-                "(and inherits no concrete implementation)",
-            )
-            continue
-        owner, method = found
-        if owner is not info:
-            continue  # inherited implementation was checked on its owner
-        names = _signature_names(method.args)
-        extra_required = _required_positional(method.args) > 2
-        kwonly_required = any(
-            default is None for default in method.args.kw_defaults
-        )
-        if len(names) < 2 or extra_required or kwonly_required:
-            yield _make(
-                rule_, info.ctx, method,
-                f"'{name}.next_window' must be callable as "
-                "next_window(self, obs); extra required parameters break "
-                "the simulator's call contract",
-            )
-
-
-# ----------------------------------------------------------------------
-# REP303 — backend registration
-# ----------------------------------------------------------------------
-def _subclasses_of(root: str, classes: dict[str, _ClassInfo]) -> set[str]:
-    """Names of classes transitively derived from ``root`` (excluded)."""
-    family = {root}
-    changed = True
-    while changed:
-        changed = False
-        for name, info in classes.items():
-            if name not in family and any(b in family for b in info.bases):
-                family.add(name)
-                changed = True
-    family.discard(root)
-    return family
-
-
-def _module_registers(ctx: FileContext, class_name: str) -> bool:
-    """Does the module register ``class_name`` via register_backend(...)?"""
-    for stmt in ctx.tree.body:
-        calls: list[ast.expr] = []
-        if isinstance(stmt, ast.Expr):
-            calls = [stmt.value]
-        elif isinstance(stmt, ast.Assign):
-            calls = [stmt.value]
-        for value in calls:
-            if not isinstance(value, ast.Call):
-                continue
-            if _base_name(value.func) != "register_backend":
-                continue
-            arguments = list(value.args) + [kw.value for kw in value.keywords]
-            for argument in arguments:
-                for inner in ast.walk(argument):
-                    if isinstance(inner, ast.Name) and inner.id == class_name:
-                        return True
-    return False
-
-
-@rule(
-    "REP303",
-    "backend-contract",
-    Severity.ERROR,
-    "Backend implementations must be registered with register_backend(...) "
-    "at module level",
-    scope=("repro/backends",),
-    project=True,
-)
-def _check_backend_contract(
-    rule_: Rule, contexts: dict[str, FileContext]
-) -> Iterator[Finding]:
-    classes = _collect_classes(contexts)
-    for name in sorted(_subclasses_of("Backend", classes)):
-        info = classes[name]
-        if info.abstract:
-            continue
-        if not _module_registers(info.ctx, name):
-            yield _make(
-                rule_, info.ctx, info.node,
-                f"backend class '{name}' is never passed to register_backend; "
-                "unregistered backends are invisible to run_spec and the CLI",
-            )
 
 
 # ----------------------------------------------------------------------
@@ -744,7 +491,7 @@ def _check_mutable_defaults(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# REP403 — batched kernels must stay branch-free over their inputs
+# REP404 — mean-field kernels must not Python-loop over grid cells
 # ----------------------------------------------------------------------
 def _argument_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> frozenset[str]:
     args = node.args
@@ -759,19 +506,16 @@ def _names_in(node: ast.expr) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-#: Array reductions whose scalar truth value is the *point* of the branch.
+#: Array reductions whose scalar truth value is the *point* of the loop test.
 _MASK_REDUCTIONS = frozenset({"any", "all", "sum", "count_nonzero"})
 
 
 def _is_mask_reduction(node: ast.expr) -> bool:
-    """Whether a branch test collapses arrays to one deliberate scalar.
+    """Whether a loop test collapses arrays to one deliberate scalar.
 
-    Masked dispatch branches on reductions — ``if mask.any():``,
-    ``if (classes == k).sum() == 0:``, ``np.count_nonzero(...)`` — where
-    a single truth value for the whole batch is exactly the intent
-    (choose a dispatch segment, skip an empty class). Those are not the
-    per-element branch bug REP403 exists to catch, so any test whose
-    every input-touching leaf passes through a reduction call is exempt.
+    ``while mask.any():`` or ``while (grid == k).sum() > 0:`` evaluates
+    one truth value for the whole grid on purpose, so a test whose every
+    input-touching leaf passes through a reduction call is exempt.
     """
     if isinstance(node, ast.Call):
         func = node.func
@@ -792,54 +536,13 @@ def _is_mask_reduction(node: ast.expr) -> bool:
 
 
 @rule(
-    "REP403",
-    "batched-kernel-branch",
-    Severity.ERROR,
-    "a 'batched_*' kernel advances every scenario of the batch in one "
-    "array pass; a Python if/while/ternary on its inputs evaluates one "
-    "truth value for the whole batch (or raises on arrays) — encode "
-    "per-element branches with numpy.where instead (branching on a mask "
-    "reduction like '.any()' or '.sum()' is dispatch, and allowed)",
-    scope=("repro/protocols", "repro/model", "repro/backends"),
-)
-def _check_batched_kernel_branches(
-    rule_: Rule, ctx: FileContext
-) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not node.name.startswith("batched_"):
-            continue
-        params = _argument_names(node)
-        for inner in ast.walk(node):
-            if isinstance(inner, (ast.If, ast.While, ast.IfExp)):
-                tainted = sorted(_names_in(inner.test) & params)
-                if tainted and not _is_mask_reduction(inner.test):
-                    kind = {
-                        ast.If: "if",
-                        ast.While: "while",
-                        ast.IfExp: "conditional expression",
-                    }[type(inner)]
-                    yield _make(
-                        rule_, ctx, inner,
-                        f"'{node.name}' branches on batch input(s) "
-                        f"{', '.join(tainted)} with a Python {kind}; use "
-                        "numpy.where so every scenario keeps its own branch",
-                    )
-
-
-# ----------------------------------------------------------------------
-# REP404 — mean-field kernels must not Python-loop over grid cells
-# ----------------------------------------------------------------------
-@rule(
     "REP404",
     "meanfield-kernel-loop",
     Severity.ERROR,
     "a 'meanfield_*' kernel owes its O(1)-in-flows cost to whole-grid "
     "array passes; a Python for/while/comprehension over its grid inputs "
     "reintroduces per-cell interpreter cost — scatter with numpy.bincount "
-    "and transform with array expressions instead (the mirror of REP403 "
-    "for density kernels)",
+    "and transform with array expressions instead",
     scope=("repro/meanfield", "repro/model", "repro/backends"),
 )
 def _check_meanfield_kernel_loops(

@@ -23,8 +23,7 @@ sanitizer (:meth:`~repro.meanfield.dynamics.MeanFieldSimulator`):
   ``[0, 1]``, so no cell can ever go negative.
 
 Kernel functions are ``meanfield_``-prefixed and must stay free of Python
-loops over their grid arrays — the REP404 lint rule enforces this, the
-mirror of REP403 for batched fluid kernels.
+loops over their grid arrays — the REP404 lint rule enforces this.
 """
 
 from __future__ import annotations

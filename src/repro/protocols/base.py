@@ -26,9 +26,12 @@ contract is strict: each element must be bit-identical to
 ``next_window`` for that element's parameters (same float64 operations
 in the same order), the map must be *branch-free* over the arrays —
 selection via ``numpy.where`` on the conditions ``next_window`` branches
-on, never Python ``if`` (the REP403 lint rule enforces this) — and it
-must not read internal state, observation history, ``min_rtt`` or ECN
-feedback.
+on, never Python ``if`` — and it must not read internal state,
+observation history, ``min_rtt`` or ECN feedback. The raw-uint64
+identity suites (``tests/property/test_prop_batch.py``,
+``test_prop_vectorized.py``) hold AIMD, MIMD and Robust-AIMD to this
+contract; the trigger boundary test in ``tests/unit/test_meanfield.py``
+holds every class that declares a :attr:`Protocol.meanfield_trigger`.
 """
 
 from __future__ import annotations
@@ -64,16 +67,6 @@ class Protocol(ABC):
     #: mean-field kernel derives both branch maps from
     #: :meth:`batched_next`.
     meanfield_trigger: tuple[str, float | str] | None = None
-
-    #: Extraction hint for the static drift detector (lint rule REP601):
-    #: maps instance attributes the scalar rendering reads onto
-    #: canonical symbolic names, for attributes that are not batch
-    #: parameters (``batch_param_names`` entries map to themselves
-    #: automatically). An attribute read with no role makes the rendering
-    #: inextractable, which silently narrows drift coverage — declare a
-    #: role instead. Keys are attribute names, values are the canonical
-    #: variable names (``"w"``, ``"loss"``, ``"rtt"`` or a parameter).
-    symbolic_roles: dict[str, str] = {}
 
     @abstractmethod
     def next_window(self, obs: Observation) -> float:

@@ -1,4 +1,4 @@
-"""Engine edge cases: profiles, crash isolation, noqa spans, baselines."""
+"""Engine edge cases: crash isolation, noqa spans, per-rule stats."""
 
 from __future__ import annotations
 
@@ -7,17 +7,15 @@ from pathlib import Path
 import pytest
 
 from repro.lint import REGISTRY, run_lint
-from repro.lint.baseline import apply_baseline, fingerprint, write_baseline
-from repro.lint.engine import _noqa_map, select_rules
+from repro.lint.engine import _noqa_map
 from repro.lint.findings import Severity
 from repro.lint.rules import Rule
 
-#: The rule families that predate the dataflow layer — the fast profile.
-_FAST_CODES = {
-    "REP101", "REP102", "REP103", "REP201", "REP202", "REP301", "REP303",
-    "REP401", "REP402", "REP403", "REP404", "REP501",
+#: Every registered rule.
+_CODES = {
+    "REP101", "REP102", "REP103", "REP201", "REP202", "REP401", "REP402",
+    "REP404", "REP501",
 }
-_FULL_ONLY_CODES = {"REP601", "REP602", "REP603", "REP701", "REP702"}
 
 
 def _write(root: Path, rel: str, source: str) -> Path:
@@ -25,27 +23,6 @@ def _write(root: Path, rel: str, source: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source)
     return root
-
-
-# ----------------------------------------------------------------------
-# Profiles
-# ----------------------------------------------------------------------
-def test_fast_profile_is_exactly_the_pattern_rules():
-    assert {r.code for r in select_rules(profile="fast")} == _FAST_CODES
-    assert {r.code for r in select_rules(profile="full")} == (
-        _FAST_CODES | _FULL_ONLY_CODES
-    )
-
-
-def test_unknown_profile_is_a_usage_error():
-    with pytest.raises(ValueError, match="unknown profile"):
-        select_rules(profile="exhaustive")
-
-
-def test_explicit_select_overrides_the_profile():
-    # --select REP701 under the fast profile still runs REP701.
-    chosen = select_rules(select=["REP701"], profile="fast")
-    assert [r.code for r in chosen] == ["REP701"]
 
 
 # ----------------------------------------------------------------------
@@ -182,68 +159,9 @@ def test_decorated_function_finding_suppressed_from_def_line(tmp_path):
     assert result.suppressed == 1
 
 
-# ----------------------------------------------------------------------
-# Baselines
-# ----------------------------------------------------------------------
 def _dirty_tree(tmp_path: Path) -> Path:
     return _write(tmp_path, "repro/analysis/dicey.py",
                   "import random\nx = random.random()\n")
-
-
-def test_baseline_round_trip(tmp_path):
-    root = _dirty_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    result = run_lint([root])
-    assert result.findings
-    write_baseline(result, baseline)
-
-    # Same findings: everything absorbed, nothing stale.
-    fresh = run_lint([root])
-    stale = apply_baseline(fresh, baseline)
-    assert fresh.findings == []
-    assert fresh.baselined > 0
-    assert stale == []
-
-
-def test_baseline_fails_only_on_new_findings(tmp_path):
-    root = _dirty_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    write_baseline(run_lint([root]), baseline)
-
-    _write(tmp_path, "repro/experiments/driver.py",
-           "def run(grid=[]):\n    return grid\n")
-    result = run_lint([root])
-    apply_baseline(result, baseline)
-    assert [f.code for f in result.findings] == ["REP402"]
-
-
-def test_baseline_staleness_is_reported(tmp_path):
-    root = _dirty_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    recorded = run_lint([root])
-    write_baseline(recorded, baseline)
-
-    # The debt is paid: the recorded finding disappears.
-    (root / "repro/analysis/dicey.py").write_text(
-        "import numpy as np\nrng = np.random.default_rng(1)\n"
-    )
-    fresh = run_lint([root])
-    stale = apply_baseline(fresh, baseline)
-    assert fresh.findings == []
-    assert stale == sorted(fingerprint(f) for f in recorded.findings)
-
-
-def test_missing_and_malformed_baselines_raise(tmp_path):
-    root = _dirty_tree(tmp_path)
-    with pytest.raises(FileNotFoundError):
-        apply_baseline(run_lint([root]), tmp_path / "nope.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    with pytest.raises(ValueError, match="malformed baseline"):
-        apply_baseline(run_lint([root]), bad)
-    bad.write_text('{"version": 99}')
-    with pytest.raises(ValueError, match="malformed baseline"):
-        apply_baseline(run_lint([root]), bad)
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +170,7 @@ def test_missing_and_malformed_baselines_raise(tmp_path):
 def test_rule_stats_cover_every_active_rule(tmp_path):
     root = _dirty_tree(tmp_path)
     result = run_lint([root])
-    assert set(result.rule_stats) == _FAST_CODES | _FULL_ONLY_CODES
+    assert set(result.rule_stats) == _CODES
     assert result.rule_stats["REP101"].findings == 1
     assert all(s.seconds >= 0.0 for s in result.rule_stats.values())
 

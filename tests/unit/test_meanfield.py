@@ -20,18 +20,22 @@ from repro.backends import (
     get_backend,
     run_spec,
 )
+import repro.protocols
 from repro.meanfield.dynamics import (
     MeanFieldGroup,
     MeanFieldScenario,
     MeanFieldSimulator,
+    _GroupState,
 )
 from repro.meanfield.grid import DEFAULT_CELLS, WindowGrid, default_grid
 from repro.model.events import EventSchedule
 from repro.model.link import Link
 from repro.model.random_loss import GilbertElliottLoss
+from repro.model.sender import Observation
 from repro.netmodel.topology import dumbbell
 from repro.protocols.aimd import AIMD
 from repro.protocols.cubic import CUBIC
+from repro.protocols.base import Protocol
 from repro.protocols.mimd import MIMD
 from repro.protocols.robust_aimd import RobustAIMD
 
@@ -291,6 +295,92 @@ class TestSimulator:
         assert (result.rtts >= link.base_rtt).all()
         assert result.populations.tolist() == [3, 2]
         assert len(result.masses) == 2
+
+
+def _trigger_classes() -> list[type[Protocol]]:
+    """Every protocol class of the package that declares a mean-field trigger."""
+    found: dict[str, type[Protocol]] = {}
+    stack = [Protocol]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if (
+                sub.__module__.startswith(repro.protocols.__name__ + ".")
+                and sub.meanfield_trigger is not None
+            ):
+                found[sub.__name__] = sub
+    return [found[name] for name in sorted(found)]
+
+
+# Each trigger class at its defaults, plus non-default thresholds and factors.
+TRIGGER_PROTOCOLS = [cls() for cls in _trigger_classes()] + [
+    AIMD(2.0, 0.7),
+    MIMD(1.05, 0.5),
+    RobustAIMD(1.0, 0.5, 0.2),
+]
+
+
+def _bits(value) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+class TestTriggerBoundary:
+    """The mean-field trigger agrees with ``next_window`` at its threshold.
+
+    The mean-field lane decides the branch with ``meanfield_trigger`` and
+    moves mass along images of ``batched_next``; the other engines call
+    ``next_window``. The three must pick the same branch at loss 0, at
+    loss 1, at the threshold and at its floating-point neighbours.
+    """
+
+    def test_every_trigger_class_is_covered(self):
+        names = {type(p).__name__ for p in TRIGGER_PROTOCOLS}
+        assert {"AIMD", "MIMD", "MimdPccBound", "RobustAIMD"} <= names
+
+    @pytest.mark.parametrize("protocol", TRIGGER_PROTOCOLS, ids=repr)
+    def test_decision_matches_next_window_at_the_threshold(self, protocol):
+        cls = type(protocol)
+        state = _GroupState(
+            MeanFieldGroup(protocol, population=1, initial_window=8.0),
+            WindowGrid(lo=0.0, hi=64.0, cells=65),
+            min_window=1.0,
+            max_window=1e9,
+        )
+        threshold = state.trigger_threshold
+        points = sorted(
+            p
+            for p in {
+                0.0,
+                1.0,
+                threshold,
+                float(np.nextafter(threshold, -np.inf)),
+                float(np.nextafter(threshold, np.inf)),
+            }
+            if 0.0 <= p <= 1.0
+        )
+        window, rtt = 8.0, 0.05
+        params = {
+            name: np.array([getattr(protocol, name)], dtype=np.float64)
+            for name in cls.batch_param_names
+        }
+
+        def scalar(loss: float) -> float:
+            return protocol.next_window(
+                Observation(step=0, window=window, loss_rate=loss, rtt=rtt,
+                            min_rtt=rtt)
+            )
+
+        growth, decrease = _bits(scalar(0.0)), _bits(scalar(1.0))
+        assert growth != decrease
+        for loss in points:
+            got = _bits(scalar(loss))
+            assert got in (growth, decrease), loss
+            assert state.trigger_hit(loss) == (got == decrease), loss
+            batched = cls.batched_next(
+                np.array([window]), np.array([loss]), np.array([rtt]), params
+            )
+            assert batched.dtype == np.float64
+            assert int(batched.view(np.uint64)[0]) == got, loss
 
 
 class TestBackendIntegration:
