@@ -1,6 +1,6 @@
 """Benchmark for the packet-level engine rework.
 
-Times the three tentpole optimizations against their baselines and
+Times the two tentpole optimizations against their baselines and
 archives the numbers in ``benchmarks/results/packetsim.json``:
 
 - **slotted engine** — events/sec through the pre-refactor closure-heapq
@@ -10,8 +10,6 @@ archives the numbers in ``benchmarks/results/packetsim.json``:
 - **packet-run cache** — one scenario simulated cold, then replayed from
   the content-addressed cache. The warm run must reproduce the statistics
   and take under a tenth of the cold wall time.
-- **parallel packet drivers** — ``run_table2_packet`` serial vs
-  ``workers=4``; results must be identical in submission order.
 
 Runs standalone (``python benchmarks/bench_packetsim.py``) or under
 pytest, where the tests are marked ``slow``::
@@ -55,9 +53,6 @@ _ENGINE_REPEATS = 5
 _CACHE_SCENARIO = dict(
     bandwidth_mbps=60.0, rtt_ms=42.0, buffer_mss=100, duration=20.0
 )
-
-_TABLE2_KWARGS = dict(senders=(2, 3), bandwidths_mbps=(20, 60), duration=12.0)
-_TABLE2_WORKERS = 4
 
 
 def _timed(fn):
@@ -230,26 +225,6 @@ def bench_packet_cache() -> dict:
     return payload
 
 
-def bench_parallel_packet() -> dict:
-    from repro.experiments.table2 import run_table2_packet
-
-    serial, serial_s = _timed(lambda: run_table2_packet(**_TABLE2_KWARGS))
-    parallel, parallel_s = _timed(
-        lambda: run_table2_packet(workers=_TABLE2_WORKERS, **_TABLE2_KWARGS)
-    )
-    payload = {
-        "grid_cells": (len(_TABLE2_KWARGS["senders"])
-                       * len(_TABLE2_KWARGS["bandwidths_mbps"])),
-        "workers": _TABLE2_WORKERS,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s else None,
-        "identical": serial.cells == parallel.cells,
-    }
-    _write_results("parallel_packet", payload)
-    return payload
-
-
 def test_slotted_engine_is_3x_faster():
     payload = bench_engine()
     assert payload["speedup"] >= 3.0
@@ -268,23 +243,11 @@ def test_warm_packet_cache_is_10x_faster_and_exact():
           f"warm {payload['warm_s']:.3f}s ({payload['speedup']:.1f}x)")
 
 
-def test_parallel_packet_grid_identical_to_serial():
-    payload = bench_parallel_packet()
-    assert payload["identical"]
-    if (os.cpu_count() or 1) >= _TABLE2_WORKERS:
-        assert payload["speedup"] >= 1.5
-    print(f"\nparallel table2 --packet: serial {payload['serial_s']:.2f}s, "
-          f"workers={_TABLE2_WORKERS} {payload['parallel_s']:.2f}s "
-          f"({payload['speedup']:.2f}x, {os.cpu_count()} cores)")
-
-
 def main() -> None:
     engine = bench_engine()
     cache = bench_packet_cache()
-    parallel = bench_parallel_packet()
     print(json.dumps({"cpu_count": os.cpu_count(), "engine": engine,
-                      "packet_cache": cache, "parallel_packet": parallel},
-                     indent=2))
+                      "packet_cache": cache}, indent=2))
     print(f"\nwrote {RESULTS_PATH}")
 
 

@@ -1,21 +1,15 @@
 """Benchmark for the performance layer (``repro.perf``).
 
-Times the two tentpole optimizations against their baselines and archives
-the wall-clock numbers in ``benchmarks/results/perf.json``:
-
-- **parallel sweeps** — a Figure-1-sized grid run serially vs with
-  ``workers=4``. The results must be *identical* (same floats, same
-  order); the >=2x speedup assertion only applies when the machine
-  actually has >=4 cores, but the measured times and the core count are
-  recorded unconditionally so single-core CI runs stay honest.
-- **trace cache** — a Table-2 grid run cold (cache empty) vs warm
-  (every simulation replayed from disk). The warm run must reproduce the
-  cold results exactly and take under 25% of the cold wall time.
+Times the trace cache against its baseline and archives the wall-clock
+numbers in ``benchmarks/results/perf.json``: a Table-2 grid run cold
+(cache empty) vs warm (every simulation replayed from disk). The warm
+run must reproduce the cold results exactly and take under 25% of the
+cold wall time.
 
 Runs standalone (``python benchmarks/bench_perf.py``) or under pytest,
-where both tests are marked ``slow``::
+where the test is marked ``slow``::
 
-    pytest benchmarks/bench_perf.py -m "not slow"   # deselects both
+    pytest benchmarks/bench_perf.py -m "not slow"   # deselects it
 """
 
 from __future__ import annotations
@@ -28,21 +22,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.metrics import EstimatorConfig
-from repro.experiments.figure1 import run_figure1
 from repro.experiments.table2 import run_table2
 from repro.perf import cache_enabled
 
 pytestmark = pytest.mark.slow
 
 RESULTS_PATH = Path(__file__).parent / "results" / "perf.json"
-
-_SWEEP_KWARGS = dict(
-    empirical_alphas=[0.25, 0.5, 1.0, 2.0],
-    empirical_betas=[0.3, 0.5, 0.7],
-    config=EstimatorConfig(steps=1000, n_senders=2),
-)
-_SWEEP_WORKERS = 4
 
 _CACHE_KWARGS = dict(senders=(2, 3), bandwidths_mbps=(20, 30), steps=1500)
 
@@ -64,24 +49,6 @@ def _write_results(section: str, payload: dict) -> None:
     existing["cpu_count"] = os.cpu_count()
     existing[section] = payload
     RESULTS_PATH.write_text(json.dumps(existing, indent=2) + "\n")
-
-
-def bench_parallel_sweep() -> dict:
-    serial, serial_s = _timed(lambda: run_figure1(**_SWEEP_KWARGS))
-    parallel, parallel_s = _timed(
-        lambda: run_figure1(workers=_SWEEP_WORKERS, **_SWEEP_KWARGS)
-    )
-    payload = {
-        "grid_cells": (len(_SWEEP_KWARGS["empirical_alphas"])
-                       * len(_SWEEP_KWARGS["empirical_betas"])),
-        "workers": _SWEEP_WORKERS,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s else None,
-        "identical": serial.empirical == parallel.empirical,
-    }
-    _write_results("parallel_sweep", payload)
-    return payload
 
 
 def bench_trace_cache() -> dict:
@@ -109,17 +76,6 @@ def bench_trace_cache() -> dict:
     return payload
 
 
-def test_parallel_sweep_identical_and_fast():
-    payload = bench_parallel_sweep()
-    assert payload["identical"]
-    # The speedup target only makes sense when the cores exist.
-    if (os.cpu_count() or 1) >= _SWEEP_WORKERS:
-        assert payload["speedup"] >= 2.0
-    print(f"\nparallel sweep: serial {payload['serial_s']:.2f}s, "
-          f"workers={_SWEEP_WORKERS} {payload['parallel_s']:.2f}s "
-          f"({payload['speedup']:.2f}x, {os.cpu_count()} cores)")
-
-
 def test_trace_cache_replay_is_cheap_and_exact():
     payload = bench_trace_cache()
     assert payload["identical"]
@@ -131,10 +87,8 @@ def test_trace_cache_replay_is_cheap_and_exact():
 
 
 def main() -> None:
-    sweep = bench_parallel_sweep()
     cache = bench_trace_cache()
     print(json.dumps({"cpu_count": os.cpu_count(),
-                      "parallel_sweep": sweep,
                       "trace_cache": cache}, indent=2))
     print(f"\nwrote {RESULTS_PATH}")
 

@@ -6,9 +6,8 @@ multi-link network kernel in :mod:`repro.netmodel.batch` and the
 mean-field kernel in :mod:`repro.meanfield.batch`. Each of those
 backends is described by one private *lane* record (:class:`_Lane`): how
 a spec lowers to a batch row of named kernel inputs (or ``None`` to fall
-back), the inputs built per group, the kernel and its cell counter, how
-one row's trace is extracted, and the widths of the kernel's
-shared-memory outputs. One pipeline drives every lane:
+back), the inputs built per group, the kernel, and how one row's trace
+is extracted. One pipeline drives every lane:
 
 - the planners (:func:`plan_batches`, :func:`plan_network_batches`,
   :func:`plan_meanfield_batches`) lower each spec, group the rows that
@@ -18,43 +17,29 @@ shared-memory outputs. One pipeline drives every lane:
   per-spec fallbacks. The fluid lane takes exactly the runs whose
   windows the serial engine can step as array rows: one predicate,
   :func:`repro.model.dynamics.synchronized_stateless`, decides both;
-- :func:`run_batched` runs a plan: one kernel call per group (or, for
-  large groups with ``workers > 1``, the shared-memory chunk scheduler),
+- :func:`run_batched` runs a plan: one in-process kernel call per group,
   then extracts each row's trace and runs the fallbacks through the
   serial engine.
 
 The runner never touches the store: the executor probes it before
 planning and archives the traces the runner returns.
 
-The shared-memory scheduler replaces per-job pickling for batch results:
-the parent allocates one ``multiprocessing.shared_memory`` buffer per
-kernel output, workers advance disjoint row chunks of the batch and
-write directly into the buffers, and only tiny failure maps travel back
-over the pool. Chunk size is autotuned from the lane's measured kernel
-throughput in :data:`repro.perf.timing.REGISTRY`. A lane that declares
-no shared-memory outputs runs in-process: the mean-field kernel already
-advances a whole sweep in one NumPy loop, so chunking buys nothing.
-When the segments or the pool cannot be created, the group runs
-in-process after a one-time warning naming the lane and the error.
+Batched and serial execution produce bit-identical traces; a spec that
+fails mid-batch is rerun serially so callers see the exact serial
+exception (or ``None`` with ``skip_errors=True``), and never poisons the
+other rows. The packet backend has no stacked kernel: its lane merges
+replications into shared event loops instead.
 
-Batched, chunked and serial execution all produce bit-identical traces;
-a spec that fails mid-batch is rerun serially so callers see the exact
-serial exception (or ``None`` with ``skip_errors=True``), and never
-poisons the other rows. The packet backend has no stacked kernel: its
-lane merges replications into shared event loops instead.
-
-Lane records name their kernel module's inputs class, kernel, result
-class and cell counter by attribute and resolve them at call time, and
-reach the planners through this module's globals, so code that rebinds
-those attributes (the benchmark tracer in ``perfbench/``) sees every
-batched call.
+Lane records name their kernel module's inputs class and kernel by
+attribute and resolve them at call time, and reach the planners through
+this module's globals, so code that rebinds those attributes (the
+benchmark tracer in ``perfbench/``) sees every batched call.
 """
 
 from __future__ import annotations
 
 import importlib
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -72,21 +57,11 @@ from repro.perf import store, timing
 __all__ = [
     "BatchGroup",
     "BatchPlan",
-    "autotune_chunk_rows",
     "plan_batches",
     "plan_meanfield_batches",
     "plan_network_batches",
     "run_batched",
 ]
-
-#: Chunk size used before any kernel throughput has been measured.
-_DEFAULT_CHUNK_ROWS = 64
-#: Autotuning target: chunks sized to roughly this much kernel time, so
-#: scheduling overhead stays small without starving the pool of work.
-_TARGET_CHUNK_SECONDS = 0.25
-
-#: Lanes that already warned about running a chunked group in-process.
-_warned_in_process: set[str] = set()
 
 
 @dataclass
@@ -132,15 +107,9 @@ class _Row:
 class _Lane:
     """How one spec backend rides the batch pipeline.
 
-    ``engine`` is the kernel module; ``inputs``, ``kernel``, ``result``
-    and ``cells`` name its inputs class, its ``kernel(inputs, out=None)``
-    function, the result class the shared-memory scheduler rebuilds from
-    its buffers, and the scenario-steps counter the autotuner divides the
-    ``section`` timing total by. ``tables`` adds the inputs built from a
-    group as a whole. ``outputs`` names every kernel output with the
-    inputs property giving its width (``None``: one value per row); the
-    shared-memory buffers are ``(steps, rows[, width])``. A lane without
-    ``outputs`` runs in-process.
+    ``engine`` is the kernel module; ``inputs`` and ``kernel`` name its
+    inputs class and its ``kernel(inputs)`` function. ``tables`` adds
+    the inputs built from a group as a whole.
     """
 
     backend: str
@@ -151,10 +120,6 @@ class _Lane:
     engine: str
     inputs: str
     kernel: str
-    result: str
-    cells: str
-    section: str
-    outputs: dict[str, str | None] | None = None
 
     def engine_attr(self, name: str) -> Any:
         """Attribute ``name`` of the kernel module, looked up now."""
@@ -530,15 +495,6 @@ _LANES: dict[str, _Lane] = {
             engine="repro.model.batch",
             inputs="BatchInputs",
             kernel="run_batch_kernel",
-            result="BatchResult",
-            cells="kernel_cells",
-            section="batch.kernel",
-            outputs={
-                "windows": "n_senders",
-                "observed_loss": None,
-                "congestion_loss": None,
-                "rtts": None,
-            },
         ),
         _Lane(
             backend="network",
@@ -549,16 +505,6 @@ _LANES: dict[str, _Lane] = {
             engine="repro.netmodel.batch",
             inputs="NetBatchInputs",
             kernel="run_network_batch_kernel",
-            result="NetBatchResult",
-            cells="net_kernel_cells",
-            section="batch.net_kernel",
-            outputs={
-                "windows": "n_senders",
-                "flow_loss": "n_senders",
-                "flow_rtts": "n_senders",
-                "link_load": "n_links",
-                "link_loss": "n_links",
-            },
         ),
         _Lane(
             backend="meanfield",
@@ -569,176 +515,9 @@ _LANES: dict[str, _Lane] = {
             engine="repro.meanfield.batch",
             inputs="MeanFieldBatchInputs",
             kernel="run_meanfield_batch_kernel",
-            result="MeanFieldBatchResult",
-            cells="meanfield_kernel_cells",
-            section="batch.meanfield_kernel",
         ),
     )
 }
-
-# ----------------------------------------------------------------------
-# Execution: in-process kernel or shared-memory chunk scheduler
-# ----------------------------------------------------------------------
-def autotune_chunk_rows(steps: int, backend: str = "fluid") -> int:
-    """Rows per chunk targeting ~``_TARGET_CHUNK_SECONDS`` of kernel time.
-
-    Uses the measured throughput of ``backend``'s previous kernel calls
-    (its lane's timing section in :data:`repro.perf.timing.REGISTRY`
-    over its kernel's cell counter); before any measurement exists, a
-    fixed default applies.
-    """
-    lane = _LANES[backend]
-    cells = lane.engine_attr(lane.cells)()
-    spent = timing.REGISTRY.total(lane.section)
-    if cells <= 0 or spent <= 0.0:
-        return _DEFAULT_CHUNK_ROWS
-    seconds_per_cell = spent / cells
-    rows = int(_TARGET_CHUNK_SECONDS / max(seconds_per_cell * steps, 1e-12))
-    return max(1, min(rows, 4096))
-
-
-def _kernel_chunk(
-    backend: str,
-    shm_names: dict[str, str],
-    shapes: dict[str, tuple[int, ...]],
-    chunk: Any,
-    lo: int,
-    hi: int,
-) -> dict[int, int]:
-    """Worker: advance rows ``lo:hi`` of a lane's batch into the shared buffers.
-
-    The worker receives the lane's name and looks the lane up itself
-    (its callables do not pickle). Only the (typically empty) failure map
-    is returned through the pool; all array output lands in shared
-    memory, which is the point.
-
-    Write-safety contract: nothing synchronizes sibling workers, so every
-    access to an array built over a shared segment must go through the
-    ``[lo:hi]`` slice on the row axis that the planner assigned — never
-    the whole array, never arithmetic on the bounds, and never rows
-    another worker owns. The scheduler-vs-inline tests
-    (``test_shared_memory_scheduler_matches_inline_kernel`` in
-    ``tests/property/test_prop_batch.py`` and ``test_prop_net_batch.py``)
-    hold the chunked result to the inline kernel's, raw uint64.
-    """
-    from multiprocessing import shared_memory
-
-    lane = _LANES[backend]
-    segments = []
-    try:
-        out: dict[str, np.ndarray] = {}
-        for name, shm_name in shm_names.items():
-            shm = shared_memory.SharedMemory(name=shm_name)
-            segments.append(shm)
-            full = np.ndarray(shapes[name], dtype=np.float64, buffer=shm.buf)
-            out[name] = full[:, lo:hi]
-        result = lane.engine_attr(lane.kernel)(chunk, out=out)
-        failed = {lo + row: step for row, step in result.failed.items()}
-        # Drop every view into the buffers before closing the segments.
-        del result, out, full
-        return failed
-    finally:
-        for shm in segments:
-            try:
-                shm.close()
-            except BufferError:
-                pass  # released at worker exit
-
-
-def _run_group(
-    lane: _Lane,
-    inputs: Any,
-    workers: int | None,
-    chunk_rows: int | None,
-    positions: list[int],
-) -> Any:
-    """Run one group: chunked over shared memory when it pays, else inline.
-
-    With ``workers > 1`` and more rows than one chunk, row chunks go to a
-    process pool that writes into shared-memory buffers; when shared
-    memory or a pool is unavailable on this platform the kernel runs
-    in-process instead, after a one-time warning per lane that names the
-    error. The result is bit-identical either way: chunks
-    are disjoint row ranges of the same elementwise recurrence.
-    ``positions`` are the group rows' submission positions, which a dead
-    worker's error names. The parent may touch the buffers freely — the
-    chunk discipline of :func:`_kernel_chunk` binds only workers; this
-    function *creates* the segments and only reads the arrays back after
-    every future has resolved.
-    """
-    kernel = lane.engine_attr(lane.kernel)
-    b = inputs.batch_size
-    if lane.outputs is None or workers is None or workers <= 1 or b <= 1:
-        return kernel(inputs)
-    if chunk_rows is None:
-        chunk_rows = autotune_chunk_rows(inputs.steps, lane.backend)
-    if b <= chunk_rows:
-        return kernel(inputs)
-
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import shared_memory
-
-    shapes = {
-        name: (inputs.steps, b) + (() if width is None else (getattr(inputs, width),))
-        for name, width in lane.outputs.items()
-    }
-    segments: dict[str, Any] = {}
-    try:
-        try:
-            for name, shape in shapes.items():
-                segments[name] = shared_memory.SharedMemory(
-                    create=True, size=max(int(np.prod(shape)) * 8, 1)
-                )
-            chunks = [(lo, min(lo + chunk_rows, b)) for lo in range(0, b, chunk_rows)]
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
-        except (OSError, ValueError, RuntimeError) as exc:
-            if lane.backend not in _warned_in_process:
-                _warned_in_process.add(lane.backend)
-                warnings.warn(
-                    f"{lane.backend} lane: shared-memory chunk scheduler "
-                    f"unavailable ({type(exc).__name__}: {exc}); running "
-                    "the batch in-process",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return kernel(inputs)
-        shm_names = {name: seg.name for name, seg in segments.items()}
-        failed: dict[int, int] = {}
-        with timing.measure("batch.scheduler"), pool:
-            futures = [
-                pool.submit(
-                    _kernel_chunk,
-                    lane.backend,
-                    shm_names,
-                    shapes,
-                    inputs.rows(lo, hi),
-                    lo,
-                    hi,
-                )
-                for lo, hi in chunks
-            ]
-            for (lo, hi), future in zip(chunks, futures):
-                try:
-                    failed.update(future.result())
-                except BrokenProcessPool as exc:
-                    specs = ", ".join(str(p) for p in positions[lo:hi])
-                    raise BrokenProcessPool(
-                        f"{lane.backend} lane: the chunk worker for batch rows "
-                        f"{lo}:{hi} died (specs at submission positions {specs})"
-                    ) from exc
-        arrays = {
-            name: np.ndarray(shapes[name], dtype=np.float64, buffer=seg.buf).copy()
-            for name, seg in segments.items()
-        }
-        return lane.engine_attr(lane.result)(failed=failed, **arrays)
-    finally:
-        for seg in segments.values():
-            try:
-                seg.close()
-                seg.unlink()
-            except (BufferError, FileNotFoundError, OSError):
-                pass
 
 
 # ----------------------------------------------------------------------
@@ -748,42 +527,27 @@ def run_batched(
     specs: Sequence[ScenarioSpec],
     backend: str = "fluid",
     *,
-    positions: Sequence[int] | None = None,
     skip_errors: bool = False,
-    workers: int | None = None,
-    chunk_rows: int | None = None,
 ) -> list:
     """Run every spec on ``backend``'s batched lane, in spec order.
 
     Results are :class:`~repro.backends.trace.UnifiedTrace` objects,
     bit-identical to ``run_spec(spec, backend)`` for every spec whichever
-    path — batch kernel, chunked kernel, or serial fallback — produced
-    it. The store is neither read nor written (the executor does both).
-    ``positions`` are the specs' places in the caller's submission, which
-    errors name (default: their indices in ``specs``). With
+    path — batch kernel or serial fallback — produced it. The store is
+    neither read nor written (the executor does both). With
     ``skip_errors`` a failing spec yields ``None`` instead of raising;
-    other specs are unaffected either way. ``workers`` and
-    ``chunk_rows`` drive the shared-memory chunk scheduler
-    (:func:`autotune_chunk_rows` picks the rows when ``None``).
+    other specs are unaffected either way.
     """
     specs = list(specs)
     if backend == "packet":
         results, serial = _run_packet(specs)
     else:
         lane = _LANES[backend]
-        if positions is None:
-            positions = range(len(specs))
         results = [None] * len(specs)
         plan = lane.plan(specs)
         serial = list(plan.fallback)
         for group in plan.groups:
-            result = _run_group(
-                lane,
-                group.inputs,
-                workers,
-                chunk_rows,
-                [positions[index] for index in group.indices],
-            )
+            result = lane.engine_attr(lane.kernel)(group.inputs)
             for pos, index in enumerate(group.indices):
                 if pos in result.failed:
                     # Recompute serially to raise the exact serial error.

@@ -14,16 +14,13 @@ through the batch planner (:mod:`repro.backends.batch`): compatible
 specs are stacked and advanced through one vectorized kernel pass per
 step — bit-identical to the serial path, typically several times faster
 on sweep grids — with per-spec serial fallback for anything the kernels
-cannot express. Large fluid and network batches additionally spread row
-chunks over a shared-memory scheduler instead of pickling per-job
-results. On the packet backend, ``batch=True`` routes through the
+cannot express. On the packet backend, ``batch=True`` routes through the
 merged-scheduler replication runner (:mod:`repro.packetsim.batch`)
 instead: scenarios sharing a link and duration run inside one event
 loop, again bit-identical to the serial engine. A (hypothetical future)
 backend without a batch lane warns once, naming the backend, and runs
-per-job. Without ``batch`` the executor's per-job lane runs the specs: a
-process pool with one spec per task when ``workers > 1``, a serial loop
-otherwise.
+per-job. Without ``batch`` the executor's per-job lane runs the specs in
+a serial loop. Every job runs in the calling process.
 """
 
 from __future__ import annotations
@@ -38,12 +35,11 @@ __all__ = ["run_spec_groups", "run_specs"]
 def run_specs(
     specs: Sequence[ScenarioSpec],
     backend: str = "fluid",
-    workers: int | None = None,
     batch: bool = False,
     use_cache: bool = True,
     skip_errors: bool = False,
 ) -> list:
-    """Run every spec on ``backend``, optionally batched or over a pool.
+    """Run every spec on ``backend``, optionally batched.
 
     Results come back in spec order regardless of completion order,
     identical to a serial loop (the executor's guarantee).
@@ -65,7 +61,6 @@ def run_specs(
     return default_executor().run(
         [SpecJob(spec=spec, backend=backend) for spec in specs],
         batch=batch,
-        workers=workers,
         use_cache=use_cache,
         skip_errors=skip_errors,
     )

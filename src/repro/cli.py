@@ -17,9 +17,8 @@ Usage::
                [--format json|github] [--list-rules]
 
 Every subcommand prints the paper-style table to stdout; ``--json`` also
-archives the structured result. The global ``--workers N`` runs experiment
-grids over a process pool; ``--timing`` prints a wall-time breakdown to
-stderr after the run.
+archives the structured result. The global ``--timing`` prints a wall-time
+breakdown to stderr after the run.
 """
 
 from __future__ import annotations
@@ -72,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the structured result to this path")
     parser.add_argument("--markdown", action="store_true",
                         help="render tables as Markdown")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="fan experiment grids out over this many worker "
-                        "processes (default: serial)")
     parser.add_argument("--timing", action="store_true",
                         help="print a wall-time breakdown to stderr")
     parser.add_argument("--debug-checks", action="store_true",
@@ -405,23 +401,20 @@ def _dispatch(args: argparse.Namespace) -> int:
         result = run_table1(
             link,
             EstimatorConfig(steps=args.steps, n_senders=args.senders),
-            workers=args.workers,
         )
         print(render_table1(result, markdown=args.markdown))
     elif args.command == "table2":
         pcc = presets.pcc_bound() if args.pcc_bound else presets.pcc_like()
         if args.packet:
-            result = run_table2_packet(pcc=pcc, workers=args.workers)
+            result = run_table2_packet(pcc=pcc)
         else:
-            result = run_table2(pcc=pcc, steps=args.steps, workers=args.workers,
-                                batch=args.batch)
+            result = run_table2(pcc=pcc, steps=args.steps, batch=args.batch)
         print(render_table2(result, markdown=args.markdown))
     elif args.command == "figure1":
-        result = run_figure1(workers=args.workers, batch=args.batch)
+        result = run_figure1(batch=args.batch)
         print(render_figure1(result, markdown=args.markdown))
     elif args.command == "claims":
-        result = run_claims(_link_from(args), steps=args.steps,
-                            workers=args.workers)
+        result = run_claims(_link_from(args), steps=args.steps)
         print(render_claims(result, markdown=args.markdown))
     elif args.command == "emulab":
         if args.full:
@@ -430,12 +423,10 @@ def _dispatch(args: argparse.Namespace) -> int:
                 bandwidths_mbps=(20, 30, 60, 100),
                 buffers_mss=(10, 100),
                 duration=args.duration,
-                workers=args.workers,
                 batch=args.batch,
             )
         else:
-            result = run_emulab(duration=args.duration, workers=args.workers,
-                                batch=args.batch)
+            result = run_emulab(duration=args.duration, batch=args.batch)
         print(render_emulab(result, markdown=args.markdown))
     elif args.command == "fct":
         from repro.experiments.fct import render_fct, run_fct_study
@@ -448,7 +439,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             duration=args.duration,
             seed=args.seed,
             replications=args.replications,
-            workers=args.workers,
             batch=args.batch,
         )
         print(render_fct(result, markdown=args.markdown))
@@ -499,7 +489,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         result = run_survey(
             config=_Config(steps=args.steps, n_senders=2),
             include_extensions=not args.no_extensions,
-            workers=args.workers,
         )
         print(render_survey(result, markdown=args.markdown))
     else:  # pragma: no cover - argparse enforces the choices

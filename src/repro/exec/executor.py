@@ -16,19 +16,19 @@ while the executor decides how little work that actually requires:
    cheapest engine that preserves bit-identity: with ``batch=True`` the
    stacked fluid, network or mean-field kernel or the merged packet
    scheduler (one batch lane per spec backend), otherwise the per-job
-   lane — a process pool when ``workers > 1``, a serial loop otherwise.
+   lane: a serial loop in the submitting process.
 4. **Fall back** — anything a batched engine cannot express runs per-job
    through exactly the code path a hand-written driver would have used.
 5. **Archive** — every computed result is written to the store under the
    key from step 1, before the job's in-flight claim is released.
 
 The executor is the only code that reads or writes the store: engines,
-batch lanes, jobs and pool workers only compute.
+batch lanes and jobs only compute, all in the submitting process.
 
 Results are bit-identical to the pre-executor paths for every routing
-decision: the engines themselves already guarantee batched == pooled ==
-serial, and dedup only ever reuses results of *identical* content keys
-produced by deterministic backends.
+decision: the engines themselves already guarantee batched == serial,
+and dedup only ever reuses results of *identical* content keys produced
+by deterministic backends.
 
 Thread-safety: one process-wide executor may be shared by any number of
 threads (the serve layer submits from a thread per request). The planning
@@ -51,9 +51,6 @@ _BATCHED_SPEC_BACKENDS = ("fluid", "packet", "network", "meanfield")
 
 #: Backends already warned about falling back from ``batch=True``.
 _warned_laneless: set[str] = set()
-
-#: Set once the per-job lane has warned that its pool could not start.
-_warned_pool = False
 
 __all__ = [
     "ExecutorStats",
@@ -124,7 +121,6 @@ class _Run:
     """
 
     jobs: list
-    workers: int | None
     skip_errors: bool
     outcomes: dict[int, JobOutcome] = field(default_factory=dict)
 
@@ -167,14 +163,13 @@ class Executor:
         jobs: Sequence[Any],
         *,
         batch: bool = False,
-        workers: int | None = None,
         use_cache: bool = True,
         skip_errors: bool = False,
     ) -> list[JobOutcome]:
         """Run every job, returning one :class:`JobOutcome` per job.
 
         Outcomes come back in submission order regardless of which path
-        — store, dedup, in-flight wait, batched engine, pool, serial —
+        — store, dedup, in-flight wait, batched engine, serial loop —
         produced each value. Without ``skip_errors`` the first failure
         (in submission order) re-raises its original exception after
         every claimed in-flight entry has been resolved, so concurrent
@@ -189,7 +184,7 @@ class Executor:
         keys = [job.key() for job in jobs]
         cache = active_cache() if use_cache else None
         plan = self._plan(jobs, keys, cache)
-        run = _Run(jobs, workers, skip_errors)
+        run = _Run(jobs, skip_errors)
         try:
             try:
                 self._compute(run, plan.compute, batch)
@@ -377,9 +372,7 @@ class Executor:
         traces = run_batched(
             [run.jobs[i].spec for i in members],
             run.jobs[members[0]].backend,
-            positions=members,
             skip_errors=run.skip_errors,
-            workers=run.workers,
         )
         self._fill(run, members, traces)
 
@@ -439,83 +432,26 @@ class Executor:
 # ----------------------------------------------------------------------
 # The per-job lane
 # ----------------------------------------------------------------------
-def _run_job(job: Any) -> Any:
-    """Pool-worker entry point: compute one job (top-level, so it pickles)."""
-    return job.run()
-
-
-def _pooled(run: _Run, members: list[int]):
-    """``(pool, futures)`` with one task per job, or ``None`` to run serially.
-
-    ``None`` when ``workers`` asks for no parallelism or there is only one
-    job, and when the pool cannot start — after a one-time warning naming
-    the reason. The pool comes from the ``spawn`` context: its workers
-    inherit no state from the parent (no executor lock held by another
-    thread), and they never need the store.
-    """
-    global _warned_pool
-    if run.workers is None or run.workers <= 1 or len(members) <= 1:
-        return None
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = None
-    try:
-        pool = ProcessPoolExecutor(
-            max_workers=min(run.workers, len(members)),
-            mp_context=multiprocessing.get_context("spawn"),
-        )
-        return pool, [pool.submit(_run_job, run.jobs[index]) for index in members]
-    except (OSError, ValueError, RuntimeError, NotImplementedError) as exc:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if not _warned_pool:
-            _warned_pool = True
-            warnings.warn(
-                f"per-job lane: process pool unavailable "
-                f"({type(exc).__name__}: {exc}); running jobs serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return None
-
-
 def _run_per_job(run: _Run, members: list[int]) -> None:
-    """The per-job lane: one job per pool task, or a serial loop.
+    """The per-job lane: a serial loop over ``members``, in submission order.
 
-    Results are collected in submission order. With ``skip_errors`` a
-    failing job leaves a ``None`` hole; without it the first failure in
-    submission order raises its original exception.
+    With ``skip_errors`` a failing job leaves a ``None`` hole; without it
+    the first failure in submission order raises its original exception.
     """
     from repro.perf import timing
 
-    pooled = _pooled(run, members)
-    if pooled is None:
-        with timing.measure("exec.serial"):
-            for index in members:
-                _record(run, index, run.jobs[index].run)
-        return
-    pool, futures = pooled
-    try:
-        with timing.measure("exec.pool"):
-            for index, future in zip(members, futures):
-                _record(run, index, future.result)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _record(run: _Run, index: int, call) -> None:
-    """Store ``call()``'s value or failure as job ``index``'s outcome."""
-    try:
-        value = call()
-    except Exception as exc:
-        if not run.skip_errors:
-            raise
-        run.outcomes[index] = JobOutcome(
-            ok=False, error=f"{type(exc).__name__}: {exc}"
-        )
-    else:
-        run.outcomes[index] = JobOutcome(value=value)
+    with timing.measure("exec.serial"):
+        for index in members:
+            try:
+                value = run.jobs[index].run()
+            except Exception as exc:
+                if not run.skip_errors:
+                    raise
+                run.outcomes[index] = JobOutcome(
+                    ok=False, error=f"{type(exc).__name__}: {exc}"
+                )
+            else:
+                run.outcomes[index] = JobOutcome(value=value)
 
 
 def _batch_lane(job: Any) -> str | None:

@@ -28,7 +28,7 @@ results are bit-identical to the pre-executor drivers by construction.
 The executor calls :meth:`key` once per job, reads the store through
 ``probe(cache, key)`` and archives a computed result through
 ``store(cache, key, value)``. ``run()`` only computes: it never touches
-the store, so it runs unchanged in a pool worker.
+the store.
 """
 
 from __future__ import annotations

@@ -15,6 +15,11 @@ exposing simulation-as-a-service on top of :class:`~repro.exec.Executor`:
 - ``GET /stats`` returns the server counters plus the executor's
   lifetime dedup statistics as JSON.
 
+Every connection is closed after its response. A malformed request is
+answered 400, and a client that does not send its request within
+:data:`READ_TIMEOUT_SECONDS` is answered 408; the computation a request
+starts is not bounded.
+
 Every request funnels through one shared executor, which is what makes
 the service's dedup global: two clients submitting overlapping batches
 get identical results while each unique spec is computed exactly once —
@@ -38,8 +43,14 @@ __all__ = ["ServeServer", "ServerThread", "serve_forever"]
 #: Refuse request bodies beyond this size (a spec batch is a few KB each).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds a client gets to send its request head and body; a client that
+#: stalls is answered 408 and closed. Only reading is bounded: the
+#: computation a request starts runs as long as it takes.
+READ_TIMEOUT_SECONDS = 30.0
+
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 500: "Internal Server Error"}
+            405: "Method Not Allowed", 408: "Request Timeout",
+            500: "Internal Server Error"}
 
 
 class ServeServer:
@@ -68,12 +79,21 @@ class ServeServer:
     # ------------------------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Answer one connection, then close it whatever happened."""
         try:
-            method, path, body = await self._read_request(reader)
-        except Exception as exc:
-            await self._respond_json(writer, 400, {"error": str(exc)})
-            return
-        try:
+            try:
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), READ_TIMEOUT_SECONDS
+                )
+            except asyncio.TimeoutError:
+                await self._respond_json(writer, 408, {
+                    "error": "request not received within "
+                    f"{READ_TIMEOUT_SECONDS:g} s"
+                })
+                return
+            except Exception as exc:
+                await self._respond_json(writer, 400, {"error": str(exc)})
+                return
             if path == "/stats" and method == "GET":
                 await self._respond_json(writer, 200, self.stats())
             elif path == "/run" and method == "POST":
@@ -86,8 +106,8 @@ class ServeServer:
                 await self._respond_json(
                     writer, 404, {"error": f"no such endpoint: {path}"}
                 )
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client hung up mid-stream; nothing to salvage
+        except ConnectionError:
+            pass  # client hung up; nothing to salvage
         except Exception as exc:  # defense: never kill the accept loop
             try:
                 await self._respond_json(
@@ -120,7 +140,13 @@ class ServeServer:
                 break
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise ValueError(
+                        "Content-Length must be a non-negative integer, "
+                        f"got {value!r}"
+                    )
+                content_length = int(value)
         if content_length > MAX_BODY_BYTES:
             raise ValueError(f"request body too large ({content_length} bytes)")
         body = await reader.readexactly(content_length) if content_length else b""

@@ -276,8 +276,7 @@ def theorem3(link: Link | None = None, steps: int = 6000,
     return specs, score
 
 
-def theorem4(link: Link, steps: int = 4000,
-             workers: int | None = None) -> Demonstration:
+def theorem4(link: Link, steps: int = 4000) -> Demonstration:
     """Friendliness toward Reno transfers to more-aggressive protocols.
 
     The transfer runs depend on the precondition (does the aggressor beat
@@ -302,14 +301,11 @@ def theorem4(link: Link, steps: int = 4000,
             )
             for aggressor, duel in zip(aggressors, duels)
         ]
-        transfers = iter(run_specs(
-            [
-                _fluid_spec([friendly, aggressor], link, steps)
-                for aggressor, verdict in zip(aggressors, verdicts)
-                if verdict.p_more_aggressive
-            ],
-            workers=workers,
-        ))
+        transfers = iter(run_specs([
+            _fluid_spec([friendly, aggressor], link, steps)
+            for aggressor, verdict in zip(aggressors, verdicts)
+            if verdict.p_more_aggressive
+        ]))
         checks = []
         for aggressor, verdict in zip(aggressors, verdicts):
             if not verdict.p_more_aggressive:
@@ -385,22 +381,18 @@ def theorem5(base_link: Link, steps: int = 4000,
     return specs, score
 
 
-def run_claims(link: Link | None = None, steps: int = 4000,
-               workers: int | None = None) -> ClaimsResult:
-    """Run every Section 4 demonstration as one executor submission.
-
-    ``workers > 1`` spreads the scenarios over the executor's process pool.
-    """
+def run_claims(link: Link | None = None, steps: int = 4000) -> ClaimsResult:
+    """Run every Section 4 demonstration as one executor submission."""
     link = link or Link.from_mbps(20, 42, 100)
     demonstrations = [
         claim1(link, steps),
         theorem1(link, steps),
         theorem2(link, steps),
         theorem3(steps=max(steps, 6000)),
-        theorem4(link, steps, workers),
+        theorem4(link, steps),
         theorem5(link, steps),
     ]
-    groups = run_spec_groups([specs for specs, _ in demonstrations], workers=workers)
+    groups = run_spec_groups([specs for specs, _ in demonstrations])
     result = ClaimsResult()
     for (_, score), traces in zip(demonstrations, groups):
         result.checks.extend(score(traces))

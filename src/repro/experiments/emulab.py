@@ -235,7 +235,6 @@ def run_emulab(
     duration: float = 20.0,
     protocols: dict[str, Protocol] | None = None,
     empirical_tol: float = 0.05,
-    workers: int | None = None,
     batch: bool = False,
 ) -> EmulabResult:
     """Run the validation grid and compare hierarchies against theory.
@@ -246,9 +245,8 @@ def run_emulab(
     scenarios are one executor submission: ``batch=True`` merges them
     into shared event loops
     (:func:`repro.packetsim.batch.run_scenarios_batched` — every cell at
-    the same bandwidth runs in one loop), and otherwise ``workers > 1``
-    spreads them over the executor's process pool; the measurements are
-    bit-identical either way.
+    the same bandwidth runs in one loop), and otherwise they run one by
+    one; the measurements are bit-identical either way.
     """
     protocols = protocols or default_protocols()  # kernel-scaled Cubic
     result = EmulabResult()
@@ -263,7 +261,7 @@ def run_emulab(
             PacketScenarioJob(scenario)
             for scenario in _cell_scenarios(protocols[proto], n, bw, buf, duration)
         )
-    runs = default_executor().run(jobs, batch=batch, workers=workers)
+    runs = default_executor().run(jobs, batch=batch)
     measured = [
         (n, bw, buf, _cell_measurement(proto, bw, runs[2 * i], runs[2 * i + 1]))
         for i, (n, bw, buf, proto) in enumerate(combos)

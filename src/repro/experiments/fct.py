@@ -97,7 +97,6 @@ def run_fct_study(
     duration: float = 40.0,
     seed: int = 42,
     replications: int = 1,
-    workers: int | None = None,
     batch: bool = False,
 ) -> FctResult:
     """Run the study for each background protocol over the same workload.
@@ -108,8 +107,7 @@ def run_fct_study(
     executor submission: ``batch=True`` runs it inside one merged event
     loop (:func:`repro.packetsim.batch.run_workloads_batched` — every run
     shares the link and duration, so all of them merge), and otherwise
-    ``workers > 1`` spreads it over the executor's process pool; results
-    are bit-identical either way.
+    the runs go one by one; results are bit-identical either way.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
@@ -134,7 +132,7 @@ def run_fct_study(
                 background=[factory()] if factory is not None else [],
             )
         )
-    outcomes = default_executor().run(jobs, batch=batch, workers=workers)
+    outcomes = default_executor().run(jobs, batch=batch)
     for (name, _), outcome in zip(grid, outcomes):
         pooled[name].append(
             {

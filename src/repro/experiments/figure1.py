@@ -141,7 +141,6 @@ def measure_aimd_points(
     points: list[tuple[float, float]],
     link: Link,
     config: EstimatorConfig,
-    workers: int | None = None,
     batch: bool = False,
     use_cache: bool = True,
 ) -> list[EmpiricalFrontierPoint]:
@@ -170,7 +169,7 @@ def measure_aimd_points(
     results = []
     for (alpha, beta), (probing, homogeneous, *mixes) in zip(
         points,
-        run_spec_groups(groups, batch=batch, workers=workers, use_cache=use_cache),
+        run_spec_groups(groups, batch=batch, use_cache=use_cache),
     ):
         results.append(
             EmpiricalFrontierPoint(
@@ -196,15 +195,13 @@ def run_figure1(
     empirical_betas: list[float] | None = None,
     link: Link | None = None,
     config: EstimatorConfig | None = None,
-    workers: int | None = None,
     batch: bool = False,
 ) -> Figure1Result:
     """Generate the Figure 1 surface and its empirical validation points.
 
     The empirical (alpha, beta) grid is one executor submission
     (:func:`measure_aimd_points`): ``batch`` runs it through the batched
-    fluid kernel, one NumPy pass per step for all cells, and otherwise
-    ``workers > 1`` spreads it over the executor's process pool.
+    fluid kernel, one NumPy pass per step for all cells.
     """
     surface = figure1_surface(alphas, betas)
     link = link or Link.from_mbps(20, 42, 100)
@@ -216,7 +213,7 @@ def run_figure1(
         surface=surface,
         mutually_non_dominated=surface_is_mutually_non_dominated(surface),
         empirical=measure_aimd_points(
-            points, link, config, workers=workers, batch=batch
+            points, link, config, batch=batch
         ),
     )
 

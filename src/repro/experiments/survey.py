@@ -128,12 +128,10 @@ def run_survey(
     config: EstimatorConfig | None = None,
     include_extensions: bool = True,
     include_robustness: bool = True,
-    workers: int | None = None,
 ) -> SurveyResult:
     """Characterize every (protocol, regime) pair.
 
-    All pairs' scenarios are one executor submission; ``workers > 1``
-    spreads them over the executor's process pool.
+    All pairs' scenarios are one executor submission.
     """
     roster = roster or default_roster()
     regimes = regimes or default_regimes()
@@ -154,7 +152,7 @@ def run_survey(
         groups.append(group)
     result = SurveyResult()
     for (regime, protocol), traces in zip(
-        pairs, run_spec_groups(groups, workers=workers)
+        pairs, run_spec_groups(groups)
     ):
         link = regimes[regime]
         responsiveness = churn = math.nan

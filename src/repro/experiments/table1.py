@@ -444,12 +444,10 @@ def run_table1(
     link: Link | None = None,
     config: EstimatorConfig | None = None,
     protocols: list[Protocol] | None = None,
-    workers: int | None = None,
 ) -> Table1Result:
     """Characterize the Table 1 protocols and validate predictions + hierarchy.
 
-    The scenarios of every protocol are one executor submission;
-    ``workers > 1`` spreads them over the executor's process pool.
+    The scenarios of every protocol are one executor submission.
     """
     link = link or Link.from_mbps(20, 42, 100)
     config = config or EstimatorConfig(steps=4000, n_senders=2)
@@ -464,7 +462,7 @@ def run_table1(
     characterizations = []
     prediction_checks: list[PredictionCheck] = []
     for protocol, proto_config, traces in zip(
-        protocols, configs, run_spec_groups(groups, workers=workers)
+        protocols, configs, run_spec_groups(groups)
     ):
         growth = (
             None if _additive(protocol)

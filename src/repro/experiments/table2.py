@@ -166,7 +166,6 @@ def run_table2(
     pcc: Protocol | None = None,
     robust_aimd: Protocol | None = None,
     steps: int = 4000,
-    workers: int | None = None,
     batch: bool = False,
 ) -> Table2Result:
     """Measure every Table 2 cell as one executor submission.
@@ -174,8 +173,7 @@ def run_table2(
     The specs are the ones :func:`measure_friendliness` runs. With
     ``batch`` they go through the batched fluid kernel: all
     batch-compatible cells advance in one NumPy pass per step, and the
-    rest (e.g. the stateful PCC stand-in) fall back serially. Otherwise
-    ``workers > 1`` spreads them over the executor's process pool.
+    rest (e.g. the stateful PCC stand-in) fall back serially.
     """
     pcc = pcc or presets.pcc_like()
     robust_aimd = robust_aimd or presets.robust_aimd_paper()
@@ -187,7 +185,6 @@ def run_table2(
             for protocol in (robust_aimd, pcc)
         ],
         batch=batch,
-        workers=workers,
     )
     scores = [_reno_share(trace) for trace in traces]
     return _table2_result(pcc.name, cells, scores)
@@ -269,12 +266,10 @@ def run_table2_packet(
     pcc: Protocol | None = None,
     robust_aimd: Protocol | None = None,
     duration: float = 30.0,
-    workers: int | None = None,
 ) -> Table2Result:
     """Packet-level Table 2 over a (reduced, configurable) grid.
 
-    Every cell's two native scenarios are one executor submission;
-    ``workers > 1`` spreads them over the executor's process pool, with
+    Every cell's two native scenarios are one executor submission, with
     results in submission order (identical to the serial nested loops).
     """
     pcc = pcc or presets.pcc_like()
@@ -285,8 +280,7 @@ def run_table2_packet(
             PacketScenarioJob(friendliness_packet_scenario(protocol, n, bw, duration))
             for n, bw in cells
             for protocol in (robust_aimd, pcc)
-        ],
-        workers=workers,
+        ]
     )
     scores = [_packet_reno_share(result) for result in results]
     return _table2_result(f"{pcc.name} [packet-level]", cells, scores)

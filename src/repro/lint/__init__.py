@@ -1,7 +1,7 @@
 """``repro lint`` — AST-based determinism & contract checking.
 
 The simulators' reproducibility guarantees (bit-identical traces, the
-content-addressed cache, serial==parallel sweeps) rest on implicit
+content-addressed cache, batched==serial lanes) rest on implicit
 contracts: no hidden randomness or wall-clock reads in simulator code, no
 iteration-order nondeterminism, cache keys that cover every input field,
 and hot-path records and kernels that stay allocation- and loop-lean.
@@ -9,9 +9,9 @@ This package turns those contracts into machine-checked rules.
 
 Every rule is a cheap pattern rule over the AST. Contracts that the test
 suites already hold at run time (bit-identity of a protocol's scalar,
-batched and mean-field renderings; the shared-memory chunk discipline;
-protocol and backend registration) have no rule here: the audit matrix
-in ``docs/static-analysis.md`` names the test that catches each.
+batched and mean-field renderings; protocol and backend registration)
+have no rule here: the audit matrix in ``docs/static-analysis.md`` names
+the test that catches each.
 
 Public surface:
 

@@ -66,8 +66,7 @@ __all__ = [
 ]
 
 #: Total scenario-steps the mean-field kernel has advanced in this
-#: process (with ``timing.REGISTRY``'s ``batch.meanfield_kernel`` total,
-#: its measured throughput).
+#: process (see :func:`meanfield_kernel_cells`).
 _MF_KERNEL_CELLS = 0
 
 
@@ -127,6 +126,7 @@ class MeanFieldBatchResult:
     failed: dict[int, int] = field(default_factory=dict)
 
 
+# No caller in src/: perfbench/tracing.py reads this counter.
 def meanfield_kernel_cells() -> int:
     """Scenario-steps advanced by the mean-field kernel in this process."""
     return _MF_KERNEL_CELLS

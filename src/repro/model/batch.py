@@ -59,9 +59,8 @@ from repro.perf import timing
 
 __all__ = ["BatchInputs", "BatchResult", "kernel_cells", "run_batch_kernel"]
 
-#: Total scenario-steps the kernel has advanced in this process, for
-#: throughput-based chunk autotuning (with ``timing.REGISTRY``'s
-#: ``batch.kernel`` total; see :func:`kernel_cells`).
+#: Total scenario-steps the kernel has advanced in this process (see
+#: :func:`kernel_cells`).
 _KERNEL_CELLS = 0
 
 
@@ -100,31 +99,6 @@ class BatchInputs:
     def batch_size(self) -> int:
         return self.initial.shape[0]
 
-    @property
-    def n_senders(self) -> int:
-        return self.initial.shape[1]
-
-    def rows(self, lo: int, hi: int) -> "BatchInputs":
-        """Scenarios ``lo:hi`` as a new (view-backed) batch, for chunking."""
-        return BatchInputs(
-            steps=self.steps,
-            class_table=self.class_table,
-            cell_classes=self.cell_classes[lo:hi],
-            cell_params={
-                name: values[lo:hi] for name, values in self.cell_params.items()
-            },
-            initial=self.initial[lo:hi],
-            capacity=self.capacity[lo:hi],
-            bandwidth=self.bandwidth[lo:hi],
-            base_rtt=self.base_rtt[lo:hi],
-            pipe_limit=self.pipe_limit[lo:hi],
-            timeout_rtt=self.timeout_rtt[lo:hi],
-            random_rate=self.random_rate[lo:hi],
-            min_window=self.min_window[lo:hi],
-            max_window=self.max_window[lo:hi],
-            enforce_loss_based=self.enforce_loss_based,
-        )
-
 
 @dataclass
 class BatchResult:
@@ -145,13 +119,9 @@ class BatchResult:
     failed: dict[int, int] = field(default_factory=dict)
 
 
+# No caller in src/: perfbench/tracing.py reads this counter.
 def kernel_cells() -> int:
-    """Scenario-steps advanced by the kernel so far in this process.
-
-    Dividing ``timing.REGISTRY.total("batch.kernel")`` by this gives the
-    measured seconds per scenario-step, which the shared-memory chunk
-    scheduler uses to autotune its chunk size.
-    """
+    """Scenario-steps advanced by the kernel so far in this process."""
     return _KERNEL_CELLS
 
 
@@ -270,31 +240,15 @@ def _advance_numpy(
     return failed
 
 
-def run_batch_kernel(
-    inputs: BatchInputs,
-    out: dict[str, np.ndarray] | None = None,
-) -> BatchResult:
-    """Advance every scenario of ``inputs`` through all steps at once.
-
-    ``out`` optionally supplies preallocated output arrays (keys
-    ``windows``, ``observed_loss``, ``congestion_loss``, ``rtts`` with the
-    shapes of :class:`BatchResult`) — the shared-memory scheduler passes
-    views into its result buffers so chunk outputs need no pickling.
-    """
+def run_batch_kernel(inputs: BatchInputs) -> BatchResult:
+    """Advance every scenario of ``inputs`` through all steps at once."""
     global _KERNEL_CELLS
     steps = inputs.steps
     b, n = inputs.initial.shape
-    if out is None:
-        out = {
-            "windows": np.full((steps, b, n), np.nan),
-            "observed_loss": np.empty((steps, b)),
-            "congestion_loss": np.empty((steps, b)),
-            "rtts": np.empty((steps, b)),
-        }
-    windows_out = out["windows"]
-    observed_out = out["observed_loss"]
-    congestion_out = out["congestion_loss"]
-    rtts_out = out["rtts"]
+    windows_out = np.full((steps, b, n), np.nan)
+    observed_out = np.empty((steps, b))
+    congestion_out = np.empty((steps, b))
+    rtts_out = np.empty((steps, b))
 
     # Suppress warnings from rows frozen after a failure (and from the
     # unselected halves of where-selects); values are unaffected.

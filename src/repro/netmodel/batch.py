@@ -54,9 +54,8 @@ __all__ = [
     "run_network_batch_kernel",
 ]
 
-#: Total scenario-steps the network kernel has advanced in this process,
-#: for throughput-based chunk autotuning (with ``timing.REGISTRY``'s
-#: ``batch.net_kernel`` total; see :func:`net_kernel_cells`).
+#: Total scenario-steps the network kernel has advanced in this process
+#: (see :func:`net_kernel_cells`).
 _NET_KERNEL_CELLS = 0
 
 
@@ -91,40 +90,14 @@ class NetBatchInputs:
     paths: tuple[tuple[int, ...], ...]  # flow -> link columns, shared
     enforce_loss_based: bool = True
 
+    # No caller in src/: perfbench/tracing.py reads it per kernel call.
     @property
     def batch_size(self) -> int:
         return self.initial.shape[0]
 
     @property
-    def n_senders(self) -> int:
-        return self.initial.shape[1]
-
-    @property
     def n_links(self) -> int:
         return self.capacity.shape[1]
-
-    def rows(self, lo: int, hi: int) -> "NetBatchInputs":
-        """Scenarios ``lo:hi`` as a new (view-backed) batch, for chunking."""
-        return NetBatchInputs(
-            steps=self.steps,
-            class_table=self.class_table,
-            cell_classes=self.cell_classes[lo:hi],
-            cell_params={
-                name: values[lo:hi] for name, values in self.cell_params.items()
-            },
-            initial=self.initial[lo:hi],
-            capacity=self.capacity[lo:hi],
-            bandwidth=self.bandwidth[lo:hi],
-            buffer_size=self.buffer_size[lo:hi],
-            pipe_limit=self.pipe_limit[lo:hi],
-            base_rtts=self.base_rtts[lo:hi],
-            timeout_caps=self.timeout_caps[lo:hi],
-            random_rate=self.random_rate[lo:hi],
-            min_window=self.min_window[lo:hi],
-            max_window=self.max_window[lo:hi],
-            paths=self.paths,
-            enforce_loss_based=self.enforce_loss_based,
-        )
 
 
 @dataclass
@@ -147,12 +120,9 @@ class NetBatchResult:
     failed: dict[int, int] = field(default_factory=dict)
 
 
+# No caller in src/: perfbench/tracing.py reads this counter.
 def net_kernel_cells() -> int:
-    """Scenario-steps advanced by the network kernel in this process.
-
-    Dividing ``timing.REGISTRY.total("batch.net_kernel")`` by this gives
-    the measured seconds per scenario-step for the chunk autotuner.
-    """
+    """Scenario-steps advanced by the network kernel in this process."""
     return _NET_KERNEL_CELLS
 
 
@@ -252,35 +222,17 @@ def _advance_network_numpy(
     return failed
 
 
-def run_network_batch_kernel(
-    inputs: NetBatchInputs,
-    out: dict[str, np.ndarray] | None = None,
-) -> NetBatchResult:
-    """Advance every network scenario of ``inputs`` through all steps.
-
-    ``out`` optionally supplies preallocated output arrays (keys
-    ``windows``, ``flow_loss``, ``flow_rtts``, ``link_load``,
-    ``link_loss`` with the shapes of :class:`NetBatchResult`) — the
-    shared-memory scheduler passes views into its result buffers so
-    chunk outputs need no pickling.
-    """
+def run_network_batch_kernel(inputs: NetBatchInputs) -> NetBatchResult:
+    """Advance every network scenario of ``inputs`` through all steps."""
     global _NET_KERNEL_CELLS
     steps = inputs.steps
     b, n = inputs.initial.shape
     n_links = inputs.n_links
-    if out is None:
-        out = {
-            "windows": np.full((steps, b, n), np.nan),
-            "flow_loss": np.empty((steps, b, n)),
-            "flow_rtts": np.empty((steps, b, n)),
-            "link_load": np.empty((steps, b, n_links)),
-            "link_loss": np.empty((steps, b, n_links)),
-        }
-    windows_out = out["windows"]
-    flow_loss_out = out["flow_loss"]
-    flow_rtts_out = out["flow_rtts"]
-    link_load_out = out["link_load"]
-    link_loss_out = out["link_loss"]
+    windows_out = np.full((steps, b, n), np.nan)
+    flow_loss_out = np.empty((steps, b, n))
+    flow_rtts_out = np.empty((steps, b, n))
+    link_load_out = np.empty((steps, b, n_links))
+    link_loss_out = np.empty((steps, b, n_links))
 
     with timing.measure("batch.net_kernel"), np.errstate(
         over="ignore", invalid="ignore", divide="ignore"

@@ -20,9 +20,8 @@ makes regenerating them fast without changing a single result:
   the executor's lanes and the store all report into, so speedups are
   measured rather than asserted.
 
-Only the executor (:mod:`repro.exec`) reads and writes the store; it also
-owns the process pool that spreads per-job work over ``workers``
-processes.
+Only the executor (:mod:`repro.exec`) reads and writes the store, and
+every job runs in the process that submitted it.
 """
 
 from repro.perf.cache import (

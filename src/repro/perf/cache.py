@@ -55,7 +55,7 @@ from repro.protocols.base import Protocol
 from repro.storage import trace_from_arrays, trace_to_arrays
 
 #: Environment variable naming the cache directory; setting it activates
-#: the cache in this process and every child (parallel sweep workers).
+#: the cache in this process and every child it starts.
 CACHE_ENV = "REPRO_SIM_CACHE"
 
 #: The per-store index file: one NDJSON record per stored entry, written

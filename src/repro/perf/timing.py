@@ -7,11 +7,9 @@ into a process-wide :data:`REGISTRY`; ``repro ... --timing`` and the
 ``benchmarks/bench_perf.py`` harness render the result. The registry is
 deliberately dumb — monotonic-clock durations bucketed by name — so it
 can sit inside the per-run hot path without perturbing what it measures.
-
-Note that the executor's pool workers are separate processes with their
-own registries; the parent's registry times whole pooled runs
-(``exec.pool``), while per-job timings are only visible in serial mode
-(``exec.serial``).
+Every job runs in the submitting process, so one registry sees every
+section: the executor's per-job lane (``exec.serial``), the batch
+kernels (``batch.*``), the engines and the store.
 """
 
 from __future__ import annotations

@@ -116,15 +116,3 @@ class TestCliExtendedCommands:
         one = run_fct_study(**kwargs, replications=1)
         two = run_fct_study(**kwargs, replications=2)
         assert two.rows[0].offered > one.rows[0].offered
-
-    def test_fct_parallel_identical_to_serial(self):
-        kwargs = dict(
-            link=Link.from_mbps(20, 42, 100),
-            backgrounds={"none": None, "reno": presets.reno},
-            rate_per_s=1.0,
-            arrival_window=6.0,
-            duration=10.0,
-            replications=2,
-        )
-        assert run_fct_study(**kwargs).rows == \
-            run_fct_study(**kwargs, workers=2).rows

@@ -1,16 +1,10 @@
 """End-to-end checks of the performance layer against real drivers.
 
-Serial and parallel driver runs must produce *identical* results (same
-floats, same order), and experiment reruns under an active trace cache
-must reload bit-identical traces rather than re-simulating.
+Experiment reruns under an active trace cache must reload bit-identical
+traces rather than re-simulating, and the executor archives every run it
+computes exactly once.
 """
 
-import numpy as np
-import pytest
-
-from repro.core.metrics import EstimatorConfig
-from repro.experiments.claims import run_claims
-from repro.experiments.figure1 import run_figure1
 from repro.experiments.table2 import run_table2
 from repro.perf import cache_enabled
 
@@ -21,33 +15,6 @@ def _table2_tuples(result):
          c.friendliness_pcc)
         for c in result.cells
     ]
-
-
-class TestParallelDrivers:
-    def test_table2_parallel_identical_to_serial(self):
-        # The paper's full Table 2 grid shape at a reduced horizon.
-        kwargs = dict(senders=(2, 3), bandwidths_mbps=(20, 30), steps=300)
-        serial = run_table2(**kwargs)
-        parallel = run_table2(workers=2, **kwargs)
-        assert _table2_tuples(serial) == _table2_tuples(parallel)
-        assert serial.pcc_standin == parallel.pcc_standin
-
-    def test_figure1_parallel_identical_to_serial(self):
-        kwargs = dict(
-            empirical_alphas=[0.5, 1.0],
-            empirical_betas=[0.5],
-            config=EstimatorConfig(steps=300, n_senders=2),
-        )
-        serial = run_figure1(**kwargs)
-        parallel = run_figure1(workers=2, **kwargs)
-        assert serial.empirical == parallel.empirical
-
-    def test_claims_parallel_identical_to_serial(self):
-        serial = run_claims(steps=300)
-        parallel = run_claims(steps=300, workers=2)
-        assert [vars(c) for c in serial.checks] == [
-            vars(c) for c in parallel.checks
-        ]
 
 
 class TestCachedExperiments:
@@ -77,15 +44,15 @@ class TestCachedExperiments:
             cached = run_table2(**kwargs)  # replay
         assert _table2_tuples(uncached) == _table2_tuples(cached)
 
-    def test_pooled_runs_are_archived_by_the_parent(self, tmp_path):
+    def test_computed_runs_are_archived_once(self, tmp_path):
         kwargs = dict(senders=(2, 3), bandwidths_mbps=(20,), steps=300)
         with cache_enabled(tmp_path) as cache:
-            pooled = run_table2(workers=2, **kwargs)  # pool workers compute
-            # The parent archived every (cell, protocol) run exactly once.
+            cold = run_table2(**kwargs)  # the per-job lane computes
+            # The executor archived every (cell, protocol) run exactly once.
             assert cache.stats()["entries"] == 4
             assert len(cache.read_index()) == 4
             warm = run_table2(**kwargs)  # replays from disk
             assert cache.hits == 4
-        serial = run_table2(**kwargs)
-        assert _table2_tuples(serial) == _table2_tuples(warm)
-        assert _table2_tuples(serial) == _table2_tuples(pooled)
+        uncached = run_table2(**kwargs)
+        assert _table2_tuples(uncached) == _table2_tuples(warm)
+        assert _table2_tuples(uncached) == _table2_tuples(cold)

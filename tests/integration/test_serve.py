@@ -1,9 +1,13 @@
-"""End-to-end ``repro serve``: wire formats, dedup guarantees, concurrency."""
+"""End-to-end ``repro serve``: wire formats, dedup guarantees, concurrency,
+and clients that stall, send a malformed head or hang up."""
 
 from __future__ import annotations
 
 import json
+import socket
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ import pytest
 from repro.backends import ScenarioSpec, run_spec
 from repro.exec import Executor
 from repro.exec.client import ServeClient, ServeError
-from repro.exec.serve import ServerThread
+from repro.exec.serve import ServeServer, ServerThread
 from repro.exec.wire import (
     decode_trace,
     encode_trace,
@@ -215,3 +219,173 @@ class TestServeStress:
         for slot, batch in enumerate(client_batches):
             for trace, alpha in zip(results[slot], batch):
                 _assert_bit_identical(trace, reference[alpha])
+
+
+# ----------------------------------------------------------------------
+# Stalled, malformed and vanishing clients, over raw sockets
+# ----------------------------------------------------------------------
+#: How long a test waits for the server before calling it wedged.
+_PATIENCE = 10.0
+
+
+class _Handlers:
+    """Counts finished connection handlers and keeps what escaped them."""
+
+    def __init__(self) -> None:
+        self.finished = threading.Semaphore(0)
+        self.escaped: list[BaseException] = []
+
+    def wait(self, count: int = 1) -> None:
+        for _ in range(count):
+            assert self.finished.acquire(timeout=_PATIENCE), "handler wedged"
+
+
+@pytest.fixture
+def handlers(monkeypatch) -> _Handlers:
+    """Wrap ``ServeServer._handle`` (bound when a server starts)."""
+    record = _Handlers()
+    original = ServeServer._handle
+
+    async def handle(self, reader, writer):
+        try:
+            await original(self, reader, writer)
+        except BaseException as exc:
+            record.escaped.append(exc)
+            raise
+        finally:
+            record.finished.release()
+
+    monkeypatch.setattr(ServeServer, "_handle", handle)
+    return record
+
+
+def _connect(port: int) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", port), timeout=_PATIENCE)
+
+
+def _read_to_eof(sock: socket.socket) -> bytes:
+    """Everything the server sends; fails if EOF does not come in time."""
+    sock.settimeout(_PATIENCE)
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def _head(content_length: str) -> bytes:
+    return (
+        "POST /run HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode("latin-1")
+
+
+class TestServeClients:
+    def test_malformed_head_gets_400_then_eof(self, handlers):
+        with ServerThread(executor=Executor()) as server:
+            with _connect(server.port) as sock:
+                sock.sendall(_head("abc"))
+                started = time.monotonic()
+                reply = _read_to_eof(sock)
+            handlers.wait()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert time.monotonic() - started < _PATIENCE / 2
+        assert handlers.escaped == []
+
+    def test_stalled_body_is_answered_408_and_closed(self, handlers, monkeypatch):
+        monkeypatch.setattr("repro.exec.serve.READ_TIMEOUT_SECONDS", 0.3)
+        with ServerThread(executor=Executor()) as server:
+            with _connect(server.port) as sock:
+                sock.sendall(_head("100") + b"12345678")
+                reply = _read_to_eof(sock)
+            handlers.wait()
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert b"0.3 s" in reply
+        assert handlers.escaped == []
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["close", "reset"])
+    def test_client_hanging_up_mid_body_escapes_nothing(self, handlers, reset):
+        with ServerThread(executor=Executor()) as server:
+            sock = _connect(server.port)
+            sock.sendall(_head("100") + b"12345678")
+            if reset:  # RST instead of FIN
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+            sock.close()
+            handlers.wait()
+            # The server still answers the next client.
+            assert ServeClient(port=server.port).stats()["server"]["requests"] == 0
+        assert handlers.escaped == []
+
+    @pytest.mark.parametrize("value", ["-5", "abc", "1.5", "0x10", "+3"])
+    def test_bad_content_length_is_rejected_naming_the_header(self, handlers,
+                                                               value):
+        with ServerThread(executor=Executor()) as server:
+            with _connect(server.port) as sock:
+                sock.sendall(_head(value))
+                reply = _read_to_eof(sock)
+            handlers.wait()
+        assert handlers.escaped == []
+        status, _, body = reply.partition(b"\r\n\r\n")
+        assert status.startswith(b"HTTP/1.1 400 ")
+        error = json.loads(body)["error"]
+        assert error.startswith("Content-Length must be a non-negative integer")
+        assert repr(value) in error
+
+    def test_client_vanishing_mid_computation_strands_no_claim(
+        self, handlers, monkeypatch, tmp_path
+    ):
+        """A client that hangs up while its spec computes: the computation
+        finishes and is archived, its in-flight claim is released, and a
+        client waiting on the same claim gets the bit-identical trace."""
+        from repro.backends.base import _BACKENDS, Backend, get_backend
+
+        started, release = threading.Event(), threading.Event()
+
+        class GatedBackend(Backend):
+            name = "gated"
+
+            def run(self, spec):
+                started.set()
+                assert release.wait(_PATIENCE)
+                return get_backend("fluid").run(spec)
+
+        monkeypatch.setitem(_BACKENDS, "gated", GatedBackend())
+        executor = Executor()
+        payload = json.dumps({"specs": [_wire(1.25)], "backend": "gated"})
+        served: list = []
+        with cache_enabled(tmp_path):
+            with ServerThread(executor=executor) as server:
+                vanishing = _connect(server.port)
+                vanishing.sendall(_head(str(len(payload))) + payload.encode())
+                assert started.wait(_PATIENCE)
+                vanishing.close()
+
+                def wait_on_the_claim() -> None:
+                    client = ServeClient(port=server.port, timeout=_PATIENCE)
+                    served.extend(client.run_specs([_wire(1.25)], "gated"))
+
+                waiter = threading.Thread(target=wait_on_the_claim)
+                waiter.start()
+                deadline = time.monotonic() + _PATIENCE
+                while executor.snapshot()["inflight_waits"] < 1:
+                    assert time.monotonic() < deadline, "waiter never attached"
+                    time.sleep(0.01)
+                release.set()
+                waiter.join(_PATIENCE)
+                assert not waiter.is_alive()
+                handlers.wait(2)
+                assert executor._inflight == {}
+                stats = executor.snapshot()
+                # The vanished client's result was archived: a third
+                # submission is a store hit, not a recomputation.
+                again = ServeClient(port=server.port).run_specs(
+                    [_wire(1.25)], "gated"
+                )
+        assert handlers.escaped == []
+        assert stats["computed"] == 1 and stats["errors"] == 0
+        assert len(served) == 1
+        _assert_bit_identical(served[0], _local(1.25))
+        _assert_bit_identical(again[0], _local(1.25))
+        assert executor.snapshot()["cache_hits"] == 1

@@ -185,22 +185,3 @@ def test_mixed_horizons_split_into_groups():
     plan = plan_batches(specs)
     assert sorted(len(g.indices) for g in plan.groups) == [1, 2, 3]
     _check_grid(specs)
-
-
-def test_shared_memory_scheduler_matches_inline_kernel():
-    """workers>1 routes through the shm chunk scheduler; same bits out."""
-    rng = np.random.default_rng(11)
-    specs = [
-        ScenarioSpec(
-            protocols=[AIMD(float(rng.uniform(0.2, 3.0)),
-                            float(rng.uniform(0.2, 0.8)))] * 2,
-            link=Link.from_mbps(float(rng.uniform(10, 150)), 42, 100),
-            steps=80,
-            initial_windows=[float(w) for w in rng.uniform(1.0, 40.0, size=2)],
-        )
-        for _ in range(24)
-    ]
-    inline = run_batched(specs)
-    parallel = run_batched(specs, workers=2, chunk_rows=5)
-    for a, b in zip(inline, parallel):
-        _assert_bit_identical(a, b)

@@ -1,9 +1,8 @@
 """Drivers rerouted through repro.exec stay bit-identical on every lane.
 
-The executor promises that routing — serial loop, process pool, batched
-kernel — never changes results. The emulab and FCT drivers already carry
-serial-vs-batch identity tests; these cover the remaining rerouted
-drivers (Figure 1, Table 2 fluid and packet) across all three lanes.
+The executor promises that routing — serial loop or batched kernel —
+never changes results. The emulab and FCT drivers already carry
+serial-vs-batch identity tests; these cover Figure 1 and Table 2.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import pytest
 
 from repro.core.metrics.base import EstimatorConfig
 from repro.experiments.figure1 import run_figure1
-from repro.experiments.table2 import run_table2, run_table2_packet
+from repro.experiments.table2 import run_table2
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +35,6 @@ class TestFigure1Lanes:
         assert batched.empirical == serial.empirical
         assert batched.series() == serial.series()
 
-    def test_pooled_lane(self, figure1_kwargs, serial):
-        pooled = run_figure1(workers=2, **figure1_kwargs)
-        assert pooled.empirical == serial.empirical
-
 
 class TestTable2Lanes:
     KWARGS = dict(senders=(2, 3), bandwidths_mbps=(20,), steps=1500)
@@ -51,17 +46,3 @@ class TestTable2Lanes:
     def test_batched_lane(self, serial):
         batched = run_table2(batch=True, **self.KWARGS)
         assert batched.to_jsonable() == serial.to_jsonable()
-
-    def test_pooled_lane(self, serial):
-        pooled = run_table2(workers=2, **self.KWARGS)
-        assert pooled.to_jsonable() == serial.to_jsonable()
-
-
-@pytest.mark.slow
-class TestTable2PacketLanes:
-    KWARGS = dict(senders=(2,), bandwidths_mbps=(20,), duration=8.0)
-
-    def test_pooled_lane(self):
-        serial = run_table2_packet(**self.KWARGS)
-        pooled = run_table2_packet(workers=2, **self.KWARGS)
-        assert pooled.to_jsonable() == serial.to_jsonable()

@@ -122,12 +122,3 @@ def test_single_link_topology_matches_serial():
         for _ in range(3)
     ]
     _check_grid(specs)
-
-
-def test_shared_memory_scheduler_matches_inline_kernel():
-    """workers>1 routes through the shm chunk scheduler; same bits out."""
-    specs = _dumbbell_specs(11, grid=12, n=2, steps=60)
-    inline = run_batched(specs, "network")
-    parallel = run_batched(specs, "network", workers=2, chunk_rows=3)
-    for a, b in zip(inline, parallel):
-        _assert_bit_identical(a, b)

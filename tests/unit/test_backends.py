@@ -244,18 +244,6 @@ class TestUnifiedTraces:
 
 
 class TestRunSpecs:
-    def test_serial_and_parallel_agree(self, link):
-        specs = [
-            ScenarioSpec(protocols=[AIMD(1, b)], link=link, steps=48)
-            for b in (0.5, 0.8)
-        ]
-        serial = run_specs(specs, backend="fluid")
-        parallel = run_specs(specs, backend="fluid", workers=2)
-        assert len(serial) == len(parallel) == 2
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.windows, b.windows)
-            assert a.backend == b.backend == "fluid"
-
     def test_matches_direct_engine_run(self, link):
         spec = ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, steps=48)
         [trace] = run_specs([spec], backend="fluid")

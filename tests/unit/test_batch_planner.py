@@ -5,8 +5,6 @@ import pytest
 
 from repro.backends import ScenarioSpec, run_batched, run_spec
 from repro.backends.batch import (
-    _DEFAULT_CHUNK_ROWS,
-    autotune_chunk_rows,
     plan_batches,
     plan_meanfield_batches,
     plan_network_batches,
@@ -366,29 +364,12 @@ class TestPlanMeanFieldBatches:
         assert {tuple(g.indices) for g in plan.groups} == {(0, 2), (1,)}
 
 
-class TestChunkAutotune:
-    def test_default_before_any_measurement(self, monkeypatch):
-        monkeypatch.setattr(timing, "REGISTRY", timing.TimingRegistry())
-        import repro.model.batch as model_batch
-
-        monkeypatch.setattr(model_batch, "_KERNEL_CELLS", 0)
-        assert autotune_chunk_rows(100) == _DEFAULT_CHUNK_ROWS
-
-    def test_tunes_rows_from_measured_throughput(self, monkeypatch):
-        registry = timing.TimingRegistry()
-        registry.add("batch.kernel", 1.0)  # 1 s over 1e6 cells = 1 µs/cell
-        monkeypatch.setattr(timing, "REGISTRY", registry)
-        import repro.model.batch as model_batch
-
-        monkeypatch.setattr(model_batch, "_KERNEL_CELLS", 1_000_000)
-        # 0.25 s target / (1 µs * 1000 steps) = 250 rows.
-        assert autotune_chunk_rows(1000) == 250
-        assert autotune_chunk_rows(10) == 4096  # clamped above
-        assert autotune_chunk_rows(10**9) == 1  # clamped below
-
-    def test_batched_run_feeds_the_autotuner(self, monkeypatch):
-        # timing.measure is bound to the process-wide registry, so compare
-        # its before/after totals instead of swapping the registry out.
+class TestKernelCounters:
+    def test_batched_run_feeds_the_cell_counter(self, monkeypatch):
+        # perfbench/tracing.py reads kernel_cells; --timing shows the
+        # batch.kernel section. timing.measure is bound to the process-wide
+        # registry, so compare its before/after totals instead of swapping
+        # the registry out.
         import repro.model.batch as model_batch
 
         monkeypatch.setattr(model_batch, "_KERNEL_CELLS", 0)

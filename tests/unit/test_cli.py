@@ -32,13 +32,15 @@ class TestParser:
             build_parser().parse_args(["table9"])
 
     def test_workers_and_timing_flags(self):
-        args = build_parser().parse_args(["--workers", "4", "--timing", "claims"])
-        assert args.workers == 4
-        assert args.timing
+        assert build_parser().parse_args(["--timing", "claims"]).timing
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--workers", "4", "--timing", "claims"])
+        assert exit_info.value.code == 2
 
     def test_workers_defaults_to_serial(self):
+        # Every job runs in the repro process: there is nothing to choose.
         args = build_parser().parse_args(["claims"])
-        assert args.workers is None
+        assert not hasattr(args, "workers")
         assert not args.timing
 
     def test_cache_subcommand(self):
@@ -117,12 +119,14 @@ class TestMain:
             main(["simulate", "--protocols", "NOPE(1)"])
 
     def test_claims_with_workers_and_timing(self, capsys):
-        exit_code = main(["--workers", "2", "--timing", "claims",
-                          "--steps", "800"])
+        exit_code = main(["--timing", "claims", "--steps", "800"])
         assert exit_code == 0
         captured = capsys.readouterr()
         assert "Claim 1" in captured.out
-        assert "exec.pool" in captured.err  # the timing table
+        assert "exec.serial" in captured.err  # the timing table
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--workers", "2", "claims"])
+        assert exit_info.value.code == 2
 
     def test_cache_stats_and_clear(self, capsys, tmp_path):
         assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0

@@ -285,12 +285,12 @@ class TestRunSpecsEdges:
         for a, b in zip(batched, serial):
             _assert_bit_identical(a, b)
 
-    def test_pooled_matches_serial(self):
-        specs = [_spec(1.0), _spec(2.0), _spec(3.0)]
-        pooled = run_specs(specs, workers=2, use_cache=False)
-        serial = run_specs(specs, use_cache=False)
-        for a, b in zip(pooled, serial):
-            _assert_bit_identical(a, b)
+    def test_workers_is_not_an_option(self):
+        # Every job runs in the submitting process; no option asks otherwise.
+        with pytest.raises(TypeError, match="workers"):
+            run_specs([_spec()], workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            Executor().submit([SpecJob(_spec())], workers=2)
 
     def test_spec_groups_split_back_per_group(self):
         from repro.backends import run_spec_groups
@@ -311,7 +311,7 @@ class TestRunSpecsEdges:
 
 
 class _CallJob:
-    """An unkeyed job computing ``fn(**kwargs)`` (top-level, so it pickles)."""
+    """An unkeyed job computing ``fn(**kwargs)``."""
 
     kind = "call"
 
@@ -346,12 +346,11 @@ class TestMapCalls:
         with pytest.raises(ValueError):
             _map_calls(_refuses_negative, [{"x": -1}])
 
-    def test_pooled_matches_serial(self):
+    def test_one_serial_section_per_submission(self):
         cells = [{"x": i} for i in range(4)]
-        pooled_before = _lane_calls("exec.pool")
-        pooled = _map_calls(_double, cells, workers=2)
-        assert _lane_calls("exec.pool") == pooled_before + 1
-        assert pooled == _map_calls(_double, cells)
+        before = _lane_calls("exec.serial")
+        assert _map_calls(_double, cells) == [0, 2, 4, 6]
+        assert _lane_calls("exec.serial") == before + 1
 
 
 def _lane_calls(lane: str) -> int:

@@ -1,28 +1,24 @@
-"""Sweeps through the executor's per-job lane.
+"""Sweeps through the executor's per-job and batched lanes.
 
 A sweep is one submission of independent jobs. Without ``batch`` the
-executor's per-job lane runs them one job per task on a spawn-context
-process pool (``workers > 1``) or in a serial loop. Either way results
-come back in submission order, a failing job leaves a ``None`` hole with
+executor's per-job lane runs them in a serial loop; with it, the batch
+kernel takes what it can express. Either way results come back in
+submission order, a failing job leaves a ``None`` hole with
 ``skip_errors``, and otherwise the first failure in submission order
 raises its original exception.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
-import repro.exec.executor as executor_mod
 from repro.backends import LoweringError, ScenarioSpec, get_backend, run_specs
 from repro.core.metrics.friendliness import friendliness_from_trace
 from repro.exec import Executor, SpecJob, reset_default_executor
 from repro.experiments.table2 import friendliness_spec
 from repro.model.link import Link
 from repro.netmodel.topology import single_link
-from repro.perf import timing
 from repro.protocols.aimd import AIMD
 from repro.protocols.presets import pcc_like
 from repro.protocols.robust_aimd import RobustAIMD
@@ -57,12 +53,6 @@ def _bits(trace) -> list:
 def _reference(specs) -> list:
     """The engine's own results, one spec at a time, outside the executor."""
     return [_bits(get_backend("fluid").run(spec)) for spec in specs]
-
-
-def _lane_calls() -> dict[str, int]:
-    stats = timing.REGISTRY.stats()
-    return {lane: stats[lane].count if lane in stats else 0
-            for lane in ("exec.pool", "exec.serial")}
 
 
 @pytest.fixture(autouse=True)
@@ -111,32 +101,23 @@ class TestRun:
         assert alphas[0] > alphas[1]
 
 
-class TestParallel:
+class TestGrid:
     def test_rows_identical_to_serial(self):
         specs = [_spec(alpha) for alpha in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)]
-        pooled = run_specs(specs, workers=3, use_cache=False)
+        batched = run_specs(specs, batch=True, use_cache=False)
         # Same values AND same order.
-        assert [_bits(trace) for trace in pooled] == _reference(specs)
-
-    def test_single_worker_falls_back_to_serial(self):
-        before = _lane_calls()
-        run_specs([_spec(1.0), _spec(2.0)], workers=1, use_cache=False)
-        after = _lane_calls()
-        assert after["exec.pool"] == before["exec.pool"]
-        assert after["exec.serial"] == before["exec.serial"] + 1
+        assert [_bits(trace) for trace in batched] == _reference(specs)
 
     def test_errors_propagate_in_grid_order(self):
         jobs = [SpecJob(_spec(1.0)), _fails_on_fluid(), _fails_on_meanfield()]
         with pytest.raises(LoweringError, match="single-link"):
-            Executor().run(jobs, workers=2, use_cache=False)
+            Executor().run(jobs, use_cache=False)
         with pytest.raises(LoweringError, match="mean-field"):
-            Executor().run(jobs[::-1], workers=2, use_cache=False)
+            Executor().run(jobs[::-1], use_cache=False)
 
-    def test_skip_errors_records_them_in_parallel(self):
+    def test_skip_errors_records_them_in_grid_order(self):
         jobs = [SpecJob(_spec(1.0)), _fails_on_meanfield(), SpecJob(_spec(2.0))]
-        outcomes = Executor().submit(
-            jobs, workers=2, use_cache=False, skip_errors=True
-        )
+        outcomes = Executor().submit(jobs, use_cache=False, skip_errors=True)
         assert [o.ok for o in outcomes] == [True, False, True]
         assert outcomes[1].value is None
         assert "mean-field" in outcomes[1].error
@@ -144,7 +125,7 @@ class TestParallel:
             [_spec(1.0), _spec(2.0)]
         )
 
-    def test_real_measurement_parallel_matches_serial(self):
+    def test_real_measurement_batched_matches_serial(self):
         # A miniature Table 2-sized grid through the actual simulator; the
         # traces must be identical bits, not merely close.
         specs = [
@@ -152,43 +133,5 @@ class TestParallel:
             for n in (2, 3) for bw in (20, 30)
         ]
         serial = run_specs(specs, use_cache=False)
-        pooled = run_specs(specs, workers=2, use_cache=False)
-        assert [_bits(t) for t in pooled] == [_bits(t) for t in serial]
-
-    def test_unstartable_pool_warns_once_and_runs_serially(self, monkeypatch):
-        import concurrent.futures
-
-        def refuse(*args, **kwargs):
-            raise OSError("no semaphores here")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(executor_mod, "_warned_pool", False)
-        specs = [_spec(1.0), _spec(2.0)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = run_specs(specs, workers=2, use_cache=False)
-            run_specs(specs[::-1], workers=2, use_cache=False)
-        pool_warnings = [w for w in caught if "per-job lane" in str(w.message)]
-        assert len(pool_warnings) == 1
-        assert "OSError: no semaphores here" in str(pool_warnings[0].message)
-        assert [_bits(trace) for trace in first] == _reference(specs)
-
-
-class TestWorkersSweepOptions:
-    """What ``workers`` selects in the per-job lane."""
-
-    def _lanes_used(self, workers) -> dict[str, int]:
-        before = _lane_calls()
-        run_specs([_spec(1.0), _spec(2.0), _spec(3.0)], workers=workers,
-                  use_cache=False)
-        after = _lane_calls()
-        return {lane: after[lane] - before[lane] for lane in after}
-
-    def test_none_means_serial(self):
-        assert self._lanes_used(None) == {"exec.pool": 0, "exec.serial": 1}
-
-    def test_one_means_serial(self):
-        assert self._lanes_used(1) == {"exec.pool": 0, "exec.serial": 1}
-
-    def test_many_enables_pool(self):
-        assert self._lanes_used(4) == {"exec.pool": 1, "exec.serial": 0}
+        batched = run_specs(specs, batch=True, use_cache=False)
+        assert [_bits(t) for t in batched] == [_bits(t) for t in serial]
