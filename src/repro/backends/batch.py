@@ -28,7 +28,8 @@ Batched and serial execution produce bit-identical traces; a spec that
 fails mid-batch is rerun serially so callers see the exact serial
 exception (or ``None`` with ``skip_errors=True``), and never poisons the
 other rows. The packet backend has no stacked kernel: its lane merges
-replications into shared event loops instead.
+replications into shared event loops instead, and a merged call that
+raises reruns each of its specs alone.
 
 Lane records name their kernel module's inputs class and kernel by
 attribute and resolve them at call time, and reach the planners through
@@ -572,9 +573,10 @@ def _run_packet(specs: list[ScenarioSpec]) -> tuple[list, list[int]]:
     :func:`repro.packetsim.batch.run_scenarios_batched`, which merges
     replications sharing a link and duration into one event loop; traces
     are bit-identical to ``run_spec(spec, "packet")``. A spec the packet
-    backend cannot
-    express is left to the serial engine, which raises its exact
-    lowering error.
+    backend cannot express is left to the serial engine, which raises its
+    exact lowering error. So is every spec of a merged call that raised,
+    as a failed kernel row is: each then runs alone, and only the spec
+    that raises fails.
     """
     from repro.backends.trace import from_packet_result
     from repro.packetsim import batch
@@ -590,6 +592,10 @@ def _run_packet(specs: list[ScenarioSpec]) -> tuple[list, list[int]]:
             serial.append(i)
             continue
         pending.append(i)
-    for i, result in zip(pending, batch.run_scenarios_batched(scenarios)):
+    try:
+        merged = batch.run_scenarios_batched(scenarios)
+    except Exception:
+        return results, serial + pending
+    for i, result in zip(pending, merged):
         results[i] = from_packet_result(result, backend="packet")
     return results, serial

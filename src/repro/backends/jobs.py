@@ -8,19 +8,19 @@ identical to in-flight work (another thread, another serve client)
 attach as waiters, and the rest route to the cheapest engine — returning
 :class:`~repro.backends.trace.UnifiedTrace` objects in submission order.
 
-With ``batch=True`` every spec backend has a batched engine. On the
-fluid, network and mean-field backends the executor routes the batch
+Every spec backend has a batched engine. Packet specs always take
+theirs, the merged-scheduler replication runner
+(:mod:`repro.packetsim.batch`): scenarios sharing a link and duration
+run inside one event loop, and a single spec is a merge group of one.
+With ``batch=True`` the fluid, network and mean-field specs route
 through the batch planner (:mod:`repro.backends.batch`): compatible
 specs are stacked and advanced through one vectorized kernel pass per
 step — bit-identical to the serial path, typically several times faster
 on sweep grids — with per-spec serial fallback for anything the kernels
-cannot express. On the packet backend, ``batch=True`` routes through the
-merged-scheduler replication runner (:mod:`repro.packetsim.batch`)
-instead: scenarios sharing a link and duration run inside one event
-loop, again bit-identical to the serial engine. A (hypothetical future)
-backend without a batch lane warns once, naming the backend, and runs
-per-job. Without ``batch`` the executor's per-job lane runs the specs in
-a serial loop. Every job runs in the calling process.
+cannot express. A (hypothetical future) backend without a batch lane
+warns once, naming the backend, and runs per-job. Without ``batch``
+the executor's per-job lane runs those specs in a serial loop. Every
+job runs in the calling process.
 """
 
 from __future__ import annotations
@@ -44,14 +44,15 @@ def run_specs(
     Results come back in spec order regardless of completion order,
     identical to a serial loop (the executor's guarantee).
 
-    ``batch=True`` enables the batched paths: the stacked kernels on the
-    ``"fluid"``, ``"network"`` and ``"meanfield"`` backends, and the
-    merged-scheduler replication runner (:mod:`repro.packetsim.batch`)
-    on the ``"packet"`` backend; a backend without a batched engine
-    warns once and runs per-job exactly as before.
-    ``use_cache`` and ``skip_errors`` are honored on every path: cached
-    specs skip the engines entirely, and with ``skip_errors`` a failing
-    spec yields ``None`` without disturbing the rest of the batch.
+    ``"packet"`` specs always run through the merged-scheduler
+    replication runner (:mod:`repro.packetsim.batch`), whatever
+    ``batch`` says. ``batch=True`` enables the stacked kernels on the
+    ``"fluid"``, ``"network"`` and ``"meanfield"`` backends; a backend
+    without a batched engine warns once and runs per-job exactly as
+    before. ``use_cache`` and ``skip_errors`` are honored on every path:
+    cached specs skip the engines entirely, and with ``skip_errors`` a
+    failing spec yields ``None`` without disturbing the rest of the
+    batch.
     """
     from repro.exec import SpecJob, default_executor
 

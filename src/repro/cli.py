@@ -6,8 +6,8 @@ Usage::
     repro table2 [--packet] [--pcc-bound] [--batch]
     repro figure1 [--batch]
     repro claims
-    repro emulab [--full] [--batch]
-    repro fct [--replications 3] [--batch]
+    repro emulab [--full]
+    repro fct [--replications 3]
     repro run --backend {backends} --protocols reno cubic [--batch]
     repro simulate --protocols "AIMD(1,0.5)" "CUBIC(0.4,0.8)" --steps 2000
     repro cache stats|clear|prune [--dir PATH] [--max-mb N] [--dry-run]
@@ -61,12 +61,9 @@ def _link_from(args: argparse.Namespace) -> Link:
     return Link.from_mbps(args.bw, args.rtt, args.buffer)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce 'An Axiomatic Approach to Congestion Control' "
-        "(HotNets 2017)",
-    )
+def _global_options(**kwargs) -> argparse.ArgumentParser:
+    """A parser of the options that go before the subcommand."""
+    parser = argparse.ArgumentParser(**kwargs)
     parser.add_argument("--json", type=str, default=None,
                         help="also write the structured result to this path")
     parser.add_argument("--markdown", action="store_true",
@@ -76,6 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--debug-checks", action="store_true",
                         help="enable runtime invariant assertions in the "
                         "simulators (same as REPRO_DEBUG_CHECKS=1)")
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce 'An Axiomatic Approach to Congestion Control' "
+        "(HotNets 2017)",
+        parents=[_global_options(add_help=False)],
+    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     t1 = subparsers.add_parser("table1", help="protocol characterization (Table 1)")
@@ -116,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the paper's full grid (slow)")
     emulab.add_argument("--duration", type=float, default=10.0,
                         help="seconds of simulated time per run")
-    emulab.add_argument("--batch", action="store_true",
-                        help="merge the grid's packet runs into shared event "
-                        "loops (bit-identical to the serial sweep)")
 
     fct = subparsers.add_parser(
         "fct", help="short-flow completion times vs background protocol"
@@ -133,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     fct.add_argument("--replications", type=int, default=1,
                      help="independent workload seeds pooled per background")
     fct.add_argument("--seed", type=int, default=42)
-    fct.add_argument("--batch", action="store_true",
-                     help="run the whole (background, replication) grid in "
-                     "one merged event loop (bit-identical to the serial "
-                     "sweep)")
 
     run_p = subparsers.add_parser(
         "run", help="run one scenario spec through any simulation backend"
@@ -338,8 +338,29 @@ def _run_run_command(args: argparse.Namespace) -> int:
     return 0
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse a command line, naming any unknown option before the subcommand.
+
+    Left to itself, argparse takes such an option's value for the
+    subcommand: ``repro --workers 2 claims`` would fail with "invalid
+    choice: '2'". Reading the global options alone first finds the
+    unknown ones, and the error names them (exit status 2).
+    """
+    parser = build_parser()
+    head = _global_options(add_help=False, exit_on_error=False)
+    head.add_argument("rest", nargs=argparse.REMAINDER)
+    try:
+        unknown = head.parse_known_args(argv)[1]
+    except argparse.ArgumentError:
+        unknown = []  # a malformed global option: the full parser names it
+    unknown = [arg for arg in unknown if arg not in ("-h", "--help")]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     if args.debug_checks:
         from repro import debug
 
@@ -423,10 +444,9 @@ def _dispatch(args: argparse.Namespace) -> int:
                 bandwidths_mbps=(20, 30, 60, 100),
                 buffers_mss=(10, 100),
                 duration=args.duration,
-                batch=args.batch,
             )
         else:
-            result = run_emulab(duration=args.duration, batch=args.batch)
+            result = run_emulab(duration=args.duration)
         print(render_emulab(result, markdown=args.markdown))
     elif args.command == "fct":
         from repro.experiments.fct import render_fct, run_fct_study
@@ -439,7 +459,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             duration=args.duration,
             seed=args.seed,
             replications=args.replications,
-            batch=args.batch,
         )
         print(render_fct(result, markdown=args.markdown))
     elif args.command == "simulate":

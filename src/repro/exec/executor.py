@@ -13,12 +13,17 @@ while the executor decides how little work that actually requires:
    serve layer's concurrent clients rely on); keyed jobs whose result is
    already in the content-addressed store are served from it.
 3. **Route** — the jobs that remain are grouped per kind and sent to the
-   cheapest engine that preserves bit-identity: with ``batch=True`` the
-   stacked fluid, network or mean-field kernel or the merged packet
-   scheduler (one batch lane per spec backend), otherwise the per-job
-   lane: a serial loop in the submitting process.
+   cheapest engine that preserves bit-identity. Packet jobs (scenarios,
+   workloads and packet-backend specs) always take the merged packet
+   runner, whose merge group of one is the serial run. ``batch=True``
+   chooses the stacked fluid, network or mean-field kernel for specs on
+   those backends; otherwise they take the per-job lane, a serial loop
+   in the submitting process.
 4. **Fall back** — anything a batched engine cannot express runs per-job
-   through exactly the code path a hand-written driver would have used.
+   through exactly the code path a hand-written driver would have used,
+   and so does every member of a merged packet call that raised: one by
+   one, in submission order, so the error names the job that raised and
+   the others still return.
 5. **Archive** — every computed result is written to the store under the
    key from step 1, before the job's in-flight claim is released.
 
@@ -347,14 +352,15 @@ class Executor:
         Batched lanes exist for every spec backend — fluid, packet,
         network and mean-field, all behind
         :func:`repro.backends.batch.run_batched` — plus packet scenarios
-        and workloads; every other (kind, flags) combination falls back
-        to the per-job lane. A spec job on a backend without a batch
-        lane warns once, naming the backend, before falling back.
+        and workloads. Packet jobs take their lane whatever ``batch``
+        says; every other (kind, flags) combination falls back to the
+        per-job lane. A spec job on a backend without a batch lane warns
+        once, naming the backend, before falling back.
         """
         lanes: dict[str, list[int]] = {}
         leftover: list[int] = []
         for index in indices:
-            lane = _batch_lane(run.jobs[index]) if batch else None
+            lane = _batch_lane(run.jobs[index], batch)
             if lane is None:
                 leftover.append(index)
             else:
@@ -405,28 +411,35 @@ class Executor:
     def _run_merged(self, run: _Run, members: list[int], engine, *args, **kwargs) -> None:
         """Fill ``members`` from one merged-engine call.
 
-        With ``skip_errors`` an engine that raises fails every member;
-        without it the exception propagates.
+        A call that raises re-runs its members one by one through the
+        per-job lane, in submission order, as
+        :func:`~repro.backends.batch.run_batched` does for a failed
+        kernel row: only the member that raises fails (or, without
+        ``skip_errors``, raises), with its own error.
         """
         try:
             results = engine(*args, **kwargs)
-        except Exception as exc:
-            if not run.skip_errors:
-                raise
-            failure = JobOutcome(ok=False, error=f"{type(exc).__name__}: {exc}")
-            for index in members:
-                run.outcomes[index] = failure
+        except Exception:
+            _run_per_job(run, members)
             return
         self._fill(run, members, results)
 
     @staticmethod
     def _fill(run: _Run, members: list[int], values: Sequence[Any]) -> None:
-        """Map an engine's ordered results back onto submission indices."""
+        """Map an engine's ordered results back onto submission indices.
+
+        A ``None`` is a job the engine skipped under ``skip_errors``; it
+        re-runs alone through the per-job lane, so that its outcome names
+        the error.
+        """
+        skipped = []
         for index, value in zip(members, values):
             if value is None:
-                run.outcomes[index] = JobOutcome(ok=False, error="job failed")
+                skipped.append(index)
             else:
                 run.outcomes[index] = JobOutcome(value=value)
+        if skipped:
+            _run_per_job(run, skipped)
 
 
 # ----------------------------------------------------------------------
@@ -454,9 +467,13 @@ def _run_per_job(run: _Run, members: list[int]) -> None:
                 run.outcomes[index] = JobOutcome(value=value)
 
 
-def _batch_lane(job: Any) -> str | None:
-    """The batched engine ``job`` routes to under ``batch=True``, if any."""
-    if isinstance(job, SpecJob):
+def _batch_lane(job: Any, batch: bool) -> str | None:
+    """The batched engine ``job`` routes to, if any.
+
+    Packet jobs always merge; ``batch`` chooses the kernel lanes of the
+    other spec backends.
+    """
+    if isinstance(job, SpecJob) and (batch or job.backend == "packet"):
         if job.backend in _BATCHED_SPEC_BACKENDS:
             return f"spec-{job.backend}"
         if job.backend not in _warned_laneless:

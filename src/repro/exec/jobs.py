@@ -13,17 +13,20 @@ job classes here say what kinds exist and how each one behaves:
   :class:`~repro.packetsim.scenario.PacketScenario`, producing the raw
   :class:`~repro.packetsim.scenario.ScenarioResult` (event statistics the
   Emulab-style drivers reduce themselves). Addressed by the packet cache's
-  scenario key; batch submissions merge compatible scenarios into shared
+  scenario key; every submission merges compatible scenarios into shared
   event loops.
 - :class:`WorkloadJob` — run a finite-flow workload (short flows plus
   long-lived background), producing a
   :class:`~repro.packetsim.workload.WorkloadResult`. Addressed by the
-  packet cache's workload key; batch submissions merge jobs sharing a
+  packet cache's workload key; every submission merges jobs sharing a
   link and duration into one event loop.
 
 Every job kind computes exactly what the hand-written path it replaced
 computed — the executor only decides *where* and *whether* to run it, so
 results are bit-identical to the pre-executor drivers by construction.
+``run()`` is the job's solo run: the per-job lane calls it for a job no
+merged or batched engine takes, and for each member of a merged packet
+call that raised.
 
 The executor calls :meth:`key` once per job, reads the store through
 ``probe(cache, key)`` and archives a computed result through

@@ -235,6 +235,7 @@ def run_emulab(
     duration: float = 20.0,
     protocols: dict[str, Protocol] | None = None,
     empirical_tol: float = 0.05,
+    # No effect: packet jobs always merge. perfbench/worker.py passes it; ROADMAP item 8 deletes it.
     batch: bool = False,
 ) -> EmulabResult:
     """Run the validation grid and compare hierarchies against theory.
@@ -242,11 +243,10 @@ def run_emulab(
     The default grid is a representative subset of the paper's (which is
     ``ns=(2, 3, 4)``, ``bandwidths=(20, 30, 60, 100)``); pass the full
     tuple to reproduce every cell at higher runtime. The grid's native
-    scenarios are one executor submission: ``batch=True`` merges them
-    into shared event loops
-    (:func:`repro.packetsim.batch.run_scenarios_batched` — every cell at
-    the same bandwidth runs in one loop), and otherwise they run one by
-    one; the measurements are bit-identical either way.
+    scenarios are one executor submission, which merges them into shared
+    event loops (:func:`repro.packetsim.batch.run_scenarios_batched` —
+    every cell at the same bandwidth runs in one loop); each measurement
+    is bit-identical to its scenario's solo run.
     """
     protocols = protocols or default_protocols()  # kernel-scaled Cubic
     result = EmulabResult()
@@ -261,7 +261,7 @@ def run_emulab(
             PacketScenarioJob(scenario)
             for scenario in _cell_scenarios(protocols[proto], n, bw, buf, duration)
         )
-    runs = default_executor().run(jobs, batch=batch)
+    runs = default_executor().run(jobs)
     measured = [
         (n, bw, buf, _cell_measurement(proto, bw, runs[2 * i], runs[2 * i + 1]))
         for i, (n, bw, buf, proto) in enumerate(combos)

@@ -97,6 +97,7 @@ def run_fct_study(
     duration: float = 40.0,
     seed: int = 42,
     replications: int = 1,
+    # No effect: packet jobs always merge. perfbench/worker.py passes it; ROADMAP item 8 deletes it.
     batch: bool = False,
 ) -> FctResult:
     """Run the study for each background protocol over the same workload.
@@ -104,10 +105,10 @@ def run_fct_study(
     ``replications > 1`` repeats every background with seeds ``seed``,
     ``seed + 1``, ... and pools the completion times (one row per
     background either way). The (background, replication) grid is one
-    executor submission: ``batch=True`` runs it inside one merged event
-    loop (:func:`repro.packetsim.batch.run_workloads_batched` — every run
-    shares the link and duration, so all of them merge), and otherwise
-    the runs go one by one; results are bit-identical either way.
+    executor submission, which runs it inside one merged event loop
+    (:func:`repro.packetsim.batch.run_workloads_batched` — every run
+    shares the link and duration, so all of them merge); each run is
+    bit-identical to its solo run.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
@@ -132,7 +133,7 @@ def run_fct_study(
                 background=[factory()] if factory is not None else [],
             )
         )
-    outcomes = default_executor().run(jobs, batch=batch)
+    outcomes = default_executor().run(jobs)
     for (name, _), outcome in zip(grid, outcomes):
         pooled[name].append(
             {

@@ -16,8 +16,11 @@ Layout:
 - :mod:`repro.packetsim.host` — ACK-clocked flows that drive the *same*
   :class:`~repro.protocols.base.Protocol` objects as the fluid model,
   one decision per RTT-round.
-- :mod:`repro.packetsim.scenario` — build-and-run helpers returning
-  per-flow statistics.
+- :mod:`repro.packetsim.scenario` — scenario descriptions and
+  :func:`run_scenario`, returning per-flow statistics.
+- :mod:`repro.packetsim.batch` — the runners that wire queues, flows and
+  rails, merging compatible replications into one event loop; a single
+  run is a merge group of one.
 """
 
 from repro.packetsim.engine import EventScheduler

@@ -1,11 +1,14 @@
-"""Merged-scheduler batching of packet-level replications.
+"""The packet engine's runners: replications merged into shared event loops.
 
-The packet engine is deterministic but serial: a sweep of N replications
-(seeds, backgrounds, protocol mixes) over the same link pays N times the
-event-loop setup, N private RNG streams drawn one scalar at a time, and N
-passes over the Python interpreter's scheduler machinery. This module
-runs many replications inside **one** :class:`~repro.packetsim.engine.
-EventScheduler`:
+Every packet-level run goes through this module. A sweep of N
+replications (seeds, backgrounds, protocol mixes) over the same link
+would pay N times the event-loop setup, N private RNG streams drawn one
+scalar at a time, and N passes over the Python interpreter's scheduler
+machinery. This module runs many replications inside **one**
+:class:`~repro.packetsim.engine.EventScheduler`, and a single run is a
+merge group of one
+(:func:`repro.packetsim.scenario.run_scenario`,
+:func:`repro.packetsim.workload.run_workload`):
 
 - Replications that share every *rail delay* — the ACK round trip
   ``2 * theta``, the loss-notification delay ``base_rtt``, the
@@ -31,15 +34,16 @@ creation order). Replication state being disjoint, every handler then
 observes exactly the state it observes serially, and all statistics —
 ``FlowStats``, ``QueueStats``, and the reconstructed per-replication
 event count — come out identical. The property tests in
-``tests/property/test_prop_packet_batch.py`` enforce this against the
-serial engine, field for field.
+``tests/property/test_prop_packet_batch.py`` enforce this against each
+member's solo run and against the frozen pre-refactor simulators
+(``reference_packetsim.py``, ``reference_workload.py``), field for
+field.
 
-Entry points: :func:`run_scenarios_batched` (long-lived-flow scenarios,
-used by ``repro emulab --batch`` and ``run_specs(..., backend="packet",
-batch=True)``) and :func:`run_workloads_batched` (finite-flow FCT
-workloads, used by ``repro fct --batch``). Like their serial
-counterparts they only compute; the executor serves and archives stored
-results.
+Entry points: :func:`run_scenarios_batched` (long-lived-flow scenarios:
+every :class:`~repro.exec.jobs.PacketScenarioJob` and packet-backend
+spec the executor runs) and :func:`run_workloads_batched` (finite-flow
+FCT workloads: every :class:`~repro.exec.jobs.WorkloadJob`). They only
+compute; the executor serves and archives stored results.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from repro.packetsim.packet import Packet, PacketPool
 from repro.packetsim.queue import BottleneckQueue
 from repro.packetsim.scenario import PacketScenario, ScenarioResult
 from repro.packetsim.workload import FlowSpec, WorkloadResult
+from repro.perf import timing
 from repro.protocols.base import Protocol
 from repro.protocols.slow_start import SlowStartWrapper
 
@@ -74,10 +79,11 @@ class _BlockRandom:
     ``np.random.default_rng(seed).random(k)`` produces exactly the same
     float64 values as ``k`` successive scalar ``.random()`` calls on the
     same generator, so handing out a block element by element is
-    bit-identical to the serial engine's per-packet draw stream while
-    paying the Generator call overhead once per block. Only whole-block
-    state advances occur, so two replications with equal seeds stay in
-    lockstep with a solo run regardless of how many draws each makes.
+    bit-identical to a per-packet scalar draw stream (the frozen
+    reference simulator's) while paying the Generator call overhead once
+    per block. Only whole-block state advances occur, so two
+    replications with equal seeds stay in lockstep with a solo run
+    regardless of how many draws each makes.
     """
 
     __slots__ = ("_rng", "_block", "_pos")
@@ -117,8 +123,7 @@ def _wire_scenario(
     """Build one replication's private queue/flows on the shared loop.
 
     A function (not a loop body) so the ``deliver``/``drop`` closures bind
-    this replication's ``flows`` list and RNG — mirror images of the
-    closures in :func:`repro.packetsim.scenario.run_scenario`.
+    this replication's ``flows`` list and RNG.
     """
     flows: list[Flow] = []
     rng = _BlockRandom(scenario.seed)
@@ -168,8 +173,10 @@ def _run_merged_scenarios(
     duration = scenarios[0].duration
     scheduler = EventScheduler()
     pool = PacketPool()
-    # Same rails, same creation order as the serial engine; shared by
-    # every replication (targets disambiguate, state is per-replication).
+    # One rail per fixed delay, shared by every replication (targets
+    # disambiguate, state is per-replication). The ACK and wire-loss rails
+    # have the same delay but stay distinct FIFOs; the (time, seq)
+    # tie-break keeps the merged order a solo run's.
     ack_rail = scheduler.rail(2 * link.theta)
     wire_loss_rail = scheduler.rail(2 * link.theta)
     drop_rail = scheduler.rail(link.base_rtt)
@@ -184,10 +191,11 @@ def _run_merged_scenarios(
     for flows, _ in replications:
         for flow in flows:
             flow.start()
-    scheduler.run_until(duration)
+    with timing.measure("batch.packet"):
+        scheduler.run_until(duration)
     results: list[ScenarioResult] = []
     for scenario, (flows, queue) in zip(scenarios, replications):
-        # The serial engine reports its scheduler's processed-event count.
+        # The scheduler's processed-event count covers the whole group.
         # Reconstruct this replication's share analytically: every handler
         # execution is accounted by exactly one counter — FLOW_PUMP fires
         # once per flow whose start falls inside the horizon (``_pump`` is
@@ -220,11 +228,11 @@ def run_scenarios_batched(
 ) -> list[ScenarioResult]:
     """Run scenarios, merging compatible ones into shared event loops.
 
-    Results are returned in submission order and are bit-identical to
-    ``[run_scenario(s) for s in scenarios]`` — same ``FlowStats`` and
-    ``QueueStats`` values, same per-run event counts. Scenarios whose
-    link or duration admits no merge partner simply run as a merge group
-    of one through the same code path.
+    Results are returned in submission order, and each is bit-identical
+    to the scenario's solo run — same ``FlowStats`` and ``QueueStats``
+    values, same event count. A scenario whose link or duration admits no
+    merge partner runs as a merge group of one, which is what
+    :func:`repro.packetsim.scenario.run_scenario` is.
     """
     scenarios = list(scenarios)
     results: list[ScenarioResult | None] = [None] * len(scenarios)
@@ -316,8 +324,8 @@ def run_workloads_batched(
     :func:`repro.packetsim.workload.run_workload`; ``link``, ``duration``
     and the flags are shared, which is exactly what makes every job merge
     into a single scheduler (all rail delays agree by construction).
-    Results come back in job order, bit-identical to running each job
-    through ``run_workload``.
+    Results come back in job order, each bit-identical to the job's solo
+    run (a one-job call, which is what ``run_workload`` is).
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -350,7 +358,8 @@ def run_workloads_batched(
     for flows in wired:
         for flow in flows:
             flow.start()
-    scheduler.run_until(duration)
+    with timing.measure("batch.packet"):
+        scheduler.run_until(duration)
     results = [
         WorkloadResult(
             specs=list(specs),

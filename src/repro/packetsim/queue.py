@@ -8,11 +8,12 @@ Dropped packets are reported to a drop callback so the sender can learn
 of the loss (the scenario delays that notification by one RTT, standing
 in for duplicate-ACK detection).
 
-Serialization completions are scheduled on a dedicated fixed-delay
-:class:`~repro.packetsim.engine.Rail` (one ``QUEUE_SERVICE`` record per
-packet, no closures), and occupancy sampling goes through a bounded
-:class:`OccupancyRing` instead of an unbounded Python list, so a queue's
-memory footprint no longer grows with run length.
+Serialization completions are scheduled on a fixed-delay
+:class:`~repro.packetsim.engine.Rail` the caller passes in (one
+``QUEUE_SERVICE`` record per packet, no closures), and occupancy
+sampling goes through a bounded :class:`OccupancyRing` instead of an
+unbounded Python list, so a queue's memory footprint no longer grows
+with run length.
 
 The two per-packet handlers, :meth:`BottleneckQueue.arrive` and
 :meth:`BottleneckQueue._finish_service`, start the next service and take
@@ -161,12 +162,12 @@ class BottleneckQueue:
         (evenly thinned) once the budget is hit, so memory stays bounded
         on arbitrarily long runs.
     service_rail:
-        An existing rail to schedule serialization completions on, instead
-        of creating a private one. Service events carry the queue as their
-        target, so queues of equal-bandwidth links can share one rail —
-        the merged-replication runner (:mod:`repro.packetsim.batch`) uses
-        this to keep the event loop's rail scan short. The rail's delay
-        must equal this queue's serialization time.
+        The rail serialization completions are scheduled on. Service
+        events carry the queue as their target, so queues of
+        equal-bandwidth links share one rail: the merged runner
+        (:mod:`repro.packetsim.batch`) gives every replication's queue the
+        same one, which keeps the event loop's rail scan short. The rail's
+        delay must equal this queue's serialization time.
     """
 
     def __init__(
@@ -178,7 +179,8 @@ class BottleneckQueue:
         on_drop: Callable[[Packet], None],
         sample_occupancy: bool = False,
         sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-        service_rail: "Rail | None" = None,
+        *,
+        service_rail: Rail,
     ) -> None:
         if bandwidth <= 0 or not math.isfinite(bandwidth):
             raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
@@ -186,15 +188,12 @@ class BottleneckQueue:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         self._scheduler = scheduler
         self._service_time = 1.0 / bandwidth
-        if service_rail is not None and service_rail.delay != self._service_time:
+        if service_rail.delay != self._service_time:
             raise ValueError(
-                f"shared service rail delay {service_rail.delay} does not "
+                f"service rail delay {service_rail.delay} does not "
                 f"match the serialization time {self._service_time}"
             )
-        self._service_rail = (
-            service_rail if service_rail is not None
-            else scheduler.rail(self._service_time)
-        )
+        self._service_rail = service_rail
         self.capacity = capacity
         self._on_departure = on_departure
         self._on_drop = on_drop

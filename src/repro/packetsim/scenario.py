@@ -2,9 +2,10 @@
 
 A :class:`PacketScenario` describes the paper's Emulab setup: a single
 bottleneck of given bandwidth / RTT / buffer, shared by n long-lived flows
-each running a congestion control protocol. :func:`run_scenario` wires the
-event loop, queue, receiver and flows together, runs for a configured
-duration and returns per-flow and queue statistics.
+each running a congestion control protocol. :func:`run_scenario` runs one
+for a configured duration and returns per-flow and queue statistics. It
+is a merge group of one in :mod:`repro.packetsim.batch`, which wires the
+event loop, queue, receiver and flows for every packet run.
 
 Topology and timing:
 
@@ -21,22 +22,14 @@ experiments.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.model import units
 from repro.model.link import Link
-from repro.packetsim.engine import EventKind, EventScheduler
-from repro.packetsim.host import Flow, FlowStats
-from repro.packetsim.packet import Packet, PacketPool
-from repro.packetsim.queue import BottleneckQueue, QueueStats
+from repro.packetsim.host import FlowStats
+from repro.packetsim.queue import QueueStats
 from repro.protocols.base import Protocol
-
-_FLOW_ACK = int(EventKind.FLOW_ACK)
-_FLOW_LOSS = int(EventKind.FLOW_LOSS)
 
 
 @dataclass
@@ -146,69 +139,12 @@ class ScenarioResult:
 def run_scenario(scenario: PacketScenario) -> ScenarioResult:
     """Execute a scenario and collect statistics.
 
-    Pure simulation: a stored result comes only through a
-    :class:`~repro.exec.jobs.PacketScenarioJob` submitted to the executor.
+    A merge group of one in the merged runner,
+    :func:`repro.packetsim.batch.run_scenarios_batched`, which is the
+    engine's only wiring. Pure simulation: a stored result comes only
+    through a :class:`~repro.exec.jobs.PacketScenarioJob` submitted to
+    the executor.
     """
-    scheduler = EventScheduler()
-    link = scenario.link
-    theta = link.theta
-    rng = np.random.default_rng(scenario.seed)
-    pool = PacketPool()
+    from repro.packetsim import batch
 
-    # Fixed-delay rails: the ACK round trip, receiver-side random loss
-    # (same delay, distinct FIFO — the (time, seq) tie-break keeps the
-    # merged order identical), and droptail loss notification.
-    ack_rail = scheduler.rail(2 * theta)
-    wire_loss_rail = scheduler.rail(2 * theta)
-    drop_rail = scheduler.rail(link.base_rtt)
-
-    flows: list[Flow] = []
-    lossy = scenario.random_loss_rate > 0.0
-
-    def deliver(packet: Packet) -> None:
-        """Serialization finished: propagate, maybe lose, else ACK back."""
-        if lossy and rng.random() < scenario.random_loss_rate:
-            # Non-congestion loss on the wire; sender learns one RTT later.
-            wire_loss_rail.push(_FLOW_LOSS, flows[packet.flow_id], packet)
-            return
-        ack_rail.push(_FLOW_ACK, flows[packet.flow_id], packet)
-
-    def drop(packet: Packet) -> None:
-        """Droptail rejection: sender learns after one base RTT."""
-        drop_rail.push(_FLOW_LOSS, flows[packet.flow_id], packet)
-
-    queue = BottleneckQueue(
-        scheduler,
-        bandwidth=link.bandwidth,
-        capacity=int(link.buffer_size),
-        on_departure=deliver,
-        on_drop=drop,
-        sample_occupancy=scenario.sample_queue,
-    )
-
-    start_times = scenario.start_times or [0.0] * len(scenario.protocols)
-    for index, protocol in enumerate(scenario.protocols):
-        flow = Flow(
-            flow_id=index,
-            protocol=copy.deepcopy(protocol),
-            scheduler=scheduler,
-            transmit=queue.arrive,
-            initial_window=scenario.initial_window,
-            start_time=start_times[index],
-            pool=pool,
-        )
-        flows.append(flow)
-    for flow in flows:
-        flow.start()
-
-    scheduler.run_until(scenario.duration)
-    result = ScenarioResult(
-        scenario=scenario,
-        flows=[flow.stats for flow in flows],
-        queue=queue.stats,
-        duration=scenario.duration,
-        events=scheduler.processed_events,
-    )
-    scheduler.discard_pending()
-    flows.clear()
-    return result
+    return batch.run_scenarios_batched([scenario])[0]

@@ -17,22 +17,14 @@ Typical use::
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.model.link import Link
-from repro.packetsim.engine import EventKind, EventScheduler
-from repro.packetsim.host import Flow, FlowStats
-from repro.packetsim.packet import Packet, PacketPool
-from repro.packetsim.queue import BottleneckQueue
+from repro.packetsim.host import FlowStats
 from repro.protocols.base import Protocol
-from repro.protocols.slow_start import SlowStartWrapper
-
-_FLOW_ACK = int(EventKind.FLOW_ACK)
-_FLOW_LOSS = int(EventKind.FLOW_LOSS)
 
 
 @dataclass(frozen=True)
@@ -148,78 +140,19 @@ def run_workload(
     duration; their stats are excluded from the returned result (their
     role is to load the link).
 
-    Like :func:`repro.packetsim.scenario.run_scenario`, this is pure
+    A one-job call of the merged runner,
+    :func:`repro.packetsim.batch.run_workloads_batched`, which also
+    checks the arguments. Like
+    :func:`repro.packetsim.scenario.run_scenario`, this is pure
     simulation: a stored result comes only through a
     :class:`~repro.exec.jobs.WorkloadJob` submitted to the executor.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if not specs:
-        raise ValueError("at least one flow spec is required")
-    for spec in specs:
-        if spec.start_time >= duration:
-            raise ValueError(
-                f"flow starting at {spec.start_time} never runs within "
-                f"duration {duration}"
-            )
-    background = background or []
-    scheduler = EventScheduler()
-    flows: list[Flow] = []
-    pool = PacketPool()
-    ack_rail = scheduler.rail(2 * link.theta)
-    drop_rail = scheduler.rail(link.base_rtt)
+    from repro.packetsim import batch
 
-    def deliver(packet: Packet) -> None:
-        ack_rail.push(_FLOW_ACK, flows[packet.flow_id], packet)
-
-    def drop(packet: Packet) -> None:
-        drop_rail.push(_FLOW_LOSS, flows[packet.flow_id], packet)
-
-    queue = BottleneckQueue(
-        scheduler,
-        bandwidth=link.bandwidth,
-        capacity=int(link.buffer_size),
-        on_departure=deliver,
-        on_drop=drop,
-    )
-
-    def wrap(protocol: Protocol) -> Protocol:
-        fresh = copy.deepcopy(protocol)
-        return SlowStartWrapper(fresh) if slow_start else fresh
-
-    for index, spec in enumerate(specs):
-        flows.append(
-            Flow(
-                flow_id=index,
-                protocol=wrap(spec.protocol),
-                scheduler=scheduler,
-                transmit=queue.arrive,
-                initial_window=initial_window,
-                start_time=spec.start_time,
-                size=spec.size,
-                pool=pool,
-            )
-        )
-    for offset, protocol in enumerate(background):
-        flows.append(
-            Flow(
-                flow_id=len(specs) + offset,
-                protocol=wrap(protocol),
-                scheduler=scheduler,
-                transmit=queue.arrive,
-                initial_window=initial_window,
-                start_time=0.0,
-                pool=pool,
-            )
-        )
-    for flow in flows:
-        flow.start()
-    scheduler.run_until(duration)
-    result = WorkloadResult(
-        specs=list(specs),
-        flows=[flow.stats for flow in flows[: len(specs)]],
-        duration=duration,
-    )
-    scheduler.discard_pending()
-    flows.clear()
-    return result
+    return batch.run_workloads_batched(
+        link,
+        [(specs, background)],
+        duration,
+        slow_start=slow_start,
+        initial_window=initial_window,
+    )[0]

@@ -9,7 +9,8 @@ deliberately dumb — monotonic-clock durations bucketed by name — so it
 can sit inside the per-run hot path without perturbing what it measures.
 Every job runs in the submitting process, so one registry sees every
 section: the executor's per-job lane (``exec.serial``), the batch
-kernels (``batch.*``), the engines and the store.
+kernels and the merged packet runner (``batch.*``), the engines and the
+store.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Drivers rerouted through repro.exec stay bit-identical on every lane.
 
 The executor promises that routing — serial loop or batched kernel —
-never changes results. The emulab and FCT drivers already carry
-serial-vs-batch identity tests; these cover Figure 1 and Table 2.
+never changes results. The emulab and FCT drivers have one lane only:
+their packet jobs always take the merged runner, which
+``test_prop_packet_batch.py`` holds to the frozen references. These
+tests cover Figure 1 and Table 2.
 """
 
 from __future__ import annotations

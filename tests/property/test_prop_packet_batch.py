@@ -1,15 +1,20 @@
-"""Property: merged-scheduler packet batching is bit-identical to serial.
+"""Property: merged-scheduler packet batching is bit-identical to solo runs.
 
 :mod:`repro.packetsim.batch` runs many replications inside one event
-loop with shared rails and a shared packet pool. The contract mirrors
-the fluid batch kernel's: for every replication, every statistic the
-serial engine produces — packet counters, ACK/loss/RTT sample lists,
-window samples, queue counters, occupancy rings, even the processed
-event count — must come out *identical* (float comparisons are exact:
-the merged loop executes the same handlers at the same times in the same
-per-replication order). That is what lets ``repro fct --batch`` and
-``repro emulab --batch`` substitute for their serial loops, and lets
-batched runs warm the very cache entries serial runs read.
+loop with shared rails and a shared packet pool, and it is the packet
+engine's only runner: ``run_scenario`` and ``run_workload`` are merge
+groups of one. So every merged member is held to two oracles:
+
+- its solo run (a group of one): every statistic — packet counters,
+  ACK/loss/RTT sample lists, window samples, queue counters, occupancy
+  rings, the event count — must come out *identical* (float comparisons
+  are exact: the merged loop executes the same handlers at the same
+  times in the same per-replication order). Only this comparison covers
+  the ``sample_queue`` occupancy rings;
+- the frozen pre-refactor simulators outside the runner
+  (``reference_packetsim.reference_run_scenario``,
+  ``reference_workload.reference_run_workload``): events, queue
+  counters and flow lists, float lists as raw uint64 patterns.
 """
 
 import numpy as np
@@ -30,6 +35,41 @@ from repro.perf.cache import cache_enabled
 from repro.protocols import presets
 from repro.protocols.mimd import MIMD
 from repro.protocols.robust_aimd import RobustAIMD
+
+from reference_packetsim import reference_run_scenario
+from reference_workload import reference_run_workload
+
+
+def _bits(values) -> list[int]:
+    array = np.asarray(values, dtype=np.float64)
+    return array.reshape(-1).view(np.uint64).tolist()
+
+
+def _assert_flows_match_reference(flows, reference_flows):
+    for stats, ref in zip(flows, reference_flows, strict=True):
+        assert stats.packets_sent == ref.packets_sent
+        assert stats.packets_acked == ref.packets_acked
+        assert stats.packets_lost == ref.packets_lost
+        assert stats.rounds_completed == ref.rounds_completed
+        assert stats.retransmissions == ref.retransmissions
+        assert (stats.completed_at is None) == (ref.completed_at is None)
+        if ref.completed_at is not None:
+            assert _bits([stats.completed_at]) == _bits([ref.completed_at])
+        assert _bits(stats.ack_times) == _bits(ref.ack_times)
+        assert _bits(stats.loss_times) == _bits(ref.loss_times)
+        assert _bits(stats.rtt_samples) == _bits(ref.rtt_samples)
+        assert _bits(stats.window_samples) == _bits(ref.window_samples)
+
+
+def _assert_matches_reference(result, scenario):
+    """A merged member against the frozen simulator, outside the runner."""
+    ref_flows, ref_queue, ref_events = reference_run_scenario(scenario)
+    assert result.events == ref_events
+    assert result.queue.enqueued == ref_queue.enqueued
+    assert result.queue.dropped == ref_queue.dropped
+    assert result.queue.departed == ref_queue.departed
+    assert result.queue.max_occupancy == ref_queue.max_occupancy
+    _assert_flows_match_reference(result.flows, ref_flows)
 
 
 def _assert_flow_stats_equal(merged, serial):
@@ -101,6 +141,7 @@ def test_merged_scenarios_bit_identical_to_serial(seed, count, lossy):
     merged = run_scenarios_batched(scenarios)
     for scenario, result in zip(scenarios, merged):
         _assert_results_equal(result, run_scenario(scenario))
+        _assert_matches_reference(result, scenario)
 
 
 def test_mixed_links_split_into_merge_groups_in_submission_order():
@@ -117,6 +158,7 @@ def test_mixed_links_split_into_merge_groups_in_submission_order():
     for scenario, result in zip(scenarios, merged):
         assert result.scenario is scenario
         _assert_results_equal(result, run_scenario(scenario))
+        _assert_matches_reference(result, scenario)
 
 
 @settings(max_examples=10, deadline=None)
@@ -159,10 +201,14 @@ def test_merged_workloads_bit_identical_to_serial(seed, jobs):
         assert len(result.flows) == len(serial.flows) == len(specs)
         for m, s in zip(result.flows, serial.flows):
             _assert_flow_stats_equal(m, s)
+        _assert_flows_match_reference(
+            result.flows,
+            reference_run_workload(link, specs, duration, background=background),
+        )
 
 
 def test_batched_runs_warm_the_serial_cache(tmp_path):
-    """Store entries are interchangeable between the batched and per-job lanes."""
+    """Store entries are shared by submissions with and without ``batch``."""
     link = Link.from_mbps(10, 42, 50)
     scenarios = _scenarios(11, 3, link, duration=2.0, lossy=True)
     jobs = [PacketScenarioJob(scenario) for scenario in scenarios]
@@ -170,7 +216,7 @@ def test_batched_runs_warm_the_serial_cache(tmp_path):
         batched = Executor().run(jobs, batch=True)
         # Cold: the executor probes before and after its in-flight claim.
         assert cache.misses == 2 * len(scenarios)
-        # The per-job lane reads what the batch stored: pure hits.
+        # A submission without ``batch`` reads what the first stored: pure hits.
         for expected, result in zip(batched, Executor().run(jobs)):
             _assert_results_equal(result, expected)
         assert cache.hits == len(scenarios)

@@ -64,7 +64,7 @@ class TestParser:
         args = build_parser().parse_args(["cache", "prune", "--dry-run"])
         assert args.dry_run
 
-    def test_batch_flags(self):
+    def test_batch_flags(self, capsys):
         assert build_parser().parse_args(["table2", "--batch"]).batch
         assert build_parser().parse_args(["figure1", "--batch"]).batch
         args = build_parser().parse_args(
@@ -72,9 +72,25 @@ class TestParser:
         )
         assert args.batch
         assert not build_parser().parse_args(["figure1"]).batch
-        assert build_parser().parse_args(["fct", "--batch"]).batch
-        assert build_parser().parse_args(["emulab", "--batch"]).batch
-        assert not build_parser().parse_args(["fct"]).batch
+        # Packet jobs always merge: the packet drivers have no --batch.
+        for command in ("fct", "emulab"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--batch"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --batch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--workers", "2", "claims"], "--workers"),
+        (["--workers=2", "claims"], "--workers"),
+        (["--markdown", "--frobnicate", "x", "table1"], "--frobnicate"),
+    ])
+    def test_unknown_global_option_is_named(self, argv, flag, capsys):
+        # Not "invalid choice: '2'": argparse would take the value of an
+        # unknown option for the subcommand.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestMain:

@@ -1,4 +1,5 @@
-"""The unified executor: planning, dedup tiers, routing, run_specs edges."""
+"""The unified executor: planning, dedup tiers, routing, run_specs edges,
+and the packet lanes' failure rule."""
 
 from __future__ import annotations
 
@@ -10,12 +11,16 @@ import pytest
 from repro.backends import LoweringError, ScenarioSpec, run_spec, run_specs
 from repro.exec import (
     Executor,
+    PacketScenarioJob,
     SpecJob,
+    WorkloadJob,
     default_executor,
     reset_default_executor,
 )
 from repro.model.link import Link
 from repro.netmodel.topology import single_link
+from repro.packetsim.scenario import PacketScenario, run_scenario
+from repro.packetsim.workload import FlowSpec, run_workload
 from repro.perf import timing
 from repro.perf.cache import cache_enabled
 from repro.protocols.aimd import AIMD
@@ -366,3 +371,148 @@ def _refuses_negative(x: int) -> int:
     if x < 0:
         raise ValueError("negative")
     return x
+
+
+# ----------------------------------------------------------------------
+# The packet lanes: every packet job merges, and a merged call that
+# raises re-runs its members one by one, in submission order.
+# ----------------------------------------------------------------------
+class _FailingAIMD(AIMD):
+    """Reno whose ``next_window`` raises ``ArithmeticError`` at one round."""
+
+    def __init__(self, fail_round: int) -> None:
+        super().__init__(1.0, 0.5)
+        self.fail_round = fail_round
+        self.rounds = 0
+
+    def next_window(self, obs):
+        self.rounds += 1
+        if self.rounds == self.fail_round:
+            raise ArithmeticError(f"raised at round {self.fail_round}")
+        return super().next_window(obs)
+
+
+_PACKET_LINK = Link.from_mbps(10, 42, 20)
+
+
+def _three_flow_sets() -> list:
+    """Three jobs' protocols; the middle job's flow raises at round 5."""
+    return [[AIMD(1.0, 0.5)], [_FailingAIMD(5)], [AIMD(2.0, 0.7)]]
+
+
+def _packet_scenario(protocols) -> PacketScenario:
+    return PacketScenario(link=_PACKET_LINK, protocols=protocols, duration=2.0)
+
+
+def _workload_job(protocols) -> WorkloadJob:
+    # Without slow start the protocol decides from the first round on.
+    return WorkloadJob(
+        link=_PACKET_LINK,
+        specs=[FlowSpec(0.0, 40, protocols[0]), FlowSpec(0.3, 60, protocols[0])],
+        duration=2.0,
+        slow_start=False,
+    )
+
+
+def _flow_bits(flows) -> list:
+    """Every flow's counters, and its float lists as raw uint64 patterns."""
+    return [
+        (
+            flow.packets_sent, flow.packets_acked, flow.packets_lost,
+            flow.retransmissions,
+            *(np.asarray(getattr(flow, name), dtype=np.float64)
+              .reshape(-1).view(np.uint64).tolist()
+              for name in ("ack_times", "loss_times", "rtt_samples",
+                           "window_samples")),
+        )
+        for flow in flows
+    ]
+
+
+def _assert_only_the_middle_fails(outcomes, solo_runs) -> None:
+    assert [outcome.ok for outcome in outcomes] == [True, False, True]
+    assert outcomes[1].error.startswith("ArithmeticError")
+    for outcome, solo in zip(outcomes[::2], solo_runs):
+        assert _flow_bits(outcome.value.flows) == _flow_bits(solo.flows)
+
+
+class TestPacketLanes:
+    # ``batch=True`` is what the packet drivers' callers pass; packet
+    # jobs take the merged lane either way, so both must hold the rule.
+
+    def test_raising_scenario_fails_alone(self):
+        scenarios = [_packet_scenario(p) for p in _three_flow_sets()]
+        solo = [run_scenario(scenarios[0]), run_scenario(scenarios[2])]
+        for batch in (True, False):
+            outcomes = Executor().submit(
+                [PacketScenarioJob(s) for s in scenarios],
+                batch=batch, use_cache=False, skip_errors=True,
+            )
+            _assert_only_the_middle_fails(outcomes, solo)
+
+    def test_raising_workload_fails_alone(self):
+        jobs = [_workload_job(p) for p in _three_flow_sets()]
+        solo = [
+            run_workload(job.link, list(job.specs), job.duration,
+                         slow_start=False)
+            for job in (jobs[0], jobs[2])
+        ]
+        for batch in (True, False):
+            outcomes = Executor().submit(
+                jobs, batch=batch, use_cache=False, skip_errors=True
+            )
+            _assert_only_the_middle_fails(outcomes, solo)
+
+    def test_raising_packet_spec_fails_alone(self):
+        specs = [
+            ScenarioSpec(protocols=p, link=_PACKET_LINK, duration=2.0)
+            for p in _three_flow_sets()
+        ]
+        solo = [run_spec(specs[i], "packet", use_cache=False) for i in (0, 2)]
+        for batch in (True, False):
+            traces = run_specs(specs, backend="packet", batch=batch,
+                               use_cache=False, skip_errors=True)
+            assert traces[1] is None
+            for trace, expected in zip(traces[::2], solo):
+                _assert_bit_identical(trace, expected)
+        outcomes = Executor().submit(
+            [SpecJob(spec, "packet") for spec in specs],
+            batch=True, use_cache=False, skip_errors=True,
+        )
+        assert [outcome.ok for outcome in outcomes] == [True, False, True]
+        assert outcomes[1].error.startswith("ArithmeticError")
+
+    def test_first_submitted_failure_raises(self):
+        # The later-submitted scenario raises earlier in simulated time.
+        jobs = [
+            PacketScenarioJob(_packet_scenario([_FailingAIMD(fail_round)]))
+            for fail_round in (8, 3)
+        ]
+        for batch in (True, False):
+            with pytest.raises(ArithmeticError, match="round 8"):
+                Executor().submit(jobs, batch=batch, use_cache=False)
+
+    def test_compatible_jobs_share_one_merged_call(self, monkeypatch):
+        from repro.packetsim import batch as packet_batch
+
+        calls = []
+        merged = packet_batch.run_scenarios_batched
+
+        def spy(scenarios):
+            calls.append(len(scenarios))
+            return merged(scenarios)
+
+        monkeypatch.setattr(packet_batch, "run_scenarios_batched", spy)
+        protocols = [[AIMD(1.0, b)] for b in (0.5, 0.6, 0.7, 0.8)]
+        Executor().submit(
+            [PacketScenarioJob(_packet_scenario(p)) for p in protocols],
+            use_cache=False,
+        )
+        assert calls == [4]
+        calls.clear()
+        run_specs(
+            [ScenarioSpec(protocols=p, link=_PACKET_LINK, duration=2.0)
+             for p in protocols],
+            backend="packet", use_cache=False,
+        )
+        assert calls == [4]

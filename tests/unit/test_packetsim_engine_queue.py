@@ -280,6 +280,7 @@ class TestOccupancyRing:
             scheduler, bandwidth=1000.0, capacity=5,
             on_departure=lambda p: None, on_drop=lambda p: None,
             sample_occupancy=True, sample_budget=64,
+            service_rail=scheduler.rail(1 / 1000.0),
         )
         for burst in range(200):
             for seq in range(3):
@@ -302,6 +303,7 @@ class TestQueue:
             capacity=capacity,
             on_departure=departed.append,
             on_drop=dropped.append,
+            service_rail=scheduler.rail(1 / bandwidth),
         )
         return queue, departed, dropped
 
@@ -358,7 +360,7 @@ class TestQueue:
         samples_queue = BottleneckQueue(
             scheduler, bandwidth=10.0, capacity=5,
             on_departure=lambda p: None, on_drop=lambda p: None,
-            sample_occupancy=True,
+            sample_occupancy=True, service_rail=scheduler.rail(1 / 10.0),
         )
         samples_queue.arrive(pkt(0))
         samples_queue.arrive(pkt(1))
@@ -369,10 +371,16 @@ class TestQueue:
         scheduler = EventScheduler()
         with pytest.raises(ValueError):
             BottleneckQueue(scheduler, bandwidth=0.0, capacity=1,
-                            on_departure=lambda p: None, on_drop=lambda p: None)
+                            on_departure=lambda p: None, on_drop=lambda p: None,
+                            service_rail=scheduler.rail(1.0))
         with pytest.raises(ValueError):
             BottleneckQueue(scheduler, bandwidth=1.0, capacity=-1,
-                            on_departure=lambda p: None, on_drop=lambda p: None)
+                            on_departure=lambda p: None, on_drop=lambda p: None,
+                            service_rail=scheduler.rail(1 / 1.0))
+        with pytest.raises(ValueError, match="service rail delay"):
+            BottleneckQueue(scheduler, bandwidth=1.0, capacity=1,
+                            on_departure=lambda p: None, on_drop=lambda p: None,
+                            service_rail=scheduler.rail(0.5))
 
 
 class TestPacketValidation:

@@ -80,7 +80,8 @@ def test_corrupted_heap_event_trips_monotonic_clock():
 # ------------------------------------------------------------- queue checks
 def _queue(scheduler: EventScheduler, capacity: int = 2) -> BottleneckQueue:
     return BottleneckQueue(scheduler, bandwidth=100.0, capacity=capacity,
-                           on_departure=_noop, on_drop=_noop)
+                           on_departure=_noop, on_drop=_noop,
+                           service_rail=scheduler.rail(1 / 100.0))
 
 
 def test_corrupted_counter_trips_packet_conservation():
