@@ -5,9 +5,10 @@ user runs), points two concurrent clients at it with overlapping spec
 batches, and asserts the service's two contracts:
 
 - every returned trace is bit-identical to a local ``run_spec``;
-- each unique spec was computed exactly once — repeats were served by
-  the store, within-submission dedup, or in-flight waiters (the
-  executor's ``computed`` counter is the ledger).
+- each unique spec was computed exactly once — the server computes one
+  request at a time, so repeats were served by the store or by
+  within-submission dedup (the executor's ``computed`` counter is the
+  ledger).
 
 Exits non-zero on any violation. Stdlib + repro only; run with
 ``PYTHONPATH=src python benchmarks/serve_smoke.py``.
@@ -113,8 +114,7 @@ def main() -> int:
                 raise SystemExit(
                     f"FAIL: jobs {executor['jobs']} != {total} submitted"
                 )
-            reused = (executor["cache_hits"] + executor["deduped"]
-                      + executor["inflight_waits"])
+            reused = executor["cache_hits"] + executor["deduped"]
             if reused != total - len(UNIQUE):
                 raise SystemExit(
                     f"FAIL: reuse counters sum to {reused}, "

@@ -3,9 +3,9 @@
 A job is ``(backend name, ScenarioSpec)``; :func:`run_specs` hands the
 batch to the process-wide :class:`~repro.exec.executor.Executor`, which
 plans it as :class:`~repro.exec.jobs.SpecJob` rows: specs whose unified
-key is already in the content-addressed store are served from it, specs
-identical to in-flight work (another thread, another serve client)
-attach as waiters, and the rest route to the cheapest engine — returning
+key is already in the content-addressed store are served from it,
+duplicates within the batch share one computation, and the rest route to
+the cheapest engine — returning
 :class:`~repro.backends.trace.UnifiedTrace` objects in submission order.
 
 Every spec backend has a batched engine. Packet specs always take

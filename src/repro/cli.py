@@ -451,15 +451,19 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "fct":
         from repro.experiments.fct import render_fct, run_fct_study
 
-        result = run_fct_study(
-            link=_link_from(args),
-            rate_per_s=args.rate,
-            mean_size=args.mean_size,
-            arrival_window=args.duration * 0.75,
-            duration=args.duration,
-            seed=args.seed,
-            replications=args.replications,
-        )
+        try:
+            result = run_fct_study(
+                link=_link_from(args),
+                rate_per_s=args.rate,
+                mean_size=args.mean_size,
+                arrival_window=args.duration * 0.75,
+                duration=args.duration,
+                seed=args.seed,
+                replications=args.replications,
+            )
+        except ValueError as exc:
+            print(f"repro fct: {exc}", file=sys.stderr)
+            return 2
         print(render_fct(result, markdown=args.markdown))
     elif args.command == "simulate":
         from repro.backends import ScenarioSpec, run_spec

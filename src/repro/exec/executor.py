@@ -7,11 +7,10 @@ while the executor decides how little work that actually requires:
 
 1. **Plan** — every job is content-keyed, once, where its kind allows;
    the key travels on to whichever engine runs the job.
-2. **Dedup** — duplicate keys inside one submission collapse to a single
-   computation; keys already being computed by a concurrent submission
-   attach as *waiters* (one computation, many waiters — the property the
-   serve layer's concurrent clients rely on); keyed jobs whose result is
-   already in the content-addressed store are served from it.
+2. **Dedup** — two tiers: keyed jobs whose result is already in the
+   content-addressed store are served from it (each distinct key is read
+   once), and duplicate keys inside one submission collapse to a single
+   computation.
 3. **Route** — the jobs that remain are grouped per kind and sent to the
    cheapest engine that preserves bit-identity. Packet jobs (scenarios,
    workloads and packet-backend specs) always take the merged packet
@@ -22,10 +21,14 @@ while the executor decides how little work that actually requires:
 4. **Fall back** — anything a batched engine cannot express runs per-job
    through exactly the code path a hand-written driver would have used,
    and so does every member of a merged packet call that raised: one by
-   one, in submission order, so the error names the job that raised and
-   the others still return.
+   one, in submission order, so the error names the job that raised.
 5. **Archive** — every computed result is written to the store under the
-   key from step 1, before the job's in-flight claim is released.
+   key from step 1.
+
+A job that raises fails alone: every other job still runs and is
+archived. Without ``skip_errors`` the submission then raises the
+original exception of the earliest-submitted failing job, whichever lane
+ran it.
 
 The executor is the only code that reads or writes the store: engines,
 batch lanes and jobs only compute, all in the submitting process.
@@ -35,15 +38,15 @@ decision: the engines themselves already guarantee batched == serial,
 and dedup only ever reuses results of *identical* content keys produced
 by deterministic backends.
 
-Thread-safety: one process-wide executor may be shared by any number of
-threads (the serve layer submits from a thread per request). The planning
-step and the stats counters are lock-protected; computation runs outside
-the lock.
+The executor is single-threaded: a submission plans, computes and
+archives on the calling thread, and only the store and the lifetime
+counters outlive it. The serve layer computes every request on one
+worker thread, so its requests run one after another and, with a store
+active, a spec an earlier request computed is a store hit.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
@@ -71,11 +74,10 @@ class JobOutcome:
     """One job's result plus how the executor obtained it.
 
     ``source`` is one of ``"computed"`` (an engine ran the job),
-    ``"cache"`` (served from the content-addressed store), ``"dedup"``
-    (identical to an earlier job in the same submission) or
-    ``"inflight"`` (attached to a computation another submission had
-    already started). ``error`` carries the failure message when ``ok``
-    is false; ``value`` is then ``None``.
+    ``"cache"`` (served from the content-addressed store) or ``"dedup"``
+    (identical to an earlier job in the same submission). ``error``
+    carries the failure message when ``ok`` is false; ``value`` is then
+    ``None``.
     """
 
     value: Any = None
@@ -84,33 +86,15 @@ class JobOutcome:
     error: str | None = None
 
 
-class _InFlight:
-    """One keyed computation in progress: a latch plus its outcome."""
-
-    __slots__ = ("event", "outcome", "exception")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.outcome: JobOutcome | None = None
-        self.exception: BaseException | None = None
-
-    def resolve(self, outcome: JobOutcome,
-                exception: BaseException | None = None) -> None:
-        self.outcome = outcome
-        self.exception = exception
-        self.event.set()
-
-
 @dataclass
 class ExecutorStats:
-    """Lifetime counters (guarded by the executor's lock)."""
+    """Lifetime counters, summed over every submission."""
 
     submissions: int = 0
     jobs: int = 0
     computed: int = 0
     cache_hits: int = 0
     deduped: int = 0
-    inflight_waits: int = 0
     errors: int = 0
 
     def snapshot(self) -> dict[str, int]:
@@ -121,23 +105,21 @@ class ExecutorStats:
 class _Run:
     """One submission as the engines see it.
 
-    Its jobs, its options, and the outcomes the engines fill in by
-    submission index.
+    Its jobs, and what the lanes fill in by submission index: every
+    job's outcome, and the exception of every job that raised.
     """
 
     jobs: list
-    skip_errors: bool
     outcomes: dict[int, JobOutcome] = field(default_factory=dict)
+    errors: dict[int, Exception] = field(default_factory=dict)
 
 
 @dataclass
 class _Plan:
-    """The lock-protected planning outcome for one submission."""
+    """Where each job of one submission gets its value."""
 
     compute: list[int] = field(default_factory=list)
     followers: dict[int, int] = field(default_factory=dict)
-    waiters: list[tuple[int, _InFlight]] = field(default_factory=list)
-    claimed: dict[int, str] = field(default_factory=dict)
     cached: dict[int, Any] = field(default_factory=dict)
 
 
@@ -145,8 +127,6 @@ class Executor:
     """Plans, dedups and routes jobs; see the module docstring."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._inflight: dict[str, _InFlight] = {}
         self.stats = ExecutorStats()
 
     # ------------------------------------------------------------------
@@ -155,8 +135,7 @@ class Executor:
     def run(self, jobs: Sequence[Any], **options: Any) -> list[Any]:
         """Results in submission order; raises on the first failing job.
 
-        The value-only face of :meth:`submit` (same keyword options), with
-        the exact semantics the hand-dispatched ``run_specs`` had: with
+        The value-only face of :meth:`submit` (same keyword options): with
         ``skip_errors`` a failing job yields ``None`` without disturbing
         the rest, without it the original exception of the
         earliest-submitted failing job propagates.
@@ -174,14 +153,12 @@ class Executor:
         """Run every job, returning one :class:`JobOutcome` per job.
 
         Outcomes come back in submission order regardless of which path
-        — store, dedup, in-flight wait, batched engine, serial loop —
-        produced each value. Without ``skip_errors`` the first failure
-        (in submission order) re-raises its original exception after
-        every claimed in-flight entry has been resolved, so concurrent
-        waiters never hang.
+        — store, dedup, batched engine, serial loop — produced each value.
+        A failing job fails alone; what the others computed is archived.
+        Without ``skip_errors`` the original exception of the
+        earliest-submitted failing job is then raised.
         """
         jobs = list(jobs)
-        outcomes: list[JobOutcome | None] = [None] * len(jobs)
         if not jobs:
             return []
         from repro.perf.cache import active_cache
@@ -189,133 +166,66 @@ class Executor:
         keys = [job.key() for job in jobs]
         cache = active_cache() if use_cache else None
         plan = self._plan(jobs, keys, cache)
-        run = _Run(jobs, skip_errors)
+        run = _Run(jobs)
         try:
-            try:
-                self._compute(run, plan.compute, batch)
-            finally:
-                if cache is not None:
-                    self._archive(run, keys, cache)
-        except BaseException as exc:
-            # Engines raised before per-job outcomes existed: fail every
-            # claim so concurrent waiters see the error instead of hanging.
-            failure = JobOutcome(
-                ok=False, error=f"{type(exc).__name__}: {exc}"
-            )
-            self._resolve_claims(plan.claimed, dict.fromkeys(plan.claimed),
-                                 failure, exc)
-            raise
-        for index in plan.compute:
-            outcomes[index] = run.outcomes[index]
-        self._resolve_claims(plan.claimed, run.outcomes)
+            self._compute(run, plan.compute, batch)
+        finally:
+            if cache is not None:
+                self._archive(run, keys, cache)
+        outcomes = run.outcomes
         for index, value in plan.cached.items():
             outcomes[index] = JobOutcome(value=value, source="cache")
         for index, leader in plan.followers.items():
             lead = outcomes[leader]
-            assert lead is not None
             outcomes[index] = JobOutcome(
                 value=lead.value, ok=lead.ok, source="dedup", error=lead.error
             )
-        first_error: tuple[int, BaseException] | None = None
-        for index, record in plan.waiters:
-            record.event.wait()
-            waited = record.outcome
-            assert waited is not None
-            outcomes[index] = JobOutcome(
-                value=waited.value, ok=waited.ok, source="inflight",
-                error=waited.error,
-            )
-            if record.exception is not None and not skip_errors:
-                if first_error is None or index < first_error[0]:
-                    first_error = (index, record.exception)
-        with self._lock:
-            self.stats.errors += sum(
-                1 for outcome in outcomes if outcome is not None and not outcome.ok
-            )
-        if first_error is not None:
-            raise first_error[1]
-        return [outcome for outcome in outcomes if outcome is not None]
+        self.stats.errors += sum(1 for outcome in outcomes.values() if not outcome.ok)
+        if run.errors and not skip_errors:
+            raise run.errors[min(run.errors)]
+        return [outcomes[index] for index in range(len(jobs))]
 
     def snapshot(self) -> dict[str, int]:
-        """A consistent copy of the lifetime counters."""
-        with self._lock:
-            return self.stats.snapshot()
+        """A copy of the lifetime counters."""
+        return self.stats.snapshot()
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
     def _plan(self, jobs: list, keys: list[str | None], cache) -> _Plan:
-        """Partition a submission; claims in-flight slots under the lock.
+        """Partition a submission into store hits, followers and computations.
 
-        The store probe runs outside the lock (it reads files); a probed
-        miss is then planned under the lock, where in-flight claims are
-        atomic. A claimed key is probed once more after the claim: a
-        concurrent submission may have stored it between the first probe
-        and the claim (:meth:`_archive` stores *before* the claim is
-        released, so a post-claim miss proves this submission is the
-        genuine leader). That second probe is what makes "each unique
-        key computes exactly once" exact rather than merely likely. These
-        two probes are the only store reads a key gets; jobs repeating a
-        key within the submission share its reads.
+        Each distinct key is read from the store once, and jobs repeating
+        it within the submission share that read. A key that missed is
+        computed by its first job; the jobs repeating it follow.
         """
-        probed: dict[int, Any] = {}
-        if cache is not None:
-            reads: dict[str, Any] = {}
-            for index, (job, key) in enumerate(zip(jobs, keys)):
-                if key is None:
-                    continue
-                full_key = f"{job.kind}:{key}"
-                if full_key not in reads:
-                    reads[full_key] = job.probe(cache, key)
-                if reads[full_key] is not None:
-                    probed[index] = reads[full_key]
         plan = _Plan()
-        seen: dict[str, int] = {}
-        with self._lock:
-            self.stats.submissions += 1
-            self.stats.jobs += len(jobs)
-            for index, (job, key) in enumerate(zip(jobs, keys)):
-                full_key = None if key is None else f"{job.kind}:{key}"
-                if index in probed:
-                    plan.cached[index] = probed[index]
-                    self.stats.cache_hits += 1
-                    continue
-                if full_key is None:
-                    plan.compute.append(index)
-                    continue
-                if full_key in seen:
-                    plan.followers[index] = seen[full_key]
-                    self.stats.deduped += 1
-                    continue
-                record = self._inflight.get(full_key)
-                if record is not None:
-                    plan.waiters.append((index, record))
-                    self.stats.inflight_waits += 1
-                    continue
-                self._inflight[full_key] = _InFlight()
-                plan.claimed[index] = full_key
-                seen[full_key] = index
+        reads: dict[str, Any] = {}
+        leaders: dict[str, int] = {}
+        for index, (job, key) in enumerate(zip(jobs, keys)):
+            if key is None:
                 plan.compute.append(index)
-            self.stats.computed += len(plan.compute)
-        if cache is not None:
-            for index, full_key in list(plan.claimed.items()):
-                hit = jobs[index].probe(cache, keys[index])
-                if hit is None:
-                    continue
-                with self._lock:
-                    record = self._inflight.pop(full_key, None)
-                    self.stats.computed -= 1
-                    self.stats.cache_hits += 1
-                if record is not None:
-                    record.resolve(JobOutcome(value=hit, source="cache"))
-                del plan.claimed[index]
-                plan.cached[index] = hit
-            plan.compute = [i for i in plan.compute if i not in plan.cached]
+                continue
+            full_key = f"{job.kind}:{key}"
+            if full_key not in reads:
+                reads[full_key] = None if cache is None else job.probe(cache, key)
+            if reads[full_key] is not None:
+                plan.cached[index] = reads[full_key]
+            elif full_key in leaders:
+                plan.followers[index] = leaders[full_key]
+            else:
+                leaders[full_key] = index
+                plan.compute.append(index)
+        self.stats.submissions += 1
+        self.stats.jobs += len(jobs)
+        self.stats.cache_hits += len(plan.cached)
+        self.stats.deduped += len(plan.followers)
+        self.stats.computed += len(plan.compute)
         return plan
 
     @staticmethod
     def _archive(run: _Run, keys: list[str | None], cache) -> None:
-        """Store every computed value under its key, before claims release.
+        """Store every computed value under its key.
 
         Runs even when an engine raised part-way, so whatever was
         computed is kept.
@@ -324,24 +234,6 @@ class Executor:
             key = keys[index]
             if outcome.ok and key is not None:
                 run.jobs[index].store(cache, key, outcome.value)
-
-    def _resolve_claims(
-        self,
-        claimed: dict[int, str],
-        computed: dict[int, JobOutcome | None],
-        fallback: JobOutcome | None = None,
-        exception: BaseException | None = None,
-    ) -> None:
-        """Publish claimed keys' outcomes and release their slots."""
-        with self._lock:
-            for index, full_key in claimed.items():
-                record = self._inflight.pop(full_key, None)
-                if record is None or record.event.is_set():
-                    continue
-                outcome = computed.get(index) or fallback
-                if outcome is None:
-                    outcome = JobOutcome(ok=False, error="job was not executed")
-                record.resolve(outcome, exception)
 
     # ------------------------------------------------------------------
     # Routing and engines
@@ -378,7 +270,7 @@ class Executor:
         traces = run_batched(
             [run.jobs[i].spec for i in members],
             run.jobs[members[0]].backend,
-            skip_errors=run.skip_errors,
+            skip_errors=True,
         )
         self._fill(run, members, traces)
 
@@ -414,8 +306,8 @@ class Executor:
         A call that raises re-runs its members one by one through the
         per-job lane, in submission order, as
         :func:`~repro.backends.batch.run_batched` does for a failed
-        kernel row: only the member that raises fails (or, without
-        ``skip_errors``, raises), with its own error.
+        kernel row: only the member that raises fails, with its own
+        error.
         """
         try:
             results = engine(*args, **kwargs)
@@ -428,7 +320,7 @@ class Executor:
     def _fill(run: _Run, members: list[int], values: Sequence[Any]) -> None:
         """Map an engine's ordered results back onto submission indices.
 
-        A ``None`` is a job the engine skipped under ``skip_errors``; it
+        A ``None`` is a job the engine skipped because it raised; it
         re-runs alone through the per-job lane, so that its outcome names
         the error.
         """
@@ -448,8 +340,8 @@ class Executor:
 def _run_per_job(run: _Run, members: list[int]) -> None:
     """The per-job lane: a serial loop over ``members``, in submission order.
 
-    With ``skip_errors`` a failing job leaves a ``None`` hole; without it
-    the first failure in submission order raises its original exception.
+    A job that raises gets a failed outcome, and its exception is kept on
+    ``run`` for :meth:`Executor.submit`; the loop goes on.
     """
     from repro.perf import timing
 
@@ -458,11 +350,10 @@ def _run_per_job(run: _Run, members: list[int]) -> None:
             try:
                 value = run.jobs[index].run()
             except Exception as exc:
-                if not run.skip_errors:
-                    raise
                 run.outcomes[index] = JobOutcome(
                     ok=False, error=f"{type(exc).__name__}: {exc}"
                 )
+                run.errors[index] = exc
             else:
                 run.outcomes[index] = JobOutcome(value=value)
 
@@ -496,25 +387,22 @@ def _batch_lane(job: Any, batch: bool) -> str | None:
 # The process-wide default executor
 # ----------------------------------------------------------------------
 _default: Executor | None = None
-_default_lock = threading.Lock()
 
 
 def default_executor() -> Executor:
     """The process-wide executor ``run_specs`` and the serve layer share.
 
-    One shared instance is what makes in-flight dedup global: any two
-    code paths submitting the same keyed work in this process attach to
-    one computation.
+    Sharing it shares the lifetime counters, so ``/stats`` and other
+    readers of :meth:`Executor.snapshot` see every submission in the
+    process. Reuse across submissions is the store's.
     """
     global _default
-    with _default_lock:
-        if _default is None:
-            _default = Executor()
-        return _default
+    if _default is None:
+        _default = Executor()
+    return _default
 
 
 def reset_default_executor() -> None:
     """Drop the shared executor (tests use this to isolate counters)."""
     global _default
-    with _default_lock:
-        _default = None
+    _default = None

@@ -7,8 +7,7 @@ job classes here say what kinds exist and how each one behaves:
 - :class:`SpecJob` — run a :class:`~repro.backends.spec.ScenarioSpec` on a
   named backend, producing a :class:`~repro.backends.trace.UnifiedTrace`.
   Content-addressed by :func:`repro.perf.store.unified_key`, so identical
-  specs dedup against the store, against each other, and against in-flight
-  work.
+  specs dedup against the store and against each other.
 - :class:`PacketScenarioJob` — run a native
   :class:`~repro.packetsim.scenario.PacketScenario`, producing the raw
   :class:`~repro.packetsim.scenario.ScenarioResult` (event statistics the

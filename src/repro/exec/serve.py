@@ -20,11 +20,12 @@ answered 400, and a client that does not send its request within
 :data:`READ_TIMEOUT_SECONDS` is answered 408; the computation a request
 starts is not bounded.
 
-Every request funnels through one shared executor, which is what makes
-the service's dedup global: two clients submitting overlapping batches
-get identical results while each unique spec is computed exactly once —
-the store serves repeats, and in-flight claims absorb simultaneous
-arrivals (one computation, many waiters).
+Every request funnels through one shared executor on one worker thread,
+so requests compute one after another. With a store active, two clients
+submitting overlapping batches get identical results while each unique
+spec is computed exactly once: the store serves every repeat of an
+earlier request's spec, and duplicates within one request follow one
+computation.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.exec.executor import Executor, default_executor
@@ -63,13 +65,19 @@ class ServeServer:
         self.executor = executor or default_executor()
         self.requests = 0
         self.specs_received = 0
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> asyncio.base_events.Server:
-        """Bind and start serving; updates ``self.port`` when it was 0."""
+        """Bind and start serving; updates ``self.port`` when it was 0.
+
+        The loop's default executor becomes one worker thread, so every
+        ``asyncio.to_thread`` call (computing and encoding) runs there,
+        one at a time; ``asyncio.run`` shuts it down with the loop.
+        """
+        loop = asyncio.get_running_loop()
+        loop.set_default_executor(ThreadPoolExecutor(max_workers=1))
         server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = server.sockets[0].getsockname()[1]
         return server
@@ -190,12 +198,11 @@ class ServeServer:
         except Exception as exc:
             await self._respond_json(writer, 400, {"error": str(exc)})
             return
-        with self._lock:
-            self.requests += 1
-            self.specs_received += len(jobs)
-        # The executor blocks (engines, pools, in-flight waits); run it in
-        # a worker thread so concurrent clients overlap — which is exactly
-        # what lets their identical specs attach to one in-flight slot.
+        self.requests += 1
+        self.specs_received += len(jobs)
+        # The computation blocks, so it runs on the compute thread (see
+        # start) while the loop keeps accepting; a request that arrives
+        # meanwhile queues behind it.
         outcomes = await asyncio.to_thread(
             self.executor.submit, jobs,
             batch=batch, use_cache=use_cache, skip_errors=True,
@@ -224,11 +231,10 @@ class ServeServer:
 
     def stats(self) -> dict:
         """Server counters plus the shared executor's lifetime snapshot."""
-        with self._lock:
-            server = {
-                "requests": self.requests,
-                "specs_received": self.specs_received,
-            }
+        server = {
+            "requests": self.requests,
+            "specs_received": self.specs_received,
+        }
         return {"server": server, "executor": self.executor.snapshot()}
 
 

@@ -108,7 +108,9 @@ def run_fct_study(
     executor submission, which runs it inside one merged event loop
     (:func:`repro.packetsim.batch.run_workloads_batched` — every run
     shares the link and duration, so all of them merge); each run is
-    bit-identical to its solo run.
+    bit-identical to its solo run. A replication whose seeded workload
+    has no arrival in ``arrival_window`` raises ``ValueError`` before
+    anything runs.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
@@ -125,6 +127,12 @@ def run_fct_study(
             duration=arrival_window, protocol=presets.reno(),
             seed=seed + rep,
         )
+        if not specs:
+            raise ValueError(
+                f"no flow arrives within the {arrival_window:g} s arrival "
+                f"window at {rate_per_s:g} flows/s with seed {seed + rep}; "
+                "lengthen the window or raise the rate"
+            )
         jobs.append(
             WorkloadJob(
                 link=link,

@@ -41,6 +41,18 @@ class TestFctStudy:
         loaded = load_result(save_result(study, tmp_path / "fct.json"))
         assert len(loaded["rows"]) == 2
 
+    def test_empty_workload_is_refused_before_anything_runs(self):
+        # Seed 42 draws no arrival within 1.5 s at 1.5 flows/s.
+        from repro.exec import default_executor, reset_default_executor
+
+        reset_default_executor()
+        with pytest.raises(ValueError, match=(
+            r"1\.5 s arrival window at 1\.5 flows/s with seed 42"
+        )):
+            run_fct_study(rate_per_s=1.5, arrival_window=1.5, duration=2.0,
+                          seed=42)
+        assert default_executor().snapshot()["submissions"] == 0
+
     def test_default_backgrounds_cover_the_comparators(self):
         names = set(default_backgrounds())
         assert {"none", "reno", "cubic", "robust-aimd", "pcc-like"} <= names
@@ -104,6 +116,14 @@ class TestCliExtendedCommands:
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "least harmful" in out
+
+    def test_fct_empty_workload_is_a_one_line_error(self, capsys):
+        assert main(["fct", "--duration", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro fct: no flow arrives")
+        assert "arrival window" in captured.err
 
     def test_fct_replications_pool_the_workload(self):
         kwargs = dict(

@@ -30,10 +30,9 @@ class TestCachedExperiments:
         assert cold_stats[1] > 0
         # The warm rerun resolved every simulation from the cache: no new
         # misses, and one unified-store hit per simulation. Each cold
-        # simulation misses twice: the executor probes before and after
-        # its in-flight claim.
+        # simulation misses once: the executor reads each key once.
         assert warm_stats[1] == cold_stats[1]
-        assert 2 * warm_stats[0] == cold_stats[1]
+        assert warm_stats[0] == cold_stats[1]
         assert _table2_tuples(cold_result) == _table2_tuples(warm_result)
 
     def test_cached_matches_uncached_exactly(self, tmp_path):

@@ -104,7 +104,8 @@ class TestServeEndToEnd:
     def test_concurrent_clients_dedup_to_one_computation(self, tmp_path):
         """The acceptance property: two concurrent clients submitting
         overlapping batches get bit-identical results while each unique
-        spec is computed exactly once (store + in-flight dedup)."""
+        spec is computed exactly once. Requests compute one after another,
+        so the store absorbs every repeat of the other request's specs."""
         batches = {
             "a": [_wire(1.0), _wire(2.0), _wire(1.0)],
             "b": [_wire(2.0), _wire(1.0)],
@@ -131,9 +132,9 @@ class TestServeEndToEnd:
                     thread.join(timeout=120)
                 stats = client.stats()
         assert errors == []
-        # Each unique spec computed exactly once, no matter how the two
-        # requests interleaved (in-flight waiters or store hits absorb
-        # every repeat).
+        # Each unique spec computed exactly once, whichever request ran
+        # first (store hits and within-request followers absorb every
+        # repeat).
         assert stats["executor"]["computed"] == 2
         assert stats["executor"]["jobs"] == 5
         assert stats["server"] == {"requests": 2, "specs_received": 5}
@@ -170,6 +171,62 @@ class TestServeEndToEnd:
             stats = client.stats()
             assert stats["server"]["requests"] == 0  # no /run succeeded
 
+    def test_requests_compute_one_at_a_time_on_one_thread(self, monkeypatch):
+        """Two clients' requests: the first computation holds until the
+        server has received the second request, yet the second never
+        starts before the first ends, and both run on one thread."""
+        from repro.backends.base import _BACKENDS, Backend, get_backend
+
+        threads: list[int] = []  # the thread of each call, in start order
+        running = [0]
+        peak = [0]
+        state = threading.Lock()
+
+        class GatedBackend(Backend):
+            name = "gated"
+
+            def run(self, spec):
+                with state:
+                    threads.append(threading.get_ident())
+                    first = len(threads) == 1
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                try:
+                    deadline = time.monotonic() + _PATIENCE
+                    while first and server.server.requests < 2:
+                        assert time.monotonic() < deadline, "no second request"
+                        time.sleep(0.01)
+                    return get_backend("fluid").run(spec)
+                finally:
+                    with state:
+                        running[0] -= 1
+
+        monkeypatch.setitem(_BACKENDS, "gated", GatedBackend())
+        results: dict[float, list] = {}
+        errors: list[BaseException] = []
+        with ServerThread(executor=Executor()) as server:
+
+            def drive(alpha: float) -> None:
+                try:
+                    client = ServeClient(port=server.port, timeout=_PATIENCE)
+                    results[alpha] = client.run_specs([_wire(alpha)], "gated")
+                except Exception as exc:  # surfaced after join
+                    errors.append(exc)
+
+            clients = [threading.Thread(target=drive, args=(alpha,))
+                       for alpha in (1.0, 2.0)]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(_PATIENCE)
+                assert not client.is_alive()
+        assert errors == []
+        assert len(threads) == 2
+        assert len(set(threads)) == 1
+        assert peak[0] == 1
+        for alpha in (1.0, 2.0):
+            _assert_bit_identical(results[alpha][0], _local(alpha))
+
     def test_batch_lane_matches_local_batched_run(self, tmp_path):
         wires = [_wire(1.0), _wire(1.5), _wire(2.0)]
         with cache_enabled(tmp_path):
@@ -184,7 +241,9 @@ class TestServeEndToEnd:
 class TestServeStress:
     def test_many_clients_heavy_overlap(self, tmp_path):
         """Six clients hammer one server with overlapping batches; every
-        result is bit-identical and each unique spec computes once."""
+        result is bit-identical and each unique spec computes once: the
+        requests compute one after another, and the store absorbs every
+        repeat."""
         alphas = [round(1.0 + 0.25 * i, 2) for i in range(8)]
         reference = {alpha: _local(alpha) for alpha in alphas}
         client_batches = [
@@ -333,12 +392,12 @@ class TestServeClients:
         assert error.startswith("Content-Length must be a non-negative integer")
         assert repr(value) in error
 
-    def test_client_vanishing_mid_computation_strands_no_claim(
+    def test_vanished_client_result_is_archived_and_served(
         self, handlers, monkeypatch, tmp_path
     ):
         """A client that hangs up while its spec computes: the computation
-        finishes and is archived, its in-flight claim is released, and a
-        client waiting on the same claim gets the bit-identical trace."""
+        finishes and is archived, and a request for the same spec queued
+        behind it is answered from the store."""
         from repro.backends.base import _BACKENDS, Backend, get_backend
 
         started, release = threading.Event(), threading.Event()
@@ -354,38 +413,29 @@ class TestServeClients:
         monkeypatch.setitem(_BACKENDS, "gated", GatedBackend())
         executor = Executor()
         payload = json.dumps({"specs": [_wire(1.25)], "backend": "gated"})
-        served: list = []
+        request = _head(str(len(payload))) + payload.encode()
         with cache_enabled(tmp_path):
             with ServerThread(executor=executor) as server:
                 vanishing = _connect(server.port)
-                vanishing.sendall(_head(str(len(payload))) + payload.encode())
+                vanishing.sendall(request)
                 assert started.wait(_PATIENCE)
                 vanishing.close()
-
-                def wait_on_the_claim() -> None:
-                    client = ServeClient(port=server.port, timeout=_PATIENCE)
-                    served.extend(client.run_specs([_wire(1.25)], "gated"))
-
-                waiter = threading.Thread(target=wait_on_the_claim)
-                waiter.start()
-                deadline = time.monotonic() + _PATIENCE
-                while executor.snapshot()["inflight_waits"] < 1:
-                    assert time.monotonic() < deadline, "waiter never attached"
-                    time.sleep(0.01)
-                release.set()
-                waiter.join(_PATIENCE)
-                assert not waiter.is_alive()
+                with _connect(server.port) as queued:
+                    queued.sendall(request)
+                    deadline = time.monotonic() + _PATIENCE
+                    while server.server.requests < 2:
+                        assert time.monotonic() < deadline, "request not received"
+                        time.sleep(0.01)
+                    release.set()
+                    reply = _read_to_eof(queued)
                 handlers.wait(2)
-                assert executor._inflight == {}
-                stats = executor.snapshot()
-                # The vanished client's result was archived: a third
-                # submission is a store hit, not a recomputation.
-                again = ServeClient(port=server.port).run_specs(
-                    [_wire(1.25)], "gated"
-                )
         assert handlers.escaped == []
+        status, _, body = reply.partition(b"\r\n\r\n")
+        assert status.startswith(b"HTTP/1.1 200 ")
+        record, done = (json.loads(line) for line in body.splitlines())
+        assert record["source"] == "cache"
+        assert done["done"] is True
+        _assert_bit_identical(decode_trace(record["trace"]), _local(1.25))
+        stats = executor.snapshot()
         assert stats["computed"] == 1 and stats["errors"] == 0
-        assert len(served) == 1
-        _assert_bit_identical(served[0], _local(1.25))
-        _assert_bit_identical(again[0], _local(1.25))
-        assert executor.snapshot()["cache_hits"] == 1
+        assert stats["cache_hits"] == 1

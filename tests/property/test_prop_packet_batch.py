@@ -214,8 +214,8 @@ def test_batched_runs_warm_the_serial_cache(tmp_path):
     jobs = [PacketScenarioJob(scenario) for scenario in scenarios]
     with cache_enabled(tmp_path) as cache:
         batched = Executor().run(jobs, batch=True)
-        # Cold: the executor probes before and after its in-flight claim.
-        assert cache.misses == 2 * len(scenarios)
+        # Cold: the executor reads each key once.
+        assert cache.misses == len(scenarios)
         # A submission without ``batch`` reads what the first stored: pure hits.
         for expected, result in zip(batched, Executor().run(jobs)):
             _assert_results_equal(result, expected)

@@ -3,8 +3,6 @@ and the packet lanes' failure rule."""
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -63,37 +61,6 @@ def _fresh_default_executor():
     reset_default_executor()
 
 
-class _GateJob:
-    """A keyed test job whose run() blocks on an event (in-flight tests)."""
-
-    kind = "gate"
-
-    def __init__(self, keyed: str, gate: threading.Event,
-                 started: threading.Event | None = None,
-                 fail: bool = False) -> None:
-        self._key = keyed
-        self._gate = gate
-        self._started = started
-        self._fail = fail
-
-    def key(self) -> str:
-        return self._key
-
-    def probe(self, cache, key) -> None:
-        return None
-
-    def store(self, cache, key, value) -> None:
-        pass
-
-    def run(self) -> str:
-        if self._started is not None:
-            self._started.set()
-        assert self._gate.wait(timeout=30)
-        if self._fail:
-            raise ValueError("gate job told to fail")
-        return f"value:{self._key}"
-
-
 class TestDedupTiers:
     def test_within_submission_followers(self):
         executor = Executor()
@@ -119,82 +86,6 @@ class TestDedupTiers:
         _assert_bit_identical(first[0].value, second[0].value)
         assert executor.snapshot()["cache_hits"] == 1
 
-    def test_inflight_tier_one_computation_many_waiters(self):
-        executor = Executor()
-        gate = threading.Event()
-        started = threading.Event()
-        results: dict[str, list] = {}
-
-        def leader():
-            results["leader"] = executor.submit(
-                [_GateJob("k", gate, started)]
-            )
-
-        def waiter(name):
-            results[name] = executor.submit([_GateJob("k", gate)])
-
-        lead = threading.Thread(target=leader)
-        lead.start()
-        assert started.wait(timeout=30)
-        waiters = [
-            threading.Thread(target=waiter, args=(f"w{i}",)) for i in range(2)
-        ]
-        for thread in waiters:
-            thread.start()
-        # Both waiters must have attached to the in-flight slot before we
-        # release the leader, or they would just compute themselves.
-        for _ in range(3000):
-            if executor.snapshot()["inflight_waits"] == 2:
-                break
-            threading.Event().wait(0.01)
-        assert executor.snapshot()["inflight_waits"] == 2
-        gate.set()
-        lead.join(timeout=30)
-        for thread in waiters:
-            thread.join(timeout=30)
-        assert results["leader"][0].source == "computed"
-        for name in ("w0", "w1"):
-            assert results[name][0].source == "inflight"
-            assert results[name][0].value == "value:k"
-        assert executor.snapshot()["computed"] == 1
-
-    def test_inflight_failure_reaches_waiter(self):
-        executor = Executor()
-        gate = threading.Event()
-        started = threading.Event()
-        errors: dict[str, BaseException] = {}
-
-        def leader():
-            try:
-                executor.submit([_GateJob("bad", gate, started, fail=True)])
-            except ValueError as exc:
-                errors["leader"] = exc
-
-        def waiter():
-            try:
-                executor.submit([_GateJob("bad", gate)])
-            except ValueError as exc:
-                errors["waiter"] = exc
-
-        lead = threading.Thread(target=leader)
-        lead.start()
-        assert started.wait(timeout=30)
-        wait = threading.Thread(target=waiter)
-        wait.start()
-        for _ in range(3000):
-            if executor.snapshot()["inflight_waits"] == 1:
-                break
-            threading.Event().wait(0.01)
-        gate.set()
-        lead.join(timeout=30)
-        wait.join(timeout=30)
-        assert isinstance(errors["leader"], ValueError)
-        assert isinstance(errors["waiter"], ValueError)
-        # The slot was released: a later submission computes afresh.
-        gate.set()
-        fresh = executor.submit([_GateJob("bad", gate)], skip_errors=True)
-        assert fresh[0].source == "computed"
-
     def test_failed_leader_marks_followers(self):
         executor = Executor()
         bad = _failing_spec()
@@ -219,7 +110,20 @@ class TestArchive:
             assert len(cache.entries()) == 1
             (again,) = executor.submit([good])
         assert again.source == "cache"
-        assert executor._inflight == {}
+
+    def test_jobs_submitted_after_a_failure_still_run_and_are_archived(
+        self, tmp_path
+    ):
+        # Every job runs before the earliest failure is raised, so the
+        # job submitted after the failing one is in the store too.
+        executor = Executor()
+        good = SpecJob(spec=_spec(1.0))
+        with cache_enabled(tmp_path) as cache:
+            with pytest.raises(LoweringError):
+                executor.submit([SpecJob(spec=_failing_spec()), good])
+            assert len(cache.entries()) == 1
+            (again,) = executor.submit([good])
+        assert again.source == "cache"
 
     def test_deduplicated_jobs_share_their_store_reads(self, tmp_path):
         executor = Executor()
@@ -490,6 +394,18 @@ class TestPacketLanes:
         ]
         for batch in (True, False):
             with pytest.raises(ArithmeticError, match="round 8"):
+                Executor().submit(jobs, batch=batch, use_cache=False)
+
+    def test_first_submitted_failure_raises_across_lanes(self):
+        # The packet job's lane runs before the fluid spec's (the per-job
+        # lane without batch, the later-sorted fluid lane with it), yet
+        # the fluid spec was submitted first, so its error is raised.
+        for batch in (True, False):
+            jobs = [
+                SpecJob(_failing_spec(), "fluid"),
+                PacketScenarioJob(_packet_scenario([_FailingAIMD(5)])),
+            ]
+            with pytest.raises(LoweringError):
                 Executor().submit(jobs, batch=batch, use_cache=False)
 
     def test_compatible_jobs_share_one_merged_call(self, monkeypatch):

@@ -1,8 +1,7 @@
 """Packet-run cache keying and round-tripping (repro.perf.packet_cache).
 
 Stored packet results come only through executor jobs: the executor
-probes the store before and after its in-flight claim, so a cold run
-counts two misses.
+reads each key from the store once, so a cold run counts one miss.
 """
 
 import numpy as np
@@ -111,7 +110,7 @@ class TestRoundTrip:
         with cache_enabled(tmp_path) as cache:
             cold = _run(PacketScenarioJob(sc))
             warm = _run(PacketScenarioJob(sc))
-            assert cache.misses == 2
+            assert cache.misses == 1
             assert cache.hits == 1
         assert warm.events == cold.events
         assert warm.duration == cold.duration
@@ -130,7 +129,7 @@ class TestRoundTrip:
         with cache_enabled(tmp_path) as cache:
             _run(PacketScenarioJob(scenario()))
             _run(PacketScenarioJob(scenario(seed=2)))
-            assert cache.misses == 4
+            assert cache.misses == 2
             assert cache.hits == 0
 
     def test_workload_hit_round_trips_exactly(self, tmp_path):
@@ -139,7 +138,7 @@ class TestRoundTrip:
         with cache_enabled(tmp_path) as cache:
             cold = _run(WorkloadJob(link, specs, duration=8.0))
             warm = _run(WorkloadJob(link, specs, duration=8.0))
-            assert cache.misses == 2
+            assert cache.misses == 1
             assert cache.hits == 1
         for a, b in zip(warm.flows, cold.flows, strict=True):
             assert _flow_bits(a) == _flow_bits(b)
@@ -174,7 +173,7 @@ class TestRoundTrip:
             entry.write_bytes(b"not an npz archive")
             result = _run(PacketScenarioJob(sc))
             assert result.events > 0
-            assert cache.misses == 4
+            assert cache.misses == 2
             assert cache.hits == 0
 
     def test_raw_array_api_round_trips(self, tmp_path):

@@ -4,8 +4,8 @@ One test per entry kind whose loader checks a format tag: unified traces
 (``unified_format``), packet scenarios and packet workloads (``format``).
 Each restamps a real entry with tag 0, then checks that the next run
 recomputes and rewrites it and that the run after that is a store hit.
-Runs go through the executor, which probes a key it computes twice
-(before and after its in-flight claim) and a stored key once.
+Runs go through the executor, which reads each key from the store once,
+whether it computes the key or loads it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def test_stale_unified_entry(tmp_path):
         assert path.stem == unified_key("fluid", spec)
         _reset(cache)
         again = run_spec(spec, "fluid")
-        assert (cache.hits, cache.misses) == (0, 2)
+        assert (cache.hits, cache.misses) == (0, 1)
         assert _tag(path, "unified_format") == 1
         _reset(cache)
         warm = run_spec(spec, "fluid")
@@ -74,7 +74,7 @@ def test_stale_packet_scenario_entry(tmp_path):
         path = _restamp(cache, "format")
         _reset(cache)
         again = run()
-        assert (cache.hits, cache.misses) == (0, 2)
+        assert (cache.hits, cache.misses) == (0, 1)
         assert _tag(path, "format") == 1
         _reset(cache)
         warm = run()
@@ -95,7 +95,7 @@ def test_stale_packet_workload_entry(tmp_path):
         path = _restamp(cache, "format")
         _reset(cache)
         again = run()
-        assert (cache.hits, cache.misses) == (0, 2)
+        assert (cache.hits, cache.misses) == (0, 1)
         assert _tag(path, "format") == 1
         _reset(cache)
         warm = run()
