@@ -139,7 +139,7 @@ def loss_free_runs(loss_series: np.ndarray) -> list[tuple[int, int]]:
     for t, value in enumerate(loss_series):
         # Zero-loss steps carry an exact 0.0 from Link.loss_rate, never a
         # rounded near-zero, so equality is the correct test here.
-        if value == 0.0:  # repro: noqa[REP501] exact by construction
+        if value == 0.0:
             if start is None:
                 start = t
         else:

@@ -26,10 +26,10 @@ planning and archives the traces the runner returns.
 
 Batched and serial execution produce bit-identical traces; a spec that
 fails mid-batch is rerun serially so callers see the exact serial
-exception (or ``None`` with ``skip_errors=True``), and never poisons the
-other rows. The packet backend has no stacked kernel: its lane merges
-replications into shared event loops instead, and a merged call that
-raises reruns each of its specs alone.
+exception (raised, or left in its slot with ``skip_errors=True``), and
+never poisons the other rows. The packet backend has no stacked kernel:
+its lane merges replications into shared event loops instead, and a
+merged call that raises reruns each of its specs alone.
 
 Lane records name their kernel module's inputs class and kernel by
 attribute and resolve them at call time, and reach the planners through
@@ -536,8 +536,9 @@ def run_batched(
     bit-identical to ``run_spec(spec, backend)`` for every spec whichever
     path — batch kernel or serial fallback — produced it. The store is
     neither read nor written (the executor does both). With
-    ``skip_errors`` a failing spec yields ``None`` instead of raising;
-    other specs are unaffected either way.
+    ``skip_errors`` a failing spec's slot holds the exception its serial
+    run raised instead of raising it; other specs are unaffected either
+    way.
     """
     specs = list(specs)
     if backend == "packet":
@@ -559,9 +560,10 @@ def run_batched(
     for index in sorted(serial):
         try:
             results[index] = engine.run(specs[index])
-        except Exception:
+        except Exception as exc:
             if not skip_errors:
                 raise
+            results[index] = exc
     return results
 
 

@@ -13,8 +13,6 @@ Usage::
     repro cache stats|clear|prune [--dir PATH] [--max-mb N] [--dry-run]
     repro serve [--host 127.0.0.1 --port 8273]
     repro report [--html out.html] [--summary FILE] [--baselines FILE]
-    repro lint [paths] [--select/--ignore CODES] [--stats]
-               [--format json|github] [--list-rules]
 
 Every subcommand prints the paper-style table to stdout; ``--json`` also
 archives the structured result. The global ``--timing`` prints a wall-time
@@ -235,13 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--baselines", type=str,
                         default="benchmarks/results/baselines.json",
                         help="baseline walls for the speedup column")
-
-    from repro.lint.cli import add_lint_arguments
-
-    lint = subparsers.add_parser(
-        "lint", help="AST-based determinism & contract checks"
-    )
-    add_lint_arguments(lint)
     return parser
 
 
@@ -413,10 +404,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_report_command(args)
     if args.command == "run":
         return _run_run_command(args)
-    if args.command == "lint":
-        from repro.lint.cli import run as run_lint_command
-
-        return run_lint_command(args)
     if args.command == "table1":
         link = _link_from(args)
         result = run_table1(

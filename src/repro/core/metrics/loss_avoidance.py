@@ -37,7 +37,7 @@ def loss_avoidance_from_trace(
             "mean_loss": float(np.mean(loss)),
             "loss_event_fraction": float(np.mean(loss > 0)),
             # max() of exact 0.0 entries is exactly 0.0 — no rounding.
-            "is_zero_loss": bool(score == 0.0),  # repro: noqa[REP501] exact by construction
+            "is_zero_loss": bool(score == 0.0),
             "tail_steps": tail.steps,
         },
     )

@@ -28,7 +28,7 @@ def claim1_consistent(is_loss_based: bool, is_zero_loss: bool,
     if is_loss_based and is_zero_loss:
         # Claim 1 is about *exactly* zero fast-utilization; the estimator
         # returns an exact 0.0 when no loss-free interval qualifies.
-        return fast_utilization == 0.0  # repro: noqa[REP501] exact by construction
+        return fast_utilization == 0.0
     return True
 
 

@@ -320,18 +320,15 @@ class Executor:
     def _fill(run: _Run, members: list[int], values: Sequence[Any]) -> None:
         """Map an engine's ordered results back onto submission indices.
 
-        A ``None`` is a job the engine skipped because it raised; it
-        re-runs alone through the per-job lane, so that its outcome names
-        the error.
+        An exception in a slot is the error the engine's serial run of
+        that job raised (``run_batched`` with ``skip_errors``); the job
+        fails with it, as in the per-job lane.
         """
-        skipped = []
         for index, value in zip(members, values):
-            if value is None:
-                skipped.append(index)
+            if isinstance(value, Exception):
+                _fail(run, index, value)
             else:
                 run.outcomes[index] = JobOutcome(value=value)
-        if skipped:
-            _run_per_job(run, skipped)
 
 
 # ----------------------------------------------------------------------
@@ -350,12 +347,15 @@ def _run_per_job(run: _Run, members: list[int]) -> None:
             try:
                 value = run.jobs[index].run()
             except Exception as exc:
-                run.outcomes[index] = JobOutcome(
-                    ok=False, error=f"{type(exc).__name__}: {exc}"
-                )
-                run.errors[index] = exc
+                _fail(run, index, exc)
             else:
                 run.outcomes[index] = JobOutcome(value=value)
+
+
+def _fail(run: _Run, index: int, exc: Exception) -> None:
+    """Record that job ``index`` raised ``exc``."""
+    run.outcomes[index] = JobOutcome(ok=False, error=f"{type(exc).__name__}: {exc}")
+    run.errors[index] = exc
 
 
 def _batch_lane(job: Any, batch: bool) -> str | None:

@@ -36,6 +36,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
+from repro.backends.base import backend_names
 from repro.exec.executor import Executor, default_executor
 from repro.exec.jobs import SpecJob
 from repro.exec.wire import encode_trace, spec_from_wire
@@ -53,6 +54,26 @@ READ_TIMEOUT_SECONDS = 30.0
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 408: "Request Timeout",
             500: "Internal Server Error"}
+
+
+def _run_options(payload: dict) -> tuple[str, bool, bool]:
+    """A ``/run`` request's ``backend``, ``batch`` and ``use_cache``.
+
+    A backend that is not registered, or a flag that is not a JSON
+    boolean, is a ``ValueError`` naming the field, so the request is
+    answered 400 before anything is submitted.
+    """
+    backend = payload.get("backend", "fluid")
+    if backend not in backend_names():
+        raise ValueError(
+            f"'backend' must be one of {', '.join(backend_names())}; got {backend!r}"
+        )
+    batch = payload.get("batch", False)
+    use_cache = payload.get("use_cache", True)
+    for name, value in (("batch", batch), ("use_cache", use_cache)):
+        if not isinstance(value, bool):
+            raise ValueError(f"{name!r} must be a JSON boolean; got {value!r}")
+    return backend, batch, use_cache
 
 
 class ServeServer:
@@ -188,9 +209,7 @@ class ServeServer:
             wire_specs = payload["specs"]
             if not isinstance(wire_specs, list):
                 raise ValueError("'specs' must be a list")
-            backend = str(payload.get("backend", "fluid"))
-            batch = bool(payload.get("batch", False))
-            use_cache = bool(payload.get("use_cache", True))
+            backend, batch, use_cache = _run_options(payload)
             jobs = [
                 SpecJob(spec=spec_from_wire(wire), backend=backend)
                 for wire in wire_specs

@@ -23,7 +23,8 @@ sanitizer (:meth:`~repro.meanfield.dynamics.MeanFieldSimulator`):
   ``[0, 1]``, so no cell can ever go negative.
 
 Kernel functions are ``meanfield_``-prefixed and must stay free of Python
-loops over their grid arrays — the REP404 lint rule enforces this.
+loops over their grid arrays; check REP404 in
+``tests/unit/test_source_contracts.py`` holds them to it.
 """
 
 from __future__ import annotations

@@ -171,6 +171,24 @@ class TestServeEndToEnd:
             stats = client.stats()
             assert stats["server"]["requests"] == 0  # no /run succeeded
 
+    @pytest.mark.parametrize("field,value", [
+        ("backend", "fluidd"),  # not registered
+        ("batch", "false"),  # truthy to bool(), but not a JSON boolean
+        ("use_cache", "false"),
+    ])
+    def test_bad_run_option_is_a_400_naming_it(self, field, value):
+        with ServerThread(executor=Executor()) as server:
+            client = ServeClient(port=server.port)
+            response = client._request(
+                "POST", "/run", {"specs": [_wire(1.0)], "batch": True, field: value}
+            )
+            status, error = response.status, json.loads(response.read())["error"]
+            stats = client.stats()
+        assert status == 400
+        assert error.startswith(f"{field!r} must be") and repr(value) in error
+        assert stats["server"]["requests"] == 0
+        assert stats["executor"]["jobs"] == 0
+
     def test_requests_compute_one_at_a_time_on_one_thread(self, monkeypatch):
         """Two clients' requests: the first computation holds until the
         server has received the second request, yet the second never

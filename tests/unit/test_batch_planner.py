@@ -153,12 +153,12 @@ class TestErrorIsolation:
         with pytest.raises(LoweringError):
             run_batched([_aimd_spec(), _multilink_spec()])
 
-    def test_skip_errors_yields_none_without_poisoning_the_batch(self):
+    def test_skip_errors_keeps_the_error_without_poisoning_the_batch(self):
         good = [_aimd_spec(a=1.0), _aimd_spec(a=2.0)]
         results = run_batched(
             [good[0], _multilink_spec(), good[1]], skip_errors=True
         )
-        assert results[1] is None
+        assert isinstance(results[1], LoweringError)
         for spec, trace in ((good[0], results[0]), (good[1], results[2])):
             reference = run_spec(spec, "fluid", use_cache=False)
             assert np.array_equal(trace.windows, reference.windows)
@@ -189,7 +189,8 @@ class TestErrorIsolation:
         with pytest.raises(ValueError, match="non-finite"):
             run_batched([diverging, healthy])
         results = run_batched([diverging, healthy], skip_errors=True)
-        assert results[0] is None
+        assert isinstance(results[0], ValueError)
+        assert "non-finite" in str(results[0])
         reference = run_spec(healthy, "fluid", use_cache=False)
         assert np.array_equal(results[1].windows, reference.windows)
 
@@ -223,7 +224,8 @@ class TestErrorIsolation:
         with pytest.raises(ValueError, match="non-finite"):
             run_batched([diverging, healthy])
         results = run_batched([diverging, healthy], skip_errors=True)
-        assert results[0] is None
+        assert isinstance(results[0], ValueError)
+        assert "non-finite" in str(results[0])
         reference = run_spec(healthy, "fluid", use_cache=False)
         assert np.array_equal(
             np.ascontiguousarray(results[1].windows).view(np.uint64),

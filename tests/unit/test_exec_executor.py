@@ -198,6 +198,47 @@ class TestRunSpecsEdges:
         # Every job runs in the submitting process; no option asks otherwise.
         with pytest.raises(TypeError, match="workers"):
             run_specs([_spec()], workers=2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_spec_failing_on_a_kernel_lane_runs_once(self, monkeypatch):
+        # The kernel freezes the diverging row and the serial engine
+        # re-runs it once to raise its exact error; the executor records
+        # that error instead of running the spec a third time (a second
+        # time on its own) to name it.
+        from repro.backends.base import get_backend
+
+        fluid = get_backend("fluid")
+        serial_run = fluid.run
+        calls = []
+
+        def counting_run(spec):
+            calls.append(spec)
+            return serial_run(spec)
+
+        monkeypatch.setattr(fluid, "run", counting_run)
+        diverging = ScenarioSpec(  # overflows float64 on its second step
+            protocols=[AIMD(1e308, 0.5)],
+            link=Link.from_mbps(20, 42, float("inf")),
+            steps=30,
+            initial_windows=[1e308],
+            max_window=float("inf"),
+        )
+        errors, raised = {}, {}
+        for batch in (False, True):
+            calls.clear()
+            (outcome,) = Executor().submit(
+                [SpecJob(spec=diverging)], batch=batch, use_cache=False,
+                skip_errors=True,
+            )
+            assert len(calls) == 1
+            errors[batch] = outcome.error
+            calls.clear()
+            with pytest.raises(ValueError, match="non-finite") as info:
+                Executor().submit([SpecJob(spec=diverging)], batch=batch,
+                                  use_cache=False)
+            assert len(calls) == 1
+            raised[batch] = f"{type(info.value).__name__}: {info.value}"
+        assert errors[True] == errors[False] == raised[True] == raised[False]
         with pytest.raises(TypeError, match="workers"):
             Executor().submit([SpecJob(_spec())], workers=2)
 
