@@ -28,8 +28,8 @@ Batched and serial execution produce bit-identical traces; a spec that
 fails mid-batch is rerun serially so callers see the exact serial
 exception (raised, or left in its slot with ``skip_errors=True``), and
 never poisons the other rows. The packet backend has no stacked kernel:
-its lane merges replications into shared event loops instead, and a
-merged call that raises reruns each of its specs alone.
+the executor's scenario lane lowers its specs and merges them into
+shared event loops (:mod:`repro.packetsim.batch`).
 
 Lane records name their kernel module's inputs class and kernel by
 attribute and resolve them at call time, and reach the planners through
@@ -532,30 +532,33 @@ def run_batched(
 ) -> list:
     """Run every spec on ``backend``'s batched lane, in spec order.
 
-    Results are :class:`~repro.backends.trace.UnifiedTrace` objects,
-    bit-identical to ``run_spec(spec, backend)`` for every spec whichever
-    path — batch kernel or serial fallback — produced it. The store is
-    neither read nor written (the executor does both). With
-    ``skip_errors`` a failing spec's slot holds the exception its serial
-    run raised instead of raising it; other specs are unaffected either
-    way.
+    ``backend`` is one with a stacked kernel: fluid, network or
+    mean-field; any other is a :class:`ValueError`. Results are
+    :class:`~repro.backends.trace.UnifiedTrace` objects, bit-identical to
+    ``run_spec(spec, backend)`` for every spec whichever path — batch
+    kernel or serial fallback — produced it. The store is neither read
+    nor written (the executor does both). With ``skip_errors`` a failing
+    spec's slot holds the exception its serial run raised instead of
+    raising it; other specs are unaffected either way.
     """
+    lane = _LANES.get(backend)
+    if lane is None:
+        raise ValueError(
+            f"backend {backend!r} has no stacked kernel; run_batched serves "
+            f"{', '.join(sorted(_LANES))}"
+        )
     specs = list(specs)
-    if backend == "packet":
-        results, serial = _run_packet(specs)
-    else:
-        lane = _LANES[backend]
-        results = [None] * len(specs)
-        plan = lane.plan(specs)
-        serial = list(plan.fallback)
-        for group in plan.groups:
-            result = lane.engine_attr(lane.kernel)(group.inputs)
-            for pos, index in enumerate(group.indices):
-                if pos in result.failed:
-                    # Recompute serially to raise the exact serial error.
-                    serial.append(index)
-                else:
-                    results[index] = lane.extract(result, pos, group, specs[index])
+    results: list = [None] * len(specs)
+    plan = lane.plan(specs)
+    serial = list(plan.fallback)
+    for group in plan.groups:
+        result = lane.engine_attr(lane.kernel)(group.inputs)
+        for pos, index in enumerate(group.indices):
+            if pos in result.failed:
+                # Recompute serially to raise the exact serial error.
+                serial.append(index)
+            else:
+                results[index] = lane.extract(result, pos, group, specs[index])
     engine = get_backend(backend)
     for index in sorted(serial):
         try:
@@ -565,39 +568,3 @@ def run_batched(
                 raise
             results[index] = exc
     return results
-
-
-def _run_packet(specs: list[ScenarioSpec]) -> tuple[list, list[int]]:
-    """The packet backend's lane: merged event loops, not a stacked kernel.
-
-    Specs lower to :class:`~repro.packetsim.scenario.PacketScenario`
-    objects and run through
-    :func:`repro.packetsim.batch.run_scenarios_batched`, which merges
-    replications sharing a link and duration into one event loop; traces
-    are bit-identical to ``run_spec(spec, "packet")``. A spec the packet
-    backend cannot express is left to the serial engine, which raises its
-    exact lowering error. So is every spec of a merged call that raised,
-    as a failed kernel row is: each then runs alone, and only the spec
-    that raises fails.
-    """
-    from repro.backends.trace import from_packet_result
-    from repro.packetsim import batch
-
-    results: list = [None] * len(specs)
-    pending: list[int] = []
-    serial: list[int] = []
-    scenarios: list = []
-    for i, spec in enumerate(specs):
-        try:
-            scenarios.append(spec.lower_packet())
-        except Exception:
-            serial.append(i)
-            continue
-        pending.append(i)
-    try:
-        merged = batch.run_scenarios_batched(scenarios)
-    except Exception:
-        return results, serial + pending
-    for i, result in zip(pending, merged):
-        results[i] = from_packet_result(result, backend="packet")
-    return results, serial

@@ -9,9 +9,11 @@ the cheapest engine — returning
 :class:`~repro.backends.trace.UnifiedTrace` objects in submission order.
 
 Every spec backend has a batched engine. Packet specs always take
-theirs, the merged-scheduler replication runner
-(:mod:`repro.packetsim.batch`): scenarios sharing a link and duration
-run inside one event loop, and a single spec is a merge group of one.
+theirs, the executor's scenario lane: lowered there, they run through
+the merged-scheduler replication runner (:mod:`repro.packetsim.batch`)
+with the submission's native packet scenarios, scenarios sharing a link
+and duration run inside one event loop, and a single spec is a merge
+group of one.
 With ``batch=True`` the fluid, network and mean-field specs route
 through the batch planner (:mod:`repro.backends.batch`): compatible
 specs are stacked and advanced through one vectorized kernel pass per

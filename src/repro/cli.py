@@ -22,6 +22,7 @@ breakdown to stderr after the run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.core.metrics import EstimatorConfig
@@ -200,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument("action", choices=("stats", "clear", "prune"))
     cache.add_argument("--dir", type=str, default=None,
-                       help="cache directory (default: ~/.cache/repro/sim or "
-                       "$REPRO_CACHE_DIR)")
-    cache.add_argument("--max-mb", type=float, default=None,
+                       help="cache directory (default: $REPRO_SIM_CACHE, else "
+                       "~/.cache/repro/sim)")
+    cache.add_argument("--max-mb", type=_megabytes, default=None,
                        help="with 'prune': evict oldest entries until the "
                        "cache fits in this many MB (default: "
                        "$REPRO_CACHE_MAX_MB)")
@@ -236,11 +237,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _megabytes(text: str) -> float:
+    """A ``--max-mb`` value: a finite, non-negative number of megabytes.
+
+    The rule :func:`repro.perf.store.size_cap_bytes` applies to
+    ``$REPRO_CACHE_MAX_MB``; a negative cap would evict every entry.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite, non-negative number of MB, got {text!r}"
+        )
+    return value
+
+
 def _run_cache_command(args: argparse.Namespace) -> int:
-    from repro.perf.cache import TraceCache, default_cache_dir
+    from repro.perf.cache import TraceCache
     from repro.perf.store import prune_cache, stats_by_kind
 
-    cache = TraceCache(args.dir or default_cache_dir())
+    cache = TraceCache(args.dir)
     by_kind = stats_by_kind(cache)
     if args.action == "prune":
         max_bytes = None

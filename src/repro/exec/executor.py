@@ -12,13 +12,14 @@ while the executor decides how little work that actually requires:
    once), and duplicate keys inside one submission collapse to a single
    computation.
 3. **Route** — the jobs that remain are grouped per kind and sent to the
-   cheapest engine that preserves bit-identity. Packet jobs (scenarios,
-   workloads and packet-backend specs) always take the merged packet
-   runner, whose merge group of one is the serial run. ``batch=True``
-   chooses the stacked fluid, network or mean-field kernel for specs on
-   those backends; otherwise they take the per-job lane, a serial loop
-   in the submitting process.
-4. **Fall back** — anything a batched engine cannot express runs per-job
+   cheapest engine that preserves bit-identity. Packet jobs always take
+   a merged packet runner, whose merge group of one is the serial run:
+   the scenario lane takes native scenarios and packet-backend specs
+   (lowered there), the workload lane finite-flow workloads.
+   ``batch=True`` chooses the stacked fluid, network or mean-field
+   kernel for specs on those backends; otherwise they take the per-job
+   lane, a serial loop in the submitting process.
+4. **Fall back** — anything a stacked kernel cannot express runs per-job
    through exactly the code path a hand-written driver would have used,
    and so does every member of a merged packet call that raised: one by
    one, in submission order, so the error names the job that raised.
@@ -53,9 +54,11 @@ from typing import Any, Sequence
 
 from repro.exec.jobs import PacketScenarioJob, SpecJob, WorkloadJob
 
-#: Spec backends with a batched engine; SpecJobs on any other backend
-#: fall back per-job (with a one-time warning naming the backend).
-_BATCHED_SPEC_BACKENDS = ("fluid", "packet", "network", "meanfield")
+#: Spec backends with a stacked kernel (``run_batched``), which their
+#: SpecJobs take under ``batch``. Packet specs merge in the scenario lane
+#: whatever ``batch`` says; SpecJobs on any other backend fall back
+#: per-job (with a one-time warning naming the backend).
+_BATCHED_SPEC_BACKENDS = ("fluid", "network", "meanfield")
 
 #: Backends already warned about falling back from ``batch=True``.
 _warned_laneless: set[str] = set()
@@ -241,13 +244,12 @@ class Executor:
     def _compute(self, run: _Run, indices: list[int], batch: bool) -> None:
         """Run the planned jobs, grouped per batched engine.
 
-        Batched lanes exist for every spec backend — fluid, packet,
-        network and mean-field, all behind
-        :func:`repro.backends.batch.run_batched` — plus packet scenarios
-        and workloads. Packet jobs take their lane whatever ``batch``
-        says; every other (kind, flags) combination falls back to the
-        per-job lane. A spec job on a backend without a batch lane warns
-        once, naming the backend, before falling back.
+        The scenario lane merges packet scenarios and packet-backend
+        specs, and the workload lane workloads, whatever ``batch`` says.
+        With ``batch``, fluid, network and mean-field specs take their
+        stacked kernel behind :func:`repro.backends.batch.run_batched`.
+        Every other job takes the per-job lane; a spec job on a backend
+        without a batch lane warns once, naming the backend, first.
         """
         lanes: dict[str, list[int]] = {}
         leftover: list[int] = []
@@ -275,12 +277,34 @@ class Executor:
         self._fill(run, members, traces)
 
     def _run_scenarios(self, run: _Run, members: list[int]) -> None:
+        """The scenario lane: native packet scenarios and packet specs.
+
+        A spec lowers here, and one whose lowering raises fails alone
+        with that error, as its serial run would. Every scenario then
+        runs in one merged call, and a spec's result is resampled into
+        its trace.
+        """
+        from repro.backends.trace import from_packet_result
         from repro.packetsim import batch
 
-        self._run_merged(
-            run, members, batch.run_scenarios_batched,
-            [run.jobs[i].scenario for i in members],
-        )
+        lowered: list[int] = []
+        scenarios = []
+        for index in members:
+            job = run.jobs[index]
+            try:
+                scenario = (
+                    job.spec.lower_packet() if isinstance(job, SpecJob) else job.scenario
+                )
+            except Exception as exc:
+                _fail(run, index, exc)
+                continue
+            lowered.append(index)
+            scenarios.append(scenario)
+        results = self._run_merged(run, lowered, batch.run_scenarios_batched, scenarios)
+        for index, result in zip(lowered, results):
+            if isinstance(run.jobs[index], SpecJob):
+                result = from_packet_result(result, backend="packet")
+            run.outcomes[index] = JobOutcome(value=result)
 
     def _run_workloads(self, run: _Run, members: list[int]) -> None:
         from repro.packetsim import batch
@@ -290,7 +314,7 @@ class Executor:
             groups.setdefault(run.jobs[index].merge_key(), []).append(index)
         for group in groups.values():
             first = run.jobs[group[0]]
-            self._run_merged(
+            results = self._run_merged(
                 run, group, batch.run_workloads_batched,
                 first.link,
                 [(list(run.jobs[i].specs), list(run.jobs[i].background))
@@ -299,22 +323,23 @@ class Executor:
                 slow_start=first.slow_start,
                 initial_window=first.initial_window,
             )
+            self._fill(run, group, results)
 
-    def _run_merged(self, run: _Run, members: list[int], engine, *args, **kwargs) -> None:
-        """Fill ``members`` from one merged-engine call.
+    @staticmethod
+    def _run_merged(run: _Run, members: list[int], engine, *args, **kwargs) -> list:
+        """``members``' results from one merged-engine call, in order.
 
         A call that raises re-runs its members one by one through the
         per-job lane, in submission order, as
         :func:`~repro.backends.batch.run_batched` does for a failed
         kernel row: only the member that raises fails, with its own
-        error.
+        error. That lane fills the members, so the result is then empty.
         """
         try:
-            results = engine(*args, **kwargs)
+            return engine(*args, **kwargs)
         except Exception:
             _run_per_job(run, members)
-            return
-        self._fill(run, members, results)
+            return []
 
     @staticmethod
     def _fill(run: _Run, members: list[int], values: Sequence[Any]) -> None:
@@ -364,7 +389,11 @@ def _batch_lane(job: Any, batch: bool) -> str | None:
     Packet jobs always merge; ``batch`` chooses the kernel lanes of the
     other spec backends.
     """
-    if isinstance(job, SpecJob) and (batch or job.backend == "packet"):
+    if isinstance(job, PacketScenarioJob) or (
+        isinstance(job, SpecJob) and job.backend == "packet"
+    ):
+        return "scenario"
+    if isinstance(job, SpecJob) and batch:
         if job.backend in _BATCHED_SPEC_BACKENDS:
             return f"spec-{job.backend}"
         if job.backend not in _warned_laneless:
@@ -376,8 +405,6 @@ def _batch_lane(job: Any, batch: bool) -> str | None:
                 stacklevel=5,
             )
         return None
-    if isinstance(job, PacketScenarioJob):
-        return "scenario"
     if isinstance(job, WorkloadJob):
         return "workload"
     return None

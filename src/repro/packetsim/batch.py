@@ -2,11 +2,10 @@
 
 Every packet-level run goes through this module. A sweep of N
 replications (seeds, backgrounds, protocol mixes) over the same link
-would pay N times the event-loop setup, N private RNG streams drawn one
-scalar at a time, and N passes over the Python interpreter's scheduler
-machinery. This module runs many replications inside **one**
-:class:`~repro.packetsim.engine.EventScheduler`, and a single run is a
-merge group of one
+would pay N times the event-loop setup and N passes over the Python
+interpreter's scheduler machinery. This module runs many replications
+inside **one** :class:`~repro.packetsim.engine.EventScheduler`, and a
+single run is a merge group of one
 (:func:`repro.packetsim.scenario.run_scenario`,
 :func:`repro.packetsim.workload.run_workload`):
 
@@ -19,10 +18,14 @@ merge group of one
   BottleneckQueue`) and one shared :class:`~repro.packetsim.packet.
   PacketPool` freelist.
 - Each replication keeps its **own** queue, flows and RNG, so state is
-  fully disjoint; receiver-side random loss draws come from a
-  :class:`_BlockRandom` that serves ``Generator.random()`` values from
-  amortized block draws — the "seed-vectorized" part: one NumPy call per
-  block instead of one per packet, bit-identical to the scalar stream.
+  fully disjoint. Receiver-side random loss draws scalar
+  ``Generator.random()`` values from the scenario's own
+  ``np.random.default_rng(seed)``, and a group gets a wire-loss rail only
+  when one of its members is lossy.
+
+Scenario and workload replications share one wiring (:func:`_wire`) and
+one loop set-up (:func:`_run_group`); the two entry points only describe
+their members and package the results.
 
 Why the merge is exact (the bit-identity argument): the engine executes
 events in global ``(time, seq)`` order. Event *times* depend only on the
@@ -40,24 +43,25 @@ member's solo run and against the frozen pre-refactor simulators
 field.
 
 Entry points: :func:`run_scenarios_batched` (long-lived-flow scenarios:
-every :class:`~repro.exec.jobs.PacketScenarioJob` and packet-backend
-spec the executor runs) and :func:`run_workloads_batched` (finite-flow
-FCT workloads: every :class:`~repro.exec.jobs.WorkloadJob`). They only
-compute; the executor serves and archives stored results.
+the executor's scenario lane, which takes every
+:class:`~repro.exec.jobs.PacketScenarioJob` and packet-backend spec) and
+:func:`run_workloads_batched` (finite-flow FCT workloads: every
+:class:`~repro.exec.jobs.WorkloadJob`). They only compute; the executor
+serves and archives stored results.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.model.link import Link
 from repro.packetsim.engine import EventKind, EventScheduler, Rail
-from repro.packetsim.host import Flow
+from repro.packetsim.host import Flow, FlowStats
 from repro.packetsim.packet import Packet, PacketPool
-from repro.packetsim.queue import BottleneckQueue
+from repro.packetsim.queue import BottleneckQueue, QueueStats
 from repro.packetsim.scenario import PacketScenario, ScenarioResult
 from repro.packetsim.workload import FlowSpec, WorkloadResult
 from repro.perf import timing
@@ -69,37 +73,133 @@ __all__ = ["run_scenarios_batched", "run_workloads_batched"]
 _FLOW_ACK = int(EventKind.FLOW_ACK)
 _FLOW_LOSS = int(EventKind.FLOW_LOSS)
 
-#: Uniform draws fetched per NumPy call in :class:`_BlockRandom`.
-_RNG_BLOCK = 512
 
+class _Member(NamedTuple):
+    """One replication of a merge group: its link, flows and receiver.
 
-class _BlockRandom:
-    """Serve scalar ``Generator.random()`` draws from block draws.
-
-    ``np.random.default_rng(seed).random(k)`` produces exactly the same
-    float64 values as ``k`` successive scalar ``.random()`` calls on the
-    same generator, so handing out a block element by element is
-    bit-identical to a per-packet scalar draw stream (the frozen
-    reference simulator's) while paying the Generator call overhead once
-    per block. Only whole-block state advances occur, so two
-    replications with equal seeds stay in lockstep with a solo run
-    regardless of how many draws each makes.
+    ``flows`` lists each flow's fresh protocol, start time and size
+    (``None`` for a long-lived flow), in flow-id order. With a positive
+    ``loss_rate`` the receiver drops each arriving packet with that
+    probability, drawing from ``np.random.default_rng(seed)``.
     """
 
-    __slots__ = ("_rng", "_block", "_pos")
+    link: Link
+    flows: list[tuple[Protocol, float, int | None]]
+    initial_window: float
+    sample_queue: bool = False
+    loss_rate: float = 0.0
+    seed: int = 0
 
-    def __init__(self, seed: int) -> None:
-        self._rng = np.random.default_rng(seed)
-        self._block = np.empty(0)
-        self._pos = 0
 
-    def random(self) -> float:
-        if self._pos == self._block.shape[0]:
-            self._block = self._rng.random(_RNG_BLOCK)
-            self._pos = 0
-        value = self._block[self._pos]
-        self._pos += 1
-        return float(value)
+def _wire(
+    member: _Member,
+    scheduler: EventScheduler,
+    pool: PacketPool,
+    ack_rail: Rail,
+    wire_loss_rail: Rail | None,
+    drop_rail: Rail,
+    service_rail: Rail,
+) -> tuple[list[Flow], BottleneckQueue]:
+    """Build one member's private queue and flows on the shared loop.
+
+    A function (not a loop body) so the ``deliver``/``drop`` closures bind
+    this member's ``flows`` list and generator.
+    """
+    flows: list[Flow] = []
+    rate = member.loss_rate
+    if rate > 0.0:
+        assert wire_loss_rail is not None
+        lose = wire_loss_rail
+        draw = np.random.default_rng(member.seed).random
+
+        def deliver(packet: Packet) -> None:
+            if draw() < rate:
+                lose.push(_FLOW_LOSS, flows[packet.flow_id], packet)
+            else:
+                ack_rail.push(_FLOW_ACK, flows[packet.flow_id], packet)
+
+    else:
+
+        def deliver(packet: Packet) -> None:
+            ack_rail.push(_FLOW_ACK, flows[packet.flow_id], packet)
+
+    def drop(packet: Packet) -> None:
+        drop_rail.push(_FLOW_LOSS, flows[packet.flow_id], packet)
+
+    link = member.link
+    queue = BottleneckQueue(
+        scheduler,
+        bandwidth=link.bandwidth,
+        capacity=int(link.buffer_size),
+        on_departure=deliver,
+        on_drop=drop,
+        sample_occupancy=member.sample_queue,
+        service_rail=service_rail,
+    )
+    for flow_id, (protocol, start_time, size) in enumerate(member.flows):
+        flows.append(
+            Flow(
+                flow_id=flow_id,
+                protocol=protocol,
+                scheduler=scheduler,
+                transmit=queue.arrive,
+                initial_window=member.initial_window,
+                start_time=start_time,
+                size=size,
+                pool=pool,
+            )
+        )
+    return flows, queue
+
+
+def _run_group(
+    link: Link, duration: float, members: Sequence[_Member]
+) -> list[tuple[list[FlowStats], QueueStats, int]]:
+    """Run members sharing ``link``'s rail delays in one loop to ``duration``.
+
+    Returns each member's flow statistics, queue statistics and share of
+    the loop's events, in member order.
+    """
+    scheduler = EventScheduler()
+    pool = PacketPool()
+    # One rail per fixed delay, shared by every member (targets
+    # disambiguate, state is per member). The ACK and wire-loss rails
+    # have the same delay but stay distinct FIFOs; the (time, seq)
+    # tie-break keeps the merged order a solo run's.
+    ack_rail = scheduler.rail(2 * link.theta)
+    lossy = any(member.loss_rate > 0.0 for member in members)
+    wire_loss_rail = scheduler.rail(2 * link.theta) if lossy else None
+    drop_rail = scheduler.rail(link.base_rtt)
+    service_rail = scheduler.rail(1.0 / link.bandwidth)
+    wired = [
+        _wire(member, scheduler, pool, ack_rail, wire_loss_rail, drop_rail, service_rail)
+        for member in members
+    ]
+    for flows, _ in wired:
+        for flow in flows:
+            flow.start()
+    with timing.measure("batch.packet"):
+        scheduler.run_until(duration)
+    scheduler.discard_pending()
+    outcomes = []
+    for flows, queue in wired:
+        # The scheduler's processed-event count covers the whole group.
+        # Reconstruct this member's share analytically: every handler
+        # execution is accounted by exactly one counter — FLOW_PUMP fires
+        # once per flow whose start falls inside the horizon (``_pump`` is
+        # only ever *called*, never rescheduled), FLOW_ACK/FLOW_LOSS
+        # increment packets_acked/packets_lost unconditionally, and each
+        # QUEUE_SERVICE increments ``departed``.
+        events = (
+            sum(1 for flow in flows if flow.start_time <= duration)
+            + sum(f.stats.packets_acked + f.stats.packets_lost for f in flows)
+            + queue.stats.departed
+        )
+        outcomes.append(([flow.stats for flow in flows], queue.stats, events))
+        # The delivery closures capture ``flows``: emptying it lets the
+        # run be freed by reference counting.
+        flows.clear()
+    return outcomes
 
 
 # ----------------------------------------------------------------------
@@ -111,116 +211,19 @@ def _merge_key(scenario: PacketScenario) -> tuple[float, float, float]:
     return (link.bandwidth, link.theta, scenario.duration)
 
 
-def _wire_scenario(
-    scenario: PacketScenario,
-    scheduler: EventScheduler,
-    pool: PacketPool,
-    ack_rail: Rail,
-    wire_loss_rail: Rail,
-    drop_rail: Rail,
-    service_rail: Rail,
-) -> tuple[list[Flow], BottleneckQueue]:
-    """Build one replication's private queue/flows on the shared loop.
-
-    A function (not a loop body) so the ``deliver``/``drop`` closures bind
-    this replication's ``flows`` list and RNG.
-    """
-    flows: list[Flow] = []
-    rng = _BlockRandom(scenario.seed)
-    rate = scenario.random_loss_rate
-    lossy = rate > 0.0
-
-    def deliver(packet: Packet) -> None:
-        if lossy and rng.random() < rate:
-            wire_loss_rail.push(_FLOW_LOSS, flows[packet.flow_id], packet)
-            return
-        ack_rail.push(_FLOW_ACK, flows[packet.flow_id], packet)
-
-    def drop(packet: Packet) -> None:
-        drop_rail.push(_FLOW_LOSS, flows[packet.flow_id], packet)
-
-    link = scenario.link
-    queue = BottleneckQueue(
-        scheduler,
-        bandwidth=link.bandwidth,
-        capacity=int(link.buffer_size),
-        on_departure=deliver,
-        on_drop=drop,
-        sample_occupancy=scenario.sample_queue,
-        service_rail=service_rail,
-    )
+def _scenario_member(scenario: PacketScenario) -> _Member:
     start_times = scenario.start_times or [0.0] * len(scenario.protocols)
-    for index, protocol in enumerate(scenario.protocols):
-        flows.append(
-            Flow(
-                flow_id=index,
-                protocol=copy.deepcopy(protocol),
-                scheduler=scheduler,
-                transmit=queue.arrive,
-                initial_window=scenario.initial_window,
-                start_time=start_times[index],
-                pool=pool,
-            )
-        )
-    return flows, queue
-
-
-def _run_merged_scenarios(
-    scenarios: Sequence[PacketScenario],
-) -> list[ScenarioResult]:
-    """Run replications sharing one merge key in a single event loop."""
-    link = scenarios[0].link
-    duration = scenarios[0].duration
-    scheduler = EventScheduler()
-    pool = PacketPool()
-    # One rail per fixed delay, shared by every replication (targets
-    # disambiguate, state is per-replication). The ACK and wire-loss rails
-    # have the same delay but stay distinct FIFOs; the (time, seq)
-    # tie-break keeps the merged order a solo run's.
-    ack_rail = scheduler.rail(2 * link.theta)
-    wire_loss_rail = scheduler.rail(2 * link.theta)
-    drop_rail = scheduler.rail(link.base_rtt)
-    service_rail = scheduler.rail(1.0 / link.bandwidth)
-    replications = [
-        _wire_scenario(
-            scenario, scheduler, pool,
-            ack_rail, wire_loss_rail, drop_rail, service_rail,
-        )
-        for scenario in scenarios
-    ]
-    for flows, _ in replications:
-        for flow in flows:
-            flow.start()
-    with timing.measure("batch.packet"):
-        scheduler.run_until(duration)
-    results: list[ScenarioResult] = []
-    for scenario, (flows, queue) in zip(scenarios, replications):
-        # The scheduler's processed-event count covers the whole group.
-        # Reconstruct this replication's share analytically: every handler
-        # execution is accounted by exactly one counter — FLOW_PUMP fires
-        # once per flow whose start falls inside the horizon (``_pump`` is
-        # only ever *called*, never rescheduled), FLOW_ACK/FLOW_LOSS
-        # increment packets_acked/packets_lost unconditionally, and each
-        # QUEUE_SERVICE increments ``departed``.
-        starts = sum(1 for flow in flows if flow.start_time <= duration)
-        events = (
-            starts
-            + sum(f.stats.packets_acked + f.stats.packets_lost for f in flows)
-            + queue.stats.departed
-        )
-        results.append(
-            ScenarioResult(
-                scenario=scenario,
-                flows=[flow.stats for flow in flows],
-                queue=queue.stats,
-                duration=duration,
-                events=events,
-            )
-        )
-    scheduler.discard_pending()
-    for flows, _ in replications:
-        flows.clear()
-    return results
+    return _Member(
+        link=scenario.link,
+        flows=[
+            (copy.deepcopy(protocol), start, None)
+            for protocol, start in zip(scenario.protocols, start_times)
+        ],
+        initial_window=scenario.initial_window,
+        sample_queue=scenario.sample_queue,
+        loss_rate=scenario.random_loss_rate,
+        seed=scenario.seed,
+    )
 
 
 def run_scenarios_batched(
@@ -240,77 +243,24 @@ def run_scenarios_batched(
     for i, scenario in enumerate(scenarios):
         groups.setdefault(_merge_key(scenario), []).append(i)
     for indices in groups.values():
-        merged = _run_merged_scenarios([scenarios[i] for i in indices])
-        for i, result in zip(indices, merged):
-            results[i] = result
+        first = scenarios[indices[0]]
+        outcomes = _run_group(
+            first.link, first.duration, [_scenario_member(scenarios[i]) for i in indices]
+        )
+        for i, (flows, queue, events) in zip(indices, outcomes):
+            results[i] = ScenarioResult(
+                scenario=scenarios[i],
+                flows=flows,
+                queue=queue,
+                duration=first.duration,
+                events=events,
+            )
     return [result for result in results if result is not None]
 
 
 # ----------------------------------------------------------------------
 # Finite-flow workloads
 # ----------------------------------------------------------------------
-def _wire_workload(
-    specs: Sequence[FlowSpec],
-    background: Sequence[Protocol],
-    link: Link,
-    scheduler: EventScheduler,
-    pool: PacketPool,
-    ack_rail: Rail,
-    drop_rail: Rail,
-    service_rail: Rail,
-    slow_start: bool,
-    initial_window: float,
-) -> list[Flow]:
-    """One workload job's queue and flows on the shared loop."""
-    flows: list[Flow] = []
-
-    def deliver(packet: Packet) -> None:
-        ack_rail.push(_FLOW_ACK, flows[packet.flow_id], packet)
-
-    def drop(packet: Packet) -> None:
-        drop_rail.push(_FLOW_LOSS, flows[packet.flow_id], packet)
-
-    queue = BottleneckQueue(
-        scheduler,
-        bandwidth=link.bandwidth,
-        capacity=int(link.buffer_size),
-        on_departure=deliver,
-        on_drop=drop,
-        service_rail=service_rail,
-    )
-
-    def wrap(protocol: Protocol) -> Protocol:
-        fresh = copy.deepcopy(protocol)
-        return SlowStartWrapper(fresh) if slow_start else fresh
-
-    for index, spec in enumerate(specs):
-        flows.append(
-            Flow(
-                flow_id=index,
-                protocol=wrap(spec.protocol),
-                scheduler=scheduler,
-                transmit=queue.arrive,
-                initial_window=initial_window,
-                start_time=spec.start_time,
-                size=spec.size,
-                pool=pool,
-            )
-        )
-    for offset, protocol in enumerate(background):
-        flows.append(
-            Flow(
-                flow_id=len(specs) + offset,
-                protocol=wrap(protocol),
-                scheduler=scheduler,
-                transmit=queue.arrive,
-                initial_window=initial_window,
-                start_time=0.0,
-                pool=pool,
-            )
-        )
-    return flows
-
-
 def run_workloads_batched(
     link: Link,
     jobs: Sequence[tuple[Sequence[FlowSpec], Sequence[Protocol] | None]],
@@ -324,14 +274,21 @@ def run_workloads_batched(
     :func:`repro.packetsim.workload.run_workload`; ``link``, ``duration``
     and the flags are shared, which is exactly what makes every job merge
     into a single scheduler (all rail delays agree by construction).
+    Background flows follow a job's finite flows and start at 0.
     Results come back in job order, each bit-identical to the job's solo
     run (a one-job call, which is what ``run_workload`` is).
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    normalized: list[tuple[list[FlowSpec], list[Protocol]]] = []
-    for specs, background in jobs:
-        specs = list(specs)
+
+    def fresh(protocol: Protocol) -> Protocol:
+        protocol = copy.deepcopy(protocol)
+        return SlowStartWrapper(protocol) if slow_start else protocol
+
+    spec_lists: list[list[FlowSpec]] = []
+    members: list[_Member] = []
+    for job_specs, background in jobs:
+        specs = list(job_specs)
         if not specs:
             raise ValueError("at least one flow spec is required")
         for spec in specs:
@@ -340,35 +297,13 @@ def run_workloads_batched(
                     f"flow starting at {spec.start_time} never runs within "
                     f"duration {duration}"
                 )
-        normalized.append((specs, list(background or [])))
-    if not normalized:
-        return []
-    scheduler = EventScheduler()
-    pool = PacketPool()
-    ack_rail = scheduler.rail(2 * link.theta)
-    drop_rail = scheduler.rail(link.base_rtt)
-    service_rail = scheduler.rail(1.0 / link.bandwidth)
-    wired = [
-        _wire_workload(
-            specs, background, link, scheduler, pool,
-            ack_rail, drop_rail, service_rail, slow_start, initial_window,
-        )
-        for specs, background in normalized
+        flows: list[tuple[Protocol, float, int | None]] = [
+            (fresh(spec.protocol), spec.start_time, spec.size) for spec in specs
+        ]
+        flows += [(fresh(protocol), 0.0, None) for protocol in background or []]
+        spec_lists.append(specs)
+        members.append(_Member(link=link, flows=flows, initial_window=initial_window))
+    return [
+        WorkloadResult(specs=specs, flows=stats[: len(specs)], duration=duration)
+        for specs, (stats, _, _) in zip(spec_lists, _run_group(link, duration, members))
     ]
-    for flows in wired:
-        for flow in flows:
-            flow.start()
-    with timing.measure("batch.packet"):
-        scheduler.run_until(duration)
-    results = [
-        WorkloadResult(
-            specs=list(specs),
-            flows=[flow.stats for flow in flows[: len(specs)]],
-            duration=duration,
-        )
-        for (specs, _), flows in zip(normalized, wired)
-    ]
-    scheduler.discard_pending()
-    for flows in wired:
-        flows.clear()
-    return results

@@ -205,8 +205,8 @@ def kind_from_members(
 # The cache proper
 # ----------------------------------------------------------------------
 def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` or ``~/.cache/repro/sim``."""
-    return Path(os.environ.get("REPRO_CACHE_DIR") or "~/.cache/repro/sim").expanduser()
+    """The directory ``$REPRO_SIM_CACHE`` names, else ``~/.cache/repro/sim``."""
+    return Path(os.environ.get(CACHE_ENV) or "~/.cache/repro/sim").expanduser()
 
 
 class TraceCache:

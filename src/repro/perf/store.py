@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 import warnings
@@ -222,7 +223,7 @@ def _warn_bad_cap(raw: str, reason: str) -> None:
 def size_cap_bytes() -> int | None:
     """The ``REPRO_CACHE_MAX_MB`` cap in bytes, or ``None`` when unset.
 
-    A malformed or negative value is rejected with a one-time
+    A malformed, negative or non-finite value is rejected with a one-time
     :class:`RuntimeWarning` naming the value — a misconfigured cap would
     otherwise be an invisible no-op.
     """
@@ -233,6 +234,9 @@ def size_cap_bytes() -> int | None:
         mb = float(raw)
     except ValueError:
         _warn_bad_cap(raw, "not a number")
+        return None
+    if not math.isfinite(mb):
+        _warn_bad_cap(raw, "not finite")
         return None
     if mb < 0:
         _warn_bad_cap(raw, "negative")

@@ -24,11 +24,7 @@ from hypothesis import strategies as st
 
 from repro.exec import Executor, PacketScenarioJob
 from repro.model.link import Link
-from repro.packetsim.batch import (
-    _BlockRandom,
-    run_scenarios_batched,
-    run_workloads_batched,
-)
+from repro.packetsim.batch import run_scenarios_batched, run_workloads_batched
 from repro.packetsim.scenario import PacketScenario, run_scenario
 from repro.packetsim.workload import poisson_workload, run_workload
 from repro.perf.cache import cache_enabled
@@ -161,21 +157,18 @@ def test_mixed_links_split_into_merge_groups_in_submission_order():
         _assert_matches_reference(result, scenario)
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    draws=st.lists(st.integers(min_value=0, max_value=700), min_size=1,
-                   max_size=4),
-)
-def test_block_random_matches_scalar_generator_stream(seed, draws):
-    """Block-served draws equal scalar ``.random()`` calls, bit for bit."""
-    blocked = _BlockRandom(seed)
-    scalar = np.random.default_rng(seed)
-    for count in draws:
-        for _ in range(count):
-            a = blocked.random()
-            b = scalar.random()
-            assert np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+def test_lossless_members_share_a_group_with_lossy_ones():
+    """Only a group with a lossy member gets the wire-loss rail; the
+    lossless members it carries still match their solo runs, which have
+    no such rail."""
+    link = Link.from_mbps(12, 42, 60)
+    lossy = _scenarios(5, 2, link, duration=2.0, lossy=True)
+    lossless = _scenarios(6, 2, link, duration=2.0, lossy=False)
+    scenarios = [lossless[0], lossy[0], lossless[1], lossy[1]]
+    merged = run_scenarios_batched(scenarios)
+    for scenario, result in zip(scenarios, merged, strict=True):
+        _assert_results_equal(result, run_scenario(scenario))
+        _assert_matches_reference(result, scenario)
 
 
 @settings(max_examples=5, deadline=None)

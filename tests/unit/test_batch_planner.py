@@ -153,6 +153,11 @@ class TestErrorIsolation:
         with pytest.raises(LoweringError):
             run_batched([_aimd_spec(), _multilink_spec()])
 
+    def test_backend_without_a_stacked_kernel_is_named(self):
+        # Packet specs merge in the executor's scenario lane instead.
+        with pytest.raises(ValueError, match=r"'packet'.*fluid, meanfield, network"):
+            run_batched([_aimd_spec()], "packet")
+
     def test_skip_errors_keeps_the_error_without_poisoning_the_batch(self):
         good = [_aimd_spec(a=1.0), _aimd_spec(a=2.0)]
         results = run_batched(

@@ -217,6 +217,45 @@ class TestMain:
         assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
         assert "0 entries" not in capsys.readouterr().out
 
+    def test_cache_commands_use_the_store_the_environment_names(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The run stores under $REPRO_SIM_CACHE, so stats and prune
+        # without --dir look there, not in ~/.cache/repro/sim.
+        from repro.perf import cache as cache_mod
+
+        monkeypatch.setenv(cache_mod.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(cache_mod, "_active", None)
+        monkeypatch.delenv("REPRO_CACHE_MAX_MB", raising=False)
+        assert main(["run", "--protocols", "reno", "reno",
+                     "--steps", "50"]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert f"cache directory: {tmp_path}" in out
+        assert "entries: 1" in out
+        assert main(["cache", "prune", "--max-mb", "0", "--dry-run"]) == 0
+        assert "would prune 1 cached trace(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["-5", "nan", "inf", "lots"])
+    def test_cache_prune_rejects_a_bad_max_mb(self, capsys, tmp_path,
+                                              monkeypatch, value):
+        # A negative cap would evict every entry; a non-finite one has no
+        # byte count. Both are usage errors, and nothing is deleted.
+        from repro.perf import cache as cache_mod
+
+        monkeypatch.setenv(cache_mod.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(cache_mod, "_active", None)
+        assert main(["run", "--protocols", "reno", "--steps", "50"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "prune", "--dir", str(tmp_path),
+                  "--max-mb", value])
+        assert exit_info.value.code == 2
+        assert "--max-mb" in capsys.readouterr().err
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        assert "entries: 1" in capsys.readouterr().out
+
     def test_run_batch_matches_serial(self, capsys):
         argv = ["run", "--protocols", "AIMD(1,0.5)", "reno",
                 "--steps", "80", "--no-cache"]

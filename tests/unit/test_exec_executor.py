@@ -427,6 +427,55 @@ class TestPacketLanes:
         assert [outcome.ok for outcome in outcomes] == [True, False, True]
         assert outcomes[1].error.startswith("ArithmeticError")
 
+    def test_packet_specs_merge_with_scenarios_in_one_lane(self, monkeypatch):
+        # A packet spec, the native job of its lowered scenario and a
+        # packet spec that cannot lower, in one submission: the scenario
+        # lane lowers the specs, merges the two scenarios in one call,
+        # and fails only the third job, with its lowering error.
+        from repro.packetsim import batch as packet_batch
+
+        spec = ScenarioSpec(protocols=[AIMD(1.0, 0.5), AIMD(2.0, 0.7)],
+                            link=_PACKET_LINK, duration=2.0)
+        unlowerable = ScenarioSpec(protocols=[AIMD(1.0, 0.5)],
+                                   link=_PACKET_LINK, duration=2.0,
+                                   integer_windows=True)
+        scenario = spec.lower_packet()
+        jobs = [SpecJob(spec, "packet"), PacketScenarioJob(scenario),
+                SpecJob(unlowerable, "packet")]
+        expected_trace = run_spec(spec, "packet", use_cache=False)
+        expected = run_scenario(scenario)
+
+        merged = packet_batch.run_scenarios_batched
+        calls = []
+        failing = False
+
+        def spy(scenarios):
+            calls.append(len(scenarios))
+            if failing and len(scenarios) > 1:
+                raise RuntimeError("the merged call raised")
+            return merged(scenarios)
+
+        monkeypatch.setattr(packet_batch, "run_scenarios_batched", spy)
+        for failing in (False, True):
+            calls.clear()
+            outcomes = Executor().submit(jobs, use_cache=False,
+                                         skip_errors=True)
+            # One merged call; when it raises, each lowered member re-runs
+            # alone, a merge group of one.
+            assert calls == ([2, 1, 1] if failing else [2])
+            assert [outcome.ok for outcome in outcomes] == [True, True, False]
+            _assert_bit_identical(outcomes[0].value, expected_trace)
+            native = outcomes[1].value
+            assert _flow_bits(native.flows) == _flow_bits(expected.flows)
+            assert native.events == expected.events
+            assert (native.queue.enqueued, native.queue.dropped,
+                    native.queue.departed) == (expected.queue.enqueued,
+                                               expected.queue.dropped,
+                                               expected.queue.departed)
+            assert outcomes[2].error.startswith("LoweringError")
+            with pytest.raises(LoweringError, match="packet-granular"):
+                Executor().submit(jobs, use_cache=False)
+
     def test_first_submitted_failure_raises(self):
         # The later-submitted scenario raises earlier in simulated time.
         jobs = [

@@ -1,6 +1,7 @@
 """The content-addressed simulation cache (repro.perf.cache)."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,8 +143,10 @@ class TestTraceCache:
         assert cache.entries() == []
 
     def test_default_directory_honours_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
+        monkeypatch.setenv("REPRO_SIM_CACHE", str(tmp_path / "custom"))
         assert default_cache_dir() == tmp_path / "custom"
+        monkeypatch.delenv("REPRO_SIM_CACHE")
+        assert default_cache_dir() == Path("~/.cache/repro/sim").expanduser()
 
     def test_unwritable_directory_is_best_effort(self, tmp_path, emulab_link):
         # A bogus cache location (here: a regular file) must not kill the

@@ -203,6 +203,10 @@ class TestPruneCache:
         monkeypatch.setenv(CACHE_MAX_MB_ENV, "-1")
         with pytest.warns(RuntimeWarning, match="negative"):
             assert size_cap_bytes() is None
+        for raw in ("nan", "inf"):  # int() of either raised out of every prune
+            monkeypatch.setenv(CACHE_MAX_MB_ENV, raw)
+            with pytest.warns(RuntimeWarning, match="not finite"):
+                assert size_cap_bytes() is None
         monkeypatch.delenv(CACHE_MAX_MB_ENV)
         assert size_cap_bytes() is None
 

@@ -373,7 +373,7 @@ EXACT_FLOAT_SITES = {
 # ----------------------------------------------------------------------
 # The AST checks, each with its scope
 # ----------------------------------------------------------------------
-_SIMULATORS = ("repro/packetsim/", "repro/model/")
+_SIMULATORS = ("repro/packetsim/", "repro/model/", "repro/netmodel/", "repro/meanfield/")
 
 #: Code -> (module-path prefixes the check covers, the check).
 AST_CHECKS: dict[str, tuple[tuple[str, ...], Callable[[ast.Module], Iterator[Finding]]]] = {
@@ -454,6 +454,14 @@ CASES = [
         "repro/packetsim/clocks.py",
         "import time\nstamp = time.time()\n",
         "def stamp(scheduler):\n    return scheduler.now\n",
+    ),
+    (
+        # The network simulator is a simulator too: its run loop reads the
+        # simulated step, never the host clock.
+        "REP102",
+        "repro/netmodel/dynamics.py",
+        "import time\n\ndef run(steps):\n    started = time.perf_counter()\n    return started\n",
+        "def run(steps):\n    return steps\n",
     ),
     (
         "REP103",
