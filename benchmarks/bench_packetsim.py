@@ -7,8 +7,10 @@ archives the numbers in ``benchmarks/results/packetsim.json``:
   scheduler (a verbatim copy embedded below) vs the slotted rails engine,
   on the same bounce-pattern workload (a few fixed delay classes, many
   sources — the shape of real packet runs), timed in back-to-back pairs
-  whose order alternates. Asserts that the median per-pair speedup is
-  >= 3x.
+  whose order alternates. Each run has a fresh interpreter to itself:
+  the claim is about an engine in a new process, and within one process
+  the legacy engine speeds up after its first run (a warm allocator is
+  the likely cause). Asserts that the median per-pair speedup is >= 3x.
 - **packet-run cache** — one scenario simulated cold, then replayed from
   the content-addressed cache. The warm run must reproduce the statistics
   and take under a tenth of the cold wall time.
@@ -27,6 +29,8 @@ import json
 import math
 import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -35,6 +39,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+import repro
 from repro.exec import Executor, PacketScenarioJob
 from repro.packetsim.engine import EventKind, EventScheduler
 from repro.packetsim.scenario import PacketScenario
@@ -164,16 +169,30 @@ def _run_slotted_engine(total: int, sources: int) -> tuple[int, float]:
     return scheduler.processed_events, elapsed
 
 
+_ENGINES = {"legacy": _run_legacy_engine, "slotted": _run_slotted_engine}
+
+
+def _run_engine_in_fresh_process(name: str) -> tuple[int, float]:
+    """One run of engine ``name``, in a new interpreter (see ``main``)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, __file__, "--engine", name],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    events, seconds = json.loads(out)
+    return events, seconds
+
+
 def bench_engine() -> dict:
-    # Time the engines in back-to-back pairs whose order alternates, as
-    # bench_engines.py's fluid loop cutoff does: a clock shift within a
-    # pair falls on both sides, and the median of the per-pair speedups
-    # sets aside the pairs it caught only half of.
-    engines = (("legacy", _run_legacy_engine), ("slotted", _run_slotted_engine))
-    rates: dict[str, list[float]] = {name: [] for name, _ in engines}
+    # Time the engines in back-to-back pairs whose order alternates: a
+    # clock shift within a pair falls on both sides, and the median of
+    # the per-pair speedups sets aside the pairs it caught only half of.
+    rates: dict[str, list[float]] = {name: [] for name in _ENGINES}
     for pair in range(_ENGINE_PAIRS):
-        for name, engine in engines if pair % 2 == 0 else engines[::-1]:
-            events, seconds = engine(_ENGINE_EVENTS, _ENGINE_SOURCES)
+        for name in _ENGINES if pair % 2 == 0 else reversed(_ENGINES):
+            events, seconds = _run_engine_in_fresh_process(name)
             rates[name].append(events / seconds)
     speedups = [
         slotted / legacy
@@ -184,6 +203,7 @@ def bench_engine() -> dict:
         "events": _ENGINE_EVENTS,
         "sources": _ENGINE_SOURCES,
         "pairs": _ENGINE_PAIRS,
+        "process": "fresh per run",
         "legacy_events_per_s": statistics.median(rates["legacy"]),
         "slotted_events_per_s": statistics.median(rates["slotted"]),
         "speedup": statistics.median(speedups),
@@ -265,4 +285,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:2] == ["--engine"]:
+        # One timed engine run for _run_engine_in_fresh_process.
+        print(json.dumps(_ENGINES[sys.argv[2]](_ENGINE_EVENTS, _ENGINE_SOURCES)))
+    else:
+        main()

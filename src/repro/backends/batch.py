@@ -15,8 +15,7 @@ is extracted. One pipeline drives every lane:
   order (submission order within a group), and list everything else —
   stateful protocols, schedules, ECN, lowering failures, ... — as
   per-spec fallbacks. The fluid lane takes exactly the runs whose
-  windows the serial engine can step as array rows: one predicate,
-  :func:`repro.model.dynamics.synchronized_stateless`, decides both;
+  windows step as array rows: :func:`synchronized_stateless` decides;
 - :func:`run_batched` runs a plan: one in-process kernel call per group,
   then extracts each row's trace and runs the fallbacks through the
   serial engine.
@@ -48,12 +47,11 @@ import numpy as np
 
 from repro.backends.base import get_backend
 from repro.backends.spec import ScenarioSpec
-from repro.model.dynamics import (
-    check_window_clamp,
-    stateless_loss_rate,
-    synchronized_stateless,
-)
+from repro.model.dynamics import SimulationConfig, check_window_clamp
+from repro.model.link import Link
+from repro.model.random_loss import BernoulliLoss, LossProcess, NoLoss
 from repro.perf import store, timing
+from repro.protocols.base import Protocol
 
 __all__ = [
     "BatchGroup",
@@ -130,15 +128,65 @@ class _Lane:
 # ----------------------------------------------------------------------
 # Lowering: spec -> batch row, or None to fall back per-spec
 # ----------------------------------------------------------------------
+def stateless_loss_rate(
+    protocols: Sequence[Protocol], loss_process: LossProcess | None
+) -> float | None:
+    """The one non-congestion loss rate of a stateless run, or ``None``.
+
+    A run is stateless when every window update is a pure map of the
+    step's feedback: the non-congestion loss is one constant rate for
+    every sender and step (no process, ``NoLoss`` or a deterministic
+    ``BernoulliLoss``), and each protocol's class implements
+    :meth:`~repro.protocols.base.Protocol.batched_next` with the instance
+    holding exactly its ``batch_param_names``.
+    """
+    if loss_process is None or isinstance(loss_process, NoLoss):
+        rate = 0.0
+    elif isinstance(loss_process, BernoulliLoss) and loss_process.deterministic:
+        rate = loss_process.p
+    else:
+        return None
+    for protocol in protocols:
+        cls = type(protocol)
+        if not getattr(cls, "supports_batched", False):
+            return None
+        try:
+            if set(vars(protocol)) != set(cls.batch_param_names):
+                return None
+        except TypeError:
+            return None
+    return rate
+
+
+def synchronized_stateless(
+    link: Link, protocols: Sequence[Protocol], config: SimulationConfig
+) -> bool:
+    """Whether a fluid run's windows can step as rows of the batch kernel.
+
+    The run must be stateless (:func:`stateless_loss_rate`) and its
+    feedback synchronized: no unsynchronized loss, no ECN marking, no
+    scheduled starts or link changes, and real-valued windows.
+    """
+    schedule = config.schedule
+    if (
+        config.unsynchronized_loss
+        or config.integer_windows
+        or schedule.sender_starts
+        or schedule.link_changes
+        or link.marking_enabled
+    ):
+        return False
+    return stateless_loss_rate(protocols, config.loss_process) is not None
+
+
 def _stateless_feedback(
     protocols: Sequence, loss_process: Any, initial_windows: Sequence[float] | None
 ) -> dict[str, Any] | None:
     """The initial windows and random-loss rate the fluid and network
     kernels stack for a run, or ``None`` when they cannot express it.
 
-    Both kernels need a stateless run
-    (:func:`~repro.model.dynamics.stateless_loss_rate`) and one finite
-    non-negative initial window per flow.
+    Both kernels need a stateless run (:func:`stateless_loss_rate`) and
+    one finite non-negative initial window per flow.
     """
     random_rate = stateless_loss_rate(protocols, loss_process)
     if random_rate is None:
@@ -160,12 +208,11 @@ _LINK_COLUMNS = ("capacity", "bandwidth", "base_rtt", "pipe_limit", "timeout_rtt
 def _lower_fluid(spec: ScenarioSpec) -> _Row | None:
     """``spec``'s fluid-batch-eligible form, or ``None`` to fall back.
 
-    The fluid kernel runs what the serial engine's row path runs: a
-    :func:`~repro.model.dynamics.synchronized_stateless` run (of any mix
-    of protocol classes and any flow count). Anything it cannot express
-    — including a spec that fails to lower at all — runs serially
-    instead, where it reproduces the exact serial behaviour (or the
-    exact serial error).
+    The fluid kernel runs any :func:`synchronized_stateless` run, of any
+    mix of protocol classes and any flow count. Anything it cannot
+    express — including a spec that fails to lower at all — runs on the
+    serial engine's general loop instead, where it reproduces the exact
+    serial behaviour (or the exact serial error).
     """
     try:
         link, protocols, config, steps = spec.lower_fluid()

@@ -138,8 +138,10 @@ class ScenarioSpec:
         n = len(self.protocols)
         if self.steps <= 0:
             raise ValueError(f"steps must be positive, got {self.steps}")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if self.duration is not None and not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration must be finite and positive, got {self.duration}"
+            )
         if not 0.0 <= self.random_loss_rate < 1.0:
             raise ValueError(
                 f"random_loss_rate must be in [0, 1), got {self.random_loss_rate}"

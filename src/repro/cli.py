@@ -8,7 +8,7 @@ Usage::
     repro claims
     repro emulab [--full]
     repro fct [--replications 3]
-    repro run --backend {backends} --protocols reno cubic [--batch]
+    repro run --backend {backends} --protocols reno cubic [--flows N]
     repro simulate --protocols "AIMD(1,0.5)" "CUBIC(0.4,0.8)" --steps 2000
     repro cache stats|clear|prune [--dir PATH] [--max-mb N] [--dry-run]
     repro serve [--host 127.0.0.1 --port 8273]
@@ -120,18 +120,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     emulab.add_argument("--full", action="store_true",
                         help="run the paper's full grid (slow)")
-    emulab.add_argument("--duration", type=float, default=10.0,
+    emulab.add_argument("--duration", type=_positive, default=10.0,
                         help="seconds of simulated time per run")
 
     fct = subparsers.add_parser(
         "fct", help="short-flow completion times vs background protocol"
     )
     _add_link_arguments(fct)
-    fct.add_argument("--rate", type=float, default=1.5,
+    fct.add_argument("--rate", type=_positive, default=1.5,
                      help="Poisson arrival rate of short flows per second")
     fct.add_argument("--mean-size", type=int, default=60,
                      help="mean short-flow size in MSS")
-    fct.add_argument("--duration", type=float, default=40.0,
+    fct.add_argument("--duration", type=_positive, default=40.0,
                      help="seconds of simulated time per run")
     fct.add_argument("--replications", type=int, default=1,
                      help="independent workload seeds pooled per background")
@@ -147,13 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="protocol specs, e.g. 'AIMD(1,0.5)' reno cubic")
     run_p.add_argument("--steps", type=int, default=2000,
                        help="horizon in RTT steps (ignored when --duration set)")
-    run_p.add_argument("--duration", type=float, default=None,
+    run_p.add_argument("--duration", type=_positive, default=None,
                        help="horizon in seconds (overrides --steps)")
     run_p.add_argument("--loss", type=float, default=0.0,
                        help="random (non-congestion) loss rate in [0, 1)")
     run_p.add_argument("--flows", type=int, default=1,
                        help="flow multiplicity: each --protocols entry stands "
-                       "for this many identical flows (the meanfield backend "
+                       "for this many identical flows (a synchronized run of "
+                       "stateless protocols steps them all at once on the "
+                       "backend's batch kernel; the meanfield backend "
                        "simulates any count at fixed cost)")
     run_p.add_argument("--unsync-loss", action="store_true",
                        help="unsynchronized loss feedback (each flow notices "
@@ -164,11 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="give every flow a slow-start ramp")
     run_p.add_argument("--no-cache", action="store_true",
                        help="bypass the unified trace cache")
-    run_p.add_argument("--batch", action="store_true",
-                       help="route through the backend's batched engine "
-                       "(fluid, packet, network and meanfield all have "
-                       "one; falls back serially when the scenario is "
-                       "not batch-compatible)")
 
     sim = subparsers.add_parser("simulate", help="run an ad-hoc fluid simulation")
     _add_link_arguments(sim)
@@ -237,21 +234,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite(text: str, *, positive: bool) -> float:
+    """``text`` as a finite number, positive or else non-negative."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    in_range = value > 0 if positive else value >= 0
+    if not (math.isfinite(value) and in_range):
+        kind = "positive" if positive else "non-negative"
+        raise argparse.ArgumentTypeError(
+            f"must be a finite, {kind} number, got {text!r}"
+        )
+    return value
+
+
 def _megabytes(text: str) -> float:
     """A ``--max-mb`` value: a finite, non-negative number of megabytes.
 
     The rule :func:`repro.perf.store.size_cap_bytes` applies to
     ``$REPRO_CACHE_MAX_MB``; a negative cap would evict every entry.
     """
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite, non-negative number of MB, got {text!r}"
-        )
-    return value
+    return _finite(text, positive=False)
+
+
+def _positive(text: str) -> float:
+    """A ``--duration`` or ``--rate`` value: a finite, positive number.
+
+    An infinite or NaN horizon never ends a packet run, and such an
+    arrival rate never ends the Poisson workload.
+    """
+    return _finite(text, positive=True)
 
 
 def _run_cache_command(args: argparse.Namespace) -> int:
@@ -299,7 +312,7 @@ def _run_cache_command(args: argparse.Namespace) -> int:
 
 
 def _run_run_command(args: argparse.Namespace) -> int:
-    from repro.backends import ScenarioSpec, get_backend, run_spec, run_specs
+    from repro.backends import ScenarioSpec, get_backend, run_specs
 
     link = _link_from(args)
     protocols = [make_protocol(spec) for spec in args.protocols]
@@ -315,12 +328,11 @@ def _run_run_command(args: argparse.Namespace) -> int:
         unsynchronized_loss=args.unsync_loss,
     )
     backend = get_backend(args.backend)
-    if args.batch:
-        trace = run_specs(
-            [spec], args.backend, batch=True, use_cache=not args.no_cache
-        )[0]
-    else:
-        trace = run_spec(spec, args.backend, use_cache=not args.no_cache)
+    # A batch of one: the kernel lanes step a large population at once,
+    # and a spec they cannot express falls back to the serial engine.
+    trace = run_specs(
+        [spec], args.backend, batch=True, use_cache=not args.no_cache
+    )[0]
     print(f"{link.describe()}, backend={backend.name}, "
           f"{trace.steps} steps (~{spec.horizon_seconds():g}s)")
     for key, value in trace.summary().items():

@@ -3,9 +3,9 @@
 The Figure 1 frontier and the Table 1 / Table 2 design sweeps evaluate
 thousands of near-identical fluid scenarios — same horizon and flow
 count, different protocol parameters, protocol *classes*, or link speeds.
-Run serially, each scenario pays the Python per-step overhead of
-:class:`~repro.model.dynamics.FluidSimulator` (per sender on its general
-loop, per step on its row path). This module stacks ``B`` compatible
+Run serially, each scenario pays the Python per-sender, per-step
+overhead of :class:`~repro.model.dynamics.FluidSimulator`'s general loop.
+This module stacks ``B`` compatible
 scenarios along a leading batch axis and advances *all* of them with one
 NumPy expression per step:
 windows become a ``(B, flows)`` array, the Eq. (1) RTT / droptail loss /
@@ -25,17 +25,19 @@ precomputed index mask otherwise — so mixed AIMD/MIMD/Robust-AIMD grids
 land in a single kernel launch instead of falling back to the serial
 loop.
 
-Bit-identity is the contract, exactly as for the serial row path: every
+Bit-identity with the serial general loop is the contract: every
 float64 operation mirrors the serial engine element by element — the
 aggregate is the same left fold over the flows, scalar branches become
 ``numpy.where`` selects over the same conditions, gathers and scatters
 move bits without arithmetic, and the clamp is the same ``clip`` — so
 slicing row ``i`` out of a batch result reproduces the serial trace of
 scenario ``i`` bit for bit (property-tested in
-``tests/property/test_prop_batch.py``).
+``tests/property/test_prop_batch.py``). A batch of one row is the
+vectorised route for a single large population: its per-step cost is a
+few NumPy calls over the flows, not a Python step per sender.
 
 Scenario *compatibility* (same flow count and horizon, and
-:func:`~repro.model.dynamics.synchronized_stateless`) is decided by the
+:func:`~repro.backends.batch.synchronized_stateless`) is decided by the
 planner in :mod:`repro.backends.batch`; this module only sees
 already-stacked inputs. A scenario that produces a non-finite window
 mid-batch is frozen at a placeholder value and reported in

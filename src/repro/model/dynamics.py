@@ -22,7 +22,7 @@ from repro import debug
 from repro.model.events import EventSchedule
 from repro.model.formulas import droptail_loss_rate, eq1_rtt
 from repro.model.link import Link
-from repro.model.random_loss import BernoulliLoss, LossProcess, NoLoss, combine_loss
+from repro.model.random_loss import LossProcess, NoLoss, combine_loss
 from repro.model.sender import Observation, SenderState
 from repro.model.trace import SimulationTrace
 from repro.perf import timing
@@ -96,67 +96,6 @@ def check_window_clamp(min_window: float, max_window: float) -> None:
 _PLACEHOLDER_RTT = 1.0
 """RTT shown to loss-based protocols when enforcement is on (arbitrary constant)."""
 
-_GENERAL_LOOP_MAX_FLOWS = 3
-"""Flow count up to which the general loop beats the row path.
-
-Measured with ``benchmarks/bench_engines.py`` for AIMD, MIMD and
-Robust-AIMD (docs/performance.md): the per-sender loop is faster at
-n <= 3 and slower from n = 4 on, where the row path's fixed per-step
-NumPy cost is spread over enough flows."""
-
-
-def stateless_loss_rate(
-    protocols: Sequence[Protocol], loss_process: LossProcess | None
-) -> float | None:
-    """The one non-congestion loss rate of a stateless run, or ``None``.
-
-    A run is stateless when every window update is a pure map of the
-    step's feedback: the non-congestion loss is one constant rate for
-    every sender and step (no process, ``NoLoss`` or a deterministic
-    ``BernoulliLoss``), and each protocol's class implements
-    :meth:`~repro.protocols.base.Protocol.batched_next` with the instance
-    holding exactly its ``batch_param_names``.
-    """
-    if loss_process is None or isinstance(loss_process, NoLoss):
-        rate = 0.0
-    elif isinstance(loss_process, BernoulliLoss) and loss_process.deterministic:
-        rate = loss_process.p
-    else:
-        return None
-    for protocol in protocols:
-        cls = type(protocol)
-        if not getattr(cls, "supports_batched", False):
-            return None
-        try:
-            if set(vars(protocol)) != set(cls.batch_param_names):
-                return None
-        except TypeError:
-            return None
-    return rate
-
-
-def synchronized_stateless(
-    link: Link, protocols: Sequence[Protocol], config: SimulationConfig
-) -> bool:
-    """Whether a fluid run can step its windows as array rows.
-
-    The run must be stateless (:func:`stateless_loss_rate`) and its
-    feedback synchronized: no unsynchronized loss, no ECN marking, no
-    scheduled starts or link changes, and real-valued windows. The batch
-    kernel's lowering and the serial engine's row path both ask this one
-    question.
-    """
-    schedule = config.schedule
-    if (
-        config.unsynchronized_loss
-        or config.integer_windows
-        or schedule.sender_starts
-        or schedule.link_changes
-        or link.marking_enabled
-    ):
-        return False
-    return stateless_loss_rate(protocols, config.loss_process) is not None
-
 
 def _validate_trace(trace: SimulationTrace) -> None:
     """Sanitizer pass over a finished trace (``REPRO_DEBUG_CHECKS=1``).
@@ -223,28 +162,19 @@ class FluidSimulator:
     def run(self, steps: int) -> SimulationTrace:
         """Simulate ``steps`` RTT-sized time steps and return the trace.
 
-        Always simulates: stored traces come through
-        :func:`repro.backends.run_spec` or an executor job. A run of more
-        than :data:`_GENERAL_LOOP_MAX_FLOWS` flows of one protocol class
-        that is :func:`synchronized_stateless` takes the row path; every
-        other run takes the general loop. Both give bit-identical traces.
+        Always simulates, on the general loop: stored traces come through
+        :func:`repro.backends.run_spec` or an executor job. A large
+        synchronized population runs faster on the batch kernel
+        (``run_specs(..., batch=True)``), which reproduces this loop's
+        trace bit for bit.
         """
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
-        cfg = self.config
-        cfg.loss_process.reset()
+        self.config.loss_process.reset()
         for protocol in self.protocols:
             protocol.reset()
-        if (
-            len(self.protocols) > _GENERAL_LOOP_MAX_FLOWS
-            and len({type(p) for p in self.protocols}) == 1
-            and synchronized_stateless(self.link, self.protocols, cfg)
-        ):
-            with timing.measure("sim.run.vectorized"):
-                trace = self._run_vectorized(steps)
-        else:
-            with timing.measure("sim.run.general"):
-                trace = self._run_general(steps)
+        with timing.measure("sim.run"):
+            trace = self._run_general(steps)
         if debug.enabled():
             _validate_trace(trace)
         return trace
@@ -361,84 +291,6 @@ class FluidSimulator:
             observed_loss=np.array(observed_loss, dtype=float).reshape(steps, n),
             congestion_loss=np.array(congestion_loss, dtype=float),
             rtts=np.array(rtts, dtype=float),
-            capacities=capacities,
-            pipe_limits=pipe_limits,
-            base_rtts=base_rtts,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_vectorized(self, steps: int) -> SimulationTrace:
-        """The row path: one NumPy update per step for all senders.
-
-        Each step applies the one protocol class's
-        :meth:`~repro.protocols.base.Protocol.batched_next` to the window
-        row, with per-column parameters read from ``batch_param_names``.
-        Every float operation mirrors the general loop exactly — the
-        aggregate is a left fold (NumPy's pairwise ``sum`` would round
-        differently), the link is evaluated with the scalar
-        ``Link.loss_rate``/``Link.rtt``, loss is combined through
-        :func:`combine_loss` even when the random rate is zero, and the
-        clamp is the same min/max — so the trace is bit-identical to the
-        general loop's.
-        """
-        cfg = self.config
-        protocols = self.protocols
-        n = len(protocols)
-        cls = type(protocols[0])
-        params = {
-            name: np.array([getattr(p, name) for p in protocols], dtype=float)
-            for name in cls.batch_param_names
-        }
-        link = self.link
-        # Constant when stateless (NoLoss or deterministic Bernoulli).
-        random_rate = cfg.loss_process.rate(0, 0)
-        use_placeholder_rtt = cfg.enforce_loss_based and cls.loss_based
-        min_window, max_window = cfg.min_window, cfg.max_window
-
-        current = np.array(
-            [self._clamp(w) for w in self._initial], dtype=float
-        )
-        windows = np.full((steps, n), np.nan)
-        observed = np.zeros(steps)
-        congestion_loss = np.zeros(steps)
-        rtts = np.zeros(steps)
-        capacities = np.full(steps, link.capacity)
-        pipe_limits = np.full(steps, link.pipe_limit)
-        base_rtts = np.full(steps, link.base_rtt)
-
-        for t in range(steps):
-            total = float(np.add.accumulate(current)[-1])
-            loss = link.loss_rate(total)
-            rtt = link.rtt(total)
-            seen = combine_loss(loss, random_rate)
-
-            congestion_loss[t] = loss
-            rtts[t] = rtt
-            windows[t] = current
-            observed[t] = seen
-
-            rtt_observed = _PLACEHOLDER_RTT if use_placeholder_rtt else rtt
-            proposed = np.asarray(
-                cls.batched_next(current, seen, rtt_observed, params), dtype=float
-            )
-            if proposed.shape != (n,):
-                raise ValueError(
-                    f"batched_next returned shape {proposed.shape}, "
-                    f"expected ({n},)"
-                )
-            if not np.isfinite(proposed).all():
-                raise ValueError(
-                    "protocol produced a non-finite window: "
-                    f"{proposed[~np.isfinite(proposed)][0]}"
-                )
-            current = proposed.clip(min_window, max_window)
-
-        return SimulationTrace(
-            windows=windows,
-            # Every sender sees the step's one synchronized loss signal.
-            observed_loss=np.repeat(observed[:, None], n, axis=1),
-            congestion_loss=congestion_loss,
-            rtts=rtts,
             capacities=capacities,
             pipe_limits=pipe_limits,
             base_rtts=base_rtts,

@@ -53,6 +53,7 @@ serves and archives stored results.
 from __future__ import annotations
 
 import copy
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -278,8 +279,8 @@ def run_workloads_batched(
     Results come back in job order, each bit-identical to the job's solo
     run (a one-job call, which is what ``run_workload`` is).
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and positive, got {duration}")
 
     def fresh(protocol: Protocol) -> Protocol:
         protocol = copy.deepcopy(protocol)

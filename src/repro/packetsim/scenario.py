@@ -66,8 +66,10 @@ class PacketScenario:
     def __post_init__(self) -> None:
         if not self.protocols:
             raise ValueError("at least one flow is required")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration must be finite and positive, got {self.duration}"
+            )
         if not 0.0 <= self.random_loss_rate < 1.0:
             raise ValueError(
                 f"random_loss_rate must be in [0, 1), got {self.random_loss_rate}"

@@ -56,12 +56,12 @@ def poisson_workload(
     geometric with the given mean (floored at ``min_size``). Seeded, so
     the workload is a deterministic function of its parameters.
     """
-    if rate_per_s <= 0:
-        raise ValueError(f"rate must be positive, got {rate_per_s}")
+    if not 0 < rate_per_s < math.inf:
+        raise ValueError(f"rate_per_s must be finite and positive, got {rate_per_s}")
     if mean_size < min_size:
         raise ValueError(f"mean_size must be at least {min_size}, got {mean_size}")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and positive, got {duration}")
     rng = np.random.default_rng(seed)
     specs: list[FlowSpec] = []
     clock = 0.0

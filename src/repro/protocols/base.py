@@ -18,10 +18,10 @@ current (window, loss rate, RTT) observation — may additionally opt into
 the array paths by setting :attr:`Protocol.supports_batched`, declaring
 :attr:`Protocol.batch_param_names`, and implementing the static
 :meth:`Protocol.batched_next`. It steps many windows at once: the
-batched fluid kernel (:mod:`repro.model.batch`) passes every scenario of
-a batch, with the protocol parameters stacked along the batch axis (an
-``AIMD(alpha, beta)`` grid is one kernel call), and the serial engine's
-row path passes every flow of one run, with per-flow parameters. The
+batched fluid and network kernels (:mod:`repro.model.batch`,
+:mod:`repro.netmodel.batch`) pass every cell of a batch — each flow of
+each scenario, with per-cell parameters — so an ``AIMD(alpha, beta)``
+grid, or one run of thousands of flows, is one kernel call. The
 contract is strict: each element must be bit-identical to
 ``next_window`` for that element's parameters (same float64 operations
 in the same order), the map must be *branch-free* over the arrays —
@@ -29,7 +29,7 @@ selection via ``numpy.where`` on the conditions ``next_window`` branches
 on, never Python ``if`` — and it must not read internal state,
 observation history, ``min_rtt`` or ECN feedback. The raw-uint64
 identity suites (``tests/property/test_prop_batch.py``,
-``test_prop_vectorized.py``) hold AIMD, MIMD and Robust-AIMD to this
+``test_prop_net_batch.py``) hold AIMD, MIMD and Robust-AIMD to this
 contract; the trigger boundary test in ``tests/unit/test_meanfield.py``
 holds every class that declares a :attr:`Protocol.meanfield_trigger`.
 """

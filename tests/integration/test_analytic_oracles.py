@@ -11,9 +11,9 @@ every AIMD(a, b) flow sees the same feedback each step, so away from the
 window clamps the pairwise gap ``x_i - x_j`` is multiplied by exactly
 ``b`` on a loss step (``b x_i - b x_j``) and left unchanged on a
 loss-free step (``(x_i + a) - (x_j + a)``). The check runs at every step
-of the trajectory, on the general loop, the serial row path and the
-batch kernel alike, until the gaps fall below ``_GAP_FLOOR``, where the
-ratio of two tiny differences is rounding noise.
+of the trajectory, on the general loop and the batch kernel alike, until
+the gaps fall below ``_GAP_FLOOR``, where the ratio of two tiny
+differences is rounding noise.
 
 **The square-root law** (Ott, Kemperman and Mathis 1996; Mathis et al.
 1997). One AIMD(1, 1/2) flow that loses each packet independently with
@@ -54,8 +54,8 @@ _GAP_FLOOR = 1e-6
 
 #: Spread of the gap ratios, measured over five links (10/20/60/100 Mbps
 #: at 42 ms and 20 Mbps at 20 ms; 50-200 MSS buffers) times four sets of
-#: initial windows (1/9/30/55, 2/5/40/70, 10/20/35/60, 1/3/7/90), all
-#: three paths agreeing exactly: max |ratio - b| on loss steps ranged
+#: initial windows (1/9/30/55, 2/5/40/70, 10/20/35/60, 1/3/7/90), every
+#: fluid path agreeing exactly: max |ratio - b| on loss steps ranged
 #: 3.3e-10 to 6.6e-9, and max |ratio - 1| on loss-free steps 7.8e-16 to
 #: 6.6e-9. This configuration reads 7.97e-10 over 45 loss steps and
 #: 2.85e-9 over 590 loss-free steps. The tolerance sits a decade above
@@ -65,11 +65,7 @@ _TOLERANCE = 1e-7
 
 
 def _general(link, protocols, config):
-    return FluidSimulator(link, protocols, config)._run_general(_STEPS)
-
-
-def _row(link, protocols, config):
-    return FluidSimulator(link, protocols, config)._run_vectorized(_STEPS)
+    return FluidSimulator(link, protocols, config).run(_STEPS)
 
 
 def _kernel(link, protocols, config):
@@ -78,9 +74,7 @@ def _kernel(link, protocols, config):
     return run_batched([spec])[0]
 
 
-@pytest.mark.parametrize(
-    "run", [_general, _row, _kernel], ids=["general", "row", "kernel"]
-)
+@pytest.mark.parametrize("run", [_general, _kernel], ids=["general", "kernel"])
 def test_synchronized_aimd_gaps_contract_by_b_per_loss_step(run):
     link = Link.from_mbps(20, 42, 100)
     config = SimulationConfig(initial_windows=_INITIAL)

@@ -189,6 +189,24 @@ class TestServeEndToEnd:
         assert stats["server"]["requests"] == 0
         assert stats["executor"]["jobs"] == 0
 
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+    def test_non_finite_duration_is_a_400_and_the_next_request_runs(
+        self, duration
+    ):
+        # json.loads accepts Infinity and NaN; a packet run of such a
+        # horizon would hold the one compute thread forever.
+        with ServerThread(executor=Executor()) as server:
+            client = ServeClient(port=server.port, timeout=30)
+            response = client._request("POST", "/run", {
+                "specs": [{**_wire(1.0), "duration": duration}],
+                "backend": "packet",
+            })
+            status, error = response.status, json.loads(response.read())["error"]
+            traces = client.run_specs([_wire(1.0)], use_cache=False)
+        assert status == 400
+        assert error.startswith("duration must be finite and positive")
+        _assert_bit_identical(traces[0], _local(1.0))
+
     def test_requests_compute_one_at_a_time_on_one_thread(self, monkeypatch):
         """Two clients' requests: the first computation holds until the
         server has received the second request, yet the second never

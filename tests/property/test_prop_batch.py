@@ -3,18 +3,28 @@
 The contract that makes ``run_specs(..., batch=True)`` a pure execution
 hint: for every batch-eligible grid of scenarios, the stacked kernel must
 produce, spec for spec, exactly the float64 arrays the serial
-``run_spec`` path produces — raw bit patterns, not tolerances. That is
-what lets sweep drivers opt whole grids in, and lets batched runs warm
-the same cache entries serial runs read.
+``run_spec`` path (the general per-sender loop) produces — raw bit
+patterns, not tolerances. That is what lets sweep drivers opt whole
+grids in, lets batched runs warm the same cache entries serial runs
+read, and lets one run of many flows take a one-row kernel call: those
+one-row runs are checked here at every flow count from 1 to 16, with
+per-flow protocol parameters, spread initial windows and deterministic
+random loss, and at 1,500 flows.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import ScenarioSpec, run_batched, run_spec
 from repro.backends.batch import plan_batches
+from repro.model import dynamics
+from repro.model.dynamics import SimulationConfig
 from repro.model.link import Link
+from repro.model.random_loss import BernoulliLoss
 from repro.protocols.aimd import AIMD
 from repro.protocols.mimd import MIMD
 from repro.protocols.robust_aimd import RobustAIMD
@@ -185,3 +195,114 @@ def test_mixed_horizons_split_into_groups():
     plan = plan_batches(specs)
     assert sorted(len(g.indices) for g in plan.groups) == [1, 2, 3]
     _check_grid(specs)
+
+
+def _check_one_row(link, protocols, initial, steps, loss_rate=0.0):
+    """One run as a one-row kernel call, held to the general loop."""
+    loss = {"loss_process": BernoulliLoss(loss_rate)} if loss_rate else {}
+    config = SimulationConfig(initial_windows=initial, **loss)
+    spec = ScenarioSpec.from_fluid(link, protocols, steps, config)
+    assert not plan_batches([spec]).fallback
+    _check_grid([spec])
+
+
+def _spread_windows(rng, n):
+    """Initial windows spread over four decades."""
+    return [float(w) for w in 10.0 ** rng.uniform(-1.0, 3.0, size=n)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    bw=st.floats(min_value=5.0, max_value=200.0),
+    buffer_mss=st.floats(min_value=1.0, max_value=500.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_one_row_aimd_bit_identical(n, bw, buffer_mss, seed):
+    link = Link.from_mbps(bw, 42, buffer_mss)
+    rng = np.random.default_rng(seed)
+    protocols = [
+        AIMD(float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.1, 0.9)))
+        for _ in range(n)
+    ]
+    _check_one_row(link, protocols, _spread_windows(rng, n), steps=300)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    bw=st.floats(min_value=5.0, max_value=200.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_one_row_mimd_bit_identical(n, bw, seed):
+    link = Link.from_mbps(bw, 42, 100)
+    rng = np.random.default_rng(seed)
+    protocols = [
+        MIMD(float(rng.uniform(1.001, 1.2)), float(rng.uniform(0.5, 0.99)))
+        for _ in range(n)
+    ]
+    _check_one_row(link, protocols, _spread_windows(rng, n), steps=300)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    loss_rate=st.floats(min_value=0.0, max_value=0.1),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_one_row_robust_aimd_bit_identical_under_random_loss(n, loss_rate, seed):
+    link = Link.from_mbps(20, 42, 100)
+    rng = np.random.default_rng(seed)
+    protocols = [
+        RobustAIMD(
+            float(rng.uniform(0.1, 3.0)),
+            float(rng.uniform(0.3, 0.95)),
+            float(rng.uniform(0.001, 0.2)),
+        )
+        for _ in range(n)
+    ]
+    _check_one_row(
+        link, protocols, _spread_windows(rng, n), steps=300, loss_rate=loss_rate
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: AIMD(float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.1, 0.9))),
+        lambda rng: MIMD(float(rng.uniform(1.001, 1.2)), float(rng.uniform(0.5, 0.99))),
+        lambda rng: RobustAIMD(
+            float(rng.uniform(0.1, 3.0)),
+            float(rng.uniform(0.3, 0.95)),
+            float(rng.uniform(0.001, 0.2)),
+        ),
+    ],
+    ids=["aimd", "mimd", "robust-aimd"],
+)
+def test_one_row_of_thousands_of_flows_bit_identical(make):
+    # At this size the left fold over the row is where NumPy's pairwise
+    # sum would round differently from the general loop's running sum.
+    rng = np.random.default_rng(1000)
+    n = 1500
+    link = Link.from_mbps(2e-3 * n * 1000, 42, 10 * n)
+    protocols = [make(rng) for _ in range(n)]
+    _check_one_row(
+        link, protocols, _spread_windows(rng, n), steps=60, loss_rate=0.002
+    )
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 16])
+def test_general_loop_does_not_fold_with_builtin_sum(monkeypatch, n):
+    # From Python 3.12 the builtin sum() of floats is compensated, so it
+    # is no longer the left fold the kernel computes. Give the model
+    # module a correctly rounded sum: on any Python the general loop and
+    # the kernel must still agree.
+    monkeypatch.setattr(dynamics, "sum", math.fsum, raising=False)
+    rng = np.random.default_rng(n)
+    protocols = [
+        AIMD(float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.1, 0.9)))
+        for _ in range(n)
+    ]
+    _check_one_row(
+        Link.from_mbps(20, 42, 100), protocols, _spread_windows(rng, n), steps=300
+    )

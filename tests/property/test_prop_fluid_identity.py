@@ -1,10 +1,10 @@
 """Property: the fluid general loop is bit-identical to its frozen copy.
 
-The batch kernel and the row path are held to the general loop, but
-neither covers sender starts, link changes, unsynchronized loss,
-ECN/RED marking, integer windows, random loss processes or the
-history-dependent protocols. For those settings the general loop is the
-only implementation, so it is held here to ``reference_fluid`` — a frozen
+The batch kernel is held to the general loop, but it does not cover
+sender starts, link changes, unsynchronized loss, ECN/RED marking,
+integer windows, random loss processes or the history-dependent
+protocols. For those settings the general loop is the only
+implementation, so it is held here to ``reference_fluid`` — a frozen
 copy taken before its per-sender step was flattened. Every trace array is
 compared as raw uint64 patterns, so a last-ulp change fails, and a
 recording sender compares every ``Observation`` field it is shown (only
@@ -64,11 +64,7 @@ SENDERS = {
 
 def assert_matches_reference(link, protocols, config, steps):
     expected = reference_run_general(link, protocols, config, steps)
-    sim = FluidSimulator(link, protocols, config)
-    # Hold the general loop itself, also where ``run`` would pick the row
-    # path (test_prop_vectorized.py holds the two loops together).
-    sim._run_vectorized = sim._run_general
-    actual = sim.run(steps)
+    actual = FluidSimulator(link, protocols, config).run(steps)
     for name in _TRACE_ARRAYS:
         ours, theirs = getattr(actual, name), getattr(expected, name)
         assert ours.dtype == theirs.dtype == np.float64, name

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import debug
-from repro.model.dynamics import _GENERAL_LOOP_MAX_FLOWS, FluidSimulator
+from repro.model.dynamics import FluidSimulator
 from repro.model.link import Link
 from repro.packetsim.scenario import PacketScenario, run_scenario
 from repro.protocols import presets
@@ -58,8 +58,7 @@ def _assert_scenarios_identical(checked, unchecked) -> None:
 @settings(max_examples=10, deadline=None)
 @given(
     name=st.sampled_from(sorted(PROTOCOL_FACTORIES)),
-    # Both sides of the cutoff, so both loops of a stateless run.
-    n=st.integers(min_value=1, max_value=_GENERAL_LOOP_MAX_FLOWS + 3),
+    n=st.integers(min_value=1, max_value=6),
     steps=st.integers(min_value=5, max_value=60),
 )
 def test_fluid_run_bit_identical_under_checks(name, n, steps):

@@ -55,6 +55,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="duration"):
             ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, duration=0.0)
 
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+    def test_rejects_non_finite_duration(self, link, duration):
+        # A packet run of such a horizon never ends.
+        with pytest.raises(ValueError, match="^duration must be finite and positive"):
+            ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, duration=duration)
+
     def test_rejects_loss_rate_of_one(self, link):
         with pytest.raises(ValueError, match="random_loss_rate"):
             ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link,

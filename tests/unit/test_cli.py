@@ -67,17 +67,33 @@ class TestParser:
     def test_batch_flags(self, capsys):
         assert build_parser().parse_args(["table2", "--batch"]).batch
         assert build_parser().parse_args(["figure1", "--batch"]).batch
-        args = build_parser().parse_args(
-            ["run", "--protocols", "reno", "--batch"]
-        )
-        assert args.batch
         assert not build_parser().parse_args(["figure1"]).batch
-        # Packet jobs always merge: the packet drivers have no --batch.
-        for command in ("fct", "emulab"):
+        # Packet jobs always merge, so the packet drivers have no --batch,
+        # and `run` always offers its spec to the backend's batch lane.
+        for argv in (["fct"], ["emulab"], ["run", "--protocols", "reno"]):
             with pytest.raises(SystemExit) as exit_info:
-                main([command, "--batch"])
+                main(argv + ["--batch"])
             assert exit_info.value.code == 2
             assert "unrecognized arguments: --batch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "--protocols", "reno", "--backend", "packet"], "--duration"),
+        (["emulab"], "--duration"),
+        (["fct"], "--duration"),
+        (["fct"], "--rate"),
+    ])
+    def test_horizon_and_rate_must_be_finite_and_positive(
+        self, capsys, argv, option, value
+    ):
+        # An infinite or NaN horizon or arrival rate never ends a packet
+        # run; it is a usage error that names the option.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [option, value])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: must be a finite, positive number" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("argv, flag", [
         (["--workers", "2", "claims"], "--workers"),
@@ -256,14 +272,47 @@ class TestMain:
         assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
         assert "entries: 1" in capsys.readouterr().out
 
-    def test_run_batch_matches_serial(self, capsys):
-        argv = ["run", "--protocols", "AIMD(1,0.5)", "reno",
-                "--steps", "80", "--no-cache"]
+    def test_run_batch_matches_serial(self, capsys, monkeypatch):
+        # `run` offers its spec to the batch lane; the serial lane must
+        # print the same bytes.
+        import repro.backends
+
+        argv = ["run", "--protocols", "AIMD(1,0.5)", "MIMD(1.01,0.875)",
+                "--flows", "3", "--steps", "80", "--no-cache"]
         assert main(argv) == 0
-        serial_out = capsys.readouterr().out
-        assert main(argv + ["--batch"]) == 0
         batched_out = capsys.readouterr().out
-        assert batched_out == serial_out
+        run_specs = repro.backends.run_specs
+        monkeypatch.setattr(
+            repro.backends, "run_specs",
+            lambda specs, backend, **options: run_specs(
+                specs, backend, **{**options, "batch": False}
+            ),
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == batched_out
+
+    def test_run_steps_a_large_population_on_the_kernel(self, capsys,
+                                                        monkeypatch):
+        from repro.backends import batch
+        from repro.model.dynamics import FluidSimulator
+
+        calls = {"run_batched": 0, "FluidSimulator": 0}
+        run_batched, init = batch.run_batched, FluidSimulator.__init__
+
+        def counted_run_batched(*args, **kwargs):
+            calls["run_batched"] += 1
+            return run_batched(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            calls["FluidSimulator"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "run_batched", counted_run_batched)
+        monkeypatch.setattr(FluidSimulator, "__init__", counted_init)
+        assert main(["run", "--protocols", "AIMD(1,0.5)", "--flows", "2000",
+                     "--steps", "50", "--no-cache"]) == 0
+        assert "AIMD(1,0.5) x2000" in capsys.readouterr().out
+        assert calls == {"run_batched": 1, "FluidSimulator": 0}
 
 
 class TestRunCommand:

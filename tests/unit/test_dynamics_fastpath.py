@@ -1,25 +1,20 @@
-"""Loop selection in FluidSimulator (repro.model.dynamics).
+"""The fluid fast-path predicate (repro.backends.batch).
 
 One predicate, ``synchronized_stateless``, says whether a fluid run's
-windows can step as array rows; the batch kernel's lowering and the
-serial engine's row path both ask it. ``run`` takes the row path only
-when the predicate holds, the run drives one protocol class, and it has
-more than ``_GENERAL_LOOP_MAX_FLOWS`` flows. Bit-identity of the two
-loops is property-tested in ``tests/property/test_prop_vectorized.py``;
-these tests pin down the predicate and the choice.
+windows can step as rows of the batch kernel, and the fluid lane's
+lowering asks it. Every other run, and every run outside the kernel
+lane, steps ``FluidSimulator``'s general loop. Bit-identity of the
+kernel and the general loop is property-tested in
+``tests/property/test_prop_batch.py``; these tests pin down the
+predicate.
 """
 
 import numpy as np
 import pytest
 
 from repro.backends import ScenarioSpec
-from repro.backends.batch import _lower_fluid
-from repro.model.dynamics import (
-    _GENERAL_LOOP_MAX_FLOWS,
-    FluidSimulator,
-    SimulationConfig,
-    synchronized_stateless,
-)
+from repro.backends.batch import _lower_fluid, synchronized_stateless
+from repro.model.dynamics import FluidSimulator, SimulationConfig
 from repro.model.events import EventSchedule
 from repro.model.link import Link
 from repro.model.random_loss import BernoulliLoss, GilbertElliottLoss
@@ -35,26 +30,6 @@ def link():
 
 def eligible(link, protocols, config=None):
     return synchronized_stateless(link, protocols, config or SimulationConfig())
-
-
-def loop_taken(monkeypatch, sim, steps=20):
-    """Which loop ``sim.run`` steps: ``"row"`` or ``"general"``."""
-    taken = []
-
-    def spy(name, label):
-        method = getattr(sim, name)
-
-        def recorded(steps):
-            taken.append(label)
-            return method(steps)
-
-        monkeypatch.setattr(sim, name, recorded)
-
-    spy("_run_vectorized", "row")
-    spy("_run_general", "general")
-    sim.run(steps)
-    assert len(taken) == 1
-    return taken[0]
 
 
 def _ecn_link():
@@ -91,19 +66,15 @@ class TestEligible:
         assert eligible(link, [AIMD(1, 0.5), AIMD(1.0, 0.5)])
 
     def test_heterogeneous_parameters(self, link):
-        # The row path reads per-flow parameters, as the kernel does.
+        # The kernel reads per-cell parameters.
         assert eligible(link, [AIMD(1, 0.5), AIMD(2, 0.5)])
 
     def test_mixed_classes_satisfy_the_predicate(self, link):
-        # The kernel dispatches per cell; only the row path needs one class.
+        # The kernel dispatches per cell.
         assert eligible(link, [AIMD(1, 0.5), MIMD(1.01, 0.875)])
 
 
 class TestIneligible:
-    def test_heterogeneous_types(self, link, monkeypatch):
-        protocols = [AIMD(1, 0.5), MIMD(1.01, 0.875)] * _GENERAL_LOOP_MAX_FLOWS
-        assert loop_taken(monkeypatch, FluidSimulator(link, protocols)) == "general"
-
     def test_protocol_without_vectorized_support(self, link):
         # CUBIC keeps history beyond any batch parameters.
         assert not eligible(link, [CUBIC(0.4, 0.8)] * 2)
@@ -186,41 +157,3 @@ class TestDispatch:
         assert trace.windows.shape == (200, 8)
         assert np.all(np.isfinite(trace.windows))
         assert np.all(trace.capacities == link.capacity)
-
-    @pytest.mark.parametrize("n", range(1, _GENERAL_LOOP_MAX_FLOWS + 1))
-    def test_general_loop_at_or_below_the_cutoff(self, link, monkeypatch, n):
-        sim = FluidSimulator(link, [AIMD(1, 0.5)] * n)
-        assert loop_taken(monkeypatch, sim) == "general"
-
-    @pytest.mark.parametrize("n", [_GENERAL_LOOP_MAX_FLOWS + 1, 16])
-    def test_row_path_above_the_cutoff(self, link, monkeypatch, n):
-        protocols = [AIMD(1.0 + i, 0.5) for i in range(n)]
-        sim = FluidSimulator(link, protocols)
-        assert loop_taken(monkeypatch, sim) == "row"
-
-    def test_ineligible_run_above_the_cutoff_takes_the_general_loop(
-        self, link, monkeypatch
-    ):
-        cfg = SimulationConfig(integer_windows=True)
-        sim = FluidSimulator(link, [AIMD(1, 0.5)] * 16, cfg)
-        assert loop_taken(monkeypatch, sim) == "general"
-
-    def test_row_path_shape_check(self, link):
-        class WrongShape(AIMD):
-            @staticmethod
-            def batched_next(windows, loss_rate, rtt, params):
-                return windows[:-1]
-
-        sim = FluidSimulator(link, [WrongShape(1, 0.5)] * 8)
-        with pytest.raises(ValueError, match="returned shape"):
-            sim.run(10)
-
-    def test_row_path_finiteness_check(self, link):
-        class Diverging(AIMD):
-            @staticmethod
-            def batched_next(windows, loss_rate, rtt, params):
-                return windows * np.inf
-
-        sim = FluidSimulator(link, [Diverging(1, 0.5)] * 8)
-        with pytest.raises(ValueError, match="non-finite window"):
-            sim.run(10)

@@ -159,6 +159,12 @@ class TestScenario:
         with pytest.raises(ValueError):
             PacketScenario(link=Link.infinite(), protocols=[presets.reno()])
 
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_rejects_non_finite_duration(self, duration):
+        # The event loop would run forever.
+        with pytest.raises(ValueError, match="^duration must be finite and positive"):
+            PacketScenario.from_mbps(10, 42, 50, [presets.reno()], duration=duration)
+
     def test_measurement_window(self):
         scenario = PacketScenario.from_mbps(10, 42, 50, [presets.reno()],
                                             duration=10.0)

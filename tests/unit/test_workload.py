@@ -53,6 +53,12 @@ class TestPoissonWorkload:
             poisson_workload(1.0, 1, 10.0, AIMD(1, 0.5))
         with pytest.raises(ValueError):
             poisson_workload(1.0, 50, 0.0, AIMD(1, 0.5))
+        # An infinite or NaN rate or horizon would append flows forever.
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^rate_per_s must be finite"):
+                poisson_workload(bad, 50, 10.0, AIMD(1, 0.5))
+            with pytest.raises(ValueError, match="^duration must be finite"):
+                poisson_workload(1.0, 50, bad, AIMD(1, 0.5))
 
 
 class TestFiniteFlows:
@@ -115,6 +121,11 @@ class TestFiniteFlows:
             run_workload(
                 emulab_link, [FlowSpec(20.0, 10, presets.reno())], duration=10.0
             )
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^duration must be finite"):
+                run_workload(
+                    emulab_link, [FlowSpec(0.0, 10, presets.reno())], duration=bad
+                )
 
 
 class TestWorkloadStatistics:
