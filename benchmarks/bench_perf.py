@@ -1,15 +1,24 @@
 """Benchmark for the performance layer (``repro.perf``).
 
-Times the trace cache against its baseline and archives the wall-clock
-numbers in ``benchmarks/results/perf.json``: a Table-2 grid run cold
-(cache empty) vs warm (every simulation replayed from disk). The warm
-run must reproduce the cold results exactly and take under 25% of the
-cold wall time.
+Times the store against its baseline and archives the numbers in
+``benchmarks/results/perf.json``, with the headline ones in
+``summary.json``:
+
+- a Table-2 grid run cold (store empty) vs warm (every simulation
+  replayed from disk). The warm run must reproduce the cold results
+  exactly and take under 25% of the cold wall time;
+- one Emulab-sized packet scenario (four staggered Reno flows, 10 s at
+  20 Mbps), run cold and replayed warm through the executor. The warm
+  run must reproduce the cold statistics exactly.
+
+Both record the store's bytes per entry kind and the warm replay
+seconds, with no threshold on either: they show what one entry layout
+costs against another.
 
 Runs standalone (``python benchmarks/bench_perf.py``) or under pytest,
-where the test is marked ``slow``::
+where the tests are marked ``slow``::
 
-    pytest benchmarks/bench_perf.py -m "not slow"   # deselects it
+    pytest benchmarks/bench_perf.py -m "not slow"   # deselects them
 """
 
 from __future__ import annotations
@@ -21,9 +30,14 @@ import time
 from pathlib import Path
 
 import pytest
+from _support import record_summary
 
+from repro.backends import ScenarioSpec
+from repro.exec import Executor, PacketScenarioJob
 from repro.experiments.table2 import run_table2
 from repro.perf import cache_enabled
+from repro.perf.store import stats_by_kind
+from repro.protocols import presets
 
 pytestmark = pytest.mark.slow
 
@@ -51,29 +65,65 @@ def _write_results(section: str, payload: dict) -> None:
     RESULTS_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 
-def bench_trace_cache() -> dict:
+def _replay(section: str, run, outcome, **extra) -> dict:
+    """``run`` cold, then warm on the store it filled; records ``section``.
+
+    ``outcome`` maps a result to what must match between the two runs.
+    The bytes per entry kind and the warm seconds also go to
+    ``summary.json``.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         with cache_enabled(tmp) as cache:
-            cold, cold_s = _timed(lambda: run_table2(**_CACHE_KWARGS))
-            warm, warm_s = _timed(lambda: run_table2(**_CACHE_KWARGS))
+            cold, cold_s = _timed(run)
+            warm, warm_s = _timed(run)
             hits, entries = cache.hits, cache.stats()["entries"]
-
-    def tuples(result):
-        return [(c.n_senders, c.bandwidth_mbps, c.friendliness_robust_aimd,
-                 c.friendliness_pcc) for c in result.cells]
-
+            by_kind = stats_by_kind(cache)
     payload = {
-        "grid_cells": (len(_CACHE_KWARGS["senders"])
-                       * len(_CACHE_KWARGS["bandwidths_mbps"])),
+        **extra,
         "cold_s": cold_s,
         "warm_s": warm_s,
         "warm_over_cold": warm_s / cold_s if cold_s else None,
         "cache_entries": entries,
         "warm_hits": hits,
-        "identical": tuples(cold) == tuples(warm),
+        "store_bytes_by_kind": by_kind,
+        "identical": outcome(cold) == outcome(warm),
     }
-    _write_results("trace_cache", payload)
+    _write_results(section, payload)
+    record_summary(
+        f"perf_{section}", warm_s=round(warm_s, 4), store_bytes_by_kind=by_kind
+    )
     return payload
+
+
+def bench_trace_cache() -> dict:
+    def cells(result):
+        return [(c.n_senders, c.bandwidth_mbps, c.friendliness_robust_aimd,
+                 c.friendliness_pcc) for c in result.cells]
+
+    return _replay(
+        "trace_cache",
+        lambda: run_table2(**_CACHE_KWARGS),
+        cells,
+        grid_cells=len(_CACHE_KWARGS["senders"]) * len(_CACHE_KWARGS["bandwidths_mbps"]),
+    )
+
+
+def bench_packet_replay() -> dict:
+    # One Emulab cell's homogeneous run: staggered starts, slow start.
+    scenario = ScenarioSpec.from_mbps(
+        20, 42, 100, [presets.reno()] * 4, duration=10.0,
+        start_times=[0.0, 1.0, 2.0, 3.0], slow_start=True, seed=1,
+    ).lower_packet()
+
+    def statistics(result):
+        return (result.events, result.throughputs(), result.tail_loss_rates(),
+                [flow.window_samples for flow in result.flows])
+
+    return _replay(
+        "packet_replay",
+        lambda: Executor().run([PacketScenarioJob(scenario)])[0],
+        statistics,
+    )
 
 
 def test_trace_cache_replay_is_cheap_and_exact():
@@ -86,10 +136,20 @@ def test_trace_cache_replay_is_cheap_and_exact():
           f"({payload['warm_over_cold']:.1%} of cold)")
 
 
+def test_packet_replay_is_exact():
+    payload = bench_packet_replay()
+    assert payload["identical"]
+    assert payload["warm_hits"] == payload["cache_entries"] == 1
+    print(f"\npacket replay: cold {payload['cold_s']:.2f}s, "
+          f"warm {payload['warm_s'] * 1e3:.1f} ms, "
+          f"{payload['store_bytes_by_kind']}")
+
+
 def main() -> None:
-    cache = bench_trace_cache()
-    print(json.dumps({"cpu_count": os.cpu_count(),
-                      "trace_cache": cache}, indent=2))
+    table2 = bench_trace_cache()
+    packet = bench_packet_replay()
+    print(json.dumps({"cpu_count": os.cpu_count(), "trace_cache": table2,
+                      "packet_replay": packet}, indent=2))
     print(f"\nwrote {RESULTS_PATH}")
 
 

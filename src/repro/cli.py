@@ -51,9 +51,10 @@ if __doc__:  # pragma: no branch - absent only under python -OO
 
 
 def _add_link_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bw", type=float, default=20.0, help="bandwidth in Mbps")
-    parser.add_argument("--rtt", type=float, default=42.0, help="base RTT in ms")
-    parser.add_argument("--buffer", type=float, default=100.0, help="buffer in MSS")
+    parser.add_argument("--bw", type=_positive, default=20.0, help="bandwidth in Mbps")
+    parser.add_argument("--rtt", type=_positive, default=42.0, help="base RTT in ms")
+    parser.add_argument("--buffer", type=_non_negative, default=100.0,
+                        help="buffer in MSS")
 
 
 def _link_from(args: argparse.Namespace) -> Link:
@@ -86,13 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     t1 = subparsers.add_parser("table1", help="protocol characterization (Table 1)")
     _add_link_arguments(t1)
-    t1.add_argument("--steps", type=int, default=4000)
-    t1.add_argument("--senders", type=int, default=2)
+    t1.add_argument("--steps", type=_count, default=4000)
+    t1.add_argument("--senders", type=_count, default=2)
 
     t2 = subparsers.add_parser(
         "table2", help="Robust-AIMD vs PCC TCP-friendliness (Table 2)"
     )
-    t2.add_argument("--steps", type=int, default=4000)
+    t2.add_argument("--steps", type=_count, default=4000)
     t2.add_argument("--packet", action="store_true",
                     help="measure at packet level instead of the fluid model")
     t2.add_argument("--pcc-bound", action="store_true",
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         "claims", help="Claim 1 and Theorems 1-5 demonstrations"
     )
     _add_link_arguments(claims)
-    claims.add_argument("--steps", type=int, default=4000)
+    claims.add_argument("--steps", type=_count, default=4000)
 
     emulab = subparsers.add_parser(
         "emulab", help="packet-level hierarchy validation (Section 5.1)"
@@ -145,13 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation backend (default: fluid)")
     run_p.add_argument("--protocols", nargs="+", required=True,
                        help="protocol specs, e.g. 'AIMD(1,0.5)' reno cubic")
-    run_p.add_argument("--steps", type=int, default=2000,
+    run_p.add_argument("--steps", type=_count, default=2000,
                        help="horizon in RTT steps (ignored when --duration set)")
     run_p.add_argument("--duration", type=_positive, default=None,
                        help="horizon in seconds (overrides --steps)")
     run_p.add_argument("--loss", type=float, default=0.0,
                        help="random (non-congestion) loss rate in [0, 1)")
-    run_p.add_argument("--flows", type=int, default=1,
+    run_p.add_argument("--flows", type=_count, default=1,
                        help="flow multiplicity: each --protocols entry stands "
                        "for this many identical flows (a synchronized run of "
                        "stateless protocols steps them all at once on the "
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_link_arguments(sim)
     sim.add_argument("--protocols", nargs="+", required=True,
                      help="protocol specs, e.g. 'AIMD(1,0.5)' reno cubic")
-    sim.add_argument("--steps", type=int, default=2000)
+    sim.add_argument("--steps", type=_count, default=2000)
 
     char = subparsers.add_parser(
         "characterize",
@@ -180,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_link_arguments(char)
     char.add_argument("--protocol", required=True,
                       help="protocol spec or preset name")
-    char.add_argument("--steps", type=int, default=4000)
-    char.add_argument("--senders", type=int, default=2)
+    char.add_argument("--steps", type=_count, default=4000)
+    char.add_argument("--senders", type=_count, default=2)
     char.add_argument("--extensions", action="store_true",
                       help="also measure responsiveness and churn resilience")
 
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         "survey",
         help="characterize the full protocol zoo across link regimes",
     )
-    survey.add_argument("--steps", type=int, default=3000)
+    survey.add_argument("--steps", type=_count, default=3000)
     survey.add_argument("--no-extensions", action="store_true",
                         help="skip the responsiveness/churn extension metrics")
 
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--dir", type=str, default=None,
                        help="cache directory (default: $REPRO_SIM_CACHE, else "
                        "~/.cache/repro/sim)")
-    cache.add_argument("--max-mb", type=_megabytes, default=None,
+    cache.add_argument("--max-mb", type=_non_negative, default=None,
                        help="with 'prune': evict oldest entries until the "
                        "cache fits in this many MB (default: "
                        "$REPRO_CACHE_MAX_MB)")
@@ -249,22 +250,40 @@ def _finite(text: str, *, positive: bool) -> float:
     return value
 
 
-def _megabytes(text: str) -> float:
-    """A ``--max-mb`` value: a finite, non-negative number of megabytes.
+def _non_negative(text: str) -> float:
+    """A ``--max-mb`` or ``--buffer`` value: a finite, non-negative number.
 
-    The rule :func:`repro.perf.store.size_cap_bytes` applies to
-    ``$REPRO_CACHE_MAX_MB``; a negative cap would evict every entry.
+    ``--max-mb`` follows the rule :func:`repro.perf.store.size_cap_bytes`
+    applies to ``$REPRO_CACHE_MAX_MB``; a negative cap would evict every
+    entry.
     """
     return _finite(text, positive=False)
 
 
 def _positive(text: str) -> float:
-    """A ``--duration`` or ``--rate`` value: a finite, positive number.
+    """A ``--duration``, ``--rate``, ``--bw`` or ``--rtt`` value: a finite,
+    positive number.
 
     An infinite or NaN horizon never ends a packet run, and such an
-    arrival rate never ends the Poisson workload.
+    arrival rate never ends the Poisson workload; an infinite bandwidth
+    or RTT makes the RTT inflation NaN.
     """
     return _finite(text, positive=True)
+
+
+def _count(text: str) -> int:
+    """A ``--steps``, ``--senders`` or ``--flows`` value: a positive integer.
+
+    A zero horizon or population is rejected here, not by a traceback
+    from the engine.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _run_cache_command(args: argparse.Namespace) -> int:

@@ -5,8 +5,9 @@ Specs travel as plain JSON objects (protocols as the spec strings
 real-world units), so any HTTP client can submit work without pickling
 Python objects. Traces travel back as base64-encoded array bundles
 (:mod:`repro.perf.codec`) in exactly the array layout and byte format the
-content-addressed store archives (:func:`repro.perf.store.trace_to_arrays`),
-so a decoded trace is bit-identical to the one the server computed — the
+content-addressed store archives (:func:`repro.perf.store.trace_to_arrays`,
+format 2: each value once, window and RTT series as word deltas), so a
+decoded trace is bit-identical to the one the server computed — the
 same guarantee a local ``run_spec`` gives. A payload that is not valid
 base64, fails the bundle's checksum or lacks a trace field raises
 :class:`ValueError`.

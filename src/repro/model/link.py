@@ -81,11 +81,12 @@ class Link:
     red_gentle: bool = False
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
+        # Each check is written so that NaN fails it.
+        if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.buffer_size < 0:
+        if not self.buffer_size >= 0:
             raise ValueError(f"buffer_size must be non-negative, got {self.buffer_size}")
         if self.ecn_threshold is not None and not (
             0.0 <= self.ecn_threshold <= self.buffer_size
@@ -123,7 +124,7 @@ class Link:
             # Default Delta: the worst queuing delay plus one base RTT, i.e.
             # the RTT of a full buffer, doubled as a crude timeout penalty.
             object.__setattr__(self, "timeout_rtt", 2 * self.full_buffer_rtt())
-        elif self.timeout_rtt < 2 * self.theta:
+        elif not self.timeout_rtt >= 2 * self.theta:
             raise ValueError(
                 f"timeout_rtt must be at least the base RTT {2 * self.theta}, "
                 f"got {self.timeout_rtt}"

@@ -19,7 +19,9 @@ Keying rules (:func:`_canonical`, shared by every key scheme):
   parameters never collide;
 - protocols are keyed by class plus the attribute dict of a fresh
   :meth:`~repro.protocols.base.Protocol.clone` (initial state, not
-  whatever mid-run state the instance carries);
+  whatever mid-run state the instance carries); a class that keeps the
+  base ``reset`` and ``clone`` is keyed by its own attribute dict, which
+  its clone's equals, without the deep copy;
 - loss processes are keyed by class plus their reset attribute dict, with
   RNG objects skipped (the seed attribute already determines them);
 - anything that cannot be canonicalized makes the run *uncacheable* (its
@@ -101,7 +103,12 @@ def _canonical(value: Any) -> Any:
             hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest(),
         ]
     if isinstance(value, Protocol):
-        return ["protocol", type(value).__qualname__, _attrs_of(value.clone())]
+        cls = type(value)
+        # With the base reset (a no-op) and clone, a clone's attribute dict
+        # is a deep copy of the instance's and keys the same: skip the copy.
+        if cls.reset is Protocol.reset and cls.clone is Protocol.clone:
+            return ["protocol", cls.__qualname__, _attrs_of(value)]
+        return ["protocol", cls.__qualname__, _attrs_of(value.clone())]
     if isinstance(value, LossProcess):
         fresh = copy.deepcopy(value)
         fresh.reset()

@@ -17,6 +17,15 @@ stay 0-d; Fortran-order and strided inputs come back C-contiguous).
 Object and structured dtypes are refused: a bundle holds plain data only.
 Header fields come from disk or the network, so :func:`unpack_arrays`
 validates them and raises :class:`ValueError` on anything malformed.
+
+zlib finds little to repeat in raw float64 time series, whose low
+mantissa bits change every row. :func:`word_deltas` turns such a series
+into the wrapped ``uint64`` differences of consecutive rows' bit
+patterns, which repeat wherever the series moves by a steady step, and
+:func:`word_sums` undoes it. Wrapped arithmetic undoes itself, so the
+pair is exact for every bit pattern (NaN payloads, ±inf, -0.0). The
+entry layouts (:mod:`repro.perf.store`, :mod:`repro.perf.packet_cache`)
+store their time series this way.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["ALIGN", "MAGIC", "pack_arrays", "unpack_arrays"]
+__all__ = ["ALIGN", "MAGIC", "pack_arrays", "unpack_arrays", "word_deltas", "word_sums"]
 
 #: The first bytes of every bundle (a zip/npz file starts with ``PK``).
 MAGIC = b"RPRBNDL1"
@@ -151,3 +160,22 @@ def _checked_entry(entry, payload: int) -> tuple[str, np.dtype, tuple, int]:
     if offset + nbytes > payload:
         raise ValueError(f"array bundle member {name!r} lies outside the payload")
     return name, dtype, tuple(shape), offset
+
+
+def word_deltas(values) -> np.ndarray:
+    """``values`` as float64 bit patterns, each row minus the row before.
+
+    Row 0 is kept as is; the differences wrap modulo 2**64, so
+    :func:`word_sums` rebuilds every bit pattern exactly.
+    """
+    words = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    deltas = words.copy()
+    np.subtract(words[1:], words[:-1], out=deltas[1:])
+    return deltas
+
+
+def word_sums(deltas: np.ndarray) -> np.ndarray:
+    """The float64 array :func:`word_deltas` encoded, in fresh memory."""
+    if deltas.dtype != np.uint64:
+        raise ValueError(f"word deltas must be uint64, got {deltas.dtype.str!r}")
+    return np.cumsum(deltas, axis=0, dtype=np.uint64).view(np.float64)

@@ -11,7 +11,10 @@ module defines the unified kind and the store-wide maintenance:
 - :func:`store_unified_trace` / :func:`load_unified_trace` archive the
   :class:`~repro.backends.trace.UnifiedTrace` a backend produced, so a
   stored trace is bit-identical to a fresh one; the executor is their
-  only caller;
+  only caller. The layout (:func:`trace_to_arrays`, format 2) stores
+  each value once: the per-flow copies of one synchronized feedback
+  column and the constant link columns are rebuilt on load, and the
+  window and RTT series are word deltas zlib can compress;
 - :func:`classify_entry` / :func:`stats_by_kind` break the directory down
   per entry kind (unified-per-backend / packet, plus ``fluid`` for native
   fluid entries, which only stores written by older versions hold), which
@@ -51,7 +54,7 @@ from repro.perf.cache import (
     _canonical,
     kind_from_members,
 )
-from repro.perf.codec import unpack_arrays
+from repro.perf.codec import unpack_arrays, word_deltas, word_sums
 
 __all__ = [
     "unified_key",
@@ -75,17 +78,11 @@ STALE_TEMP_SECONDS = 600.0
 
 #: Bump when the spec canonicalization or the stored layout changes.
 _KEY_VERSION = 2
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
-_TRACE_FIELDS = (
-    "windows",
-    "observed_loss",
-    "congestion_loss",
-    "rtts",
-    "capacities",
-    "pipe_limits",
-    "base_rtts",
-)
+#: Per-step link columns, stored as one scalar when every step has the
+#: same bits.
+_LINK_FIELDS = ("capacities", "pipe_limits", "base_rtts")
 
 
 # ----------------------------------------------------------------------
@@ -116,39 +113,99 @@ def unified_key(backend_name: str, spec) -> str | None:
 # UnifiedTrace <-> arrays
 # ----------------------------------------------------------------------
 def trace_to_arrays(trace: Any) -> dict[str, np.ndarray]:
-    """The archived array form of a UnifiedTrace.
+    """The archived array form of a UnifiedTrace (format 2).
 
     The one encoding shared by the on-disk store and the serve layer's
-    wire format, so the two can never drift.
+    wire format, so the two can never drift. Each value is stored once,
+    decided by comparing bit patterns (never floats, whose ``==`` equates
+    -0.0 with 0.0 and no NaN with itself):
+
+    - ``windows``, ``rtts`` and a per-flow ``flow_rtts`` are word deltas
+      (:func:`repro.perf.codec.word_deltas`);
+    - ``observed_loss`` is one column when all its columns have the same
+      bits;
+    - a ``flow_rtts`` with the bits of ``rtts`` in every column is not
+      stored: the ``flow_rtts_from_rtts`` flag records it;
+    - a link column whose steps all have the same bits is one scalar;
+    - ``congestion_loss`` and ``times`` are stored as they are.
     """
     arrays: dict[str, np.ndarray] = {
         "unified_format": np.int64(_FORMAT_VERSION),
         "unified_backend": np.array(trace.backend),
+        "windows": word_deltas(trace.windows),
+        "rtts": word_deltas(trace.rtts),
+        "observed_loss": _collapse(trace.observed_loss),
+        "congestion_loss": trace.congestion_loss,
+        **{name: _collapse(getattr(trace, name)) for name in _LINK_FIELDS},
     }
-    for name in _TRACE_FIELDS:
-        arrays[name] = getattr(trace, name)
     if trace.flow_rtts is not None:
-        arrays["flow_rtts"] = trace.flow_rtts
+        if (_bits(trace.flow_rtts) == _bits(trace.rtts)[:, None]).all():
+            arrays["flow_rtts_from_rtts"] = np.array(True)
+        else:
+            arrays["flow_rtts"] = word_deltas(trace.flow_rtts)
     if trace.times is not None:
         arrays["times"] = trace.times
     return arrays
 
 
+def _bits(values: np.ndarray) -> np.ndarray:
+    # int64 words compare equal iff their bits do, as uint64 words would;
+    # the engines already run int64 comparisons, and a first uint64 one
+    # pages in code that raised a serving process's peak RSS.
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def _collapse(values: np.ndarray) -> np.ndarray:
+    """``values`` without its last axis if every entry along it has the same bits."""
+    bits = _bits(values)
+    if bits.shape[-1] and (bits == bits[..., :1]).all():
+        return values[..., 0]
+    return values
+
+
+def _expand(stored: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The array of ``shape`` that :func:`_collapse` stored, in fresh memory.
+
+    Entries come from disk or the network: a column that does not fit
+    ``shape`` is refused before it is repeated, not after.
+    """
+    if stored.ndim == len(shape):
+        return stored.copy()
+    if stored.shape != shape[:-1]:
+        raise ValueError(f"a stored {stored.shape} column does not fit {shape}")
+    return np.repeat(stored[..., None], shape[-1], axis=-1)
+
+
 def trace_from_arrays(arrays: dict[str, np.ndarray]) -> Any | None:
     """Rebuild a UnifiedTrace from :func:`trace_to_arrays` output.
 
-    Returns ``None`` on a format-version mismatch: an entry written by a
-    different layout revision is a miss (and is dropped), not an error.
+    Every field is a fresh array, never a view into ``arrays``: a view
+    would keep the whole decoded bundle alive. Returns ``None`` on a
+    format-version mismatch: an entry written by a different layout
+    revision is a miss (and is dropped), not an error.
     """
     from repro.backends.trace import UnifiedTrace
 
     if int(arrays.get("unified_format", -1)) != _FORMAT_VERSION:
         return None
+    windows = word_sums(arrays["windows"])
+    rtts = word_sums(arrays["rtts"])
+    if "flow_rtts" in arrays:
+        flow_rtts = word_sums(arrays["flow_rtts"])
+    elif "flow_rtts_from_rtts" in arrays:
+        flow_rtts = _expand(rtts, windows.shape)
+    else:
+        flow_rtts = None
+    times = arrays.get("times")
     return UnifiedTrace(
-        **{name: arrays[name] for name in _TRACE_FIELDS},
+        windows=windows,
+        observed_loss=_expand(arrays["observed_loss"], windows.shape),
+        congestion_loss=arrays["congestion_loss"].copy(),
+        rtts=rtts,
+        **{name: _expand(arrays[name], rtts.shape) for name in _LINK_FIELDS},
         backend=str(arrays["unified_backend"]),
-        flow_rtts=arrays.get("flow_rtts"),
-        times=arrays.get("times"),
+        flow_rtts=flow_rtts,
+        times=None if times is None else times.copy(),
     )
 
 

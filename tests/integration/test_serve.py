@@ -207,6 +207,20 @@ class TestServeEndToEnd:
         assert error.startswith("duration must be finite and positive")
         _assert_bit_identical(traces[0], _local(1.0))
 
+    def test_nan_bandwidth_is_a_400_naming_it(self):
+        # json.loads accepts NaN, which passed the link's `bandwidth <= 0`
+        # check and ran a scenario whose every metric read NaN.
+        with ServerThread(executor=Executor()) as server:
+            client = ServeClient(port=server.port)
+            response = client._request("POST", "/run", {
+                "specs": [{**_wire(1.0), "bandwidth_mbps": float("nan")}],
+            })
+            status, error = response.status, json.loads(response.read())["error"]
+            stats = client.stats()
+        assert status == 400
+        assert error.startswith("bandwidth must be positive")
+        assert stats["executor"]["jobs"] == 0
+
     def test_requests_compute_one_at_a_time_on_one_thread(self, monkeypatch):
         """Two clients' requests: the first computation holds until the
         server has received the second request, yet the second never

@@ -95,6 +95,40 @@ class TestParser:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "--protocols", "reno"], "--steps"),
+        (["simulate", "--protocols", "reno"], "--steps"),
+        (["table1"], "--steps"),
+        (["table2"], "--steps"),
+        (["claims"], "--steps"),
+        (["survey"], "--steps"),
+        (["characterize", "--protocol", "reno"], "--steps"),
+        (["table1"], "--senders"),
+        (["characterize", "--protocol", "reno"], "--senders"),
+        (["run", "--protocols", "reno"], "--flows"),
+    ])
+    def test_counts_must_be_positive_integers(self, capsys, argv, option, value):
+        # A zero horizon or population used to end in a ValueError
+        # traceback from the engine; it is a usage error naming the option.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [option, value])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: must be a positive integer" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("option", ["--bw", "--rtt", "--buffer"])
+    def test_link_options_must_be_finite(self, capsys, option, value):
+        # A NaN link used to run, printing NaN metrics; an infinite
+        # bandwidth or RTT made the RTT inflation NaN.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--protocols", "reno", "--steps", "50", "--no-cache",
+                  option, value])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: must be a finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, flag", [
         (["--workers", "2", "claims"], "--workers"),
         (["--workers=2", "claims"], "--workers"),

@@ -30,6 +30,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Link(bandwidth=1000, theta=0.021, buffer_size=100, timeout_rtt=0.01)
 
+    @pytest.mark.parametrize("field", ["bandwidth", "theta", "buffer_size", "timeout_rtt"])
+    def test_nan_is_rejected_naming_the_field(self, field):
+        fields = {"bandwidth": 1000.0, "theta": 0.021, "buffer_size": 100.0}
+        fields[field] = math.nan
+        with pytest.raises(ValueError, match=field):
+            Link(**fields)
+
+    def test_infinite_bandwidth_stays_legal(self):
+        link = Link(bandwidth=math.inf, theta=0.021, buffer_size=100)
+        assert link.capacity == math.inf
+
     def test_default_timeout_exceeds_full_buffer_rtt(self, emulab_link):
         assert emulab_link.timeout_rtt > emulab_link.full_buffer_rtt()
 

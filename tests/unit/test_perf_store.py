@@ -7,7 +7,10 @@ import pytest
 
 from repro.backends import ScenarioSpec, run_spec
 from repro.model.link import Link
+from repro.packetsim.scenario import PacketScenario
+from repro.packetsim.workload import poisson_workload
 from repro.perf.cache import TraceCache, cache_enabled
+from repro.perf.packet_cache import scenario_key, workload_key
 from repro.perf.store import (
     classify_entry,
     load_unified_trace,
@@ -15,7 +18,10 @@ from repro.perf.store import (
     store_unified_trace,
     unified_key,
 )
+from repro.protocols import presets
 from repro.protocols.aimd import AIMD
+from repro.protocols.highspeed import HighSpeedTcp
+from repro.protocols.ledbat import Ledbat
 
 
 @pytest.fixture
@@ -44,6 +50,46 @@ class TestUnifiedKey:
     def test_uncanonicalizable_spec_is_uncacheable(self, spec):
         spec.topology = object()  # no fields, no clone: cannot be keyed
         assert unified_key("network", spec) is None
+
+
+class TestPinnedKeys:
+    """Keys of fixed inputs, pinned as hex: a key that drifts orphans
+    every stored entry, so a deliberate change to keying bumps
+    ``_KEY_VERSION`` and pins the new keys.
+
+    The fluid spec mixes classes that keep ``Protocol.reset`` and
+    ``clone`` (keyed by their own attribute dict) with a random loss
+    process; CUBIC overrides ``reset`` and is keyed through its clone.
+    """
+
+    LINK = Link.from_mbps(20, 42, 100)
+
+    def test_fluid_spec_key(self):
+        spec = ScenarioSpec(
+            protocols=[
+                presets.reno(), presets.scalable_mimd(), presets.iiad(),
+                presets.robust_aimd_paper(), HighSpeedTcp(), Ledbat(),
+                presets.vegas(),
+            ],
+            link=self.LINK, steps=500, random_loss_rate=0.01,
+        )
+        assert unified_key("fluid", spec) == (
+            "150f13af861a176576c578b6fce5bdc2caecb1d8449fc46211532bf43dec3f6c"
+        )
+
+    def test_packet_scenario_key(self):
+        scenario = PacketScenario.from_mbps(
+            20.0, 42.0, 100, [presets.cubic(), presets.reno()], duration=3.0, seed=1
+        )
+        assert scenario_key(scenario) == (
+            "6411cef0843da43a419349e233e6f6dcaac4a4149f8b9a83b25d4b474638f232"
+        )
+
+    def test_workload_key(self):
+        specs = poisson_workload(1.0, 30, 3.0, presets.reno(), seed=7)
+        assert workload_key(self.LINK, specs, 6.0, [presets.cubic()], True, 1.0) == (
+            "a4e07c5d2fc07238c3c22ddc77fbfcdd81da18cbd6fdad195b7d8bf1f5b98c27"
+        )
 
 
 class TestStoreRoundTrip:

@@ -17,6 +17,7 @@ from repro.exec import Executor, PacketScenarioJob, WorkloadJob
 from repro.model.link import Link
 from repro.packetsim.scenario import PacketScenario
 from repro.packetsim.workload import poisson_workload
+from repro.perf import packet_cache, store
 from repro.perf.cache import TraceCache, cache_enabled
 from repro.perf.codec import pack_arrays, unpack_arrays
 from repro.perf.store import unified_key
@@ -54,7 +55,7 @@ def test_stale_unified_entry(tmp_path):
         _reset(cache)
         again = run_spec(spec, "fluid")
         assert (cache.hits, cache.misses) == (0, 1)
-        assert _tag(path, "unified_format") == 1
+        assert _tag(path, "unified_format") == store._FORMAT_VERSION
         _reset(cache)
         warm = run_spec(spec, "fluid")
         assert (cache.hits, cache.misses) == (1, 0)
@@ -75,7 +76,7 @@ def test_stale_packet_scenario_entry(tmp_path):
         _reset(cache)
         again = run()
         assert (cache.hits, cache.misses) == (0, 1)
-        assert _tag(path, "format") == 1
+        assert _tag(path, "format") == packet_cache._FORMAT_VERSION
         _reset(cache)
         warm = run()
         assert (cache.hits, cache.misses) == (1, 0)
@@ -96,7 +97,7 @@ def test_stale_packet_workload_entry(tmp_path):
         _reset(cache)
         again = run()
         assert (cache.hits, cache.misses) == (0, 1)
-        assert _tag(path, "format") == 1
+        assert _tag(path, "format") == packet_cache._FORMAT_VERSION
         _reset(cache)
         warm = run()
         assert (cache.hits, cache.misses) == (1, 0)
