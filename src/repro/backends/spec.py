@@ -16,15 +16,12 @@ the packet lowering a field-identical
 over a spec reproduces its historical outputs exactly (property-tested in
 ``tests/property/test_prop_backends.py``).
 
-Two classes of knob behave differently across backends:
-
-- *dynamics* knobs (loss shape, schedule, staggered starts, window
-  integrality, clamps) either lower faithfully or raise
-  :class:`LoweringError` — a spec never silently means something else on
-  another backend;
-- *instrumentation* hints (``sample_queue``) are honored where they
-  apply and ignored elsewhere, since they cannot change any backend's
-  outputs.
+Every *dynamics* knob (loss shape, schedule, staggered starts, window
+integrality, clamps) either lowers faithfully or raises
+:class:`LoweringError`, so a spec never silently means something else on
+another backend. The fluid-model devices ``enforce_loss_based`` and
+``unsynchronized_loss`` have no packet analogue, and the packet lowering
+ignores them (see :meth:`ScenarioSpec.lower_packet`).
 
 Times in a spec are in **seconds** (wall-clock of the modelled network).
 The packet backend consumes them directly; the RTT-stepped fluid backend
@@ -92,14 +89,13 @@ class ScenarioSpec:
         kernel stacks perform); applies on every backend.
     seed:
         Seeds whichever randomness the backend has (unsynchronized fluid
-        feedback, packet receiver drops). Note the packet drivers
-        historically default to seed 1.
+        feedback, packet receiver drops); non-negative, as NumPy's
+        generators require. Note the packet drivers historically default
+        to seed 1.
     min_window / max_window / integer_windows / enforce_loss_based /
     unsynchronized_loss:
         The :class:`~repro.model.dynamics.SimulationConfig` knobs, with
         identical defaults.
-    sample_queue:
-        Packet-only instrumentation: record queue occupancy samples.
     flow_multiplicity:
         Each entry of ``protocols`` stands for this many identical flows
         (default 1). ``initial_windows`` stays per *entry*; expansion to
@@ -128,7 +124,6 @@ class ScenarioSpec:
     integer_windows: bool = False
     enforce_loss_based: bool = True
     unsynchronized_loss: bool = False
-    sample_queue: bool = False
     flow_multiplicity: int = 1
 
     def __post_init__(self) -> None:
@@ -146,6 +141,8 @@ class ScenarioSpec:
             raise ValueError(
                 f"random_loss_rate must be in [0, 1), got {self.random_loss_rate}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.initial_windows is not None:
             self.initial_windows = [float(w) for w in self.initial_windows]
             if len(self.initial_windows) != n:
@@ -332,7 +329,6 @@ class ScenarioSpec:
             start_times=(
                 list(self.start_times) if self.start_times is not None else None
             ),
-            sample_queue=self.sample_queue,
         )
 
     def lower_meanfield(self) -> "object":

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds of simulated time per run")
     fct.add_argument("--replications", type=int, default=1,
                      help="independent workload seeds pooled per background")
-    fct.add_argument("--seed", type=int, default=42)
+    fct.add_argument("--seed", type=_seed, default=42)
 
     run_p = subparsers.add_parser(
         "run", help="run one scenario spec through any simulation backend"
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="horizon in RTT steps (ignored when --duration set)")
     run_p.add_argument("--duration", type=_positive, default=None,
                        help="horizon in seconds (overrides --steps)")
-    run_p.add_argument("--loss", type=float, default=0.0,
+    run_p.add_argument("--loss", type=_loss_rate, default=0.0,
                        help="random (non-congestion) loss rate in [0, 1)")
     run_p.add_argument("--flows", type=_count, default=1,
                        help="flow multiplicity: each --protocols entry stands "
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--unsync-loss", action="store_true",
                        help="unsynchronized loss feedback (each flow notices "
                        "a lossy step with probability 1-(1-L)^x)")
-    run_p.add_argument("--seed", type=int, default=0,
+    run_p.add_argument("--seed", type=_seed, default=0,
                        help="seed for randomized dynamics")
     run_p.add_argument("--slow-start", action="store_true",
                        help="give every flow a slow-start ramp")
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", type=str, default="127.0.0.1",
                        help="interface to bind (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8273,
+    serve.add_argument("--port", type=_port, default=8273,
                        help="port to bind (default: 8273; 0 picks a free one)")
 
     report = subparsers.add_parser(
@@ -235,17 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finite(text: str, *, positive: bool) -> float:
-    """``text`` as a finite number, positive or else non-negative."""
+def _finite(text: str, *, positive: bool, below: float = math.inf) -> float:
+    """``text`` as a finite number under ``below``, positive or else
+    non-negative."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    in_range = value > 0 if positive else value >= 0
+    in_range = (value > 0 if positive else value >= 0) and value < below
     if not (math.isfinite(value) and in_range):
         kind = "positive" if positive else "non-negative"
+        bound = "" if below == math.inf else f" below {below:g}"
         raise argparse.ArgumentTypeError(
-            f"must be a finite, {kind} number, got {text!r}"
+            f"must be a finite, {kind} number{bound}, got {text!r}"
         )
     return value
 
@@ -271,19 +273,41 @@ def _positive(text: str) -> float:
     return _finite(text, positive=True)
 
 
-def _count(text: str) -> int:
-    """A ``--steps``, ``--senders`` or ``--flows`` value: a positive integer.
+def _loss_rate(text: str) -> float:
+    """A ``--loss`` value: a finite rate in ``[0, 1)``, the range
+    :class:`~repro.backends.spec.ScenarioSpec` accepts."""
+    return _finite(text, positive=False, below=1.0)
 
-    A zero horizon or population is rejected here, not by a traceback
-    from the engine.
+
+def _count(text: str, *, positive: bool = True, most: int | None = None) -> int:
+    """``text`` as an integer up to ``most``, positive or else non-negative.
+
+    With its defaults, the ``--steps``, ``--senders`` and ``--flows``
+    type: a zero horizon or population is rejected here, not by a
+    traceback from the engine.
     """
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        value = -1
+    in_range = (value > 0 if positive else value >= 0) and (most is None or value <= most)
+    if not in_range:
+        kind = "positive" if positive else "non-negative"
+        bound = "" if most is None else f" up to {most}"
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer{bound}, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as NumPy's generators
+    take (a negative one fails only once a run draws, without naming the
+    option)."""
+    return _count(text, positive=False)
+
+
+def _port(text: str) -> int:
+    """A ``--port`` value: ``0`` (pick a free port) through ``65535``."""
+    return _count(text, positive=False, most=65535)
 
 
 def _run_cache_command(args: argparse.Namespace) -> int:

@@ -41,7 +41,6 @@ _SPEC_PASSTHROUGH = (
     "integer_windows",
     "enforce_loss_based",
     "unsynchronized_loss",
-    "sample_queue",
     "flow_multiplicity",
 )
 

@@ -18,12 +18,10 @@ Protocol dispatch is *table-driven and heterogeneous*: a batch carries a
 per-cell protocol-id array (``cell_classes``, one entry per
 scenario-flow cell) indexing a small ``class_table``, plus a merged
 parameter table of ``(B, flows)`` arrays. Each step makes one
-``batched_next`` call per protocol class over the cells that class
-drives — a contiguous column slice when the class owns whole columns
-across the batch (the homogeneous fast path), a gather/scatter over a
-precomputed index mask otherwise — so mixed AIMD/MIMD/Robust-AIMD grids
-land in a single kernel launch instead of falling back to the serial
-loop.
+``batched_next`` call per protocol class, a gather/scatter over the
+precomputed indices of the cells that class drives, so mixed
+AIMD/MIMD/Robust-AIMD grids land in a single kernel launch instead of
+falling back to the serial loop.
 
 Bit-identity with the serial general loop is the contract: every
 float64 operation mirrors the serial engine element by element — the
@@ -97,6 +95,7 @@ class BatchInputs:
     max_window: np.ndarray  # (B,)
     enforce_loss_based: bool = True
 
+    # No caller in src/: perfbench/tracing.py reads it per kernel call.
     @property
     def batch_size(self) -> int:
         return self.initial.shape[0]
@@ -129,49 +128,35 @@ def kernel_cells() -> int:
 
 def _dispatch_groups(
     inputs: BatchInputs,
-) -> list[tuple[type, str, tuple, dict[str, np.ndarray], np.ndarray]]:
+) -> list[tuple[type, np.ndarray, np.ndarray, dict[str, np.ndarray], np.ndarray | None]]:
     """Per-class dispatch segments over the cell table.
 
     One entry per protocol class that drives at least one cell:
-    ``(cls, mode, index, params, rtt_placeholder)``. ``mode`` is
-    ``"columns"`` when the class owns whole flow columns across every
-    scenario of the batch — dispatch is then a contiguous column slice,
-    the historical homogeneous fast path — and ``"cells"`` otherwise,
-    with ``index`` holding the precomputed ``(rows, cols)`` gather of the
-    class's cells. Gathered parameters are materialized once here, not
-    per step. ``rtt_placeholder`` is the Section 3 placeholder-RTT array
-    (shaped for the mode) when loss-based enforcement applies to the
-    class, else ``None``.
+    ``(cls, rows, cells, params, rtt_placeholder)``. ``cells`` holds the
+    flat (row-major) indices of the class's cells and ``rows`` their
+    scenario rows; one flat index array gathers and scatters faster than a
+    ``(rows, cols)`` pair, and a batch of one large population pays for
+    the gather on every cell. Gathered parameters are materialized once
+    here, not per step. ``rtt_placeholder`` is the Section 3
+    placeholder-RTT array, one entry per cell, when loss-based
+    enforcement applies to the class, else ``None``.
     """
     groups = []
-    b = inputs.batch_size
+    flows = inputs.cell_classes.shape[1]
     for k, cls in enumerate(inputs.class_table):
-        mask = inputs.cell_classes == k
-        count = int(mask.sum())
-        if count == 0:
+        cells = np.flatnonzero(inputs.cell_classes == k)
+        if cells.size == 0:
             continue
-        use_placeholder = inputs.enforce_loss_based and cls.loss_based
-        full_cols = mask.all(axis=0)
-        if count == b * int(full_cols.sum()):
-            cols = np.nonzero(full_cols)[0]
-            params = {
-                name: inputs.cell_params[name][:, cols]
-                for name in cls.batch_param_names
-            }
-            placeholder = (
-                np.full((b, 1), _PLACEHOLDER_RTT) if use_placeholder else None
-            )
-            groups.append((cls, "columns", (cols,), params, placeholder))
-        else:
-            rows_idx, cols_idx = np.nonzero(mask)
-            params = {
-                name: inputs.cell_params[name][rows_idx, cols_idx]
-                for name in cls.batch_param_names
-            }
-            placeholder = (
-                np.full(count, _PLACEHOLDER_RTT) if use_placeholder else None
-            )
-            groups.append((cls, "cells", (rows_idx, cols_idx), params, placeholder))
+        params = {
+            name: inputs.cell_params[name].take(cells)
+            for name in cls.batch_param_names
+        }
+        placeholder = (
+            np.full(cells.size, _PLACEHOLDER_RTT)
+            if inputs.enforce_loss_based and cls.loss_based
+            else None
+        )
+        groups.append((cls, cells // flows, cells, params, placeholder))
     return groups
 
 
@@ -212,21 +197,13 @@ def _advance_numpy(
         congestion_out[t] = loss
         rtts_out[t] = rtt
 
-        proposed = np.empty_like(current)
-        seen_col = seen[:, None]
-        for cls, mode, index, params, placeholder in groups:
-            if mode == "columns":
-                (cols,) = index
-                rtt_obs = placeholder if placeholder is not None else rtt[:, None]
-                proposed[:, cols] = cls.batched_next(
-                    current[:, cols], seen_col, rtt_obs, params
-                )
-            else:
-                rows_idx, cols_idx = index
-                rtt_obs = placeholder if placeholder is not None else rtt[rows_idx]
-                proposed[rows_idx, cols_idx] = cls.batched_next(
-                    current[rows_idx, cols_idx], seen[rows_idx], rtt_obs, params
-                )
+        proposed = np.empty(current.size)
+        for cls, rows, cells, params, placeholder in groups:
+            rtt_obs = placeholder if placeholder is not None else rtt.take(rows)
+            proposed[cells] = cls.batched_next(
+                current.take(cells), seen.take(rows), rtt_obs, params
+            )
+        proposed = proposed.reshape(current.shape)
         # Recheck the assembled step *after* every class segment has
         # written its cells: a non-finite window from any class freezes
         # the whole scenario row, never just that class's cells.

@@ -190,27 +190,13 @@ def _advance_network_numpy(
         flow_loss_out[t] = seen
         flow_rtts_out[t] = rtt
 
-        proposed = np.empty_like(current)
-        for cls, mode, index, params, placeholder in groups:
-            if mode == "columns":
-                (cols,) = index
-                rtt_obs = placeholder if placeholder is not None else rtt[:, cols]
-                proposed[:, cols] = cls.batched_next(
-                    current[:, cols], seen[:, cols], rtt_obs, params
-                )
-            else:
-                rows_idx, cols_idx = index
-                rtt_obs = (
-                    placeholder
-                    if placeholder is not None
-                    else rtt[rows_idx, cols_idx]
-                )
-                proposed[rows_idx, cols_idx] = cls.batched_next(
-                    current[rows_idx, cols_idx],
-                    seen[rows_idx, cols_idx],
-                    rtt_obs,
-                    params,
-                )
+        proposed = np.empty(current.size)
+        for cls, _, cells, params, placeholder in groups:
+            rtt_obs = placeholder if placeholder is not None else rtt.take(cells)
+            proposed[cells] = cls.batched_next(
+                current.take(cells), seen.take(cells), rtt_obs, params
+            )
+        proposed = proposed.reshape(current.shape)
         # Same post-dispatch recheck as the fluid batch: a non-finite
         # window from any class freezes the whole scenario row.
         finite = np.isfinite(proposed).all(axis=1)

@@ -87,7 +87,6 @@ class _Member(NamedTuple):
     link: Link
     flows: list[tuple[Protocol, float, int | None]]
     initial_window: float
-    sample_queue: bool = False
     loss_rate: float = 0.0
     seed: int = 0
 
@@ -129,12 +128,10 @@ def _wire(
 
     link = member.link
     queue = BottleneckQueue(
-        scheduler,
         bandwidth=link.bandwidth,
         capacity=int(link.buffer_size),
         on_departure=deliver,
         on_drop=drop,
-        sample_occupancy=member.sample_queue,
         service_rail=service_rail,
     )
     for flow_id, (protocol, start_time, size) in enumerate(member.flows):
@@ -221,7 +218,6 @@ def _scenario_member(scenario: PacketScenario) -> _Member:
             for protocol, start in zip(scenario.protocols, start_times)
         ],
         initial_window=scenario.initial_window,
-        sample_queue=scenario.sample_queue,
         loss_rate=scenario.random_loss_rate,
         seed=scenario.seed,
     )

@@ -48,7 +48,6 @@ class PacketScenario:
     random_loss_rate: float = 0.0
     seed: int = 1
     start_times: list[float] | None = None
-    sample_queue: bool = False
 
     @classmethod
     def from_mbps(
@@ -74,6 +73,8 @@ class PacketScenario:
             raise ValueError(
                 f"random_loss_rate must be in [0, 1), got {self.random_loss_rate}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.start_times is not None and len(self.start_times) != len(self.protocols):
             raise ValueError("start_times must match the number of flows")
         if not math.isfinite(self.link.bandwidth) or self.link.bandwidth > 1e9:

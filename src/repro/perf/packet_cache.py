@@ -12,8 +12,8 @@ hash, in the store's array-bundle format (:mod:`repro.perf.codec`).
 
 The stored payload is the *statistics*, not the event stream: each
 flow's counters and completion time, and every ACK time, loss time, RTT
-sample and window sample, plus the queue's counters and occupancy
-samples. Format 2 stores the four per-flow sample series as word deltas
+sample and window sample, plus the queue's counters. Format 2 stores
+the four per-flow sample series as word deltas
 (:func:`repro.perf.codec.word_deltas`), which zlib compresses where raw
 float64 barely shrinks: an Emulab-sized run (four Reno flows, 10 s at
 20 Mbps) is a 14 KB entry instead of 100 KB. Reloaded stats round-trip
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.model.link import Link
 from repro.packetsim.host import FlowStats
-from repro.packetsim.queue import OccupancyRing, QueueStats
+from repro.packetsim.queue import QueueStats
 from repro.perf.cache import CacheKeyError, TraceCache, _canonical
 from repro.perf.codec import word_deltas, word_sums
 from repro.protocols.base import Protocol
@@ -161,41 +161,6 @@ def _unpack_flow(index: int, arrays: dict) -> FlowStats:
     )
 
 
-def _pack_queue(stats: QueueStats, arrays: dict) -> None:
-    arrays["queue_counters"] = np.array(
-        [stats.enqueued, stats.dropped, stats.departed, stats.max_occupancy],
-        dtype=np.int64,
-    )
-    ring = stats.occupancy_ring
-    if ring is not None:
-        times, values = ring.arrays()
-        arrays["queue_ring_times"] = times
-        arrays["queue_ring_values"] = values
-        arrays["queue_ring_meta"] = np.array(
-            [ring.budget, ring.stride, ring.seen], dtype=np.int64
-        )
-
-
-def _unpack_queue(arrays: dict) -> QueueStats:
-    enqueued, dropped, departed, max_occ = (
-        int(v) for v in arrays["queue_counters"]
-    )
-    ring = None
-    if "queue_ring_meta" in arrays:
-        budget, stride, seen = (int(v) for v in arrays["queue_ring_meta"])
-        ring = OccupancyRing(budget)
-        ring.restore(
-            arrays["queue_ring_times"], arrays["queue_ring_values"], stride, seen
-        )
-    return QueueStats(
-        enqueued=enqueued,
-        dropped=dropped,
-        departed=departed,
-        max_occupancy=max_occ,
-        occupancy_ring=ring,
-    )
-
-
 # ----------------------------------------------------------------------
 # Scenario results
 # ----------------------------------------------------------------------
@@ -210,7 +175,11 @@ def store_scenario_result(cache: TraceCache, key: str, result) -> None:
     }
     for index, stats in enumerate(result.flows):
         _pack_flow(index, stats, arrays)
-    _pack_queue(result.queue, arrays)
+    queue = result.queue
+    arrays["queue_counters"] = np.array(
+        [queue.enqueued, queue.dropped, queue.departed, queue.max_occupancy],
+        dtype=np.int64,
+    )
     cache.put_arrays(key, arrays)
 
 
@@ -225,7 +194,7 @@ def load_scenario_result(cache: TraceCache, key: str, scenario):
         return ScenarioResult(
             scenario=scenario,
             flows=[_unpack_flow(i, arrays) for i in range(n_flows)],
-            queue=_unpack_queue(arrays),
+            queue=QueueStats(*(int(v) for v in arrays["queue_counters"])),
             duration=float(arrays["duration"]),
             events=events,
         )

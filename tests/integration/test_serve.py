@@ -221,6 +221,35 @@ class TestServeEndToEnd:
         assert error.startswith("bandwidth must be positive")
         assert stats["executor"]["jobs"] == 0
 
+    def test_negative_seed_is_a_400_naming_it(self):
+        # A lossy packet spec with such a seed used to fail per spec with
+        # NumPy's "expected non-negative integer", which names no field.
+        with ServerThread(executor=Executor()) as server:
+            client = ServeClient(port=server.port)
+            response = client._request("POST", "/run", {
+                "specs": [{**_wire(1.0), "seed": -1, "random_loss_rate": 0.01}],
+                "backend": "packet",
+            })
+            status, error = response.status, json.loads(response.read())["error"]
+            stats = client.stats()
+        assert status == 400
+        assert error.startswith("seed must be non-negative")
+        assert stats["executor"]["jobs"] == 0
+
+    def test_queue_sampling_key_is_a_400_naming_it(self):
+        # The retired occupancy-sampling knob is rejected, not ignored.
+        with ServerThread(executor=Executor()) as server:
+            client = ServeClient(port=server.port)
+            response = client._request("POST", "/run", {
+                "specs": [{**_wire(1.0), "sample_queue": True}],
+                "backend": "packet",
+            })
+            status, error = response.status, json.loads(response.read())["error"]
+            stats = client.stats()
+        assert status == 400
+        assert error == "unknown wire spec key(s): ['sample_queue']"
+        assert stats["executor"]["jobs"] == 0
+
     def test_requests_compute_one_at_a_time_on_one_thread(self, monkeypatch):
         """Two clients' requests: the first computation holds until the
         server has received the second request, yet the second never

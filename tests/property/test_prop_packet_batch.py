@@ -6,11 +6,10 @@ engine's only runner: ``run_scenario`` and ``run_workload`` are merge
 groups of one. So every merged member is held to two oracles:
 
 - its solo run (a group of one): every statistic — packet counters,
-  ACK/loss/RTT sample lists, window samples, queue counters, occupancy
-  rings, the event count — must come out *identical* (float comparisons
-  are exact: the merged loop executes the same handlers at the same
-  times in the same per-replication order). Only this comparison covers
-  the ``sample_queue`` occupancy rings;
+  ACK/loss/RTT sample lists, window samples, queue counters, the event
+  count — must come out *identical* (float comparisons are exact: the
+  merged loop executes the same handlers at the same times in the same
+  per-replication order);
 - the frozen pre-refactor simulators outside the runner
   (``reference_packetsim.reference_run_scenario``,
   ``reference_workload.reference_run_workload``): events, queue
@@ -92,7 +91,6 @@ def _assert_results_equal(merged, serial):
     assert merged.queue.dropped == serial.queue.dropped
     assert merged.queue.departed == serial.queue.departed
     assert merged.queue.max_occupancy == serial.queue.max_occupancy
-    assert merged.queue.occupancy_samples == serial.queue.occupancy_samples
 
 
 def _protocol(rng):
@@ -118,7 +116,6 @@ def _scenarios(seed, count, link, duration, lossy):
                 seed=int(rng.integers(0, 2**31)),
                 start_times=[float(i) * 0.5 for i in range(n)]
                 if index % 2 else None,
-                sample_queue=bool(index % 3 == 0),
             )
         )
     return out

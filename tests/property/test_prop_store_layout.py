@@ -26,7 +26,7 @@ from repro.backends.trace import UnifiedTrace
 from repro.exec.wire import decode_trace, encode_trace
 from repro.model.link import Link
 from repro.packetsim.host import FlowStats
-from repro.packetsim.queue import OccupancyRing, QueueStats
+from repro.packetsim.queue import QueueStats
 from repro.packetsim.scenario import ScenarioResult
 from repro.packetsim.workload import WorkloadResult
 from repro.perf import packet_cache
@@ -253,12 +253,7 @@ def flow_stats(draw) -> FlowStats:
 
 @st.composite
 def queue_stats(draw) -> QueueStats:
-    ring = None
-    if draw(st.booleans()):
-        ring = OccupancyRing(draw(st.integers(2, 8)))
-        for time in draw(st.lists(_FLOAT, max_size=20)):
-            ring.push(time, draw(st.integers(0, 500)))
-    return QueueStats(*(draw(_COUNT) for _ in range(4)), occupancy_ring=ring)
+    return QueueStats(*(draw(_COUNT) for _ in range(4)))
 
 
 def _bits_of(values) -> list[int]:
@@ -283,17 +278,6 @@ def _assert_same_queue(got: QueueStats, want: QueueStats) -> None:
     assert (got.enqueued, got.dropped, got.departed, got.max_occupancy) == (
         want.enqueued, want.dropped, want.departed, want.max_occupancy
     )
-    if want.occupancy_ring is None:
-        assert got.occupancy_ring is None
-        return
-    ring, expected = got.occupancy_ring, want.occupancy_ring
-    assert (ring.budget, ring.stride, ring.seen) == (
-        expected.budget, expected.stride, expected.seen
-    )
-    times, values = ring.arrays()
-    want_times, want_values = expected.arrays()
-    assert _bits_of(times) == _bits_of(want_times)
-    assert values.tolist() == want_values.tolist()
 
 
 @settings(deadline=None, max_examples=150)

@@ -66,6 +66,15 @@ class TestSpecValidation:
             ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link,
                          random_loss_rate=1.0)
 
+    def test_rejects_negative_seed(self, link):
+        # numpy's generators reject it only once a run draws, unnamed.
+        with pytest.raises(ValueError, match="^seed must be non-negative"):
+            ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, seed=-1)
+
+    def test_queue_sampling_is_not_a_field(self, link):
+        with pytest.raises(TypeError, match="sample_queue"):
+            ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, sample_queue=True)
+
     def test_rejects_mismatched_initial_windows(self, link):
         with pytest.raises(ValueError, match="initial windows"):
             ScenarioSpec(protocols=[AIMD(1, 0.5)] * 2, link=link,

@@ -129,6 +129,52 @@ class TestParser:
         assert exit_info.value.code == 2
         assert f"argument {option}: must be a finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "2", "1", "-0.1"])
+    def test_loss_must_be_a_finite_rate_below_one(self, capsys, value):
+        # Such a rate used to end in a ValueError traceback from the spec.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--protocols", "reno", "--steps", "50", "--no-cache",
+                  "--loss", value])
+        assert exit_info.value.code == 2
+        assert "argument --loss: must be a finite, non-negative number below 1" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("value", ["-1", "1.5"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--protocols", "reno", "--unsync-loss", "--steps", "50", "--no-cache"],
+        ["run", "--protocols", "reno", "--backend", "packet", "--loss", "0.01",
+         "--duration", "2", "--no-cache"],
+        ["fct", "--duration", "3"],
+    ])
+    def test_seed_must_be_a_non_negative_integer(self, capsys, argv, value):
+        # A negative seed used to reach NumPy, whose error names no option.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--seed", value])
+        assert exit_info.value.code == 2
+        assert "argument --seed: must be a non-negative integer" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("value", ["70000", "-3", "x"])
+    def test_port_must_be_a_tcp_port(self, capsys, value):
+        # An out-of-range port used to end in an OverflowError from bind().
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", value])
+        assert exit_info.value.code == 2
+        assert "argument --port: must be a non-negative integer up to 65535" in (
+            capsys.readouterr().err
+        )
+
+    def test_range_ends_are_accepted(self):
+        parser = build_parser()
+        args = parser.parse_args(["run", "--protocols", "reno", "--loss", "0.999",
+                                  "--seed", "0"])
+        assert (args.loss, args.seed) == (0.999, 0)
+        assert parser.parse_args(["fct", "--seed", "0"]).seed == 0
+        assert parser.parse_args(["serve", "--port", "0"]).port == 0
+        assert parser.parse_args(["serve", "--port", "65535"]).port == 65535
+
     @pytest.mark.parametrize("argv, flag", [
         (["--workers", "2", "claims"], "--workers"),
         (["--workers=2", "claims"], "--workers"),

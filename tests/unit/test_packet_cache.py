@@ -106,7 +106,7 @@ def _run(job, **options):
 
 class TestRoundTrip:
     def test_scenario_hit_round_trips_exactly(self, tmp_path):
-        sc = scenario(sample_queue=True)
+        sc = scenario()
         with cache_enabled(tmp_path) as cache:
             cold = _run(PacketScenarioJob(sc))
             warm = _run(PacketScenarioJob(sc))
@@ -120,10 +120,28 @@ class TestRoundTrip:
         assert warm.queue.dropped == cold.queue.dropped
         assert warm.queue.departed == cold.queue.departed
         assert warm.queue.max_occupancy == cold.queue.max_occupancy
-        assert warm.queue.occupancy_samples == cold.queue.occupancy_samples
         # Derived statistics agree bit-for-bit too.
         assert warm.throughputs() == cold.throughputs()
         assert warm.mean_rtts() == cold.mean_rtts()
+
+    def test_scenario_entry_holds_counters_and_flow_series(self, tmp_path):
+        sc = scenario()
+        with cache_enabled(tmp_path) as cache:
+            result = _run(PacketScenarioJob(sc))
+            arrays = cache.get_arrays(packet_cache.scenario_key(sc))
+        flow_members = {
+            f"flow{index}_{name}"
+            for index in range(len(result.flows))
+            for name in ("counters", "completed_at", "ack_times", "loss_times",
+                         "rtt_samples", "window_samples")
+        }
+        assert set(arrays) == {
+            "format", "meta", "duration", "queue_counters", *flow_members
+        }
+        assert arrays["queue_counters"].tolist() == [
+            result.queue.enqueued, result.queue.dropped,
+            result.queue.departed, result.queue.max_occupancy,
+        ]
 
     def test_different_scenario_misses(self, tmp_path):
         with cache_enabled(tmp_path) as cache:

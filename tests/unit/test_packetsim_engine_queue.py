@@ -5,7 +5,7 @@ import pytest
 from repro.packetsim.engine import EventKind, EventScheduler
 from repro.packetsim.host import Flow
 from repro.packetsim.packet import Packet, PacketPool
-from repro.packetsim.queue import BottleneckQueue, OccupancyRing
+from repro.packetsim.queue import BottleneckQueue
 from repro.protocols.aimd import AIMD
 
 
@@ -241,55 +241,6 @@ class TestPacketPool:
         assert list(pool) == [b]
 
 
-class TestOccupancyRing:
-    def test_under_budget_keeps_everything(self):
-        ring = OccupancyRing(budget=16)
-        for i in range(10):
-            ring.push(float(i), i)
-        assert ring.samples() == [(float(i), i) for i in range(10)]
-
-    def test_over_budget_decimates_and_stays_bounded(self):
-        ring = OccupancyRing(budget=16)
-        for i in range(10_000):
-            ring.push(float(i), i)
-        assert 8 <= len(ring) <= 16
-        samples = ring.samples()
-        # Evenly thinned: retained observation indices step by the stride.
-        times = [t for t, _ in samples]
-        assert times == sorted(times)
-        strides = {round(b - a) for a, b in zip(times, times[1:])}
-        assert len(strides) == 1
-        assert ring.stride >= 10_000 // 16
-
-    def test_decimation_is_deterministic(self):
-        def run():
-            ring = OccupancyRing(budget=8)
-            for i in range(1000):
-                ring.push(i * 0.25, i % 7)
-            return ring.samples()
-
-        assert run() == run()
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            OccupancyRing(budget=1)
-
-    def test_long_sampled_run_respects_budget(self):
-        scheduler = EventScheduler()
-        queue = BottleneckQueue(
-            scheduler, bandwidth=1000.0, capacity=5,
-            on_departure=lambda p: None, on_drop=lambda p: None,
-            sample_occupancy=True, sample_budget=64,
-            service_rail=scheduler.rail(1 / 1000.0),
-        )
-        for burst in range(200):
-            for seq in range(3):
-                queue.arrive(Packet(0, burst * 3 + seq, scheduler.now, 0))
-            scheduler.run_until(scheduler.now + 0.1)
-        assert len(queue.stats.occupancy_samples) <= 64
-        assert queue.stats.occupancy_ring.seen > 64
-
-
 def pkt(seq: int, flow: int = 0) -> Packet:
     return Packet(flow_id=flow, sequence=seq, sent_at=0.0, round_index=0)
 
@@ -298,7 +249,6 @@ class TestQueue:
     def make(self, scheduler, capacity=2, bandwidth=10.0):
         departed, dropped = [], []
         queue = BottleneckQueue(
-            scheduler,
             bandwidth=bandwidth,
             capacity=capacity,
             on_departure=departed.append,
@@ -355,30 +305,31 @@ class TestQueue:
         assert len(departed) == 1
         assert len(dropped) == 1
 
-    def test_occupancy_sampling(self):
+    def test_max_occupancy_tracks_the_deepest_buffer(self):
         scheduler = EventScheduler()
-        samples_queue = BottleneckQueue(
-            scheduler, bandwidth=10.0, capacity=5,
-            on_departure=lambda p: None, on_drop=lambda p: None,
-            sample_occupancy=True, service_rail=scheduler.rail(1 / 10.0),
-        )
-        samples_queue.arrive(pkt(0))
-        samples_queue.arrive(pkt(1))
-        scheduler.run_until(1.0)
-        assert len(samples_queue.stats.occupancy_samples) >= 2
+        queue, departed, _ = self.make(scheduler, capacity=5)
+        for seq in range(4):  # one into service, three buffered
+            queue.arrive(pkt(seq))
+        assert queue.occupancy == 3
+        scheduler.run_until(10.0)
+        queue.arrive(pkt(4))  # the idle server takes it at once
+        scheduler.run_until(20.0)
+        assert [p.sequence for p in departed] == list(range(5))
+        assert queue.stats.max_occupancy == 3
+        assert queue.occupancy == 0
 
     def test_validation(self):
         scheduler = EventScheduler()
         with pytest.raises(ValueError):
-            BottleneckQueue(scheduler, bandwidth=0.0, capacity=1,
+            BottleneckQueue(bandwidth=0.0, capacity=1,
                             on_departure=lambda p: None, on_drop=lambda p: None,
                             service_rail=scheduler.rail(1.0))
         with pytest.raises(ValueError):
-            BottleneckQueue(scheduler, bandwidth=1.0, capacity=-1,
+            BottleneckQueue(bandwidth=1.0, capacity=-1,
                             on_departure=lambda p: None, on_drop=lambda p: None,
                             service_rail=scheduler.rail(1 / 1.0))
         with pytest.raises(ValueError, match="service rail delay"):
-            BottleneckQueue(scheduler, bandwidth=1.0, capacity=1,
+            BottleneckQueue(bandwidth=1.0, capacity=1,
                             on_departure=lambda p: None, on_drop=lambda p: None,
                             service_rail=scheduler.rail(0.5))
 

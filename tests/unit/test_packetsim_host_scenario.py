@@ -159,6 +159,14 @@ class TestScenario:
         with pytest.raises(ValueError):
             PacketScenario(link=Link.infinite(), protocols=[presets.reno()])
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative"):
+            PacketScenario.from_mbps(10, 42, 50, [presets.reno()], seed=-1)
+
+    def test_queue_sampling_is_not_a_field(self):
+        with pytest.raises(TypeError, match="sample_queue"):
+            PacketScenario.from_mbps(10, 42, 50, [presets.reno()], sample_queue=True)
+
     @pytest.mark.parametrize("duration", [math.inf, math.nan])
     def test_rejects_non_finite_duration(self, duration):
         # The event loop would run forever.

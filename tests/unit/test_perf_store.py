@@ -54,8 +54,10 @@ class TestUnifiedKey:
 
 class TestPinnedKeys:
     """Keys of fixed inputs, pinned as hex: a key that drifts orphans
-    every stored entry, so a deliberate change to keying bumps
-    ``_KEY_VERSION`` and pins the new keys.
+    every stored entry, so a deliberate change to keying pins the new
+    keys, and bumps ``_KEY_VERSION`` when an old payload could equal a
+    new one. (A field dropped from a keyed dataclass cannot: the old
+    payloads all name it.)
 
     The fluid spec mixes classes that keep ``Protocol.reset`` and
     ``clone`` (keyed by their own attribute dict) with a random loss
@@ -74,7 +76,7 @@ class TestPinnedKeys:
             link=self.LINK, steps=500, random_loss_rate=0.01,
         )
         assert unified_key("fluid", spec) == (
-            "150f13af861a176576c578b6fce5bdc2caecb1d8449fc46211532bf43dec3f6c"
+            "ae1f0a2db3a76e5a61dd0fda9805c81a838844d28e066e50c8bb9c768263a329"
         )
 
     def test_packet_scenario_key(self):
@@ -82,7 +84,7 @@ class TestPinnedKeys:
             20.0, 42.0, 100, [presets.cubic(), presets.reno()], duration=3.0, seed=1
         )
         assert scenario_key(scenario) == (
-            "6411cef0843da43a419349e233e6f6dcaac4a4149f8b9a83b25d4b474638f232"
+            "9499fdc5c40bc2bc8ec1d804d9d07293454c6b0117fc6f372e74d3d6e59302ae"
         )
 
     def test_workload_key(self):

@@ -79,7 +79,7 @@ def test_corrupted_heap_event_trips_monotonic_clock():
 
 # ------------------------------------------------------------- queue checks
 def _queue(scheduler: EventScheduler, capacity: int = 2) -> BottleneckQueue:
-    return BottleneckQueue(scheduler, bandwidth=100.0, capacity=capacity,
+    return BottleneckQueue(bandwidth=100.0, capacity=capacity,
                            on_departure=_noop, on_drop=_noop,
                            service_rail=scheduler.rail(1 / 100.0))
 
