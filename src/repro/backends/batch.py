@@ -45,7 +45,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.backends.base import get_backend
+from repro.backends.base import run_on
 from repro.backends.spec import ScenarioSpec
 from repro.model.dynamics import SimulationConfig, check_window_clamp
 from repro.model.link import Link
@@ -606,10 +606,9 @@ def run_batched(
                 serial.append(index)
             else:
                 results[index] = lane.extract(result, pos, group, specs[index])
-    engine = get_backend(backend)
     for index in sorted(serial):
         try:
-            results[index] = engine.run(specs[index])
+            results[index] = run_on(backend, specs[index])
         except Exception as exc:
             if not skip_errors:
                 raise

@@ -8,8 +8,8 @@ duplicates within the batch share one computation, and the rest route to
 the cheapest engine — returning
 :class:`~repro.backends.trace.UnifiedTrace` objects in submission order.
 
-Every spec backend has a batched engine. Packet specs always take
-theirs, the executor's scenario lane: lowered there, they run through
+Every backend has a batched engine. Packet specs always take theirs,
+the executor's scenario lane: lowered there, they run through
 the merged-scheduler replication runner (:mod:`repro.packetsim.batch`)
 with the submission's native packet scenarios, scenarios sharing a link
 and duration run inside one event loop, and a single spec is a merge
@@ -19,10 +19,8 @@ through the batch planner (:mod:`repro.backends.batch`): compatible
 specs are stacked and advanced through one vectorized kernel pass per
 step — bit-identical to the serial path, typically several times faster
 on sweep grids — with per-spec serial fallback for anything the kernels
-cannot express. A (hypothetical future) backend without a batch lane
-warns once, naming the backend, and runs per-job. Without ``batch``
-the executor's per-job lane runs those specs in a serial loop. Every
-job runs in the calling process.
+cannot express. Without ``batch`` the executor's per-job lane runs
+those specs in a serial loop. Every job runs in the calling process.
 """
 
 from __future__ import annotations
@@ -49,9 +47,8 @@ def run_specs(
     ``"packet"`` specs always run through the merged-scheduler
     replication runner (:mod:`repro.packetsim.batch`), whatever
     ``batch`` says. ``batch=True`` enables the stacked kernels on the
-    ``"fluid"``, ``"network"`` and ``"meanfield"`` backends; a backend
-    without a batched engine warns once and runs per-job exactly as
-    before. ``use_cache`` and ``skip_errors`` are honored on every path:
+    ``"fluid"``, ``"network"`` and ``"meanfield"`` backends.
+    ``use_cache`` and ``skip_errors`` are honored on every path:
     cached specs skip the engines entirely, and with ``skip_errors`` a
     failing spec yields ``None`` without disturbing the rest of the
     batch.

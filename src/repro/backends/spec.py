@@ -2,9 +2,8 @@
 
 A :class:`ScenarioSpec` says *what* to simulate — protocols on a
 bottleneck, start times, horizon, random loss, seed — without saying *how*.
-Each registered backend (:mod:`repro.backends.fluid`,
-:mod:`repro.backends.network`, :mod:`repro.backends.packet`,
-:mod:`repro.backends.meanfield`) lowers the spec to its native
+Each backend in the table of :mod:`repro.backends.base` (fluid,
+network, packet, meanfield) lowers the spec to its native
 configuration via :meth:`ScenarioSpec.lower_fluid`,
 :meth:`~ScenarioSpec.lower_network`, :meth:`~ScenarioSpec.lower_packet`
 or :meth:`~ScenarioSpec.lower_meanfield`.

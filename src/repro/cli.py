@@ -42,10 +42,10 @@ from repro.experiments import (
 from repro.experiments.table2 import run_table2_packet
 from repro.backends import backend_names
 from repro.model.link import Link
-from repro.protocols import make_protocol, presets
+from repro.protocols import Protocol, make_protocol, presets
 
-# The usage text's --backend line is derived from the registry, so it can
-# never drift from the parser's dynamic `choices=backend_names()` again.
+# The usage text's --backend line is derived from the backend table, so it
+# can never drift from the parser's `choices=backend_names()` again.
 if __doc__:  # pragma: no branch - absent only under python -OO
     __doc__ = __doc__.format(backends="{" + ",".join(backend_names()) + "}")
 
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     t1 = subparsers.add_parser("table1", help="protocol characterization (Table 1)")
     _add_link_arguments(t1)
     t1.add_argument("--steps", type=_count, default=4000)
-    t1.add_argument("--senders", type=_count, default=2)
+    t1.add_argument("--senders", type=_senders, default=2)
 
     t2 = subparsers.add_parser(
         "table2", help="Robust-AIMD vs PCC TCP-friendliness (Table 2)"
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_link_arguments(run_p)
     run_p.add_argument("--backend", choices=backend_names(), default="fluid",
                        help="simulation backend (default: fluid)")
-    run_p.add_argument("--protocols", nargs="+", required=True,
+    run_p.add_argument("--protocols", nargs="+", type=_protocol, required=True,
                        help="protocol specs, e.g. 'AIMD(1,0.5)' reno cubic")
     run_p.add_argument("--steps", type=_count, default=2000,
                        help="horizon in RTT steps (ignored when --duration set)")
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subparsers.add_parser("simulate", help="run an ad-hoc fluid simulation")
     _add_link_arguments(sim)
-    sim.add_argument("--protocols", nargs="+", required=True,
+    sim.add_argument("--protocols", nargs="+", type=_protocol, required=True,
                      help="protocol specs, e.g. 'AIMD(1,0.5)' reno cubic")
     sim.add_argument("--steps", type=_count, default=2000)
 
@@ -179,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="score one protocol on all eight axioms (plus extensions)",
     )
     _add_link_arguments(char)
-    char.add_argument("--protocol", required=True,
+    char.add_argument("--protocol", type=_protocol, required=True,
                       help="protocol spec or preset name")
     char.add_argument("--steps", type=_count, default=4000)
-    char.add_argument("--senders", type=_count, default=2)
+    char.add_argument("--senders", type=_senders, default=2)
     char.add_argument("--extensions", action="store_true",
                       help="also measure responsiveness and churn resilience")
 
@@ -279,35 +279,53 @@ def _loss_rate(text: str) -> float:
     return _finite(text, positive=False, below=1.0)
 
 
-def _count(text: str, *, positive: bool = True, most: int | None = None) -> int:
-    """``text`` as an integer up to ``most``, positive or else non-negative.
+def _count(text: str, *, least: int = 1, most: int | None = None) -> int:
+    """``text`` as an integer from ``least`` up to ``most``.
 
-    With its defaults, the ``--steps``, ``--senders`` and ``--flows``
-    type: a zero horizon or population is rejected here, not by a
-    traceback from the engine.
+    With its defaults, the ``--steps`` and ``--flows`` type: a zero
+    horizon or population is rejected here, not by a traceback from the
+    engine.
     """
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    in_range = (value > 0 if positive else value >= 0) and (most is None or value <= most)
-    if not in_range:
-        kind = "positive" if positive else "non-negative"
-        bound = "" if most is None else f" up to {most}"
+        value = least - 1
+    if not (value >= least and (most is None or value <= most)):
+        kind = "non-negative" if least == 0 else "positive"
+        bound = f" of at least {least}" if least > 1 else ""
+        bound += "" if most is None else f" up to {most}"
         raise argparse.ArgumentTypeError(f"must be a {kind} integer{bound}, got {text!r}")
     return value
+
+
+def _senders(text: str) -> int:
+    """A ``--senders`` value: at least 2, since the fairness and
+    friendliness estimators compare senders."""
+    return _count(text, least=2)
 
 
 def _seed(text: str) -> int:
     """A ``--seed`` value: a non-negative integer, as NumPy's generators
     take (a negative one fails only once a run draws, without naming the
     option)."""
-    return _count(text, positive=False)
+    return _count(text, least=0)
 
 
 def _port(text: str) -> int:
     """A ``--port`` value: ``0`` (pick a free port) through ``65535``."""
-    return _count(text, positive=False, most=65535)
+    return _count(text, least=0, most=65535)
+
+
+def _protocol(text: str) -> Protocol:
+    """A ``--protocol(s)`` entry: a protocol spec or preset name, built.
+
+    A spec that does not parse, or whose constructor rejects its
+    parameters, is a usage error naming the option, not a traceback.
+    """
+    try:
+        return make_protocol(text)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _run_cache_command(args: argparse.Namespace) -> int:
@@ -355,12 +373,11 @@ def _run_cache_command(args: argparse.Namespace) -> int:
 
 
 def _run_run_command(args: argparse.Namespace) -> int:
-    from repro.backends import ScenarioSpec, get_backend, run_specs
+    from repro.backends import LoweringError, ScenarioSpec, run_specs
 
     link = _link_from(args)
-    protocols = [make_protocol(spec) for spec in args.protocols]
     spec = ScenarioSpec(
-        protocols=protocols,
+        protocols=args.protocols,
         link=link,
         steps=args.steps,
         duration=args.duration,
@@ -370,13 +387,16 @@ def _run_run_command(args: argparse.Namespace) -> int:
         flow_multiplicity=args.flows,
         unsynchronized_loss=args.unsync_loss,
     )
-    backend = get_backend(args.backend)
     # A batch of one: the kernel lanes step a large population at once,
     # and a spec they cannot express falls back to the serial engine.
-    trace = run_specs(
-        [spec], args.backend, batch=True, use_cache=not args.no_cache
-    )[0]
-    print(f"{link.describe()}, backend={backend.name}, "
+    try:
+        trace = run_specs(
+            [spec], args.backend, batch=True, use_cache=not args.no_cache
+        )[0]
+    except LoweringError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
+        return 2
+    print(f"{link.describe()}, backend={args.backend}, "
           f"{trace.steps} steps (~{spec.horizon_seconds():g}s)")
     for key, value in trace.summary().items():
         print(f"  {key}: {value:.4f}")
@@ -388,7 +408,7 @@ def _run_run_command(args: argparse.Namespace) -> int:
             print(f"  {group.protocol.name} x{group.population}: "
                   f"tail mean window {mean / group.population:.2f} MSS/flow")
     else:
-        for i, protocol in enumerate(protocols):
+        for i, protocol in enumerate(args.protocols):
             # With --flows > 1 the entry's copies are interchangeable;
             # report the first.
             mean = tail_means[i * args.flows]
@@ -396,7 +416,7 @@ def _run_run_command(args: argparse.Namespace) -> int:
             print(f"  {protocol.name}{label}: tail mean window {mean:.2f} MSS")
     from repro.perf.store import unified_key
 
-    key = unified_key(backend.name, spec)
+    key = unified_key(args.backend, spec)
     if key is not None:
         print(f"  cache key: {args.backend}:{key[:16]}…")
     return 0
@@ -529,12 +549,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.backends import ScenarioSpec, run_spec
 
         link = _link_from(args)
-        protocols = [make_protocol(spec) for spec in args.protocols]
-        trace = run_spec(ScenarioSpec.from_fluid(link, protocols, args.steps))
+        trace = run_spec(ScenarioSpec.from_fluid(link, args.protocols, args.steps))
         print(f"{link.describe()}, {args.steps} steps")
         for key, value in trace.summary().items():
             print(f"  {key}: {value:.4f}")
-        for i, protocol in enumerate(protocols):
+        for i, protocol in enumerate(args.protocols):
             mean = trace.tail(0.5).mean_windows()[i]
             print(f"  {protocol.name}: tail mean window {mean:.2f} MSS")
         return 0
@@ -546,7 +565,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
 
         link = _link_from(args)
-        protocol = make_protocol(args.protocol)
+        protocol = args.protocol
         characterization = characterize(
             protocol, link,
             EstimatorConfig(steps=args.steps, n_senders=args.senders),

@@ -48,20 +48,10 @@ active, a spec an earlier request computed is a store hit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 from repro.exec.jobs import PacketScenarioJob, SpecJob, WorkloadJob
-
-#: Spec backends with a stacked kernel (``run_batched``), which their
-#: SpecJobs take under ``batch``. Packet specs merge in the scenario lane
-#: whatever ``batch`` says; SpecJobs on any other backend fall back
-#: per-job (with a one-time warning naming the backend).
-_BATCHED_SPEC_BACKENDS = ("fluid", "network", "meanfield")
-
-#: Backends already warned about falling back from ``batch=True``.
-_warned_laneless: set[str] = set()
 
 __all__ = [
     "ExecutorStats",
@@ -248,8 +238,7 @@ class Executor:
         specs, and the workload lane workloads, whatever ``batch`` says.
         With ``batch``, fluid, network and mean-field specs take their
         stacked kernel behind :func:`repro.backends.batch.run_batched`.
-        Every other job takes the per-job lane; a spec job on a backend
-        without a batch lane warns once, naming the backend, first.
+        Every other job takes the per-job lane.
         """
         lanes: dict[str, list[int]] = {}
         leftover: list[int] = []
@@ -266,10 +255,15 @@ class Executor:
             _run_per_job(run, leftover)
 
     def _run_specs(self, run: _Run, members: list[int]) -> None:
-        """One spec backend's batch lane."""
+        """One spec backend's batch lane.
+
+        On a name without a stacked kernel ``run_batched`` raises, and the
+        jobs fail one by one in the per-job lane, as they would unbatched.
+        """
         from repro.backends.batch import run_batched
 
-        traces = run_batched(
+        traces = self._run_merged(
+            run, members, run_batched,
             [run.jobs[i].spec for i in members],
             run.jobs[members[0]].backend,
             skip_errors=True,
@@ -327,7 +321,7 @@ class Executor:
 
     @staticmethod
     def _run_merged(run: _Run, members: list[int], engine, *args, **kwargs) -> list:
-        """``members``' results from one merged-engine call, in order.
+        """``members``' results from one merged or stacked engine call, in order.
 
         A call that raises re-runs its members one by one through the
         per-job lane, in submission order, as
@@ -394,17 +388,7 @@ def _batch_lane(job: Any, batch: bool) -> str | None:
     ):
         return "scenario"
     if isinstance(job, SpecJob) and batch:
-        if job.backend in _BATCHED_SPEC_BACKENDS:
-            return f"spec-{job.backend}"
-        if job.backend not in _warned_laneless:
-            _warned_laneless.add(job.backend)
-            warnings.warn(
-                f"backend {job.backend!r} has no batched engine; "
-                "its specs run per-job",
-                RuntimeWarning,
-                stacklevel=5,
-            )
-        return None
+        return f"spec-{job.backend}"
     if isinstance(job, WorkloadJob):
         return "workload"
     return None

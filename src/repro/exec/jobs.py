@@ -74,9 +74,9 @@ class SpecJob:
         store_unified_trace(cache, key, value)
 
     def run(self) -> Any:
-        from repro.backends.base import get_backend
+        from repro.backends.base import run_on
 
-        return get_backend(self.backend).run(self.spec)
+        return run_on(self.backend, self.spec)
 
 
 @dataclass

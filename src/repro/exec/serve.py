@@ -59,9 +59,9 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 def _run_options(payload: dict) -> tuple[str, bool, bool]:
     """A ``/run`` request's ``backend``, ``batch`` and ``use_cache``.
 
-    A backend that is not registered, or a flag that is not a JSON
-    boolean, is a ``ValueError`` naming the field, so the request is
-    answered 400 before anything is submitted.
+    A backend not among :func:`~repro.backends.base.backend_names`, or a
+    flag that is not a JSON boolean, is a ``ValueError`` naming the
+    field, so the request is answered 400 before anything is submitted.
     """
     backend = payload.get("backend", "fluid")
     if backend not in backend_names():

@@ -27,22 +27,60 @@ __all__ = [
     "spec_to_wire",
 ]
 
-#: ScenarioSpec fields a wire spec may set directly (JSON scalars/lists).
-_SPEC_PASSTHROUGH = (
-    "steps",
-    "duration",
-    "initial_windows",
-    "start_times",
-    "random_loss_rate",
-    "slow_start",
-    "seed",
-    "min_window",
-    "max_window",
-    "integer_windows",
-    "enforce_loss_based",
-    "unsynchronized_loss",
-    "flow_multiplicity",
-)
+
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(value: Any, check) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(check, value))
+
+
+#: What each JSON kind accepts.
+_KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a number": _number,
+    "a number or null": lambda v: v is None or _number(v),
+    "a list of numbers or null": lambda v: v is None or _list_of(v, _number),
+    "a list of strings": lambda v: _list_of(v, lambda item: isinstance(item, str)),
+}
+
+_REQUIRED = ("protocols", "bandwidth_mbps", "rtt_ms", "buffer_mss")
+
+#: Every wire spec key and the JSON kind of its value. The keys beyond
+#: :data:`_REQUIRED` pass through to the ScenarioSpec field of their name.
+_SPEC_KEYS = {
+    "protocols": "a list of strings",
+    "bandwidth_mbps": "a number",
+    "rtt_ms": "a number",
+    "buffer_mss": "a number",
+    "steps": "an integer",
+    "seed": "an integer",
+    "flow_multiplicity": "an integer",
+    "slow_start": "a boolean",
+    "integer_windows": "a boolean",
+    "enforce_loss_based": "a boolean",
+    "unsynchronized_loss": "a boolean",
+    "random_loss_rate": "a number",
+    "min_window": "a number",
+    "max_window": "a number",
+    "duration": "a number or null",
+    "initial_windows": "a list of numbers or null",
+    "start_times": "a list of numbers or null",
+}
+
+
+def _check_keys(spec: dict) -> None:
+    """Refuse an unknown key, or a value not of its key's JSON kind,
+    with a ``ValueError`` naming the key."""
+    unknown = set(spec) - set(_SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown wire spec key(s): {sorted(unknown)}")
+    for key, value in spec.items():
+        kind = _SPEC_KEYS[key]
+        if not _KINDS[kind](value):
+            raise ValueError(f"{key!r} must be {kind}; got {value!r}")
 
 
 def spec_from_wire(payload: dict) -> Any:
@@ -51,25 +89,25 @@ def spec_from_wire(payload: dict) -> Any:
     Required keys: ``protocols`` (a list of protocol spec strings such as
     ``"AIMD(1,0.5)"`` or preset names like ``"reno"``), ``bandwidth_mbps``,
     ``rtt_ms`` and ``buffer_mss``. Every other recognized key passes
-    through to the spec; an unknown key raises, so client typos fail
-    loudly instead of silently running a different scenario.
+    through to the spec. An unknown key, or a value of the wrong JSON
+    kind (``10.5`` or ``true`` for ``steps``, ``"no"`` for
+    ``slow_start``), raises a ``ValueError`` naming the key, so client
+    typos fail loudly instead of silently running a different scenario.
     """
     from repro.backends.spec import ScenarioSpec
     from repro.protocols import make_protocol
 
     if not isinstance(payload, dict):
         raise ValueError(f"wire spec must be an object, got {type(payload).__name__}")
+    for key in _REQUIRED:
+        if key not in payload:
+            raise ValueError(f"wire spec is missing required key {key!r}")
+    _check_keys(payload)
     data = dict(payload)
-    try:
-        protocols = [make_protocol(str(name)) for name in data.pop("protocols")]
-        bandwidth = float(data.pop("bandwidth_mbps"))
-        rtt = float(data.pop("rtt_ms"))
-        buffer_mss = float(data.pop("buffer_mss"))
-    except KeyError as exc:
-        raise ValueError(f"wire spec is missing required key {exc}") from exc
-    unknown = set(data) - set(_SPEC_PASSTHROUGH)
-    if unknown:
-        raise ValueError(f"unknown wire spec key(s): {sorted(unknown)}")
+    protocols = [make_protocol(name) for name in data.pop("protocols")]
+    bandwidth = float(data.pop("bandwidth_mbps"))
+    rtt = float(data.pop("rtt_ms"))
+    buffer_mss = float(data.pop("buffer_mss"))
     return ScenarioSpec.from_mbps(bandwidth, rtt, buffer_mss, protocols, **data)
 
 
@@ -82,19 +120,18 @@ def spec_to_wire(
 ) -> dict:
     """A wire spec dict (the client-side convenience constructor).
 
-    Validates the keyword names against the same whitelist the server
-    enforces, so a bad request fails before it leaves the client.
+    Checks the keys and their kinds as the server does, so a bad request
+    fails before it leaves the client.
     """
-    unknown = set(kwargs) - set(_SPEC_PASSTHROUGH)
-    if unknown:
-        raise ValueError(f"unknown wire spec key(s): {sorted(unknown)}")
-    return {
-        "protocols": list(protocols),
-        "bandwidth_mbps": float(bandwidth_mbps),
-        "rtt_ms": float(rtt_ms),
-        "buffer_mss": float(buffer_mss),
+    spec = {
+        "protocols": protocols,
+        "bandwidth_mbps": bandwidth_mbps,
+        "rtt_ms": rtt_ms,
+        "buffer_mss": buffer_mss,
         **kwargs,
     }
+    _check_keys(spec)
+    return spec
 
 
 def encode_trace(trace: Any) -> str:

@@ -14,7 +14,7 @@ only, so ten flows and ten million flows cost the same — the ROADMAP's
 
 Use it through the unified backend runtime:
 ``run_spec(spec, backend="meanfield")`` or
-``repro run --backend meanfield`` (see :mod:`repro.backends.meanfield`).
+``repro run --backend meanfield`` (its row in :mod:`repro.backends.base`).
 """
 
 from repro.meanfield.dynamics import (

@@ -88,9 +88,13 @@ class TestCliExtendedCommands:
         assert "efficiency" in out
         assert "theory:" in out
 
-    def test_characterize_unknown_protocol(self):
-        with pytest.raises(ValueError):
+    def test_characterize_unknown_protocol(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["characterize", "--protocol", "BBR(1)"])
+        assert exit_info.value.code == 2
+        assert "argument --protocol: unknown protocol family 'BBR'" in (
+            capsys.readouterr().err
+        )
 
     def test_characterize_extensions_flag(self, capsys):
         exit_code = main(

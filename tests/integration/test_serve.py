@@ -93,6 +93,37 @@ class TestWireFormats:
         with pytest.raises(ValueError, match=f"^{field} must"):
             run_spec(spec, backend, use_cache=False)
 
+    @pytest.mark.parametrize("key,value", [
+        ("steps", 10.5), ("steps", 20.0), ("steps", True),
+        ("seed", 2.5), ("seed", True), ("flow_multiplicity", 2.0),
+        ("slow_start", "no"), ("slow_start", 1), ("unsynchronized_loss", 1),
+        ("integer_windows", "yes"), ("enforce_loss_based", None),
+        ("min_window", "1"), ("max_window", None), ("random_loss_rate", "0.1"),
+        ("duration", "2"), ("bandwidth_mbps", True), ("bandwidth_mbps", "20"),
+        ("rtt_ms", None), ("buffer_mss", [100]), ("protocols", "reno"),
+        ("protocols", ["reno", 1]), ("initial_windows", [1.0, "1"]),
+        ("start_times", 0.0),
+    ])
+    def test_value_of_the_wrong_json_kind_is_refused_naming_the_key(
+        self, key, value
+    ):
+        # Such values used to run (keyed apart from the same simulation
+        # with the right kind, or with their truthiness) or fail per spec
+        # with an error naming no key.
+        with pytest.raises(ValueError, match=f"^{key!r} must be "):
+            spec_from_wire({**_wire(1.0), key: value})
+        with pytest.raises(ValueError, match=f"^{key!r} must be "):
+            spec_to_wire(**{"protocols": ["reno"], "bandwidth_mbps": 20,
+                            "rtt_ms": 42, "buffer_mss": 100, key: value})
+
+    def test_values_of_their_json_kind_pass(self):
+        spec = spec_from_wire({
+            **_wire(1.0), "seed": 3, "duration": None, "initial_windows": None,
+            "start_times": [0, 0.5], "min_window": 2, "max_window": 1e6,
+            "random_loss_rate": 0, "slow_start": False, "flow_multiplicity": 1,
+        })
+        assert (spec.seed, spec.min_window, spec.start_times) == (3, 2, [0.0, 0.5])
+
     def test_missing_required_key_names_it(self):
         wire = _wire(1.0)
         del wire["rtt_ms"]
@@ -236,6 +267,22 @@ class TestServeEndToEnd:
         assert error.startswith("seed must be non-negative")
         assert stats["executor"]["jobs"] == 0
 
+    @pytest.mark.parametrize("key,value", [
+        ("steps", 10.5), ("slow_start", "no"), ("protocols", "reno"),
+    ])
+    def test_value_of_the_wrong_json_kind_is_a_400_naming_it(self, key, value):
+        with ServerThread(executor=Executor()) as server:
+            client = ServeClient(port=server.port)
+            response = client._request("POST", "/run", {
+                "specs": [_wire(1.0), {**_wire(1.0), key: value}],
+            })
+            status, error = response.status, json.loads(response.read())["error"]
+            stats = client.stats()
+        assert status == 400
+        assert error.startswith(f"{key!r} must be ")
+        assert error.endswith(f"; got {value!r}")
+        assert stats["executor"]["jobs"] == 0
+
     def test_queue_sampling_key_is_a_400_naming_it(self):
         # The retired occupancy-sampling knob is rejected, not ignored.
         with ServerThread(executor=Executor()) as server:
@@ -254,33 +301,31 @@ class TestServeEndToEnd:
         """Two clients' requests: the first computation holds until the
         server has received the second request, yet the second never
         starts before the first ends, and both run on one thread."""
-        from repro.backends.base import _BACKENDS, Backend, get_backend
+        from repro.backends import base
 
         threads: list[int] = []  # the thread of each call, in start order
         running = [0]
         peak = [0]
         state = threading.Lock()
+        fluid_run = base._RUNS["fluid"]
 
-        class GatedBackend(Backend):
-            name = "gated"
-
-            def run(self, spec):
+        def gated_run(spec):
+            with state:
+                threads.append(threading.get_ident())
+                first = len(threads) == 1
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                deadline = time.monotonic() + _PATIENCE
+                while first and server.server.requests < 2:
+                    assert time.monotonic() < deadline, "no second request"
+                    time.sleep(0.01)
+                return fluid_run(spec)
+            finally:
                 with state:
-                    threads.append(threading.get_ident())
-                    first = len(threads) == 1
-                    running[0] += 1
-                    peak[0] = max(peak[0], running[0])
-                try:
-                    deadline = time.monotonic() + _PATIENCE
-                    while first and server.server.requests < 2:
-                        assert time.monotonic() < deadline, "no second request"
-                        time.sleep(0.01)
-                    return get_backend("fluid").run(spec)
-                finally:
-                    with state:
-                        running[0] -= 1
+                    running[0] -= 1
 
-        monkeypatch.setitem(_BACKENDS, "gated", GatedBackend())
+        monkeypatch.setitem(base._RUNS, "fluid", gated_run)
         results: dict[float, list] = {}
         errors: list[BaseException] = []
         with ServerThread(executor=Executor()) as server:
@@ -288,7 +333,7 @@ class TestServeEndToEnd:
             def drive(alpha: float) -> None:
                 try:
                     client = ServeClient(port=server.port, timeout=_PATIENCE)
-                    results[alpha] = client.run_specs([_wire(alpha)], "gated")
+                    results[alpha] = client.run_specs([_wire(alpha)], "fluid")
                 except Exception as exc:  # surfaced after join
                     errors.append(exc)
 
@@ -477,21 +522,19 @@ class TestServeClients:
         """A client that hangs up while its spec computes: the computation
         finishes and is archived, and a request for the same spec queued
         behind it is answered from the store."""
-        from repro.backends.base import _BACKENDS, Backend, get_backend
+        from repro.backends import base
 
         started, release = threading.Event(), threading.Event()
+        fluid_run = base._RUNS["fluid"]
 
-        class GatedBackend(Backend):
-            name = "gated"
+        def gated_run(spec):
+            started.set()
+            assert release.wait(_PATIENCE)
+            return fluid_run(spec)
 
-            def run(self, spec):
-                started.set()
-                assert release.wait(_PATIENCE)
-                return get_backend("fluid").run(spec)
-
-        monkeypatch.setitem(_BACKENDS, "gated", GatedBackend())
+        monkeypatch.setitem(base._RUNS, "fluid", gated_run)
         executor = Executor()
-        payload = json.dumps({"specs": [_wire(1.25)], "backend": "gated"})
+        payload = json.dumps({"specs": [_wire(1.25)], "backend": "fluid"})
         request = _head(str(len(payload))) + payload.encode()
         with cache_enabled(tmp_path):
             with ServerThread(executor=executor) as server:

@@ -1,10 +1,10 @@
 """Unit coverage for the unified backend layer (repro.backends).
 
-Spec validation, lowering errors, the backend registry, the spec-level
+Spec validation, lowering errors, the backend table, the spec-level
 parallel jobs, and the unified trace adapters. The bit-identity of
 lowering and caching is property-tested in
 ``tests/property/test_prop_backends.py``; these tests pin the contract
-edges (what raises, what registers, what the adapters expose).
+edges (what raises, which backends exist, what the adapters expose).
 """
 
 from __future__ import annotations
@@ -13,13 +13,11 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    Backend,
     LoweringError,
     ScenarioSpec,
     UnifiedTrace,
     backend_names,
-    get_backend,
-    register_backend,
+    run_on,
     run_spec,
     run_specs,
 )
@@ -167,36 +165,28 @@ class TestLoweringErrors:
         assert kwargs["loss_process"] is None
 
 
-class TestRegistry:
-    def test_builtin_backends_are_registered(self):
+class TestBackendTable:
+    def test_the_four_backends_each_run(self, spec):
         assert backend_names() == ["fluid", "meanfield", "network", "packet"]
         for name in backend_names():
-            assert get_backend(name).name == name
+            assert run_on(name, spec).backend == name
 
-    def test_unknown_backend_lists_alternatives(self):
-        with pytest.raises(ValueError, match="fluid"):
-            get_backend("quantum")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(get_backend("fluid"))
-
-    def test_replace_allows_reregistration(self):
-        backend = get_backend("fluid")
-        register_backend(backend, replace=True)
-        assert get_backend("fluid") is backend
-
-    def test_rejects_non_backend_objects(self):
-        with pytest.raises(TypeError):
-            register_backend(object())
-
-    def test_rejects_unnamed_backends(self):
-        class Anonymous(Backend):
-            def run(self, spec):  # pragma: no cover - never called
-                return None
-
-        with pytest.raises(ValueError, match="name"):
-            register_backend(Anonymous())
+    def test_unknown_backend_fails_alike_with_and_without_batch(self, spec):
+        # No lane knows the name, so each job fails where its serial run
+        # looks the name up, with one error naming the four backends.
+        message = ("unknown backend 'quantum' "
+                   "(known: fluid, meanfield, network, packet)")
+        with pytest.raises(ValueError) as info:
+            run_on("quantum", spec)
+        assert str(info.value) == message
+        for batch in (False, True):
+            with pytest.raises(ValueError) as info:
+                run_specs([spec], backend="quantum", batch=batch,
+                          use_cache=False)
+            assert str(info.value) == message
+            holes = run_specs([spec, spec], backend="quantum", batch=batch,
+                              use_cache=False, skip_errors=True)
+            assert holes == [None, None]
 
 
 class TestUnifiedTraces:

@@ -118,6 +118,38 @@ class TestParser:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("argv", [["table1"], ["characterize", "--protocol", "reno"]])
+    def test_senders_must_be_at_least_two(self, capsys, argv):
+        # One sender used to end in a ValueError traceback from the
+        # fairness estimator's set-up.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--senders", "1"])
+        assert exit_info.value.code == 2
+        assert "argument --senders: must be a positive integer of at least 2, got '1'" in (
+            capsys.readouterr().err
+        )
+        assert build_parser().parse_args(argv + ["--senders", "2"]).senders == 2
+
+    @pytest.mark.parametrize("value, message", [
+        ("bogus", "unrecognized protocol spec 'bogus'"),
+        ("BBR(1)", "unknown protocol family 'BBR'"),
+        ("AIMD(-1,0.5)", "additive increase a must be positive"),
+        ("AIMD(1,0.5,2)", "positional arguments"),
+    ], ids=["unparsed", "family", "parameter", "arity"])
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "--protocols", "reno"], "--protocols"),
+        (["simulate", "--protocols", "reno"], "--protocols"),
+        (["characterize", "--protocol"], "--protocol"),
+    ])
+    def test_protocol_spec_must_build(self, capsys, argv, option, value, message):
+        # A spec that does not parse, or whose constructor rejects its
+        # parameters, used to end in a traceback with exit status 1.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [value, "--steps", "50"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: " in err and message in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("option", ["--bw", "--rtt", "--buffer"])
     def test_link_options_must_be_finite(self, capsys, option, value):
@@ -226,9 +258,13 @@ class TestMain:
         assert exit_code == 0
         assert "Claim 1" in capsys.readouterr().out
 
-    def test_bad_protocol_spec_raises(self):
-        with pytest.raises(ValueError):
+    def test_bad_protocol_spec_raises(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["simulate", "--protocols", "NOPE(1)"])
+        assert exit_info.value.code == 2
+        assert "argument --protocols: unknown protocol family 'NOPE'" in (
+            capsys.readouterr().err
+        )
 
     def test_claims_with_workers_and_timing(self, capsys):
         exit_code = main(["--timing", "claims", "--steps", "800"])
@@ -431,6 +467,22 @@ class TestRunCommand:
         expected = "--backend {" + ",".join(backend_names()) + "}"
         assert expected in cli.__doc__
         assert "{backends}" not in cli.__doc__  # placeholder fully resolved
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--backend", "meanfield", "--protocols", "cubic"],
+         "CUBIC declares no mean-field decrease trigger"),
+        (["--backend", "network", "--protocols", "reno", "--unsync-loss"],
+         "the network backend has no unsynchronized-loss mode"),
+    ], ids=["meanfield-cubic", "network-unsync-loss"])
+    def test_lowering_error_is_one_line_and_exit_two(self, capsys, argv,
+                                                     message):
+        # A spec its backend cannot express used to end in a
+        # LoweringError traceback with exit status 1.
+        assert main(["run", *argv, "--steps", "50", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro run: {message}")
+        assert captured.err.count("\n") == 1
 
     def test_run_meanfield_with_flow_multiplicity(self, capsys):
         exit_code = main([

@@ -161,38 +161,21 @@ class TestRunSpecsEdges:
             run_specs([_spec(), _failing_spec()], batch=batch,
                       use_cache=False)
 
-    def test_batch_without_a_batched_engine_warns_once_then_falls_back(
-        self, monkeypatch
-    ):
-        # A backend outside the batched lanes: batch=True warns exactly
-        # once, naming the backend, then takes the per-spec path and
-        # matches the serial result bit for bit.
-        import warnings
-
+    def test_every_backend_computes_on_a_batched_lane(self, monkeypatch):
+        # With batch, no spec job reaches the per-job lane: packet specs
+        # merge in the scenario lane, the rest take their stacked kernel.
         import repro.exec.executor as executor_mod
-        from repro.backends.base import _BACKENDS, Backend, get_backend
+        from repro.backends import backend_names
 
-        class LanelessBackend(Backend):
-            name = "laneless"
+        def no_per_job_lane(run, members):
+            raise AssertionError(f"jobs {members} took the per-job lane")
 
-            def run(self, spec):
-                return get_backend("fluid").run(spec)
-
-        monkeypatch.setitem(_BACKENDS, "laneless", LanelessBackend())
-        monkeypatch.setattr(executor_mod, "_warned_laneless", set())
-        specs = [_spec(1.0, steps=24), _spec(1.5, steps=24)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            batched = run_specs(specs, backend="laneless", batch=True,
-                                use_cache=False)
-            run_specs(specs, backend="laneless", batch=True, use_cache=False)
-        laneless = [w for w in caught
-                    if "has no batched engine" in str(w.message)]
-        assert len(laneless) == 1
-        assert "'laneless'" in str(laneless[0].message)
-        serial = run_specs(specs, backend="laneless", use_cache=False)
-        for a, b in zip(batched, serial):
-            _assert_bit_identical(a, b)
+        monkeypatch.setattr(executor_mod, "_run_per_job", no_per_job_lane)
+        jobs = [SpecJob(spec=_spec(steps=24), backend=name)
+                for name in backend_names()]
+        outcomes = Executor().submit(jobs, batch=True, use_cache=False)
+        assert [o.source for o in outcomes] == ["computed"] * 4
+        assert [o.value.backend for o in outcomes] == backend_names()
 
     def test_workers_is_not_an_option(self):
         # Every job runs in the submitting process; no option asks otherwise.
@@ -205,17 +188,16 @@ class TestRunSpecsEdges:
         # re-runs it once to raise its exact error; the executor records
         # that error instead of running the spec a third time (a second
         # time on its own) to name it.
-        from repro.backends.base import get_backend
+        from repro.backends import base
 
-        fluid = get_backend("fluid")
-        serial_run = fluid.run
+        serial_run = base._RUNS["fluid"]
         calls = []
 
         def counting_run(spec):
             calls.append(spec)
             return serial_run(spec)
 
-        monkeypatch.setattr(fluid, "run", counting_run)
+        monkeypatch.setitem(base._RUNS, "fluid", counting_run)
         diverging = ScenarioSpec(  # overflows float64 on its second step
             protocols=[AIMD(1e308, 0.5)],
             link=Link.from_mbps(20, 42, float("inf")),

@@ -1,6 +1,7 @@
 """The package's public API surface stays importable and coherent."""
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -76,10 +77,14 @@ def test_submodule_imports_and_documents(module_name):
     assert module.__doc__, f"{module_name} is missing a module docstring"
 
 
-@pytest.mark.parametrize("module_name", [
-    "repro", "repro.model", "repro.protocols", "repro.analysis",
-    "repro.netmodel", "repro.core.metrics",
-])
+#: Every module of the package, so a name deleted without its
+#: ``__all__`` entry fails wherever it was exported.
+ALL_MODULES = ["repro"] + sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+)
+
+
+@pytest.mark.parametrize("module_name", ALL_MODULES)
 def test_declared_all_resolves(module_name):
     module = importlib.import_module(module_name)
     for name in getattr(module, "__all__", []):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import LoweringError, ScenarioSpec, get_backend, run_specs
+from repro.backends import LoweringError, ScenarioSpec, run_on, run_specs
 from repro.core.metrics.friendliness import friendliness_from_trace
 from repro.exec import Executor, SpecJob, reset_default_executor
 from repro.experiments.table2 import friendliness_spec
@@ -52,7 +52,7 @@ def _bits(trace) -> list:
 
 def _reference(specs) -> list:
     """The engine's own results, one spec at a time, outside the executor."""
-    return [_bits(get_backend("fluid").run(spec)) for spec in specs]
+    return [_bits(run_on("fluid", spec)) for spec in specs]
 
 
 @pytest.fixture(autouse=True)
