@@ -10,6 +10,7 @@ the repo right now".
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -24,6 +25,16 @@ def load_summary() -> dict:
         except (json.JSONDecodeError, OSError):
             pass
     return {}
+
+
+def environment() -> dict:
+    """The interpreter and NumPy versions the recorded numbers ran on."""
+    import numpy
+
+    return {
+        "python": sys.version.split()[0],
+        "numpy_version": numpy.__version__,
+    }
 
 
 def record_summary(name: str, **numbers: object) -> None:

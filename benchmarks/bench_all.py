@@ -34,6 +34,7 @@ from _support import (
     BASELINES_PATH,
     RESULTS_DIR,
     SUMMARY_PATH,
+    environment,
     load_baselines,
     load_summary,
     record_summary,
@@ -90,16 +91,6 @@ def run_benchmark(path: Path, skip_slow: bool = False,
     return entry
 
 
-def _environment() -> dict:
-    """The interpreter and NumPy versions the recorded numbers ran on."""
-    import numpy
-
-    return {
-        "python": sys.version.split()[0],
-        "numpy_version": numpy.__version__,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", nargs="*", default=None,
@@ -123,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         print("no benchmarks selected", file=sys.stderr)
         return 2
 
-    record_summary("environment", **_environment())
+    record_summary("environment", **environment())
     baselines = load_baselines()
     failures = 0
     for path in benchmarks:

@@ -9,11 +9,17 @@ Times the store against its baseline and archives the numbers in
   exactly and take under 25% of the cold wall time;
 - one Emulab-sized packet scenario (four staggered Reno flows, 10 s at
   20 Mbps), run cold and replayed warm through the executor. The warm
-  run must reproduce the cold statistics exactly.
+  run must reproduce the cold statistics exactly;
+- ``repro emulab`` at its default horizon, cold on an empty temporary
+  store and then warm on the store it filled, each in a fresh process
+  that reports its own peak RSS (``ru_maxrss``). The warm run must print
+  what the cold run printed.
 
-Both record the store's bytes per entry kind and the warm replay
-seconds, with no threshold on either: they show what one entry layout
-costs against another.
+The first two record the store's bytes per entry kind and the warm
+replay seconds, the third its two peaks (``packet_memory``), with no
+threshold on any: they show what one entry layout costs against
+another, and what the packet engine's per-packet samples cost in
+memory, run and replayed.
 
 Runs standalone (``python benchmarks/bench_perf.py``) or under pytest,
 where the tests are marked ``slow``::
@@ -25,13 +31,16 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from _support import record_summary
+from _support import environment, record_summary
 
+import repro
 from repro.backends import ScenarioSpec
 from repro.exec import Executor, PacketScenarioJob
 from repro.experiments.table2 import run_table2
@@ -126,6 +135,50 @@ def bench_packet_replay() -> dict:
     )
 
 
+#: Runs one ``repro`` command, then prints the process's own peak RSS
+#: (``ru_maxrss``, KiB on Linux) as the last line of its stdout.
+_PEAK_RSS_CHILD = (
+    "import resource, sys\n"
+    "from repro.cli import main\n"
+    "status = main(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    "sys.exit(status)\n"
+)
+
+
+def _repro_peak_rss(args: list[str], store: str) -> tuple[str, float, float]:
+    """``repro *args`` in a fresh process on ``store``: (stdout, peak MB, seconds)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, *args],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, "REPRO_SIM_CACHE": store},
+    ).stdout
+    seconds = time.perf_counter() - start
+    printed, _, peak_kib = out.rstrip("\n").rpartition("\n")
+    return printed, int(peak_kib) / 1024, seconds
+
+
+def bench_packet_memory() -> dict:
+    with tempfile.TemporaryDirectory() as store:
+        cold, cold_mb, cold_s = _repro_peak_rss(["emulab"], store)
+        warm, warm_mb, warm_s = _repro_peak_rss(["emulab"], store)
+    peaks = {"cold_peak_rss_mb": round(cold_mb, 2), "warm_peak_rss_mb": round(warm_mb, 2)}
+    payload = {
+        "command": "repro emulab",
+        **peaks,
+        "cold_s": cold_s,
+        "warm_s": warm_s,
+        "identical": cold == warm,
+        "environment": environment(),
+    }
+    _write_results("packet_memory", payload)
+    record_summary("perf_packet_memory", **peaks, environment=payload["environment"])
+    return payload
+
+
 def test_trace_cache_replay_is_cheap_and_exact():
     payload = bench_trace_cache()
     assert payload["identical"]
@@ -145,11 +198,19 @@ def test_packet_replay_is_exact():
           f"{payload['store_bytes_by_kind']}")
 
 
+def test_packet_memory_is_recorded():
+    payload = bench_packet_memory()
+    assert payload["identical"]
+    print(f"\nrepro emulab peak RSS: cold {payload['cold_peak_rss_mb']:.1f} MB, "
+          f"warm {payload['warm_peak_rss_mb']:.1f} MB")
+
+
 def main() -> None:
     table2 = bench_trace_cache()
     packet = bench_packet_replay()
+    memory = bench_packet_memory()
     print(json.dumps({"cpu_count": os.cpu_count(), "trace_cache": table2,
-                      "packet_replay": packet}, indent=2))
+                      "packet_replay": packet, "packet_memory": memory}, indent=2))
     print(f"\nwrote {RESULTS_PATH}")
 
 

@@ -132,23 +132,17 @@ def detect_settling_step(
 
 
 def loss_free_runs(loss_series: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal ``[start, stop)`` intervals with zero loss throughout."""
-    loss_series = np.asarray(loss_series, dtype=float)
-    runs: list[tuple[int, int]] = []
-    start: int | None = None
-    for t, value in enumerate(loss_series):
-        # Zero-loss steps carry an exact 0.0 from Link.loss_rate, never a
-        # rounded near-zero, so equality is the correct test here.
-        if value == 0.0:
-            if start is None:
-                start = t
-        else:
-            if start is not None:
-                runs.append((start, t))
-                start = None
-    if start is not None:
-        runs.append((start, len(loss_series)))
-    return runs
+    """Maximal ``[start, stop)`` intervals with zero loss throughout.
+
+    A NaN step is lossy; ``-0.0`` is loss-free. The bounds are Python ints.
+    """
+    # Zero-loss steps carry an exact 0.0 from Link.loss_rate, never a
+    # rounded near-zero, so equality is the correct test here.
+    zero = np.asarray(loss_series, dtype=float) == 0.0
+    # A run starts where a zero step follows a lossy one (or the start)
+    # and stops where a lossy step (or the end) follows a zero one.
+    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False)).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def longest_loss_free_run(loss_series: np.ndarray) -> tuple[int, int]:

@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.model.dynamics import DEFAULT_MAX_WINDOW, SimulationConfig
 from repro.model.events import EventSchedule
 from repro.model.link import Link
@@ -44,6 +46,14 @@ __all__ = ["LoweringError", "ScenarioSpec"]
 
 class LoweringError(ValueError):
     """A spec requests dynamics the target backend cannot express."""
+
+
+#: Fields that must be integers (``int`` or a NumPy integer, never a
+#: ``bool``); they are stored as ``int``.
+_INTEGER_FIELDS = ("steps", "seed", "flow_multiplicity")
+
+#: Fields that must be ``bool``.
+_BOOL_FIELDS = ("slow_start", "integer_windows", "enforce_loss_based", "unsynchronized_loss")
 
 
 @dataclass
@@ -126,6 +136,15 @@ class ScenarioSpec:
     flow_multiplicity: int = 1
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
         if not self.protocols:
             raise ValueError("at least one sender is required")
         self.protocols = list(self.protocols)
@@ -161,9 +180,9 @@ class ScenarioSpec:
                 raise ValueError("set start_times or schedule, not both")
         if self.random_loss_rate > 0.0 and self.loss_process is not None:
             raise ValueError("set random_loss_rate or loss_process, not both")
-        if not isinstance(self.flow_multiplicity, int) or self.flow_multiplicity < 1:
+        if self.flow_multiplicity < 1:
             raise ValueError(
-                f"flow_multiplicity must be a positive int, got {self.flow_multiplicity}"
+                f"flow_multiplicity must be positive, got {self.flow_multiplicity}"
             )
         if self.flow_multiplicity > 1 and (
             self.start_times is not None or self.schedule is not None

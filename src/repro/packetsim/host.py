@@ -31,9 +31,11 @@ boundaries (once per RTT) call out: :meth:`Flow._open_round`,
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 from repro import debug
 from repro.model.sender import Observation
@@ -42,6 +44,9 @@ from repro.packetsim.packet import Packet, PacketPool
 from repro.protocols.base import Protocol
 
 _FLOW_PUMP = int(EventKind.FLOW_PUMP)
+
+#: The ``FlowStats`` fields that take one float per packet event.
+SAMPLE_FIELDS = ("ack_times", "loss_times", "rtt_samples")
 
 
 class _RoundRecord:
@@ -65,8 +70,15 @@ class _RoundRecord:
 class FlowStats:
     """Per-flow outcome of a packet-level run.
 
+    ``ack_times``, ``loss_times`` and ``rtt_samples`` hold one float per
+    packet event, so they are ``array('d')`` buffers: 8 bytes a sample,
+    where a list of Python floats takes about 33. Any other sequence
+    given for one (a list, in tests) is stored as an ``array('d')`` of
+    the same values. ``window_samples`` has one ``(time, window)`` pair
+    per closed round and stays a list.
+
     ``ack_times`` and ``loss_times`` are appended at the scheduler's clock,
-    which never runs backwards, so both lists are nondecreasing;
+    which never runs backwards, so both series are nondecreasing;
     ``rtt_samples[i]`` belongs to the ACK at ``ack_times[i]``. The window
     reducers rely on that order: they find a window's ends by bisection.
     """
@@ -74,13 +86,19 @@ class FlowStats:
     packets_sent: int = 0
     packets_acked: int = 0
     packets_lost: int = 0
-    ack_times: list[float] = field(default_factory=list)
-    loss_times: list[float] = field(default_factory=list)
-    rtt_samples: list[float] = field(default_factory=list)
+    ack_times: array = field(default_factory=partial(array, "d"))
+    loss_times: array = field(default_factory=partial(array, "d"))
+    rtt_samples: array = field(default_factory=partial(array, "d"))
     window_samples: list[tuple[float, float]] = field(default_factory=list)
     rounds_completed: int = 0
     completed_at: float | None = None
     retransmissions: int = 0
+
+    def __post_init__(self) -> None:
+        for name in SAMPLE_FIELDS:
+            values = getattr(self, name)
+            if not (type(values) is array and values.typecode == "d"):
+                setattr(self, name, array("d", values))
 
     @property
     def loss_rate(self) -> float:
@@ -120,7 +138,7 @@ class FlowStats:
         return sum(samples) / len(samples) if samples else math.nan
 
 
-def _count_between(times: list[float], start: float, stop: float) -> int:
+def _count_between(times: Sequence[float], start: float, stop: float) -> int:
     """How many of the sorted ``times`` lie in ``[start, stop)``."""
     return max(0, bisect_left(times, stop) - bisect_left(times, start))
 

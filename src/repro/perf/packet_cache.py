@@ -17,11 +17,14 @@ the four per-flow sample series as word deltas
 (:func:`repro.perf.codec.word_deltas`), which zlib compresses where raw
 float64 barely shrinks: an Emulab-sized run (four Reno flows, 10 s at
 20 Mbps) is a 14 KB entry instead of 100 KB. Reloaded stats round-trip
-bit-exactly into the same Python lists, so ``throughputs``,
-``tail_loss_rates``, the window reducers and
-:func:`~repro.backends.trace.from_packet_result`'s histograms read the
-values the run produced. An entry whose format tag does not match this
-module's is a miss and is dropped, so the next store rewrites it.
+bit-exactly into the ``array('d')`` buffers ``FlowStats`` holds, each
+decoded with one bytes copy, so no sample becomes a Python float and no
+series keeps the bundle alive; ``throughputs``, ``tail_loss_rates``, the
+window reducers and :func:`~repro.backends.trace.from_packet_result`'s
+histograms read the values the run produced. ``window_samples`` comes
+back as the list of ``(time, window)`` tuples it was. An entry whose
+format tag does not match this module's is a miss and is dropped, so the
+next store rewrites it.
 
 Entries live in the same :class:`~repro.perf.cache.TraceCache` directory
 as fluid traces and obey the same activation rules (``REPRO_SIM_CACHE``
@@ -34,12 +37,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from typing import Sequence
 
 import numpy as np
 
 from repro.model.link import Link
-from repro.packetsim.host import FlowStats
+from repro.packetsim.host import SAMPLE_FIELDS, FlowStats
 from repro.packetsim.queue import QueueStats
 from repro.perf.cache import CacheKeyError, TraceCache, _canonical
 from repro.perf.codec import word_deltas, word_sums
@@ -57,10 +61,6 @@ __all__ = [
 #: Bump when the canonicalization or the stored array layout changes.
 _KEY_VERSION = 1
 _FORMAT_VERSION = 2
-
-#: Per-flow event series stored as word deltas, besides ``window_samples``
-#: (whose ``(time, window)`` pairs are stored as a two-column array).
-_SAMPLE_FIELDS = ("ack_times", "loss_times", "rtt_samples")
 
 #: ``completed_at`` is ``None`` for unfinished flows; NaN marks that in
 #: the stored float64 scalar (a real completion time is never NaN).
@@ -135,7 +135,7 @@ def _pack_flow(index: int, stats: FlowStats, arrays: dict) -> None:
     arrays[prefix + "completed_at"] = np.float64(
         _NO_COMPLETION if stats.completed_at is None else stats.completed_at
     )
-    for name in _SAMPLE_FIELDS:
+    for name in SAMPLE_FIELDS:
         arrays[prefix + name] = word_deltas(getattr(stats, name))
     window = np.asarray(stats.window_samples, dtype=np.float64)
     arrays[prefix + "window_samples"] = word_deltas(window.reshape(-1, 2))
@@ -151,7 +151,12 @@ def _unpack_flow(index: int, arrays: dict) -> FlowStats:
         packets_sent=sent,
         packets_acked=acked,
         packets_lost=lost,
-        **{name: word_sums(arrays[prefix + name]).tolist() for name in _SAMPLE_FIELDS},
+        # One bytes copy per series: no Python float per sample, and no
+        # view that keeps the bundle alive.
+        **{
+            name: array("d", word_sums(arrays[prefix + name]).tobytes())
+            for name in SAMPLE_FIELDS
+        },
         window_samples=list(
             map(tuple, word_sums(arrays[prefix + "window_samples"]).tolist())
         ),

@@ -4,13 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.analysis import dominance
 from repro.analysis.dominance import dominates, is_on_front, pareto_front
-from repro.analysis.stats import convergence_alpha, jain_index, min_over_max
+from repro.analysis.stats import convergence_alpha, jain_index, loss_free_runs, min_over_max
 
 # Zero is a legitimate throughput, but subnormal values are excluded:
 # scaling a denormal (e.g. 5e-324 * 0.5) underflows to zero and genuinely
@@ -54,6 +54,44 @@ def test_convergence_alpha_band_is_valid_witness(values):
     if x_star > 0:
         assert values.min() >= alpha * x_star - 1e-9
         assert values.max() <= (2.0 - alpha) * x_star + 1e-9
+
+
+def reference_loss_free_runs(loss_series) -> list[tuple[int, int]]:
+    """The per-step loop ``loss_free_runs`` replaced, kept as the reference."""
+    loss_series = np.asarray(loss_series, dtype=float)
+    runs: list[tuple[int, int]] = []
+    start = None
+    for t, value in enumerate(loss_series):
+        if value == 0.0:
+            if start is None:
+                start = t
+        else:
+            if start is not None:
+                runs.append((start, t))
+                start = None
+    if start is not None:
+        runs.append((start, len(loss_series)))
+    return runs
+
+
+# Zeros of both signs often enough to form runs, next to NaN (an inactive
+# step) and any other float.
+loss_series = arrays(
+    dtype=float,
+    shape=st.integers(min_value=0, max_value=60),
+    elements=st.one_of(st.sampled_from([0.0, -0.0, np.nan]), st.floats()),
+)
+
+
+@given(series=loss_series)
+@example(series=np.array([]))
+@example(series=np.zeros(9))
+@example(series=np.array([np.nan, -0.0, 0.0, 0.3, 0.0, np.nan, -0.0, 0.0]))
+@example(series=np.array([0.2, 0.0, -0.0]))
+def test_loss_free_runs_match_the_loop(series):
+    runs = loss_free_runs(series)
+    assert runs == reference_loss_free_runs(series)
+    assert all(type(bound) is int for run in runs for bound in run)
 
 
 points_strategy = st.lists(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import tempfile
+from array import array
 
 import numpy as np
 import pytest
@@ -267,8 +268,10 @@ def _assert_same_flow(got: FlowStats, want: FlowStats) -> None:
             assert all(type(pair) is tuple and len(pair) == 2 for pair in value)
             value = [x for pair in value for x in pair]
             expected = [x for pair in expected for x in pair]
-        if isinstance(expected, list):
             assert all(type(x) is float for x in value), field.name
+        if isinstance(expected, (list, array)):
+            # The per-packet series are array('d') buffers on both sides.
+            assert type(value) is type(expected), field.name
             assert _bits_of(value) == _bits_of(expected), field.name
         else:
             assert value == expected, field.name

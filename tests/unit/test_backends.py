@@ -69,6 +69,33 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^seed must be non-negative"):
             ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, seed=-1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("steps", 10.5), ("steps", True), ("steps", "64"),
+        ("seed", True), ("seed", 1.0),
+        ("flow_multiplicity", True), ("flow_multiplicity", 2.0),
+    ])
+    def test_counts_must_be_integers(self, link, name, value):
+        # steps=10.5 failed only in the run, with an unnamed TypeError,
+        # and a bool passed as a count of 0 or 1.
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, **{name: value})
+
+    @pytest.mark.parametrize("name", [
+        "slow_start", "integer_windows", "enforce_loss_based", "unsynchronized_loss",
+    ])
+    @pytest.mark.parametrize("value", ["no", 1, None, np.bool_(True)])
+    def test_switches_must_be_bools(self, link, name, value):
+        # slow_start="no" ran with slow start.
+        with pytest.raises(TypeError, match=f"^{name} must be a bool, got "):
+            ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, **{name: value})
+
+    def test_numpy_integer_counts_are_stored_as_ints(self, link):
+        spec = ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, steps=np.int64(64),
+                            seed=np.int32(3), flow_multiplicity=np.uint8(2))
+        counts = (spec.steps, spec.seed, spec.flow_multiplicity)
+        assert counts == (64, 3, 2)
+        assert [type(count) for count in counts] == [int, int, int]
+
     def test_queue_sampling_is_not_a_field(self, link):
         with pytest.raises(TypeError, match="sample_queue"):
             ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, sample_queue=True)
