@@ -51,9 +51,19 @@ from repro.protocols import (
     VegasLike,
     make_protocol,
 )
-from repro.core.metrics import MetricVector, estimate_all_metrics
-from repro.core.characterization import characterize
-from repro.core.theory import table1, theorems, pareto
+
+#: The analysis-layer names of ``__all__`` and the modules that hold them.
+#: They resolve on first use (:func:`__getattr__`), so importing the
+#: package loads no metric, theory or driver module: ``repro serve`` and
+#: the engines never use one.
+_LAZY = {
+    "MetricVector": "repro.core.metrics",
+    "estimate_all_metrics": "repro.core.metrics",
+    "characterize": "repro.core.characterization",
+    "pareto": "repro.core.theory",
+    "table1": "repro.core.theory",
+    "theorems": "repro.core.theory",
+}
 
 __all__ = [
     "AIMD",
@@ -82,3 +92,15 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -55,6 +55,11 @@ _INTEGER_FIELDS = ("steps", "seed", "flow_multiplicity")
 #: Fields that must be ``bool``.
 _BOOL_FIELDS = ("slow_start", "integer_windows", "enforce_loss_based", "unsynchronized_loss")
 
+#: Fields that must be real numbers (``int``, ``float`` or a NumPy integer
+#: or float, never a ``bool``; ``duration`` may also be ``None``). They are
+#: stored as given, so a key never moves.
+_NUMBER_FIELDS = ("duration", "random_loss_rate", "min_window", "max_window")
+
 
 @dataclass
 class ScenarioSpec:
@@ -145,6 +150,14 @@ class ScenarioSpec:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise TypeError(f"{name} must be a bool, got {value!r}")
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "duration":
+                continue
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)
+            ):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if not self.protocols:
             raise ValueError("at least one sender is required")
         self.protocols = list(self.protocols)

@@ -25,21 +25,6 @@ import argparse
 import math
 import sys
 
-from repro.core.metrics import EstimatorConfig
-from repro.experiments import (
-    render_claims,
-    render_emulab,
-    render_figure1,
-    render_table1,
-    render_table2,
-    run_claims,
-    run_emulab,
-    run_figure1,
-    run_table1,
-    run_table2,
-    save_result,
-)
-from repro.experiments.table2 import run_table2_packet
 from repro.backends import backend_names
 from repro.model.link import Link
 from repro.protocols import Protocol, make_protocol, presets
@@ -121,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     emulab.add_argument("--full", action="store_true",
                         help="run the paper's full grid (slow)")
-    emulab.add_argument("--duration", type=_positive, default=10.0,
-                        help="seconds of simulated time per run")
+    emulab.add_argument("--duration", type=_positive, default=None,
+                        help="seconds of simulated time per run (default: "
+                        "run_emulab's horizon, 20)")
 
     fct = subparsers.add_parser(
         "fct", help="short-flow completion times vs background protocol"
@@ -497,7 +483,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_report_command(args)
     if args.command == "run":
         return _run_run_command(args)
+    # Each driver is imported by the branch that runs it, so no other
+    # subcommand (serve above all) loads the drivers or the metrics.
     if args.command == "table1":
+        from repro.core.metrics.base import EstimatorConfig
+        from repro.experiments.table1 import render_table1, run_table1
+
         link = _link_from(args)
         result = run_table1(
             link,
@@ -505,6 +496,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         print(render_table1(result, markdown=args.markdown))
     elif args.command == "table2":
+        from repro.experiments.table2 import render_table2, run_table2, run_table2_packet
+
         pcc = presets.pcc_bound() if args.pcc_bound else presets.pcc_like()
         if args.packet:
             result = run_table2_packet(pcc=pcc)
@@ -512,21 +505,24 @@ def _dispatch(args: argparse.Namespace) -> int:
             result = run_table2(pcc=pcc, steps=args.steps, batch=args.batch)
         print(render_table2(result, markdown=args.markdown))
     elif args.command == "figure1":
+        from repro.experiments.figure1 import render_figure1, run_figure1
+
         result = run_figure1(batch=args.batch)
         print(render_figure1(result, markdown=args.markdown))
     elif args.command == "claims":
+        from repro.experiments.claims import render_claims, run_claims
+
         result = run_claims(_link_from(args), steps=args.steps)
         print(render_claims(result, markdown=args.markdown))
     elif args.command == "emulab":
+        from repro.experiments.emulab import render_emulab, run_emulab
+
+        # Without --duration the driver's own default horizon applies.
+        options = {} if args.duration is None else {"duration": args.duration}
         if args.full:
-            result = run_emulab(
-                ns=(2, 3, 4),
-                bandwidths_mbps=(20, 30, 60, 100),
-                buffers_mss=(10, 100),
-                duration=args.duration,
-            )
-        else:
-            result = run_emulab(duration=args.duration)
+            options.update(ns=(2, 3, 4), bandwidths_mbps=(20, 30, 60, 100),
+                           buffers_mss=(10, 100))
+        result = run_emulab(**options)
         print(render_emulab(result, markdown=args.markdown))
     elif args.command == "fct":
         from repro.experiments.fct import render_fct, run_fct_study
@@ -559,6 +555,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     elif args.command == "characterize":
         from repro.core.characterization import characterize
+        from repro.core.metrics.base import EstimatorConfig
         from repro.core.metrics.extensions import (
             estimate_churn_resilience,
             estimate_responsiveness,
@@ -585,11 +582,11 @@ def _dispatch(args: argparse.Namespace) -> int:
                   "joiner to reach half share")
         return 0
     elif args.command == "survey":
-        from repro.core.metrics import EstimatorConfig as _Config
+        from repro.core.metrics.base import EstimatorConfig
         from repro.experiments.survey import render_survey, run_survey
 
         result = run_survey(
-            config=_Config(steps=args.steps, n_senders=2),
+            config=EstimatorConfig(steps=args.steps, n_senders=2),
             include_extensions=not args.no_extensions,
         )
         print(render_survey(result, markdown=args.markdown))
@@ -597,6 +594,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         raise AssertionError(f"unhandled command {args.command}")
 
     if args.json is not None:
+        from repro.experiments.results import save_result
+
         save_result(result, args.json)
         print(f"\nstructured result written to {args.json}", file=sys.stderr)
     return 0

@@ -2,16 +2,15 @@
 
 A :class:`Topology` is deliberately path-based rather than graph-based —
 the fluid model needs to know which links each flow loads, not how
-routing chose them. A :meth:`Topology.graph` view (networkx) is provided
-for analysis and for deriving paths by shortest-path routing when that is
-convenient.
+routing chose them, so a topology is only its named links and each
+flow's ordered list of them. Nothing here routes: a caller that wants
+shortest-path routing derives the paths itself and passes them to
+:meth:`Topology.add_flow`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.model.link import Link
 
@@ -63,23 +62,6 @@ class Topology:
             raise ValueError("topology has no links")
         if not self.paths:
             raise ValueError("topology has no flows")
-
-    def graph(self) -> "nx.DiGraph":
-        """A networkx view: links become edges hop_i -> hop_{i+1} per path.
-
-        Node names are synthesized per link (``<name>:in`` / ``<name>:out``)
-        so the view reflects load, not physical wiring.
-        """
-        g = nx.DiGraph()
-        for name, link in self.links.items():
-            g.add_edge(
-                f"{name}:in",
-                f"{name}:out",
-                name=name,
-                capacity=link.capacity,
-                buffer=link.buffer_size,
-            )
-        return g
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -135,11 +136,15 @@ def _attrs_of(obj: Any) -> Any:
         attrs = vars(obj)
     except TypeError as exc:  # __slots__ or builtins
         raise CacheKeyError(f"object {obj!r} has no attribute dict") from exc
+    # An attribute can be a Generator only once numpy.random is loaded, and
+    # reading np.random would load it into a process that never draws.
+    numpy_random = sys.modules.get("numpy.random")
+    generator = numpy_random.Generator if numpy_random is not None else ()
     return {
         "__dict__": sorted(
             (name, _canonical(item))
             for name, item in attrs.items()
-            if not isinstance(item, np.random.Generator)
+            if not isinstance(item, generator)
         )
     }
 

@@ -89,6 +89,27 @@ class TestSpecValidation:
         with pytest.raises(TypeError, match=f"^{name} must be a bool, got "):
             ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, **{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("duration", True), ("duration", "5"),
+        ("random_loss_rate", True), ("random_loss_rate", "0.01"),
+        ("min_window", True), ("min_window", "1"),
+        ("max_window", True), ("max_window", "5"),
+    ])
+    def test_float_fields_must_be_numbers(self, link, name, value):
+        # duration=True gave a horizon_seconds() of True, max_window="5"
+        # was kept, and random_loss_rate="0.01" failed with an unnamed
+        # '<=' TypeError.
+        with pytest.raises(TypeError, match=f"^{name} must be a number, got "):
+            ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, **{name: value})
+
+    def test_float_fields_are_stored_as_given(self, link):
+        # No conversion, so the store key of an accepted value never moves.
+        values = {"duration": np.float32(2.5), "random_loss_rate": 0,
+                  "min_window": np.int64(2), "max_window": 50}
+        spec = ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, **values)
+        for name, value in values.items():
+            assert getattr(spec, name) is value, name
+
     def test_numpy_integer_counts_are_stored_as_ints(self, link):
         spec = ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, steps=np.int64(64),
                             seed=np.int32(3), flow_multiplicity=np.uint8(2))

@@ -51,10 +51,6 @@ class TestTopology:
         with pytest.raises(ValueError):
             Topology().validate()
 
-    def test_graph_view(self, emulab_link):
-        graph = parking_lot(emulab_link, 2).graph()
-        assert graph.number_of_edges() == 2
-
     def test_builders_validate(self, emulab_link):
         with pytest.raises(ValueError):
             single_link(emulab_link, 0)

@@ -7,7 +7,7 @@ invisible at run time: a defect there sits on a path the suites do not
 run, changes nothing they observe yet, or costs only speed or memory.
 The checks here hold it on the source instead:
 
-- seven AST checks run over every file of ``src/repro`` in their scope
+- eight AST checks run over every file of ``src/repro`` in their scope
   (each file parsed once), and over a violating and a clean snippet in
   ``CASES``, so none can pass by matching nothing;
 - REP202 and REP401 import the modules they guard and assert on them.
@@ -21,6 +21,9 @@ from __future__ import annotations
 import ast
 import enum
 import inspect
+import re
+import sys
+import tomllib
 import types
 from collections import Counter
 from dataclasses import fields
@@ -371,6 +374,51 @@ EXACT_FLOAT_SITES = {
 
 
 # ----------------------------------------------------------------------
+# REP801 — undeclared third-party imports
+# ----------------------------------------------------------------------
+def _declared_dependencies() -> frozenset[str]:
+    """The import names of ``pyproject.toml``'s dependencies (``numpy>=1.24``
+    -> ``numpy``)."""
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    return frozenset(
+        re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).lower().replace("-", "_")
+        for requirement in pyproject["project"]["dependencies"]
+    )
+
+
+_DECLARED = _declared_dependencies()
+
+
+def _import_time_nodes(tree: ast.Module) -> Iterator[ast.AST]:
+    """Every node that runs when the module loads: all but function bodies."""
+    pending: list[ast.AST] = list(tree.body)
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def undeclared_import(tree: ast.Module) -> Iterator[Finding]:
+    """A top-level import is stdlib, ``repro`` or a declared dependency.
+
+    ``pip install .`` brings only what ``pyproject.toml`` declares, so an
+    undeclared one fails the import wherever it is not already installed.
+    """
+    for node in _import_time_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.partition(".")[0]
+            if top not in sys.stdlib_module_names and top != "repro" and top not in _DECLARED:
+                yield node, f"'{name}' is neither stdlib nor declared in pyproject.toml"
+
+
+# ----------------------------------------------------------------------
 # The AST checks, each with its scope
 # ----------------------------------------------------------------------
 _SIMULATORS = ("repro/packetsim/", "repro/model/", "repro/netmodel/", "repro/meanfield/")
@@ -384,6 +432,7 @@ AST_CHECKS: dict[str, tuple[tuple[str, ...], Callable[[ast.Module], Iterator[Fin
     "REP402": (("repro/",), mutable_default),
     "REP404": (("repro/meanfield/", "repro/model/", "repro/backends/"), meanfield_kernel_loop),
     "REP501": (("repro/core/", "repro/analysis/", "repro/packetsim/"), float_equality),
+    "REP801": (("repro/",), undeclared_import),
 }
 
 
@@ -560,6 +609,17 @@ CASES = [
         "repro/core/compare.py",
         "def same(a, b):\n    return a == b / 2\n",
         "def same(a, b):\n    return abs(a - b / 2) < 1e-12\n",
+    ),
+    (
+        # networkx served a graph view nothing called, and pyproject.toml
+        # never declared it.
+        "REP801",
+        "repro/netmodel/topology.py",
+        "from dataclasses import dataclass\n\nimport networkx as nx\n",
+        (
+            "from __future__ import annotations\n\nfrom dataclasses import dataclass\n\n"
+            "import numpy as np\n\nfrom repro.model.link import Link\n"
+        ),
     ),
 ]
 
