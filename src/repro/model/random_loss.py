@@ -77,8 +77,13 @@ class BernoulliLoss(LossProcess):
     packet loss rate". With ``deterministic=False`` each step is an
     independent coin flip: the *whole step* sees loss rate ``p`` with
     probability ``p_active`` — useful for stress-testing threshold
-    protocols against intermittent loss.
+    protocols against intermittent loss. The generator is built at the
+    first coin flip, so the deterministic mode never loads
+    ``numpy.random``.
     """
+
+    #: The seeded generator, an instance attribute from the first coin flip.
+    _rng: np.random.Generator | None = None
 
     def __init__(
         self,
@@ -95,7 +100,6 @@ class BernoulliLoss(LossProcess):
         self.deterministic = deterministic
         self.p_active = p_active
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
         self._cache: dict[tuple[int, int], float] = {}
 
     def rate(self, step: int, sender: int) -> float:
@@ -103,12 +107,14 @@ class BernoulliLoss(LossProcess):
             return self.p
         key = (step, sender)
         if key not in self._cache:
+            if self._rng is None:
+                self._rng = np.random.default_rng(self.seed)
             active = self._rng.random() < self.p_active
             self._cache[key] = self.p if active else 0.0
         return self._cache[key]
 
     def reset(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
+        vars(self).pop("_rng", None)
         self._cache.clear()
 
 

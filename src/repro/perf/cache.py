@@ -27,6 +27,9 @@ Keying rules (:func:`_canonical`, shared by every key scheme):
 - anything that cannot be canonicalized makes the run *uncacheable* (its
   key is ``None``) rather than wrongly cacheable.
 
+Every key is the SHA-256 of the canonical form's JSON, computed by
+:func:`sha256_hex`.
+
 Activation is explicit: nothing is cached until :func:`configure_cache`
 (or the :func:`cache_enabled` context manager) installs a cache, or the
 ``REPRO_SIM_CACHE`` environment variable names a directory — the latter
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import copy
 import enum
-import hashlib
+import functools
 import json
 import os
 import shutil
@@ -82,6 +85,31 @@ class CacheKeyError(TypeError):
 # ----------------------------------------------------------------------
 # Canonicalization
 # ----------------------------------------------------------------------
+@functools.cache
+def _sha256() -> Callable[[bytes], Any]:
+    """CPython's builtin SHA-256 constructor, else :mod:`hashlib`'s.
+
+    ``hashlib`` maps OpenSSL's libcrypto into the process (several MB of
+    a server's RSS) to compute the same digest. The builtin is ``_sha2``
+    from Python 3.12 and ``_sha256`` before. The imports sit in this body
+    because REP801 checks module-level imports against
+    ``sys.stdlib_module_names``, which lacks ``_sha2`` before 3.12.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data``, equal to ``hashlib.sha256``'s."""
+    return _sha256()(data).hexdigest()
+
+
 def _canonical(value: Any) -> Any:
     """A JSON-serializable canonical form of one keying input."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
@@ -101,7 +129,7 @@ def _canonical(value: Any) -> Any:
             "ndarray",
             str(value.dtype),
             list(value.shape),
-            hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest(),
+            sha256_hex(np.ascontiguousarray(value).tobytes()),
         ]
     if isinstance(value, Protocol):
         cls = type(value)
@@ -184,7 +212,7 @@ def simulation_key(
     except CacheKeyError:
         return None
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256_hex(blob.encode("utf-8"))
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,6 @@ or :func:`~repro.perf.cache.configure_cache`); the key payloads carry a
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from array import array
@@ -45,7 +44,7 @@ import numpy as np
 from repro.model.link import Link
 from repro.packetsim.host import SAMPLE_FIELDS, FlowStats
 from repro.packetsim.queue import QueueStats
-from repro.perf.cache import CacheKeyError, TraceCache, _canonical
+from repro.perf.cache import CacheKeyError, TraceCache, _canonical, sha256_hex
 from repro.perf.codec import word_deltas, word_sums
 from repro.protocols.base import Protocol
 
@@ -72,7 +71,7 @@ _NO_COMPLETION = math.nan
 # ----------------------------------------------------------------------
 def _digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256_hex(blob.encode("utf-8"))
 
 
 def scenario_key(scenario) -> str | None:
@@ -141,6 +140,18 @@ def _pack_flow(index: int, stats: FlowStats, arrays: dict) -> None:
     arrays[prefix + "window_samples"] = word_deltas(window.reshape(-1, 2))
 
 
+def _series(words: np.ndarray) -> array:
+    """One stored sample series as an ``array('d')``.
+
+    The decoded words are copied in once, through a byte view: no Python
+    float per sample, no intermediate bytes object, and no view that
+    keeps the bundle alive.
+    """
+    series = array("d")
+    series.frombytes(memoryview(word_sums(words)).cast("B"))
+    return series
+
+
 def _unpack_flow(index: int, arrays: dict) -> FlowStats:
     prefix = f"flow{index}_"
     sent, acked, lost, rounds, retrans = (
@@ -151,12 +162,7 @@ def _unpack_flow(index: int, arrays: dict) -> FlowStats:
         packets_sent=sent,
         packets_acked=acked,
         packets_lost=lost,
-        # One bytes copy per series: no Python float per sample, and no
-        # view that keeps the bundle alive.
-        **{
-            name: array("d", word_sums(arrays[prefix + name]).tobytes())
-            for name in SAMPLE_FIELDS
-        },
+        **{name: _series(arrays[prefix + name]) for name in SAMPLE_FIELDS},
         window_samples=list(
             map(tuple, word_sums(arrays[prefix + "window_samples"]).tolist())
         ),

@@ -36,7 +36,6 @@ cacheable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -53,6 +52,7 @@ from repro.perf.cache import (
     TraceCache,
     _canonical,
     kind_from_members,
+    sha256_hex,
 )
 from repro.perf.codec import unpack_arrays, word_deltas, word_sums
 
@@ -106,7 +106,7 @@ def unified_key(backend_name: str, spec) -> str | None:
     except CacheKeyError:
         return None
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256_hex(blob.encode("utf-8"))
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ and clients that stall, send a malformed head or hang up."""
 from __future__ import annotations
 
 import json
+import select
 import socket
 import struct
 import threading
@@ -425,13 +426,13 @@ class _Handlers:
 
 @pytest.fixture
 def handlers(monkeypatch) -> _Handlers:
-    """Wrap ``ServeServer._handle`` (bound when a server starts)."""
+    """Wrap ``ServeServer._handle`` (looked up for each connection)."""
     record = _Handlers()
     original = ServeServer._handle
 
-    async def handle(self, reader, writer):
+    def handle(self, conn):
         try:
-            await original(self, reader, writer)
+            original(self, conn)
         except BaseException as exc:
             record.escaped.append(exc)
             raise
@@ -485,6 +486,53 @@ class TestServeClients:
             handlers.wait()
         assert reply.startswith(b"HTTP/1.1 408 ")
         assert b"0.3 s" in reply
+        assert handlers.escaped == []
+
+    def test_dripping_head_is_answered_408_at_the_deadline(self, handlers,
+                                                          monkeypatch):
+        # Each byte arrives well within the read timeout, so only one
+        # deadline over the whole request can end the read in time.
+        monkeypatch.setattr("repro.exec.serve.READ_TIMEOUT_SECONDS", 0.5)
+        head = _head("10")
+        with ServerThread(executor=Executor()) as server:
+            with _connect(server.port) as sock:
+                started = time.monotonic()
+                for byte in head:
+                    sock.sendall(bytes([byte]))
+                    if select.select([sock], [], [], 0.05)[0]:
+                        break  # answered: send nothing more
+                reply = _read_to_eof(sock)
+                elapsed = time.monotonic() - started
+            handlers.wait()
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert b"0.5 s" in reply
+        assert 0.5 <= elapsed < 0.05 * len(head) / 2
+        assert handlers.escaped == []
+
+    def test_stop_returns_while_a_stalled_client_holds_its_connection(
+        self, handlers
+    ):
+        payload = json.dumps({"specs": [_wire(1.0)]}).encode()
+        request = _head(str(len(payload))) + payload
+        server = ServerThread(executor=Executor())
+        server.start()
+        try:
+            sock = _connect(server.port)
+            sock.sendall(request[:20])
+            time.sleep(0.2)  # the connection thread is reading
+        finally:
+            started = time.monotonic()
+            server.stop()
+            stopped_in = time.monotonic() - started
+        # The request the stalled client then completes is refused, not
+        # queued for a compute thread that has ended.
+        with sock:
+            sock.sendall(request[20:])
+            reply = _read_to_eof(sock)
+        handlers.wait()
+        assert stopped_in < 2.0
+        assert reply.startswith(b"HTTP/1.1 500 ")
+        assert b"the server has stopped" in reply
         assert handlers.escaped == []
 
     @pytest.mark.parametrize("reset", [False, True], ids=["close", "reset"])

@@ -4,22 +4,30 @@
 package root resolves its analysis-layer names on first use, the CLI
 imports each driver in the branch that runs it, keying a protocol never
 reads ``numpy.random``, and no module imports networkx, which
-``pyproject.toml`` does not declare. Each check runs in a subprocess,
-since this test process has long since imported everything.
+``pyproject.toml`` does not declare. The server maps no OpenSSL: it
+serves on threads, not asyncio (which imports ``ssl``), and keys hash
+with CPython's builtin SHA-256, not ``hashlib``. Each check runs in a
+subprocess, since this test process has long since imported everything.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.perf.cache import _sha256, sha256_hex
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: What the serving path never loads.
-_NEVER_SERVED = ("networkx", "numpy.random")
+#: What the serving path never loads: asyncio and ``hashlib`` would map
+#: OpenSSL (``ssl`` and ``_hashlib``).
+_NEVER_SERVED = ("networkx", "numpy.random", "asyncio", "ssl", "_ssl", "hashlib", "_hashlib")
 
 #: The paper drivers and the analysis layers they score with.
 _ANALYSIS_LAYERS = ("repro.experiments", "repro.core", "repro.analysis")
@@ -78,28 +86,66 @@ def test_cli_and_server_load_no_driver():
 
 
 def test_server_answers_every_backend_without_networkx_or_numpy_random(tmp_path):
-    # With a store, every spec is keyed, so its protocols are too.
+    # With a store, every spec is keyed, so its protocols are too. The
+    # client speaks raw sockets: http.client would import ssl itself.
     answered = _python(
+        "import json, socket\n"
         "from repro.exec import Executor\n"
-        "from repro.exec.client import ServeClient\n"
         "from repro.exec.serve import ServerThread\n"
+        "from repro.exec.wire import decode_trace\n"
+        "def post(port, payload):\n"
+        "    body = json.dumps(payload).encode()\n"
+        "    head = f'POST /run HTTP/1.1\\r\\nContent-Length: {len(body)}\\r\\n\\r\\n'\n"
+        "    with socket.create_connection(('127.0.0.1', port), timeout=120) as sock:\n"
+        "        sock.sendall(head.encode() + body)\n"
+        "        reply = b''.join(iter(lambda: sock.recv(65536), b''))\n"
+        "    status, _, lines = reply.partition(b'\\r\\n\\r\\n')\n"
+        "    assert status.startswith(b'HTTP/1.1 200 '), reply\n"
+        "    return [json.loads(line) for line in lines.splitlines()]\n"
         "link = {'bandwidth_mbps': 20.0, 'rtt_ms': 42.0, 'buffer_mss': 100.0}\n"
-        "requests = {\n"
-        "    'fluid': {'protocols': ['reno', 'cubic'], 'steps': 60, **link},\n"
-        "    'network': {'protocols': ['reno', 'AIMD(2,0.5)'], 'steps': 60, **link},\n"
-        "    'meanfield': {'protocols': ['reno'], 'flow_multiplicity': 50, 'steps': 60,\n"
-        "                  **link},\n"
-        "    'packet': {'protocols': ['reno', 'reno'], 'duration': 1.0, 'seed': 1, **link},\n"
-        "}\n"
+        "requests = [\n"
+        "    ('fluid', {'protocols': ['reno', 'cubic'], 'steps': 60, **link}),\n"
+        "    ('fluid', {'protocols': ['reno'], 'steps': 60, 'random_loss_rate': 0.01,\n"
+        "               **link}),\n"
+        "    ('network', {'protocols': ['reno', 'AIMD(2,0.5)'], 'steps': 60, **link}),\n"
+        "    ('meanfield', {'protocols': ['reno'], 'flow_multiplicity': 50, 'steps': 60,\n"
+        "                   **link}),\n"
+        "    ('packet', {'protocols': ['reno', 'reno'], 'duration': 1.0, 'seed': 1, **link}),\n"
+        "]\n"
         "with ServerThread(executor=Executor()) as server:\n"
-        "    client = ServeClient(port=server.port)\n"
-        "    for backend, spec in requests.items():\n"
-        "        assert client.run_specs([spec], backend)[0] is not None, backend\n"
+        "    for backend, spec in requests:\n"
+        "        record, done = post(server.port, {'specs': [spec], 'backend': backend})\n"
+        "        assert record['ok'] and done['done'], (backend, record)\n"
+        "        assert decode_trace(record['trace']).backend == backend\n"
         + _LOADED,
         REPRO_SIM_CACHE=str(tmp_path),
     )
     assert _under(answered, _NEVER_SERVED) == []
     assert list(tmp_path.glob("*/*")), "nothing was keyed into the store"
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 20])
+def test_builtin_sha256_equals_hashlib(size):
+    # _sha2 from Python 3.12, _sha256 before: CI's matrix runs both.
+    assert _sha256().__module__ in ("_sha2", "_sha256")
+    data = bytes(range(256)) * (size // 256) + b"\x07" * (size % 256)
+    assert len(data) == size
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_falls_back_to_hashlib_without_the_builtin():
+    # A None entry makes any import of the name fail, as in an
+    # interpreter built without the builtin module.
+    result = _python(
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib, json\n"
+        "from repro.perf import cache\n"
+        "print(json.dumps([cache.sha256_hex(b'abc'), hashlib.sha256(b'abc').hexdigest(),\n"
+        "                  cache._sha256() is hashlib.sha256]))\n"
+    )
+    digest, expected, fell_back = result
+    assert digest == expected and fell_back
 
 
 def test_network_run_needs_no_networkx():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.backends import ScenarioSpec
+from repro.model.link import Link
 from repro.model.random_loss import (
     BernoulliLoss,
     GilbertElliottLoss,
@@ -9,6 +11,8 @@ from repro.model.random_loss import (
     TraceLoss,
     combine_loss,
 )
+from repro.perf.store import unified_key
+from repro.protocols import presets
 
 
 class TestCombine:
@@ -75,6 +79,42 @@ class TestBernoulli:
         values = {process.rate(t, 0) for t in range(200)}
         assert values <= {0.0, 0.1}
         assert len(values) == 2  # both outcomes occur
+
+
+    def test_deterministic_mode_builds_no_generator(self):
+        # A spec's random_loss_rate lowers to this mode, and a generator
+        # would load numpy.random into a server that never draws.
+        process = BernoulliLoss(0.05)
+        process.rate(3, 0)
+        process.reset()
+        assert "_rng" not in vars(process)
+
+    def test_seeded_draws_are_pinned(self):
+        # The sequence the generator drew when it was built eagerly.
+        process = BernoulliLoss(0.1, deterministic=False, p_active=0.5, seed=11)
+        for _ in range(2):
+            drawn = "".join("1" if process.rate(t, t % 2) else "0" for t in range(48))
+            assert drawn == "110110110010011000000101101001111011010111110011"
+            process.reset()
+
+    def test_loss_process_keys_are_pinned(self):
+        # Keys of specs carrying the process, pinned from when the generator
+        # was built eagerly: the keyer skipped it then and never sees it now.
+        link = Link.from_mbps(20, 42, 100)
+        flipping = BernoulliLoss(0.05, deterministic=False, seed=4)
+        for step in range(30):  # draws made before keying do not move the key
+            flipping.rate(step, 0)
+        keys = [
+            unified_key("fluid", ScenarioSpec(
+                protocols=[presets.reno(), presets.reno()], link=link, steps=300,
+                loss_process=process,
+            ))
+            for process in (BernoulliLoss(0.02), flipping)
+        ]
+        assert keys == [
+            "55f97a6264708958657d8f65f62b430d37058aa6e0dd92c0d2f295ce5799d9e0",
+            "488318eb9ce9a418770ddba18fd33fb77e36ea40eca56b31832d4b4d1fb07b5e",
+        ]
 
 
 class TestGilbertElliott:
