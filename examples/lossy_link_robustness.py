@@ -4,17 +4,14 @@ The scenario PCC uses to motivate itself, and the paper's Metric VI: a
 sender on an uncongested path suffering random non-congestion loss. We
 sweep the loss rate for TCP Reno, Cubic, Scalable, Robust-AIMD and the
 PCC-like protocol in the fluid model, then replay the story at packet
-level with bursty (Gilbert-Elliott) loss.
+level with 0.5% uniform random wire loss.
 
 Run: ``python examples/lossy_link_robustness.py``
 """
 
 from __future__ import annotations
 
-from repro import Link
 from repro.core.metrics import diverges_under_loss, estimate_robustness
-from repro.model.dynamics import FluidSimulator, SimulationConfig
-from repro.model.random_loss import GilbertElliottLoss
 from repro.packetsim.scenario import PacketScenario, run_scenario
 from repro.protocols import presets
 from repro.protocols.slow_start import SlowStartWrapper
@@ -46,21 +43,6 @@ def fluid_sweep() -> None:
         print(f"  {name:>12}: {alpha:.4f}")
 
 
-def bursty_fluid_run() -> None:
-    print("\nFluid model under bursty (Gilbert-Elliott) loss, mean ~1%:")
-    link = Link.infinite()
-    for name, factory in CANDIDATES.items():
-        config = SimulationConfig(
-            initial_windows=[1.0],
-            loss_process=GilbertElliottLoss(
-                p_gb=0.02, p_bg=0.3, loss_bad=0.15, seed=7
-            ),
-        )
-        trace = FluidSimulator(link, [factory()], config).run(2000)
-        final = trace.sender_series(0)[-1]
-        print(f"  {name:>12}: final window {final:,.0f} MSS")
-
-
 def packet_level_run() -> None:
     print("\nPacket level: 20 Mbps path with 0.5% random wire loss, 25 s:")
     for name, factory in CANDIDATES.items():
@@ -75,7 +57,6 @@ def packet_level_run() -> None:
 
 def main() -> None:
     fluid_sweep()
-    bursty_fluid_run()
     packet_level_run()
     print(
         "\nReading: every pure loss-signal protocol (Reno/Cubic/Scalable) is "

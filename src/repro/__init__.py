@@ -34,12 +34,6 @@ Quickstart::
 from repro.model.link import Link
 from repro.model.dynamics import FluidSimulator, SimulationConfig
 from repro.model.trace import SimulationTrace
-from repro.model.random_loss import (
-    BernoulliLoss,
-    GilbertElliottLoss,
-    LossProcess,
-    NoLoss,
-)
 from repro.protocols import (
     AIMD,
     BIN,
@@ -68,15 +62,11 @@ _LAZY = {
 __all__ = [
     "AIMD",
     "BIN",
-    "BernoulliLoss",
     "CUBIC",
     "FluidSimulator",
-    "GilbertElliottLoss",
     "Link",
-    "LossProcess",
     "MIMD",
     "MetricVector",
-    "NoLoss",
     "PccLike",
     "Protocol",
     "RobustAIMD",

@@ -49,7 +49,6 @@ from repro.backends.base import run_on
 from repro.backends.spec import ScenarioSpec
 from repro.model.dynamics import SimulationConfig, check_window_clamp
 from repro.model.link import Link
-from repro.model.random_loss import BernoulliLoss, LossProcess, NoLoss
 from repro.perf import store, timing
 from repro.protocols.base import Protocol
 
@@ -128,34 +127,22 @@ class _Lane:
 # ----------------------------------------------------------------------
 # Lowering: spec -> batch row, or None to fall back per-spec
 # ----------------------------------------------------------------------
-def stateless_loss_rate(
-    protocols: Sequence[Protocol], loss_process: LossProcess | None
-) -> float | None:
-    """The one non-congestion loss rate of a stateless run, or ``None``.
-
-    A run is stateless when every window update is a pure map of the
-    step's feedback: the non-congestion loss is one constant rate for
-    every sender and step (no process, ``NoLoss`` or a deterministic
-    ``BernoulliLoss``), and each protocol's class implements
-    :meth:`~repro.protocols.base.Protocol.batched_next` with the instance
-    holding exactly its ``batch_param_names``.
+def stateless(protocols: Sequence[Protocol]) -> bool:
+    """Whether every window update of a run is a pure map of the step's
+    feedback: each protocol's class implements
+    :meth:`~repro.protocols.base.Protocol.batched_next` and the instance
+    holds exactly its ``batch_param_names``.
     """
-    if loss_process is None or isinstance(loss_process, NoLoss):
-        rate = 0.0
-    elif isinstance(loss_process, BernoulliLoss) and loss_process.deterministic:
-        rate = loss_process.p
-    else:
-        return None
     for protocol in protocols:
         cls = type(protocol)
         if not getattr(cls, "supports_batched", False):
-            return None
+            return False
         try:
             if set(vars(protocol)) != set(cls.batch_param_names):
-                return None
+                return False
         except TypeError:
-            return None
-    return rate
+            return False
+    return True
 
 
 def synchronized_stateless(
@@ -163,9 +150,10 @@ def synchronized_stateless(
 ) -> bool:
     """Whether a fluid run's windows can step as rows of the batch kernel.
 
-    The run must be stateless (:func:`stateless_loss_rate`) and its
-    feedback synchronized: no unsynchronized loss, no ECN marking, no
-    scheduled starts or link changes, and real-valued windows.
+    The run must be stateless (:func:`stateless`) and its feedback
+    synchronized: no unsynchronized loss, no ECN marking, no scheduled
+    starts or link changes, and real-valued windows. Any random loss rate
+    qualifies: it is one constant for every sender and step.
     """
     schedule = config.schedule
     if (
@@ -176,20 +164,19 @@ def synchronized_stateless(
         or link.marking_enabled
     ):
         return False
-    return stateless_loss_rate(protocols, config.loss_process) is not None
+    return stateless(protocols)
 
 
 def _stateless_feedback(
-    protocols: Sequence, loss_process: Any, initial_windows: Sequence[float] | None
+    protocols: Sequence, random_rate: float, initial_windows: Sequence[float] | None
 ) -> dict[str, Any] | None:
     """The initial windows and random-loss rate the fluid and network
     kernels stack for a run, or ``None`` when they cannot express it.
 
-    Both kernels need a stateless run (:func:`stateless_loss_rate`) and
-    one finite non-negative initial window per flow.
+    Both kernels need a stateless run (:func:`stateless`) and one finite
+    non-negative initial window per flow.
     """
-    random_rate = stateless_loss_rate(protocols, loss_process)
-    if random_rate is None:
+    if not stateless(protocols):
         return None
     initial = (
         list(initial_windows) if initial_windows is not None else [1.0] * len(protocols)
@@ -221,7 +208,7 @@ def _lower_fluid(spec: ScenarioSpec) -> _Row | None:
     if not synchronized_stateless(link, protocols, config):
         return None
     feedback = _stateless_feedback(
-        protocols, config.loss_process, config.initial_windows
+        protocols, config.random_loss_rate, config.initial_windows
     )
     if feedback is None:
         return None
@@ -259,7 +246,7 @@ def _lower_network(spec: ScenarioSpec) -> _Row | None:
     if len(protocols) != topology.n_flows:
         return None
     feedback = _stateless_feedback(
-        protocols, kwargs["loss_process"], kwargs["initial_windows"]
+        protocols, kwargs["random_loss_rate"], kwargs["initial_windows"]
     )
     if feedback is None:
         return None

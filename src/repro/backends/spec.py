@@ -15,7 +15,7 @@ the packet lowering a field-identical
 over a spec reproduces its historical outputs exactly (property-tested in
 ``tests/property/test_prop_backends.py``).
 
-Every *dynamics* knob (loss shape, schedule, staggered starts, window
+Every *dynamics* knob (random loss, schedule, staggered starts, window
 integrality, clamps) either lowers faithfully or raises
 :class:`LoweringError`, so a spec never silently means something else on
 another backend. The fluid-model devices ``enforce_loss_based`` and
@@ -38,7 +38,6 @@ import numpy as np
 from repro.model.dynamics import DEFAULT_MAX_WINDOW, SimulationConfig
 from repro.model.events import EventSchedule
 from repro.model.link import Link
-from repro.model.random_loss import BernoulliLoss, LossProcess, NoLoss
 from repro.protocols.base import Protocol
 
 __all__ = ["LoweringError", "ScenarioSpec"]
@@ -86,12 +85,9 @@ class ScenarioSpec:
         packet backend uses them exactly; the fluid backend rounds to
         base-RTT steps. Mutually exclusive with ``schedule``.
     random_loss_rate:
-        Constant non-congestion loss. Lowers to a deterministic
-        :class:`~repro.model.random_loss.BernoulliLoss` for the fluid
-        family and to receiver-side Bernoulli drops for the packet engine.
-    loss_process:
-        Escape hatch for richer fluid-family loss shapes (Gilbert-Elliott,
-        traces). Not expressible at packet level.
+        Constant non-congestion loss in ``[0, 1)``. The fluid, network and
+        mean-field engines take the rate as it is; the packet engine
+        drops each packet at the receiver with this probability.
     schedule:
         Fluid-only staggered starts / mid-run link changes, in steps.
     topology:
@@ -128,7 +124,6 @@ class ScenarioSpec:
     initial_windows: Sequence[float] | None = None
     start_times: Sequence[float] | None = None
     random_loss_rate: float = 0.0
-    loss_process: LossProcess | None = None
     schedule: EventSchedule | None = None
     topology: "object | None" = None
     slow_start: bool = False
@@ -191,8 +186,6 @@ class ScenarioSpec:
                     raise ValueError(f"start times must be finite and >= 0, got {t}")
             if self.schedule is not None:
                 raise ValueError("set start_times or schedule, not both")
-        if self.random_loss_rate > 0.0 and self.loss_process is not None:
-            raise ValueError("set random_loss_rate or loss_process, not both")
         if self.flow_multiplicity < 1:
             raise ValueError(
                 f"flow_multiplicity must be positive, got {self.flow_multiplicity}"
@@ -239,13 +232,6 @@ class ScenarioSpec:
         ]
 
     # ------------------------------------------------------------------
-    def _fluid_loss_process(self) -> LossProcess | None:
-        if self.loss_process is not None:
-            return self.loss_process
-        if self.random_loss_rate > 0.0:
-            return BernoulliLoss(self.random_loss_rate, deterministic=True)
-        return None
-
     def _start_schedule(self) -> EventSchedule | None:
         """``start_times`` quantized to base-RTT rounds, as an EventSchedule."""
         if self.start_times is None or not any(t > 0 for t in self.start_times):
@@ -270,11 +256,8 @@ class ScenarioSpec:
         """
         if self.topology is not None:
             raise LoweringError("the fluid backend is single-link; use 'network'")
-        loss = self._fluid_loss_process()
         schedule = self.schedule if self.schedule is not None else self._start_schedule()
         kwargs: dict = {}
-        if loss is not None:
-            kwargs["loss_process"] = loss
         if schedule is not None:
             kwargs["schedule"] = schedule
         config = SimulationConfig(
@@ -282,6 +265,7 @@ class ScenarioSpec:
             min_window=self.min_window,
             max_window=self.max_window,
             integer_windows=self.integer_windows,
+            random_loss_rate=self.random_loss_rate,
             enforce_loss_based=self.enforce_loss_based,
             unsynchronized_loss=self.unsynchronized_loss,
             seed=self.seed,
@@ -312,7 +296,7 @@ class ScenarioSpec:
             "initial_windows": self.resolved_initial_windows(),
             "min_window": self.min_window,
             "max_window": self.max_window,
-            "loss_process": self._fluid_loss_process(),
+            "random_loss_rate": self.random_loss_rate,
             "enforce_loss_based": self.enforce_loss_based,
         }
         return topology, self.resolved_protocols(), kwargs, self.steps
@@ -329,10 +313,6 @@ class ScenarioSpec:
 
         if self.topology is not None:
             raise LoweringError("the packet backend is single-link; use 'network'")
-        if self.loss_process is not None:
-            raise LoweringError(
-                "the packet backend models random loss via random_loss_rate"
-            )
         if self.schedule is not None:
             raise LoweringError(
                 "the packet backend takes start_times in seconds, not a schedule"
@@ -377,8 +357,6 @@ class ScenarioSpec:
           per-flow history the density cannot carry);
         - per-flow scheduled events, staggered starts and multi-link
           topologies do not lower;
-        - non-congestion loss must be the constant ``random_loss_rate``
-          (a richer ``loss_process`` draws per-flow randomness);
         - ``integer_windows`` has no density analogue.
 
         ``unsynchronized_loss`` selects between the two closures: off
@@ -400,10 +378,6 @@ class ScenarioSpec:
         if self.start_times is not None and any(t > 0 for t in self.start_times):
             raise LoweringError(
                 "the mean-field backend cannot express staggered starts"
-            )
-        if self.loss_process is not None:
-            raise LoweringError(
-                "the mean-field backend models random loss via random_loss_rate"
             )
         if self.slow_start:
             raise LoweringError(
@@ -467,18 +441,15 @@ class ScenarioSpec:
         """The spec equivalent of one hand-written fluid-driver call.
 
         Round-trips exactly: ``spec.lower_fluid()`` rebuilds a config equal
-        field-for-field to ``config`` (an empty schedule or ``NoLoss``
-        normalizes to the defaults, which behave and key identically), so
-        drivers rerouted through this constructor reproduce their previous
-        traces bit-for-bit.
+        field-for-field to ``config`` (an empty schedule normalizes to the
+        default, which behaves and keys identically), so drivers rerouted
+        through this constructor reproduce their previous traces
+        bit-for-bit.
         """
         config = config or SimulationConfig()
         schedule = config.schedule
         if not (schedule.sender_starts or schedule.link_changes):
             schedule = None
-        loss = config.loss_process
-        if isinstance(loss, NoLoss):
-            loss = None
         return cls(
             protocols=list(protocols),
             link=link,
@@ -488,7 +459,7 @@ class ScenarioSpec:
                 if config.initial_windows is not None
                 else None
             ),
-            loss_process=loss,
+            random_loss_rate=config.random_loss_rate,
             schedule=schedule,
             seed=config.seed,
             min_window=config.min_window,

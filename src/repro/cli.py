@@ -14,9 +14,10 @@ Usage::
     repro serve [--host 127.0.0.1 --port 8273]
     repro report [--html out.html] [--summary FILE] [--baselines FILE]
 
-Every subcommand prints the paper-style table to stdout; ``--json`` also
-archives the structured result. The global ``--timing`` prints a wall-time
-breakdown to stderr after the run.
+Every subcommand prints to stdout. A paper driver's ``--json`` also
+archives its structured result; the other subcommands have none, and
+refuse the option. The global ``--timing`` prints a wall-time breakdown
+to stderr after the run.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def _global_options(**kwargs) -> argparse.ArgumentParser:
     """A parser of the options that go before the subcommand."""
     parser = argparse.ArgumentParser(**kwargs)
     parser.add_argument("--json", type=str, default=None,
-                        help="also write the structured result to this path")
+                        help="also write the structured result to this path "
+                        "(paper drivers only)")
     parser.add_argument("--markdown", action="store_true",
                         help="render tables as Markdown")
     parser.add_argument("--timing", action="store_true",
@@ -408,13 +410,21 @@ def _run_run_command(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The subcommands that build a structured result for ``--json`` to write.
+_RESULT_COMMANDS = frozenset(
+    {"table1", "table2", "figure1", "claims", "emulab", "fct", "survey"}
+)
+
+
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse a command line, naming any unknown option before the subcommand.
 
     Left to itself, argparse takes such an option's value for the
     subcommand: ``repro --workers 2 claims`` would fail with "invalid
     choice: '2'". Reading the global options alone first finds the
-    unknown ones, and the error names them (exit status 2).
+    unknown ones, and the error names them (exit status 2). ``--json``
+    with a subcommand that builds no structured result is an error too,
+    raised before any work: the file would never be written.
     """
     parser = build_parser()
     head = _global_options(add_help=False, exit_on_error=False)
@@ -426,7 +436,10 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     unknown = [arg for arg in unknown if arg not in ("-h", "--help")]
     if unknown:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.json is not None and args.command not in _RESULT_COMMANDS:
+        parser.error(f"--json: '{args.command}' writes no structured result")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

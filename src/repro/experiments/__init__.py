@@ -17,40 +17,34 @@ Each driver exposes ``run_*`` returning a structured result plus a
 benchmark suite call the same entry points.
 """
 
-from repro.experiments.report import Table, render_table
-from repro.experiments.results import load_result, save_result
-from repro.experiments.table1 import Table1Result, render_table1, run_table1
-from repro.experiments.table2 import Table2Result, render_table2, run_table2
-from repro.experiments.figure1 import Figure1Result, render_figure1, run_figure1
-from repro.experiments.claims import ClaimsResult, render_claims, run_claims
-from repro.experiments.emulab import EmulabResult, render_emulab, run_emulab
-from repro.experiments.fct import FctResult, render_fct, run_fct_study
-from repro.experiments.survey import SurveyResult, render_survey, run_survey
+#: The driver module that holds each name of ``__all__``. Names resolve on
+#: first use (:func:`__getattr__`), so importing one driver loads no other.
+#: A lookup is never cached in this module's globals: it returns whatever
+#: the driver module holds then, a function rebound there (as the
+#: benchmark tracer in ``perfbench/`` does) included.
+_HOMES = {
+    "repro.experiments.report": ("Table", "render_table"),
+    "repro.experiments.results": ("load_result", "save_result"),
+    "repro.experiments.table1": ("Table1Result", "render_table1", "run_table1"),
+    "repro.experiments.table2": ("Table2Result", "render_table2", "run_table2"),
+    "repro.experiments.figure1": ("Figure1Result", "render_figure1", "run_figure1"),
+    "repro.experiments.claims": ("ClaimsResult", "render_claims", "run_claims"),
+    "repro.experiments.emulab": ("EmulabResult", "render_emulab", "run_emulab"),
+    "repro.experiments.fct": ("FctResult", "render_fct", "run_fct_study"),
+    "repro.experiments.survey": ("SurveyResult", "render_survey", "run_survey"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "ClaimsResult",
-    "EmulabResult",
-    "FctResult",
-    "SurveyResult",
-    "Figure1Result",
-    "Table",
-    "Table1Result",
-    "Table2Result",
-    "load_result",
-    "render_claims",
-    "render_emulab",
-    "render_fct",
-    "render_figure1",
-    "render_survey",
-    "render_table",
-    "render_table1",
-    "render_table2",
-    "run_claims",
-    "run_emulab",
-    "run_fct_study",
-    "run_figure1",
-    "run_survey",
-    "run_table1",
-    "run_table2",
-    "save_result",
-]
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(_HOME_OF[name]), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,8 +13,8 @@ Public pieces:
 - :class:`repro.model.dynamics.FluidSimulator` — the simulation engine that
   iterates sender decisions against the link.
 - :class:`repro.model.trace.SimulationTrace` — the recorded time series.
-- :mod:`repro.model.random_loss` — non-congestion loss processes used by the
-  robustness axiom (Metric VI).
+- :mod:`repro.model.random_loss` — how a constant non-congestion loss
+  rate (the robustness axiom, Metric VI) combines with congestion loss.
 - :mod:`repro.model.events` — schedules for staggered flow arrivals and
   mid-run link changes.
 """
@@ -23,28 +23,16 @@ from repro.model.link import Link
 from repro.model.sender import Observation, SenderState
 from repro.model.dynamics import FluidSimulator, SimulationConfig
 from repro.model.trace import SimulationTrace
-from repro.model.random_loss import (
-    BernoulliLoss,
-    GilbertElliottLoss,
-    LossProcess,
-    NoLoss,
-    TraceLoss,
-)
 from repro.model.events import EventSchedule, LinkChange, SenderStart
 
 __all__ = [
-    "BernoulliLoss",
     "EventSchedule",
     "FluidSimulator",
-    "GilbertElliottLoss",
     "Link",
     "LinkChange",
-    "LossProcess",
-    "NoLoss",
     "Observation",
     "SenderStart",
     "SenderState",
     "SimulationConfig",
     "SimulationTrace",
-    "TraceLoss",
 ]

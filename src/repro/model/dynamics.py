@@ -5,7 +5,7 @@ active sender transmits its window ``x_i(t)``; the link computes the loss
 rate ``L(t)`` (droptail) and the step RTT (Eq. (1)) from the aggregate
 ``X(t)``; each sender then consults its protocol with its own observation
 to pick ``x_i(t+1)``. The induced dynamic is deterministic given the
-protocols, initial windows and (seeded) loss process, exactly as the paper
+protocols, initial windows and random loss rate, exactly as the paper
 requires.
 """
 
@@ -22,7 +22,7 @@ from repro import debug
 from repro.model.events import EventSchedule
 from repro.model.formulas import droptail_loss_rate, eq1_rtt
 from repro.model.link import Link
-from repro.model.random_loss import LossProcess, NoLoss, combine_loss
+from repro.model.random_loss import combine_loss
 from repro.model.sender import Observation, SenderState
 from repro.model.trace import SimulationTrace
 from repro.perf import timing
@@ -50,8 +50,10 @@ class SimulationConfig:
         Round windows to whole MSS after each protocol decision, matching
         the paper's integral window space. Off by default: the fluid
         analyses in the paper treat windows as reals.
-    loss_process:
-        Non-congestion loss (Metric VI and robustness experiments).
+    random_loss_rate:
+        Constant non-congestion loss in ``[0, 1]`` (Metric VI and the
+        robustness experiments): every sender sees it at every step,
+        combined with the step's congestion loss.
     schedule:
         Staggered sender starts and mid-run link changes.
     enforce_loss_based:
@@ -73,7 +75,7 @@ class SimulationConfig:
     min_window: float = 1.0
     max_window: float = DEFAULT_MAX_WINDOW
     integer_windows: bool = False
-    loss_process: LossProcess = field(default_factory=NoLoss)
+    random_loss_rate: float = 0.0
     schedule: EventSchedule = field(default_factory=EventSchedule)
     enforce_loss_based: bool = True
     unsynchronized_loss: bool = False
@@ -81,6 +83,7 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         check_window_clamp(self.min_window, self.max_window)
+        check_random_loss_rate(self.random_loss_rate)
 
 
 def check_window_clamp(min_window: float, max_window: float) -> None:
@@ -91,6 +94,13 @@ def check_window_clamp(min_window: float, max_window: float) -> None:
         raise ValueError(f"min_window must be finite and non-negative, got {min_window}")
     if not min_window <= max_window:
         raise ValueError(f"max_window must be >= min_window ({min_window}), got {max_window}")
+
+
+def check_random_loss_rate(rate: float) -> None:
+    """Raise ``ValueError`` unless ``0 <= rate <= 1``. Written so that NaN
+    fails."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"random_loss_rate must be in [0, 1], got {rate}")
 
 
 _PLACEHOLDER_RTT = 1.0
@@ -170,7 +180,6 @@ class FluidSimulator:
         """
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
-        self.config.loss_process.reset()
         for protocol in self.protocols:
             protocol.reset()
         with timing.measure("sim.run"):
@@ -222,7 +231,7 @@ class FluidSimulator:
         has_link_changes = bool(schedule.link_changes)
         static_membership = not schedule.sender_starts
         link_columns: list[tuple[float, float, float]] = []
-        loss_rate_of = cfg.loss_process.rate
+        random_loss = cfg.random_loss_rate
         enforce = cfg.enforce_loss_based
         link = None
         active = senders
@@ -263,7 +272,7 @@ class FluidSimulator:
                     notice_probability = 1.0 - (1.0 - loss) ** window
                     if rng.random() >= notice_probability:
                         congestion_seen = 0.0
-                seen = combine_loss(congestion_seen, loss_rate_of(t, i))
+                seen = combine_loss(congestion_seen, random_loss)
                 windows[row + i] = window
                 observed_loss[row + i] = seen
                 if rtt < state.min_rtt:

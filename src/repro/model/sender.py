@@ -25,7 +25,7 @@ class Observation:
         The sender's own congestion window ``x_i(t)`` during the step, MSS.
     loss_rate:
         The loss rate ``L(t)`` the sender experienced (congestion loss
-        combined with any non-congestion loss process), in ``[0, 1]``.
+        combined with the random loss rate), in ``[0, 1]``.
     rtt:
         The step's RTT in seconds, per the paper's Eq. (1). Loss-based
         protocols must ignore this field; the simulator can enforce that

@@ -7,8 +7,8 @@ series over a measurement tail. The trace stores, per step:
 - each sender's congestion window ``x_i(t)`` (NaN before the sender starts),
 - the aggregate ``X(t)``,
 - the congestion loss rate ``L(t)`` of the link,
-- each sender's *observed* loss rate (congestion combined with any
-  non-congestion loss process),
+- each sender's *observed* loss rate (congestion loss combined with the
+  random loss rate),
 - the step RTT per Eq. (1),
 - the capacity ``C`` and pipe limit ``C + tau`` in force (these can change
   mid-run via :class:`repro.model.events.LinkChange`).

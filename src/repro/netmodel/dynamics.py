@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.model import formulas
-from repro.model.dynamics import DEFAULT_MAX_WINDOW, check_window_clamp
-from repro.model.random_loss import LossProcess, NoLoss, combine_loss
+from repro.model.dynamics import DEFAULT_MAX_WINDOW, check_random_loss_rate, check_window_clamp
+from repro.model.random_loss import combine_loss
 from repro.model.sender import Observation
 from repro.netmodel.topology import Topology
 from repro.netmodel.trace import NetworkTrace
@@ -40,7 +40,7 @@ class NetworkFluidSimulator:
         initial_windows: Sequence[float] | None = None,
         min_window: float = 1.0,
         max_window: float = DEFAULT_MAX_WINDOW,
-        loss_process: LossProcess | None = None,
+        random_loss_rate: float = 0.0,
         enforce_loss_based: bool = True,
     ) -> None:
         topology.validate()
@@ -56,10 +56,11 @@ class NetworkFluidSimulator:
         if len(initial_windows) != topology.n_flows:
             raise ValueError("one initial window per flow required")
         check_window_clamp(min_window, max_window)
+        check_random_loss_rate(random_loss_rate)
         self._initial = [float(w) for w in initial_windows]
         self.min_window = min_window
         self.max_window = max_window
-        self.loss_process = loss_process or NoLoss()
+        self.random_loss_rate = random_loss_rate
         self.enforce_loss_based = enforce_loss_based
         self._link_names = list(topology.links)
         self._link_index = {name: i for i, name in enumerate(self._link_names)}
@@ -77,7 +78,7 @@ class NetworkFluidSimulator:
         n_flows = topo.n_flows
         n_links = len(self._link_names)
         links = [topo.links[name] for name in self._link_names]
-        self.loss_process.reset()
+        random_loss = self.random_loss_rate
         for protocol in self.protocols:
             protocol.reset()
 
@@ -115,7 +116,7 @@ class NetworkFluidSimulator:
 
             for flow, cols in enumerate(self._path_columns):
                 loss = formulas.path_loss([link_loss[col] for col in cols])
-                loss = combine_loss(loss, self.loss_process.rate(t, flow))
+                loss = combine_loss(loss, random_loss)
                 if any(link_loss[col] > 0.0 for col in cols):
                     rtt = timeout_caps[flow]
                 else:

@@ -22,10 +22,9 @@ Keying rules (:func:`_canonical`, shared by every key scheme):
   whatever mid-run state the instance carries); a class that keeps the
   base ``reset`` and ``clone`` is keyed by its own attribute dict, which
   its clone's equals, without the deep copy;
-- loss processes are keyed by class plus their reset attribute dict, with
-  RNG objects skipped (the seed attribute already determines them);
-- anything that cannot be canonicalized makes the run *uncacheable* (its
-  key is ``None``) rather than wrongly cacheable.
+- anything that cannot be canonicalized (a protocol holding a NumPy
+  generator, say) makes the run *uncacheable* (its key is ``None``)
+  rather than wrongly cacheable.
 
 Every key is the SHA-256 of the canonical form's JSON, computed by
 :func:`sha256_hex`.
@@ -39,13 +38,11 @@ join the same store.
 
 from __future__ import annotations
 
-import copy
 import enum
 import functools
 import json
 import os
 import shutil
-import sys
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -54,7 +51,6 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.model.link import Link
-from repro.model.random_loss import LossProcess
 from repro.perf import timing
 from repro.perf.codec import pack_arrays, unpack_arrays
 from repro.protocols.base import Protocol
@@ -138,10 +134,6 @@ def _canonical(value: Any) -> Any:
         if cls.reset is Protocol.reset and cls.clone is Protocol.clone:
             return ["protocol", cls.__qualname__, _attrs_of(value)]
         return ["protocol", cls.__qualname__, _attrs_of(value.clone())]
-    if isinstance(value, LossProcess):
-        fresh = copy.deepcopy(value)
-        fresh.reset()
-        return ["loss_process", type(value).__qualname__, _attrs_of(fresh)]
     if is_dataclass(value) and not isinstance(value, type):
         return [
             type(value).__qualname__,
@@ -159,22 +151,12 @@ def _canonical(value: Any) -> Any:
 
 
 def _attrs_of(obj: Any) -> Any:
-    """Canonicalized instance attributes, minus RNG state (seed keys it)."""
+    """Canonicalized instance attributes."""
     try:
         attrs = vars(obj)
     except TypeError as exc:  # __slots__ or builtins
         raise CacheKeyError(f"object {obj!r} has no attribute dict") from exc
-    # An attribute can be a Generator only once numpy.random is loaded, and
-    # reading np.random would load it into a process that never draws.
-    numpy_random = sys.modules.get("numpy.random")
-    generator = numpy_random.Generator if numpy_random is not None else ()
-    return {
-        "__dict__": sorted(
-            (name, _canonical(item))
-            for name, item in attrs.items()
-            if not isinstance(item, generator)
-        )
-    }
+    return {"__dict__": sorted((name, _canonical(item)) for name, item in attrs.items())}
 
 
 # No caller in src/: perfbench/tracing.py binds simulation_key; delete both together.

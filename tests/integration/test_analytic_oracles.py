@@ -19,8 +19,8 @@ differences is rounding noise.
 1997). One AIMD(1, 1/2) flow that loses each packet independently with
 probability p, on a link it cannot congest, holds a mean window E[W]
 with E[W]·sqrt(p) -> 1.31 as p -> 0. The packet engine runs this check.
-The fluid engine cannot: its ``LossProcess`` is a per-step loss rate,
-not an independent drop per packet.
+The fluid engine cannot: its ``random_loss_rate`` is a per-step loss
+rate, not an independent drop per packet.
 
 **The binomial exponents** (Bansal and Balakrishnan 2001; Ott and
 Swanson, arXiv math/0608476, study the p -> 0 limit of this class). A

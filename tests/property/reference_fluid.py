@@ -90,9 +90,9 @@ def reference_run_general(
 ) -> SimulationTrace:
     """The pre-flattening ``FluidSimulator.run`` on the general loop.
 
-    Deep-copies the protocols and resets them and the loss process first,
-    as ``FluidSimulator`` does, so a caller may pass the same objects to
-    both sides of a comparison.
+    Deep-copies the protocols and resets them first, as ``FluidSimulator``
+    does, so a caller may pass the same objects to both sides of a
+    comparison.
     """
     protocols = [copy.deepcopy(p) for p in protocols]
     cfg = config
@@ -101,7 +101,6 @@ def reference_run_general(
     if initial is None:
         initial = [1.0] * n
     initial = [float(w) for w in initial]
-    cfg.loss_process.reset()
     for protocol in protocols:
         protocol.reset()
     rng = np.random.default_rng(cfg.seed) if cfg.unsynchronized_loss else None
@@ -159,7 +158,7 @@ def reference_run_general(
                 notice_probability = 1.0 - (1.0 - loss) ** state.window
                 if rng.random() >= notice_probability:
                     congestion_seen = 0.0
-            random_loss = cfg.loss_process.rate(t, i)
+            random_loss = cfg.random_loss_rate
             seen = combine_loss(congestion_seen, random_loss)
             windows[t, i] = state.window
             observed_loss[t, i] = seen

@@ -24,7 +24,6 @@ from repro.backends.batch import plan_batches
 from repro.model import dynamics
 from repro.model.dynamics import SimulationConfig
 from repro.model.link import Link
-from repro.model.random_loss import BernoulliLoss
 from repro.protocols.aimd import AIMD
 from repro.protocols.mimd import MIMD
 from repro.protocols.robust_aimd import RobustAIMD
@@ -199,8 +198,7 @@ def test_mixed_horizons_split_into_groups():
 
 def _check_one_row(link, protocols, initial, steps, loss_rate=0.0):
     """One run as a one-row kernel call, held to the general loop."""
-    loss = {"loss_process": BernoulliLoss(loss_rate)} if loss_rate else {}
-    config = SimulationConfig(initial_windows=initial, **loss)
+    config = SimulationConfig(initial_windows=initial, random_loss_rate=loss_rate)
     spec = ScenarioSpec.from_fluid(link, protocols, steps, config)
     assert not plan_batches([spec]).fallback
     _check_grid([spec])

@@ -2,8 +2,7 @@
 
 The batch kernel is held to the general loop, but it does not cover
 sender starts, link changes, unsynchronized loss, ECN/RED marking,
-integer windows, random loss processes or the history-dependent
-protocols. For those settings the general loop is the only
+integer windows or the history-dependent protocols. For those settings the general loop is the only
 implementation, so it is held here to ``reference_fluid`` — a frozen
 copy taken before its per-sender step was flattened. Every trace array is
 compared as raw uint64 patterns, so a last-ulp change fails, and a
@@ -22,12 +21,6 @@ from hypothesis import strategies as st
 from repro.model.dynamics import FluidSimulator, SimulationConfig
 from repro.model.events import EventSchedule
 from repro.model.link import Link
-from repro.model.random_loss import (
-    BernoulliLoss,
-    GilbertElliottLoss,
-    NoLoss,
-    TraceLoss,
-)
 from repro.protocols import presets
 from repro.protocols.base import Protocol
 from repro.protocols.binomial import BIN
@@ -85,13 +78,7 @@ def _marked_link(kind: str, bandwidth: float, buffer_mss: float) -> Link:
     return base
 
 
-_LOSS = {
-    "none": NoLoss,
-    "bernoulli": lambda: BernoulliLoss(0.01),
-    "bernoulli-coin": lambda: BernoulliLoss(0.02, deterministic=False, seed=7),
-    "gilbert-elliott": lambda: GilbertElliottLoss(0.05, 0.3, 0.0, 0.1, seed=3),
-    "trace": lambda: TraceLoss([0.0, 0.0, 0.01, 0.0, 0.05]),
-}
+_LOSS_RATES = (0.0, 0.01, 0.05)
 
 
 _SHOWN: dict[str, list[tuple]] = {}
@@ -158,14 +145,11 @@ def test_dctcp_under_marking_matches_reference(marking):
     assert_matches_reference(link, [DCTCP(), DCTCP()], config, 400)
 
 
-@pytest.mark.parametrize("loss", sorted(_LOSS))
+@pytest.mark.parametrize("rate", _LOSS_RATES)
 @pytest.mark.parametrize("enforce", [True, False])
-def test_loss_processes_match_reference(loss, enforce):
+def test_loss_rates_match_reference(rate, enforce):
     link = Link.from_mbps(30, 42, 10)
-    config = SimulationConfig(
-        loss_process=_LOSS[loss](),
-        enforce_loss_based=enforce,
-    )
+    config = SimulationConfig(random_loss_rate=rate, enforce_loss_based=enforce)
     assert_matches_reference(
         link, [presets.cubic(), VegasLike(), presets.pcc_like()], config, 300
     )
@@ -190,7 +174,7 @@ def test_starts_and_link_changes_match_reference():
     bandwidth=st.sampled_from([10.0, 20.0, 60.0]),
     buffer_mss=st.sampled_from([10.0, 50.0, 100.0]),
     marking=st.sampled_from(["none", "ecn", "red"]),
-    loss=st.sampled_from(sorted(_LOSS)),
+    rate=st.sampled_from(_LOSS_RATES),
     unsynchronized=st.booleans(),
     integer_windows=st.booleans(),
     enforce=st.booleans(),
@@ -206,7 +190,7 @@ def test_starts_and_link_changes_match_reference():
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_random_configurations_match_reference(
-    names, bandwidth, buffer_mss, marking, loss, unsynchronized,
+    names, bandwidth, buffer_mss, marking, rate, unsynchronized,
     integer_windows, enforce, starts, changes, seed,
 ):
     link = _marked_link(marking, bandwidth, buffer_mss)
@@ -221,7 +205,7 @@ def test_random_configurations_match_reference(
     config = SimulationConfig(
         initial_windows=[float(w) for w in rng.uniform(1.0, 40.0, size=n)],
         integer_windows=integer_windows,
-        loss_process=_LOSS[loss](),
+        random_loss_rate=rate,
         schedule=schedule,
         enforce_loss_based=enforce,
         unsynchronized_loss=unsynchronized,

@@ -24,7 +24,6 @@ from repro.backends import (
 from repro.model.dynamics import FluidSimulator
 from repro.model.events import EventSchedule
 from repro.model.link import Link
-from repro.model.random_loss import GilbertElliottLoss
 from repro.netmodel.topology import dumbbell
 from repro.protocols.aimd import AIMD
 from repro.protocols.slow_start import SlowStartWrapper
@@ -141,12 +140,6 @@ class TestSpecValidation:
             ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link,
                          start_times=[1.0], schedule=EventSchedule())
 
-    def test_loss_rate_and_loss_process_are_exclusive(self, link):
-        with pytest.raises(ValueError, match="not both"):
-            ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link,
-                         random_loss_rate=0.01,
-                         loss_process=GilbertElliottLoss(0.1, 0.5, 0.1))
-
     def test_horizon_defaults_to_steps_worth_of_rtts(self, spec, link):
         assert spec.horizon_seconds() == pytest.approx(64 * link.base_rtt)
         timed = ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link, duration=7.5)
@@ -179,12 +172,6 @@ class TestLoweringErrors:
         with pytest.raises(LoweringError, match="integer-window"):
             spec.lower_network()
 
-    def test_packet_rejects_loss_process(self, link):
-        spec = ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link,
-                            loss_process=GilbertElliottLoss(0.1, 0.5, 0.1))
-        with pytest.raises(LoweringError, match="random_loss_rate"):
-            spec.lower_packet()
-
     def test_packet_rejects_schedule(self, link):
         spec = ScenarioSpec(
             protocols=[AIMD(1, 0.5)], link=link,
@@ -210,7 +197,7 @@ class TestLoweringErrors:
         assert topology.n_flows == 2
         assert len(protocols) == 2
         assert steps == 64
-        assert kwargs["loss_process"] is None
+        assert kwargs["random_loss_rate"] == 0.0
 
 
 class TestBackendTable:

@@ -291,11 +291,11 @@ class TestPlanNetworkBatches:
         assert plan.fallback == []
         assert {tuple(g.indices) for g in plan.groups} == {(0, 2), (1,)}
 
-    def test_missing_loss_process_batches_as_no_loss(self):
-        """lower_network leaves loss_process=None; the planner must accept
-        it (the serial engine substitutes NoLoss)."""
+    def test_lossless_spec_batches_at_rate_zero(self):
+        """lower_network passes the spec's random_loss_rate on, 0.0 by
+        default, and the planner stacks it as the row's rate."""
         spec = _dumbbell_spec()
-        assert spec.lower_network()[2]["loss_process"] is None
+        assert spec.lower_network()[2]["random_loss_rate"] == 0.0
         plan = plan_network_batches([spec])
         assert plan.fallback == []
         assert float(plan.groups[0].inputs.random_rate[0]) == 0.0

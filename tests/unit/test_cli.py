@@ -250,6 +250,30 @@ class TestParser:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--protocols", "reno", "--steps", "50"],
+        ["run", "--protocols", "reno", "--steps", "50", "--no-cache"],
+        ["cache", "stats"],
+        ["characterize", "--protocol", "reno", "--steps", "50"],
+        ["serve", "--port", "0"],
+        ["report"],
+    ])
+    def test_json_is_refused_where_no_result_is_written(self, capsys, tmp_path,
+                                                        monkeypatch, argv):
+        # These subcommands used to exit 0 without writing the file.
+        import repro.cli
+
+        monkeypatch.setattr(repro.cli, "_dispatch", lambda args: pytest.fail("ran"))
+        out = tmp_path / "result.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--json", str(out)] + argv)
+        assert exit_info.value.code == 2
+        assert f"--json: '{argv[0]}' writes no structured result" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+
 class TestMain:
     def test_simulate_prints_summary(self, capsys):
         exit_code = main(

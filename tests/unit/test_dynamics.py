@@ -6,7 +6,6 @@ import pytest
 from repro.model.dynamics import FluidSimulator, SimulationConfig, run_homogeneous
 from repro.model.events import EventSchedule
 from repro.model.link import Link
-from repro.model.random_loss import BernoulliLoss
 from repro.model.sender import Observation
 from repro.protocols.aimd import AIMD
 from repro.protocols.base import Protocol
@@ -80,10 +79,9 @@ class TestConfig:
 
     def test_min_window_floor(self, emulab_link):
         # Repeated halving cannot push the window below the floor.
-        config = SimulationConfig(initial_windows=[200.0], min_window=1.0)
-        from repro.model.random_loss import BernoulliLoss
-
-        config.loss_process = BernoulliLoss(0.5)
+        config = SimulationConfig(
+            initial_windows=[200.0], min_window=1.0, random_loss_rate=0.5
+        )
         sim = FluidSimulator(emulab_link, [AIMD(1, 0.5)], config)
         trace = sim.run(100)
         assert np.nanmin(trace.windows) >= 1.0
@@ -107,6 +105,15 @@ class TestConfig:
             SimulationConfig(min_window=10.0, max_window=1.0)
         with pytest.raises(ValueError):
             SimulationConfig(min_window=-1.0)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.1, float("nan")])
+    def test_random_loss_rate_must_be_a_rate(self, rate):
+        with pytest.raises(ValueError, match="random_loss_rate must be in"):
+            SimulationConfig(random_loss_rate=rate)
+
+    def test_random_loss_rate_range_ends_are_accepted(self):
+        assert SimulationConfig(random_loss_rate=0.0).random_loss_rate == 0.0
+        assert SimulationConfig(random_loss_rate=1.0).random_loss_rate == 1.0
 
 
 class TestLossBasedEnforcement:
@@ -189,17 +196,13 @@ class TestRandomLoss:
     def test_constant_loss_starves_reno(self):
         # The PCC motivating scenario: Reno cannot grow under 1% random loss.
         link = Link.infinite()
-        config = SimulationConfig(
-            initial_windows=[1.0], loss_process=BernoulliLoss(0.01)
-        )
+        config = SimulationConfig(initial_windows=[1.0], random_loss_rate=0.01)
         sim = FluidSimulator(link, [AIMD(1, 0.5)], config)
         trace = sim.run(500)
         assert trace.sender_series(0)[-1] < 10.0
 
     def test_observed_loss_combines_sources(self, emulab_link):
-        config = SimulationConfig(
-            initial_windows=[200.0], loss_process=BernoulliLoss(0.1)
-        )
+        config = SimulationConfig(initial_windows=[200.0], random_loss_rate=0.1)
         sim = FluidSimulator(emulab_link, [AIMD(1, 0.5)], config)
         trace = sim.run(1)
         congestion = trace.congestion_loss[0]

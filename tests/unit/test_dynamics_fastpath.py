@@ -17,7 +17,6 @@ from repro.backends.batch import _lower_fluid, synchronized_stateless
 from repro.model.dynamics import FluidSimulator, SimulationConfig
 from repro.model.events import EventSchedule
 from repro.model.link import Link
-from repro.model.random_loss import BernoulliLoss, GilbertElliottLoss
 from repro.protocols.aimd import AIMD
 from repro.protocols.cubic import CUBIC
 from repro.protocols.mimd import MIMD
@@ -59,7 +58,8 @@ class TestEligible:
         assert eligible(link, [AIMD(1, 0.5)])
 
     def test_deterministic_bernoulli_loss(self, link):
-        cfg = SimulationConfig(loss_process=BernoulliLoss(0.01))
+        # A constant random loss rate is one column of the kernel.
+        cfg = SimulationConfig(random_loss_rate=0.01)
         assert eligible(link, [AIMD(1, 0.5)] * 2, cfg)
 
     def test_separate_instances_with_equal_params(self, link):
@@ -98,23 +98,13 @@ class TestIneligible:
     def test_ecn_marking(self):
         assert not eligible(_ecn_link(), [AIMD(1, 0.5)] * 2)
 
-    def test_random_bernoulli_loss(self, link):
-        cfg = SimulationConfig(
-            loss_process=BernoulliLoss(0.01, deterministic=False)
-        )
-        assert not eligible(link, [AIMD(1, 0.5)] * 2, cfg)
-
-    def test_gilbert_elliott_loss(self, link):
-        cfg = SimulationConfig(loss_process=GilbertElliottLoss())
-        assert not eligible(link, [AIMD(1, 0.5)] * 2, cfg)
-
 
 _LINK = Link.from_mbps(20, 42, 100)
 _CASES = {
     "homogeneous": ([AIMD(1, 0.5)] * 2, SimulationConfig(), _LINK),
     "mixed-classes": ([AIMD(1, 0.5), MIMD(1.01, 0.875)], SimulationConfig(), _LINK),
     "deterministic-loss": (
-        [AIMD(1, 0.5)] * 2, SimulationConfig(loss_process=BernoulliLoss(0.01)), _LINK
+        [AIMD(1, 0.5)] * 2, SimulationConfig(random_loss_rate=0.01), _LINK
     ),
     "stateful": ([CUBIC(0.4, 0.8)] * 2, SimulationConfig(), _LINK),
     "unsynchronized": (
@@ -130,11 +120,6 @@ _CASES = {
         _LINK,
     ),
     "ecn": ([AIMD(1, 0.5)] * 2, SimulationConfig(), _ecn_link()),
-    "random-loss": (
-        [AIMD(1, 0.5)] * 2,
-        SimulationConfig(loss_process=BernoulliLoss(0.01, deterministic=False)),
-        _LINK,
-    ),
 }
 
 

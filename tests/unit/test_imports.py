@@ -80,6 +80,30 @@ def test_every_module_imports_first():
     assert failures["failures"] == {}
 
 
+def test_one_driver_loads_no_other():
+    # repro.experiments resolves its names on use, so importing one driver
+    # does not import the other six through the package.
+    loaded = _python("from repro.experiments.table1 import run_table1\n" + _LOADED)
+    drivers = ("table2", "figure1", "claims", "emulab", "fct", "survey")
+    assert _under(loaded, tuple(f"repro.experiments.{name}" for name in drivers)) == []
+    assert "repro.packetsim.workload" not in loaded
+
+
+def test_package_names_follow_their_driver_module():
+    # Never cached in the package: a function rebound on its driver module
+    # (the benchmark tracer does this) is what the package name returns.
+    seen = _python(
+        "import json\n"
+        "import repro.experiments as experiments\n"
+        "import repro.experiments.claims as claims\n"
+        "first = experiments.run_claims is claims.run_claims\n"
+        "claims.run_claims = rebound = lambda **kwargs: None\n"
+        "listed = set(experiments.__all__) <= set(dir(experiments))\n"
+        "print(json.dumps([first, experiments.run_claims is rebound, listed]))\n"
+    )
+    assert seen == [True, True, True]
+
+
 def test_cli_and_server_load_no_driver():
     loaded = _python("import repro.cli, repro.exec.serve\n" + _LOADED)
     assert _under(loaded, _NEVER_SERVED + _ANALYSIS_LAYERS) == []

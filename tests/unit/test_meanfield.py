@@ -29,7 +29,6 @@ from repro.meanfield.dynamics import (
 from repro.meanfield.grid import DEFAULT_CELLS, WindowGrid, default_grid
 from repro.model.events import EventSchedule
 from repro.model.link import Link
-from repro.model.random_loss import GilbertElliottLoss
 from repro.model.sender import Observation
 from repro.netmodel.topology import dumbbell
 from repro.protocols.aimd import AIMD
@@ -181,14 +180,6 @@ class TestLowering:
             protocols=[AIMD(1, 0.5)] * 2, link=link, start_times=[0.0, 0.0]
         )
         assert spec.lower_meanfield().n_flows == 2
-
-    def test_rejects_loss_process(self, link):
-        spec = ScenarioSpec(
-            protocols=[AIMD(1, 0.5)], link=link,
-            loss_process=GilbertElliottLoss(0.1, 0.5, 0.1),
-        )
-        with pytest.raises(LoweringError, match="random_loss_rate"):
-            spec.lower_meanfield()
 
     def test_rejects_slow_start(self, link):
         spec = ScenarioSpec(protocols=[AIMD(1, 0.5)], link=link,

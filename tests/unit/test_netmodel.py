@@ -83,6 +83,17 @@ class TestSingleLinkEquivalence:
             network.flow_loss[:, 0], reference.observed_loss[:, 0]
         )
 
+    def test_random_loss_rate_matches(self, emulab_link):
+        protocols = [AIMD(1, 0.5)] * 2
+        reference = FluidSimulator(
+            emulab_link, protocols, SimulationConfig(random_loss_rate=0.01)
+        ).run(600)
+        network = NetworkFluidSimulator(
+            single_link(emulab_link, 2), protocols, random_loss_rate=0.01
+        ).run(600)
+        np.testing.assert_allclose(network.flow_loss, reference.observed_loss)
+        np.testing.assert_allclose(network.windows, reference.windows)
+
 
 class TestNetworkDynamics:
     def test_parking_lot_long_flow_gets_less_goodput(self, emulab_link):
@@ -150,6 +161,12 @@ class TestNetworkDynamics:
         with pytest.raises(ValueError):
             NetworkFluidSimulator(topo, [AIMD(1, 0.5)] * 2,
                                   initial_windows=[1.0])
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.1, float("nan")])
+    def test_random_loss_rate_validated(self, emulab_link, rate):
+        with pytest.raises(ValueError, match="random_loss_rate must be in"):
+            NetworkFluidSimulator(single_link(emulab_link, 1), [AIMD(1, 0.5)],
+                                  random_loss_rate=rate)
 
     def test_steps_validated(self, emulab_link):
         sim = NetworkFluidSimulator(single_link(emulab_link, 1), [AIMD(1, 0.5)])

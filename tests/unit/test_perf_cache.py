@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backends import ScenarioSpec
 from repro.model.dynamics import FluidSimulator, SimulationConfig
 from repro.model.link import Link
-from repro.model.random_loss import BernoulliLoss
 from repro.perf.cache import (
     CACHE_ENV,
     TraceCache,
@@ -19,6 +19,7 @@ from repro.perf.cache import (
     default_cache_dir,
     simulation_key,
 )
+from repro.perf.store import unified_key
 from repro.protocols.aimd import AIMD
 from repro.protocols.pcc import PccLike
 from repro.protocols.robust_aimd import RobustAIMD
@@ -55,9 +56,7 @@ class TestSimulationKey:
         assert _key(emulab_link, [AIMD(1, 0.5)] * 2, cfg, steps=101) != base
         other = SimulationConfig(initial_windows=[1.0, 3.0])
         assert _key(emulab_link, [AIMD(1, 0.5)] * 2, other) != base
-        lossy = SimulationConfig(
-            initial_windows=[1.0, 2.0], loss_process=BernoulliLoss(0.01)
-        )
+        lossy = SimulationConfig(initial_windows=[1.0, 2.0], random_loss_rate=0.01)
         assert _key(emulab_link, [AIMD(1, 0.5)] * 2, lossy) != base
 
     def test_close_floats_do_not_collide(self, emulab_link):
@@ -93,6 +92,16 @@ class TestSimulationKey:
         assert (
             simulation_key(Weird(), [AIMD(1, 0.5)], cfg, [1.0], 100) is None
         )
+
+    def test_protocol_holding_a_generator_is_uncacheable(self, emulab_link):
+        # A generator's state is not its seed: keying the protocol without
+        # it would share one entry between runs that draw differently.
+        drawing = AIMD(1, 0.5)
+        drawing.rng = np.random.default_rng(3)
+        cfg = SimulationConfig(initial_windows=[1.0])
+        assert _key(emulab_link, [drawing], cfg) is None
+        spec = ScenarioSpec(protocols=[drawing], link=emulab_link, steps=100)
+        assert unified_key("fluid", spec) is None
 
 
 class TestTraceCache:

@@ -60,8 +60,8 @@ class TestPinnedKeys:
     payloads all name it.)
 
     The fluid spec mixes classes that keep ``Protocol.reset`` and
-    ``clone`` (keyed by their own attribute dict) with a random loss
-    process; CUBIC overrides ``reset`` and is keyed through its clone.
+    ``clone`` (keyed by their own attribute dict), with a random loss
+    rate; CUBIC overrides ``reset`` and is keyed through its clone.
     """
 
     LINK = Link.from_mbps(20, 42, 100)
@@ -76,7 +76,7 @@ class TestPinnedKeys:
             link=self.LINK, steps=500, random_loss_rate=0.01,
         )
         assert unified_key("fluid", spec) == (
-            "ae1f0a2db3a76e5a61dd0fda9805c81a838844d28e066e50c8bb9c768263a329"
+            "b7fd832aa4fe407a387ee7fd8610fd2805695b64676bae3a0f7f00dd0a38898b"
         )
 
     def test_packet_scenario_key(self):
